@@ -1,6 +1,6 @@
 """Performance rules (HOT001-HOT003): keep the simulation hot path allocation-lean.
 
-The hot-path refactor (see DESIGN.md §10) removed per-event closure and
+The hot-path work (see DESIGN.md §10) removed per-event closure and
 lambda construction from the functions that execute once per simulated
 event or message.  A closure object allocated a million times per run is
 real wall-clock, and CPython cannot hoist it.  HOT001 pins that property:
@@ -22,15 +22,11 @@ from repro.analysis.core import FileContext, Finding, Rule, register
 #: file fragment -> function/method names on the per-event hot path.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset(
-        {"run", "schedule", "schedule_at", "schedule_call",
-         "schedule_calls", "schedule_calls_at", "_promote", "_compact"}
+        {"run", "schedule", "schedule_at", "schedule_call", "_enqueue",
+         "_promote", "_compact"}
     ),
-    "repro/network/transport.py": frozenset(
-        {"send", "send_many", "_deliver", "_lose"}
-    ),
-    "repro/network/base.py": frozenset(
-        {"delay", "router_delay", "delays_to", "delays_from"}
-    ),
+    "repro/network/transport.py": frozenset({"send", "_deliver", "_lose"}),
+    "repro/network/base.py": frozenset({"delay", "router_delay"}),
     "repro/pastry/node.py": frozenset(
         {"_on_message", "_next_hop", "_route", "_forward",
          "_handle_ls_info", "consider_for_routing_table"}
@@ -197,8 +193,8 @@ class NoNumpyScalarBoxingOnHotPath(Rule):
         "Indexing a float64 array one element at a time allocates a boxed "
         "numpy scalar per read, and `.item()`/`float(arr[i])` adds a "
         "second conversion on top — per simulated event that is slower "
-        "than a dict or list lookup (the array-oriented core converts "
-        "rows in bulk with .tolist() instead; see DESIGN.md §15).  The "
+        "than a dict or list lookup (the topology converts each row "
+        "once with .tolist() instead; see DESIGN.md §10).  The "
         "check is syntactic: any `.item()` call, or `float()` over a "
         "subscript, inside a registered hot-path function.  If the "
         "subscripted object is genuinely not an array, indexing a plain "
@@ -237,5 +233,5 @@ class NoNumpyScalarBoxingOnHotPath(Rule):
                         ctx, inner,
                         f"float(...[...]) inside hot-path function "
                         f"{node.name}(): boxes a numpy scalar and converts "
-                        f"it per event — keep a python-list mirror of the "
-                        f"row and index that instead")
+                        f"it per event — keep the row as a python list "
+                        f"and index that instead")

@@ -30,12 +30,10 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 #: bump when the JSON layout changes incompatibly
 SCHEMA = "repro-bench-sim-core/2"
-#: previous schema, accepted read-only and migrated (see _migrate_v1)
-SCHEMA_V1 = "repro-bench-sim-core/1"
 #: default output file, at the repo root so the trajectory is versioned
 DEFAULT_OUT = "BENCH_sim_core.json"
 #: scenarios the ISSUE's >= 1.5x acceptance target is measured on
@@ -116,8 +114,8 @@ def _scenario_engine_timers(quick: bool) -> Tuple[int, str]:
 def _scenario_transport_echo(quick: bool) -> Tuple[int, str]:
     """Transport echo storm: a ring of handlers forwarding on delivery.
 
-    Uses the common production configuration — no loss, no faults, no stats
-    collector — which is exactly the transport fast path.
+    Uses the warm-up configuration — no loss, no faults, no stats
+    collector — so every optional step of ``Network.send`` is skipped.
     """
     import random
 
@@ -394,37 +392,6 @@ def run_scenario(scenario: BenchScenario, quick: bool) -> Dict[str, object]:
     }
 
 
-def _migrate_v1(data: Dict) -> Dict:
-    """Lift a schema/1 file into the schema/2 shape, read-only.
-
-    Rates carry over (the workloads are unchanged), but schema/1 recorded
-    fingerprints without a format version — the stale ``engine_timers``
-    baseline literally ends ``:None`` where current runs record a counter.
-    Migrated results are stamped ``fingerprint_version: 0`` (never matches
-    a real version, so cross-schema fingerprints are *refused* rather than
-    silently diffed) and the baseline is re-labelled to say so.
-    """
-    migrated = dict(data)
-    migrated["schema"] = SCHEMA
-    migrated["migrated_from"] = SCHEMA_V1
-    baseline = data.get("baseline")
-    if baseline:
-        baseline = dict(baseline)
-        label = str(baseline.get("label", ""))
-        if not label.endswith("[schema 1]"):
-            baseline["label"] = f"{label} [schema 1]".strip()
-        baseline["results"] = {
-            name: {**entry, "fingerprint_version": 0}
-            for name, entry in baseline.get("results", {}).items()
-        }
-        migrated["baseline"] = baseline
-    migrated["results"] = {
-        name: {**entry, "fingerprint_version": 0}
-        for name, entry in data.get("results", {}).items()
-    }
-    return migrated
-
-
 def _load_existing(path: Path) -> Optional[Dict]:
     if not path.exists():
         return None
@@ -434,8 +401,6 @@ def _load_existing(path: Path) -> Optional[Dict]:
         raise BenchError(f"unreadable bench file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise BenchError(f"{path} is not a bench report")
-    if data.get("schema") == SCHEMA_V1:
-        return _migrate_v1(data)
     if data.get("schema") != SCHEMA:
         raise BenchError(
             f"{path} has schema {data.get('schema')!r}, expected {SCHEMA!r}; "
@@ -588,8 +553,6 @@ def run_bench(
         "fingerprint_vs_baseline": fingerprints,
         "history": history,
     }
-    if existing and existing.get("migrated_from"):
-        report["migrated_from"] = existing["migrated_from"]
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return report, render_report(report)
 

@@ -131,13 +131,3 @@ class Transport(Protocol):
     def send(self, src: Address, dst: Address, msg: Any) -> None:
         """Send ``msg`` from ``src`` to ``dst`` (fire and forget)."""
         ...
-
-    def send_many(
-        self, src: Address, dsts: List[Address], msgs: List[Any]
-    ) -> None:
-        """Send ``msgs[i]`` to ``dsts[i]`` for every i.
-
-        Semantically a :meth:`send` loop in list order; transports backed
-        by array state batch the delay lookups and scheduling.
-        """
-        ...

@@ -43,18 +43,6 @@ class Topology(ABC):
         """Proximity metric used by PNS (default: round-trip delay)."""
         return 2.0 * self.delay(a, b)
 
-    def delays_to(self, a: int, dsts: List[int]) -> List[float]:
-        """One-way delays from ``a`` to each attachment in ``dsts``.
-
-        Entry-by-entry equal to ``[self.delay(a, b) for b in dsts]`` —
-        the batched transport path relies on that equivalence for
-        byte-identical traces.  Subclasses backed by array state override
-        this with a vectorised version; the base implementation is the
-        scalar loop itself.
-        """
-        delay = self.delay
-        return [delay(a, b) for b in dsts]
-
 
 class RouterGraphTopology(Topology):
     """Topology backed by a weighted router graph.
@@ -64,9 +52,7 @@ class RouterGraphTopology(Topology):
     router (only routers that actually host end nodes pay the cost); the
     cache is *bounded* — least-recently-computed rows are evicted FIFO past
     :data:`MAX_CACHED_DIST_ROWS` — so memory stays flat even at the paper's
-    5050-router scale.  The attachment→router map is kept both as a plain
-    list (fastest for the scalar ``delay`` hot path) and as a growable numpy
-    index (:attr:`attachment_routers`) for vectorised queries.
+    5050-router scale.
     """
 
     def __init__(self, lan_delay: float = 0.001,
@@ -75,19 +61,14 @@ class RouterGraphTopology(Topology):
         self._lan_round = 2.0 * lan_delay
         self._graph: csr_matrix = None  # set by subclass via _set_graph
         self._n_routers = 0
-        #: router id -> distance row, FIFO-bounded at max_cached_rows
-        self._dist_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: python-list mirror of the same rows for the scalar ``delay``
-        #: hot path: list indexing yields an unboxed float, whereas
+        #: router id -> distance row, FIFO-bounded at max_cached_rows.  Rows
+        #: are python lists: indexing one yields an unboxed float, whereas
         #: ``row[r2]`` on a float64 array allocates a numpy scalar per
-        #: event (the boxing pattern detlint HOT003 flags).  Keys always
-        #: mirror ``_dist_cache`` — filled and evicted together.
-        self._dist_list_cache: "OrderedDict[int, List[float]]" = OrderedDict()
+        #: event (the boxing pattern detlint HOT003 flags).
+        self._dist_cache: "OrderedDict[int, List[float]]" = OrderedDict()
         self._max_cached_rows = max_cached_rows
-        # attachment id -> router id: python list for scalar lookups plus a
-        # numpy mirror (grown amortised-doubling) for vectorised access.
+        #: attachment id -> router id
         self._attach_router: List[int] = []
-        self._router_index = np.empty(64, dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property
@@ -124,11 +105,6 @@ class RouterGraphTopology(Topology):
         router = self._pick_router(rng)
         attachment = len(self._attach_router)
         self._attach_router.append(router)
-        if attachment >= len(self._router_index):
-            grown = np.empty(2 * len(self._router_index), dtype=np.int64)
-            grown[:attachment] = self._router_index[:attachment]
-            self._router_index = grown
-        self._router_index[attachment] = router
         return attachment
 
     def router_of(self, attachment: int) -> int:
@@ -136,36 +112,27 @@ class RouterGraphTopology(Topology):
 
     @property
     def attachment_routers(self) -> np.ndarray:
-        """Read-only numpy view of the attachment→router index."""
-        view = self._router_index[:len(self._attach_router)]
-        view.flags.writeable = False
-        return view
+        """The attachment→router map as a numpy array (a fresh copy)."""
+        return np.array(self._attach_router, dtype=np.int64)
 
-    def _router_distances(self, router: int) -> np.ndarray:
+    def _router_distances(self, router: int) -> List[float]:
         cache = self._dist_cache
-        cached = cache.get(router)
-        if cached is None:
-            cached = dijkstra(self._graph, indices=router, directed=False)
+        row = cache.get(router)
+        if row is None:
+            # tolist() preserves the exact float64 values.
+            row = dijkstra(self._graph, indices=router, directed=False).tolist()
             if len(cache) >= self._max_cached_rows:
                 # FIFO eviction: deterministic (insertion-ordered) and
                 # cheap; router access patterns are stable enough that
                 # recency tracking buys nothing measurable.
-                evicted, _row = cache.popitem(last=False)
-                del self._dist_list_cache[evicted]
-            cache[router] = cached
-            # tolist() preserves the exact float64 values, so the scalar
-            # and vectorised paths stay bit-identical.
-            self._dist_list_cache[router] = cached.tolist()
-        return cached
+                cache.popitem(last=False)
+            cache[router] = row
+        return row
 
     def router_delay(self, r1: int, r2: int) -> float:
         if r1 == r2:
             return 0.0
-        row = self._dist_list_cache.get(r1)
-        if row is None:
-            self._router_distances(r1)
-            row = self._dist_list_cache[r1]
-        return row[r2]
+        return self._router_distances(r1)[r2]
 
     def delay(self, a: int, b: int) -> float:
         if a == b:
@@ -176,48 +143,7 @@ class RouterGraphTopology(Topology):
         # Two end nodes on the same router LAN still cross the LAN twice.
         if r1 == r2:
             return self._lan_round
-        row = self._dist_list_cache.get(r1)
-        if row is None:
-            self._router_distances(r1)
-            row = self._dist_list_cache[r1]
-        return row[r2] + self._lan_round
-
-    def delays_to(self, a: int, dsts: List[int]) -> List[float]:
-        """Vectorised :meth:`Topology.delays_to` over the numpy router index.
-
-        Produces bit-identical values to the scalar loop: the source row
-        is the same cached float64 Dijkstra row, and adding the LAN
-        round-trip is the same IEEE-754 operation whether performed on a
-        numpy scalar or an unboxed python float.  Results come back as a
-        plain list of python floats (one bulk ``tolist`` — the batched
-        delivery path stays free of per-message numpy scalar boxing).
-        """
-        n = len(dsts)
-        if n < 8:
-            # Array setup costs more than it saves on tiny bursts.
-            delay = self.delay
-            return [delay(a, b) for b in dsts]
-        idx = np.asarray(dsts, dtype=np.int64)
-        routers = self._router_index[idx]
-        r1 = self._attach_router[a]
         row = self._dist_cache.get(r1)
         if row is None:
             row = self._router_distances(r1)
-        delays = row[routers] + self._lan_round
-        delays[routers == r1] = self._lan_round
-        delays[idx == a] = 0.0
-        return delays.tolist()
-
-    def delays_from(self, a: int) -> np.ndarray:
-        """One-way delays from attachment ``a`` to every attachment.
-
-        Vectorised counterpart of :meth:`delay` (same values entry by
-        entry), for bulk consumers — audits, benchmarks, future
-        vectorised PNS.
-        """
-        routers = self._router_index[:len(self._attach_router)]
-        r1 = self._attach_router[a]
-        delays = self._router_distances(r1)[routers] + self._lan_round
-        delays[routers == r1] = self._lan_round
-        delays[a] = 0.0
-        return delays
+        return row[r2] + self._lan_round

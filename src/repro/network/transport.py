@@ -21,12 +21,11 @@ is reproducible because the order is a pure function of the run's own
 event history.  Reordering any of these consultations changes RNG streams
 and therefore breaks same-seed byte-identical results.
 
-The common configuration — no faults, no stats collector, zero loss — is
-*precomputed* into a fast-path flag re-derived whenever ``faults``,
-``stats`` or ``loss_rate`` change, so per-message cost in that
-configuration is one flag test plus a delay lookup and a fire-and-forget
-schedule (:meth:`Simulator.schedule_call`; deliveries are never
-cancelled).
+There is one send path.  With no stats collector, zero loss and no fault
+table — the configuration of a warm-up — every optional step is one
+``is None`` / ``> 0`` test, and what remains is a delay lookup and a
+fire-and-forget schedule (:meth:`Simulator.schedule_call`; deliveries are
+never cancelled).
 
 Message accounting distinguishes three counters:
 
@@ -67,11 +66,12 @@ class Network:
         self._rng = rng
         self._handlers: Dict[Address, Handler] = {}
         self._owners: Dict[Address, Any] = {}
-        self._faults = None
+        #: optional fault table (repro.faults.FaultState); installed by a
+        #: FaultSchedule, consulted on every send and delivery
+        self.faults: Optional[Any] = None
         self._stats: Optional[Any] = None
         self._on_loss: Optional[Callable[..., None]] = None
         self._loss_rate = 0.0
-        self._fast = True
         # Hot-path bindings: sim and topology never change over a run.
         self._schedule_call = sim.schedule_call
         self._delay = topology.delay
@@ -84,16 +84,6 @@ class Network:
         self.messages_dropped_dead = 0
 
     # ------------------------------------------------------------------
-    # Fast-path configuration.  The flag is precomputed (not re-checked
-    # per message) and re-derived by every setter that can invalidate it.
-    # ------------------------------------------------------------------
-    def _update_fast_path(self) -> None:
-        self._fast = (
-            self._faults is None
-            and self._stats is None
-            and self._loss_rate == 0.0
-        )
-
     @property
     def loss_rate(self) -> float:
         """Uniform per-message loss probability; mutable mid-run (sweeps)."""
@@ -104,7 +94,6 @@ class Network:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"loss_rate out of range: {rate}")
         self._loss_rate = rate
-        self._update_fast_path()
 
     @property
     def stats(self) -> Optional[Any]:
@@ -115,18 +104,6 @@ class Network:
     def stats(self, collector: Optional[Any]) -> None:
         self._stats = collector
         self._on_loss = getattr(collector, "on_loss", None)
-        self._update_fast_path()
-
-    @property
-    def faults(self) -> Optional[Any]:
-        """Optional fault table (repro.faults.FaultState); installed by a
-        FaultSchedule, consulted on every send and delivery."""
-        return self._faults
-
-    @faults.setter
-    def faults(self, state: Optional[Any]) -> None:
-        self._faults = state
-        self._update_fast_path()
 
     # ------------------------------------------------------------------
     def attach(self) -> Address:
@@ -177,14 +154,6 @@ class Network:
     def send(self, src: int, dst: int, msg: Any) -> None:
         """Send ``msg`` from address ``src`` to ``dst`` (fire and forget)."""
         self.messages_sent += 1
-        if self._fast:
-            # No faults, no stats, no loss: one delay lookup, one
-            # fire-and-forget event.  Equivalent to the general path below
-            # with every optional branch false — same RNG usage (none),
-            # same seq numbering.
-            self._schedule_call(self._delay(src, dst), self._deliver,
-                                src, dst, msg)
-            return
         stats = self._stats
         if stats is not None:
             stats.on_send(msg, src, dst, self.sim.now)
@@ -192,7 +161,7 @@ class Network:
             self._lose(msg, src, dst)
             return
         delay = self._delay(src, dst)
-        faults = self._faults
+        faults = self.faults
         if faults is not None:
             if faults.filter_send(src, dst) is not None:
                 self.messages_lost_faults += 1
@@ -201,48 +170,15 @@ class Network:
             delay = faults.adjust_delay(src, dst, delay)
         self._schedule_call(delay, self._deliver, src, dst, msg)
 
-    def send_many(self, src: int, dsts: List[int], msgs: List[Any]) -> None:
-        """Send ``msgs[i]`` from ``src`` to ``dsts[i]`` for every i.
-
-        Byte-identical to calling :meth:`send` once per message in list
-        order — same seq draws, same RNG usage — but on the fast path the
-        whole burst costs one vectorised delay lookup
-        (:meth:`Topology.delays_to`) and one batch scheduler call
-        (:meth:`Simulator.schedule_calls`) instead of a per-message walk
-        through the scheduling machinery.
-        """
-        if self._faults is not None or self._loss_rate > 0.0:
-            # Loss draws and fault filters consult per-message state in a
-            # fixed interleaved order; keep the scalar path authoritative.
-            send = self.send
-            for dst, msg in zip(dsts, msgs):
-                send(src, dst, msg)
-            return
-        stats = self._stats
-        if stats is not None:
-            # Stats intake is pure commutative counting (no RNG, no
-            # scheduling), so running the whole burst's on_send calls
-            # before the batch enqueue leaves collector state and event
-            # order identical to the interleaved scalar sequence.
-            now = self.sim.now
-            on_send = stats.on_send
-            for dst, msg in zip(dsts, msgs):
-                on_send(msg, src, dst, now)
-        self.messages_sent += len(dsts)
-        delays = self.topology.delays_to(src, dsts)
-        args_seq = [(src, dst, msg) for dst, msg in zip(dsts, msgs)]
-        self.sim.schedule_calls(delays, self._deliver, args_seq)
-
     def _lose(self, msg: Any, src: int, dst: int) -> None:
         self.messages_lost += 1
         if self._on_loss is not None:
             self._on_loss(msg, src, dst, self.sim.now)
 
     def _deliver(self, src: int, dst: int, msg: Any) -> None:
-        # Faults are consulted at delivery time even when the message was
-        # sent on the fast path: a partition installed while the message
-        # was in flight must still cut it.
-        faults = self._faults
+        # Faults are consulted at delivery time too: a partition installed
+        # while the message was in flight must still cut it.
+        faults = self.faults
         if faults is not None and faults.filter_deliver(src, dst) is not None:
             self.messages_lost_faults += 1
             self._lose(msg, src, dst)

@@ -232,26 +232,20 @@ class OverlayRunner:
                 **self.invariant_kwargs,
             )
 
-        # The whole run skeleton — warm-up joins, the measurement switch,
-        # and every trace event — is enqueued as one batch.  These events
-        # are never cancelled and the batch draws seq numbers in exactly
-        # the order the per-event schedule() loop did, so traces stay
-        # byte-identical while the scheduler sees one call, not hundreds
-        # of thousands.
+        # The run skeleton — warm-up joins, the measurement switch, then
+        # every trace event — is enqueued up front, in this order (it fixes
+        # the seq numbers the golden traces pin).  None is ever cancelled.
+        schedule_call = self.sim.schedule_call
+        spawn, crash = self._spawn, self._crash
         interval = self.warmup_join_interval
-        items = [
-            (i * interval, self._spawn, (trace_node,))
-            for i, trace_node in enumerate(initial)
-        ]
-        items.append((warmup, self._start_measurement, ()))
-        spawn = self._spawn
-        crash = self._crash
+        for i, trace_node in enumerate(initial):
+            schedule_call(i * interval, spawn, trace_node)
+        schedule_call(warmup, self._start_measurement)
         for event in trace.events:
             if event.time == 0.0 and event.kind == ARRIVAL:
                 continue  # already scheduled as warm-up joins
             callback = spawn if event.kind == ARRIVAL else crash
-            items.append((warmup + event.time, callback, (event.node,)))
-        self.sim.schedule_calls_at(items)
+            schedule_call(warmup + event.time, callback, event.node)
 
         if extra_schedule is not None:
             extra_schedule(self.sim, warmup)

@@ -113,8 +113,8 @@ class MSPastryNode:
         self.crashed = False
         #: Byzantine behavior overlay (repro.adversary.ActiveAdversary) or
         #: None.  Consulted with a single is-None test per message — the
-        #: disabled cost on the hot path (mirrors the transport's no-faults
-        #: fast path): no RNG draws, no extra events, byte-identical runs.
+        #: disabled cost on the hot path (as the transport does for its
+        #: fault table): no RNG draws, no extra events, byte-identical runs.
         self.adversary = None
         self.joined_at: Optional[float] = None
         self.activated_at: Optional[float] = None
@@ -233,35 +233,6 @@ class MSPastryNode:
             self.last_sent, self._sent_cap = self._pruned_recency(
                 self.last_sent, self._sent_horizon)
         self.network.send(self.addr, dest.addr, msg)
-
-    def _send_all(self, dests: List[NodeDescriptor], msgs: List[m.Message]) -> None:
-        """Batched :meth:`send`: ``msgs[i]`` goes to ``dests[i]``.
-
-        Per-message bookkeeping (sender stamp, tuning hint, recency) runs
-        in list order exactly as the equivalent send() loop would, then the
-        whole burst is enqueued through the transport's batch path.  The
-        recency-cap sweep runs once after the burst instead of after every
-        insert — the sweep is protocol-invisible (it only drops entries no
-        reader can distinguish from absent ones, and the map is never
-        iterated for protocol decisions), so moving it does not change any
-        observable behaviour.
-        """
-        descriptor = self.descriptor
-        tuning = self.config.self_tuning
-        local_period = self.tuner.local_period
-        now = self.sim.now
-        last_sent = self.last_sent
-        for dest, msg in zip(dests, msgs):
-            msg.sender = descriptor
-            if tuning and msg.__class__ in _TUNING_HINT_TYPES:
-                msg.tuning_hint = local_period
-            last_sent[dest.id] = now
-        if len(last_sent) >= self._sent_cap:
-            self.last_sent, self._sent_cap = self._pruned_recency(
-                last_sent, self._sent_horizon)
-        self.network.send_many(
-            self.addr, [dest.addr for dest in dests], msgs
-        )
 
     def _pruned_recency(
         self, table: Dict[int, float], horizon: float
@@ -392,15 +363,12 @@ class MSPastryNode:
         self._send_ls_probe(desc, state)
 
     def _probe_all(self, descs: List[NodeDescriptor]) -> None:
-        """Batched :meth:`probe` over a burst of candidates.
+        """:meth:`probe` over a burst of candidates.
 
-        Applies the same vetoes per candidate, arms every probe timer, then
-        hands the whole LsProbe burst to the transport in one batch call.
-        Relative event order within each same-timestamp group is unchanged
-        (all timers fire at now + probe_timeout and keep their list order;
-        deliveries keep theirs), and the probe payload is computed once —
-        valid because nothing in the loop mutates the leaf set or the
-        failure maps.
+        Applies the same vetoes per candidate and arms every probe timer
+        before the first LsProbe goes out (the golden traces pin that
+        order).  The probe payload is computed once — valid because nothing
+        in the loop mutates the leaf set or the failure maps.
         """
         my_id = self.id
         probing = self.probing
@@ -421,13 +389,8 @@ class MSPastryNode:
             return
         leaf_set = self.leaf_set.members()
         advertised = self._advertised_failed()
-        self._send_all(
-            targets,
-            [
-                m.LsProbe(leaf_set=leaf_set, failed=advertised)
-                for _ in targets
-            ],
-        )
+        for desc in targets:
+            self.send(desc, m.LsProbe(leaf_set=leaf_set, failed=advertised))
 
     def _send_ls_probe(self, desc: NodeDescriptor, state: _ProbeState) -> None:
         state.timer = self.sim.schedule(
@@ -861,22 +824,8 @@ class MSPastryNode:
         self._retry_failed()
         if self.config.heartbeat_all_leafset:
             # Ablation baseline: heartbeat every member (cost grows with l).
-            # Batched: suppression reads last_sent before any send in the
-            # round, which matches the scalar loop because the member ids
-            # are distinct — no send in the round can affect another
-            # member's suppression check.
-            if self.config.probe_suppression:
-                cutoff = self.sim.now - self.config.heartbeat_period
-                last_sent = self.last_sent
-                targets = [
-                    member
-                    for member in self.leaf_set.members()
-                    if last_sent.get(member.id, -1e18) <= cutoff
-                ]
-            else:
-                targets = self.leaf_set.members()
-            if targets:
-                self._send_all(targets, [m.Heartbeat() for _ in targets])
+            for member in self.leaf_set.members():
+                self._heartbeat_to(member)
             return
         left = self.leaf_set.left_neighbour
         if left is not None:
@@ -950,10 +899,9 @@ class MSPastryNode:
         # Probe the whole routing state (§3.2): routing-table entries plus
         # leaf-set members.  Heartbeats cover the immediate neighbours every
         # Tls; this much slower sweep catches dead members farther along the
-        # sides that no failure announcement reached.  The sweep is batched:
-        # vetoes run per candidate (ids are unique, so arming one probe
-        # cannot affect another's veto), every timer is armed, then the
-        # whole RtProbe burst goes out in one transport call.
+        # sides that no failure announcement reached.  Every timer is armed
+        # before the first RtProbe goes out (the golden traces pin that
+        # order).
         probing = self.probing
         rt_probing = self._rt_probing
         failed = self.failed
@@ -975,8 +923,8 @@ class MSPastryNode:
             rt_probing[did] = state
             state.timer = schedule(timeout, rt_probe_timeout, did)
             targets.append(desc)
-        if targets:
-            self._send_all(targets, [m.RtProbe() for _ in targets])
+        for desc in targets:
+            self.send(desc, m.RtProbe())
         self._schedule_rt_scan(self._rt_period)
 
     def _send_rt_probe(self, desc: NodeDescriptor) -> None:

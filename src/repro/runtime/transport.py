@@ -152,14 +152,6 @@ class UdpTransport:
         self.bytes_sent += len(data)
         self._transport.sendto(data, unpack_addr(dst))
 
-    def send_many(self, src: Address, dsts: List[Address],
-                  msgs: List[Any]) -> None:
-        """Batched ``send``: real sockets gain nothing from batching, so
-        this is the plain loop the Transport protocol promises."""
-        send = self.send
-        for dst, msg in zip(dsts, msgs):
-            send(src, dst, msg)
-
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, peer: Tuple[str, int]) -> None:
         self.bytes_received += len(data)

@@ -6,25 +6,21 @@ Design notes
   monotonically increasing ``seq`` breaks ties deterministically, so two
   events scheduled for the same instant always fire in scheduling order;
   comparison never reaches the non-orderable slots.
-* Storage is a two-tier calendar queue (a coarse hierarchical timer
-  wheel) instead of one binary heap over every outstanding event:
+* Storage is a two-tier calendar queue instead of one binary heap over
+  every outstanding event:
 
   - the **near heap** holds events already promoted into execution order
     (everything due in the wheel slot currently draining, plus fresh
     events that land at or before it);
   - the **wheel** is a sparse dict of unsorted bucket lists keyed by
-    ``int(time * inv_width)``, covering ``wheel_span`` bucket widths past
-    the slot being drained, with a small int-heap over the occupied
-    bucket indices;
-  - the **far heap** holds everything beyond the wheel window (pre-
-    scheduled trace churn, long timers), drained lazily into the wheel
-    as the window advances.
+    ``int(time * _INV_WIDTH)`` with a small int-heap over the occupied
+    bucket indices.  The dict is unbounded, so a trace event hours ahead
+    simply sits in its own bucket until the int-heap reaches it.
 
   Inserting into the wheel is an O(1) list append (amortized: each event
   additionally pays one linear-time heapify share when its bucket is
-  promoted), so scheduling cost no longer grows with the number of
-  outstanding events — the far heap is touched only by genuinely
-  far-future events, never by per-message traffic.
+  promoted), so scheduling cost does not grow with the number of
+  outstanding events.
 
   Ordering is *exactly* the single-heap order: ``time → bucket index``
   is monotone, so every event in a lower-indexed bucket precedes every
@@ -35,56 +31,44 @@ Design notes
   or below the index being drained — both directions preserve the
   global ``(time, seq)`` total order, byte-for-byte.
 
-* Two scheduling flavours share the single seq counter (and therefore a
-  single deterministic total order):
+* Three entry points share one private enqueue and one seq counter (and
+  therefore a single deterministic total order):
 
   - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
     :class:`EventHandle` that can be cancelled — timers, retransmissions.
-  - :meth:`Simulator.schedule_call` is the no-handle fast path for
-    fire-and-forget events (message deliveries never cancel), skipping the
-    handle allocation and consume-time bookkeeping entirely.
-    :meth:`Simulator.schedule_calls` is its batch form: one call schedules
-    a whole send burst (identical seq draws and routing to the
-    equivalent loop of ``schedule_call``).
+  - :meth:`Simulator.schedule_call` is the handle-free form for
+    fire-and-forget events (message deliveries never cancel), skipping
+    the handle allocation and consume-time bookkeeping.
 
 * Cancellation is *lazy*: cancelled entries stay queued and are skipped
   when popped — at promotion time for wheel buckets (each bucket is
-  filtered as it is heapified, so dead timers never even reach the near
+  filtered as it is moved, so dead timers never even reach the near
   heap) and at pop time for the near heap.  This keeps
   :meth:`EventHandle.cancel` O(1), which matters because protocol code
   cancels timers constantly (every ack cancels a retransmission timer).
   To stop dead entries from dominating memory, the simulator tracks the
-  live count and *compacts* all three tiers in place — dropping
-  cancelled entries and re-heapifying — once the dead fraction passes a
+  live count and *compacts* both tiers in place — dropping cancelled
+  entries and re-heapifying — once the dead fraction passes a
   threshold.  Compaction preserves the (time, seq) order of every live
   entry, so it can never reorder or drop live events.
 * The simulator never advances past ``run(until=...)``; events scheduled
   beyond the horizon simply remain queued.
-* :meth:`Simulator.scheduler_stats` exposes occupancy counters and
-  bucket-size / batch-size histograms for the profiler's engine health
-  block; maintaining them costs two integer adds per promotion/batch.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: don't bother compacting queues smaller than this (cheap to carry)
 _COMPACT_MIN_DEAD = 512
 #: compact when more than this fraction of queued entries is dead
 _COMPACT_DEAD_FRACTION = 0.5
 
-#: calendar bucket width in simulated seconds.  1/16 s is exactly
-#: representable in binary floating point, so ``time * inv_width`` is an
+#: buckets per simulated second.  The bucket width, 1/16 s, is exactly
+#: representable in binary floating point, so ``time * _INV_WIDTH`` is an
 #: exact scaling — bucket routing is a pure monotone function of time.
-_BUCKET_WIDTH = 0.0625
-#: wheel window length in buckets (512 simulated seconds at the default
-#: width).  Events beyond ``cur_idx + span`` go to the far heap.
-_WHEEL_SPAN = 8192
-
-#: histogram slots for scheduler_stats (log2 buckets; last slot is 2^18+)
-_HIST_SLOTS = 20
+_INV_WIDTH = 16.0
 
 
 class EventHandle:
@@ -132,7 +116,7 @@ class SimulationError(RuntimeError):
 
 # A queue entry is (time, seq, handle | None, callback | None, args | None):
 # handle-carrying entries keep callback/args on the handle (so cancel() can
-# release them); fast-path entries inline them and can never be cancelled.
+# release them); handle-free entries inline them and can never be cancelled.
 _Entry = Tuple[float, int, Optional[EventHandle],
                Optional[Callable[..., None]], Optional[Tuple[Any, ...]]]
 
@@ -150,12 +134,7 @@ class Simulator:
     (2.5, ['hello'])
     """
 
-    def __init__(self, bucket_width: float = _BUCKET_WIDTH,
-                 wheel_span: int = _WHEEL_SPAN) -> None:
-        if bucket_width <= 0:
-            raise SimulationError(f"bucket_width must be positive: {bucket_width}")
-        if wheel_span < 1:
-            raise SimulationError(f"wheel_span must be >= 1: {wheel_span}")
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq: int = 0
         #: lazily-cancelled entries still queued (live = count - dead)
@@ -164,24 +143,17 @@ class Simulator:
         self._count: int = 0
         self._events_executed: int = 0
         self._compactions: int = 0
+        self._promotions: int = 0
         self._running = False
-        # Calendar-queue tiers.  All three containers are mutated strictly
-        # in place — run() holds local aliases across promotions.
+        # Calendar-queue tiers.  All containers are mutated strictly in
+        # place — run() holds a local alias across promotions.
         self._near: List[_Entry] = []
         self._buckets: Dict[int, List[_Entry]] = {}
         self._bucket_heap: List[int] = []
-        self._far: List[_Entry] = []
         self._cur_idx: int = -1
-        self._inv_width = 1.0 / bucket_width
-        self._wheel_span = wheel_span
         # Compaction policy knobs (instance attrs so tests can tighten them).
         self._compact_min_dead = _COMPACT_MIN_DEAD
         self._compact_dead_fraction = _COMPACT_DEAD_FRACTION
-        # Observability: promotions, per-promotion bucket occupancy and
-        # per-batch size histograms (log2 buckets), for scheduler_stats().
-        self._promotions: int = 0
-        self._occ_hist: List[int] = [0] * _HIST_SLOTS
-        self._batch_hist: List[int] = [0] * _HIST_SLOTS
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -194,22 +166,7 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay}")
         time = self.now + delay
         handle = EventHandle(time, callback, args, self)
-        self._seq += 1
-        self._count += 1
-        entry = (time, self._seq, handle, None, None)
-        idx = int(time * self._inv_width)
-        cur = self._cur_idx
-        if idx <= cur:
-            heapq.heappush(self._near, entry)
-        elif idx <= cur + self._wheel_span:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-                heapq.heappush(self._bucket_heap, idx)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._far, entry)
+        self._enqueue(time, handle, None, None)
         return handle
 
     def schedule_at(
@@ -221,22 +178,7 @@ class Simulator:
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
         handle = EventHandle(time, callback, args, self)
-        self._seq += 1
-        self._count += 1
-        entry = (time, self._seq, handle, None, None)
-        idx = int(time * self._inv_width)
-        cur = self._cur_idx
-        if idx <= cur:
-            heapq.heappush(self._near, entry)
-        elif idx <= cur + self._wheel_span:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-                heapq.heappush(self._bucket_heap, idx)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._far, entry)
+        self._enqueue(time, handle, None, None)
         return handle
 
     def schedule_call(
@@ -252,125 +194,32 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        time = self.now + delay
+        self._enqueue(self.now + delay, None, callback, args)
+
+    def _enqueue(
+        self,
+        time: float,
+        handle: Optional[EventHandle],
+        callback: Optional[Callable[..., None]],
+        args: Optional[Tuple[Any, ...]],
+    ) -> None:
+        """The one insert: draw the next seq, route by bucket index."""
         self._seq += 1
         self._count += 1
-        idx = int(time * self._inv_width)
-        cur = self._cur_idx
-        if idx <= cur:
-            heapq.heappush(self._near, (time, self._seq, None, callback, args))
-        elif idx <= cur + self._wheel_span:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [(time, self._seq, None, callback, args)]
-                heapq.heappush(self._bucket_heap, idx)
-            else:
-                bucket.append((time, self._seq, None, callback, args))
+        entry = (time, self._seq, handle, callback, args)
+        idx = int(time * _INV_WIDTH)
+        if idx <= self._cur_idx:
+            heapq.heappush(self._near, entry)
+            return
+        bucket = self._buckets.get(idx)
+        if bucket is None:
+            self._buckets[idx] = [entry]
+            heapq.heappush(self._bucket_heap, idx)
         else:
-            heapq.heappush(self._far, (time, self._seq, None, callback, args))
-
-    def schedule_calls(
-        self,
-        delays: Sequence[float],
-        callback: Callable[..., None],
-        args_seq: Sequence[Tuple[Any, ...]],
-    ) -> None:
-        """Batch :meth:`schedule_call`: one event per ``(delay, args)`` pair.
-
-        Equivalent — same seq draws, same routing, same errors — to::
-
-            for delay, args in zip(delays, args_seq):
-                self.schedule_call(delay, callback, *args)
-
-        but hoists the per-call bookkeeping out of the loop, so a whole
-        send burst (leaf-set probe round, heartbeat fan-out) enqueues in
-        one scheduler call.
-        """
-        now = self.now
-        inv_width = self._inv_width
-        cur = self._cur_idx
-        far_bound = cur + self._wheel_span
-        near = self._near
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        far = self._far
-        push = heapq.heappush
-        seq = self._seq
-        n = 0
-        for delay, args in zip(delays, args_seq):
-            if delay < 0:
-                # Roll the partial batch's bookkeeping in before raising so
-                # the queue stays consistent with the entries inserted.
-                self._seq = seq
-                self._count += n
-                raise SimulationError(f"negative delay: {delay}")
-            time = now + delay
-            seq += 1
-            n += 1
-            idx = int(time * inv_width)
-            if idx <= cur:
-                push(near, (time, seq, None, callback, args))
-            elif idx <= far_bound:
-                bucket = buckets.get(idx)
-                if bucket is None:
-                    buckets[idx] = [(time, seq, None, callback, args)]
-                    push(bucket_heap, idx)
-                else:
-                    bucket.append((time, seq, None, callback, args))
-            else:
-                push(far, (time, seq, None, callback, args))
-        self._seq = seq
-        self._count += n
-        self._batch_hist[min(n.bit_length(), _HIST_SLOTS - 1)] += 1
-
-    def schedule_calls_at(
-        self,
-        items: Iterable[Tuple[float, Callable[..., None], Tuple[Any, ...]]],
-    ) -> None:
-        """Batch absolute-time fire-and-forget scheduling.
-
-        ``items`` yields ``(time, callback, args)`` triples; equivalent to
-        calling :meth:`schedule_call` with ``time - now`` for each, in
-        order.  Used to enqueue a whole churn trace in one call.
-        """
-        now = self.now
-        inv_width = self._inv_width
-        cur = self._cur_idx
-        far_bound = cur + self._wheel_span
-        near = self._near
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        far = self._far
-        push = heapq.heappush
-        seq = self._seq
-        n = 0
-        for time, callback, args in items:
-            if time < now:
-                self._seq = seq
-                self._count += n
-                raise SimulationError(
-                    f"cannot schedule in the past: {time} < now {now}"
-                )
-            seq += 1
-            n += 1
-            idx = int(time * inv_width)
-            if idx <= cur:
-                push(near, (time, seq, None, callback, args))
-            elif idx <= far_bound:
-                bucket = buckets.get(idx)
-                if bucket is None:
-                    buckets[idx] = [(time, seq, None, callback, args)]
-                    push(bucket_heap, idx)
-                else:
-                    bucket.append((time, seq, None, callback, args))
-            else:
-                push(far, (time, seq, None, callback, args))
-        self._seq = seq
-        self._count += n
-        self._batch_hist[min(n.bit_length(), _HIST_SLOTS - 1)] += 1
+            bucket.append(entry)
 
     # ------------------------------------------------------------------
-    # Promotion: refill the near heap from the wheel / far tiers
+    # Promotion: refill the near heap from the wheel
     # ------------------------------------------------------------------
     def _promote(self) -> bool:
         """Advance to the next occupied bucket and heapify it into the near
@@ -378,60 +227,28 @@ class Simulator:
 
         Correctness: called only with the near heap empty.  Every queued
         event's bucket index exceeds ``_cur_idx`` (insertion routes lower
-        indices to the near heap), the minimum occupied wheel index always
-        precedes every far entry (far entries are strictly beyond the
-        wheel window by invariant), and ``time → index`` is monotone — so
+        indices to the near heap) and ``time → index`` is monotone — so
         draining the minimum-index bucket next reproduces the single-heap
         (time, seq) order exactly.  Cancelled entries are dropped here,
         per bucket, while the promotion touches every slot anyway.
         """
-        bucket_heap = self._bucket_heap
-        far = self._far
-        inv_width = self._inv_width
-        if bucket_heap:
-            # Any occupied wheel bucket precedes every far entry.
-            idx = heapq.heappop(bucket_heap)
-            bucket = self._buckets.pop(idx, None)
-        elif far:
-            idx = int(far[0][0] * inv_width)
-            bucket = None
-        else:
+        if not self._bucket_heap:
             return False
+        idx = heapq.heappop(self._bucket_heap)
         self._cur_idx = idx
         self._promotions += 1
-        near = self._near
+        # Compaction may have emptied and removed the bucket; its index
+        # stays in the int-heap and promotes to nothing.
+        bucket = self._buckets.pop(idx, None)
         if bucket:
-            self._occ_hist[min(len(bucket).bit_length(), _HIST_SLOTS - 1)] += 1
-            dropped = 0
+            near = self._near
             for entry in bucket:
                 handle = entry[2]
                 if handle is None or not handle.cancelled:
                     near.append(entry)
-                else:
-                    dropped += 1
-            if dropped:
-                self._count -= dropped
-                self._dead -= dropped
-        if far:
-            # The window advanced: drain far entries that now fall inside
-            # it (or inside the bucket being promoted) into place.
-            bound = idx + self._wheel_span
-            buckets = self._buckets
-            pop = heapq.heappop
-            push = heapq.heappush
-            while far and int(far[0][0] * inv_width) <= bound:
-                entry = pop(far)
-                eidx = int(entry[0] * inv_width)
-                if eidx <= idx:
-                    near.append(entry)
-                else:
-                    b = buckets.get(eidx)
-                    if b is None:
-                        buckets[eidx] = [entry]
-                        push(bucket_heap, eidx)
-                    else:
-                        b.append(entry)
-        if near:
+            dropped = len(bucket) - len(near)
+            self._count -= dropped
+            self._dead -= dropped
             heapq.heapify(near)
         return True
 
@@ -456,9 +273,9 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every tier and re-heapify, *in place*.
+        """Drop cancelled entries from both tiers and re-heapify, *in place*.
 
-        In place matters: ``run()`` holds local references to the near
+        In place matters: ``run()`` holds a local reference to the near
         heap.  Determinism: every surviving entry keeps its (time, seq)
         key, bucket routing is a pure function of time, and heap pop
         order is a pure function of the key set — so live events fire
@@ -478,15 +295,7 @@ class Simulator:
                 if entry[2] is None or not entry[2].cancelled
             ]
             if not bucket:
-                # The index stays in the bucket heap; promotion tolerates
-                # stale indices (popping them is a no-op).
-                del buckets[idx]
-        far = self._far
-        far[:] = [
-            entry for entry in far
-            if entry[2] is None or not entry[2].cancelled
-        ]
-        heapq.heapify(far)
+                del buckets[idx]  # _promote tolerates the stale index
         self._count -= self._dead
         self._dead = 0
         self._compactions += 1
@@ -521,7 +330,7 @@ class Simulator:
                 self._count -= 1
                 handle = entry[2]
                 if handle is None:
-                    # Fast path: fire-and-forget entry, nothing to consume.
+                    # Handle-free entry: nothing to consume.
                     self.now = time
                     entry[3](*entry[4])  # type: ignore[misc]
                 elif handle.cancelled:
@@ -578,28 +387,11 @@ class Simulator:
         """How many times the queue was compacted (observability/tests)."""
         return self._compactions
 
-    def scheduler_stats(self) -> Dict[str, Any]:
-        """Calendar-queue health counters for profiling/diagnostics.
-
-        ``bucket_occupancy_log2[i]`` counts promotions of buckets holding
-        ``2^(i-1) .. 2^i - 1`` entries (slot 0 = empty); the analogous
-        ``batch_size_log2`` counts :meth:`schedule_calls` /
-        :meth:`schedule_calls_at` batches by size.  Trailing zero slots
-        are trimmed.
-        """
-
-        def _trim(hist: List[int]) -> List[int]:
-            end = len(hist)
-            while end > 0 and hist[end - 1] == 0:
-                end -= 1
-            return hist[:end]
-
+    def scheduler_stats(self) -> Dict[str, int]:
+        """Calendar-queue health counters for profiling/diagnostics."""
         return {
             "near_len": len(self._near),
             "wheel_buckets": len(self._buckets),
-            "far_len": len(self._far),
             "promotions": self._promotions,
             "compactions": self._compactions,
-            "bucket_occupancy_log2": _trim(self._occ_hist),
-            "batch_size_log2": _trim(self._batch_hist),
         }

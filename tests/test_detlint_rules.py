@@ -407,8 +407,8 @@ def test_hot003_triggers_in_hot_functions(snippet):
     ("class T:\n    def delay(self, a, b):\n"
      "        return float('inf')\n"),
     # bulk conversion outside the per-event read is the idiom
-    ("class T:\n    def delays_to(self, a, dsts):\n"
-     "        return (self.row[dsts] + self.lan).tolist()\n"),
+    ("class T:\n    def _router_distances(self, router):\n"
+     "        return self.dijkstra(router).tolist()\n"),
     # .item() in a non-hot function of a hot file is not checked
     ("class T:\n    def summarize(self):\n"
      "        return self.row[0].item()\n"),
@@ -423,14 +423,37 @@ def test_hot003_scoped_to_registered_files():
     assert "HOT003" not in lint_snippet(snippet, path=ANY_PATH)
 
 
-def test_hot003_covers_batch_scheduler_functions():
-    """The registry extension: schedule_calls et al. are hot now."""
-    snippet = ("class S:\n    def schedule_calls(self, delays):\n"
-               "        return [d.item() for d in delays]\n")
+def test_hot_rules_cover_the_shared_enqueue():
+    """Every schedule* entry point funnels into _enqueue: it is hot."""
+    snippet = ("class S:\n    def _enqueue(self, time, handle, cb, args):\n"
+               "        return self.widths[0].item()\n")
     assert "HOT003" in lint_snippet(snippet, path=ENGINE_PATH)
-    lam = ("class S:\n    def schedule_calls(self, delays):\n"
-           "        return sorted(delays, key=lambda d: d)\n")
+    lam = ("class S:\n    def _enqueue(self, time, handle, cb, args):\n"
+           "        return min(self.near, key=lambda e: e[0])\n")
     assert "HOT001" in lint_snippet(lam, path=ENGINE_PATH)
+
+
+def test_hot_registries_name_only_definitions_that_exist():
+    """A renamed or deleted function must leave the registry with it:
+    every (file, name) in HOT_FUNCTIONS / HOT_CLASSES resolves to a
+    function / class defined in that file."""
+    import ast
+    from pathlib import Path
+
+    from repro.analysis.rules_performance import HOT_CLASSES, HOT_FUNCTIONS
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    kinds = ((HOT_FUNCTIONS, (ast.FunctionDef, ast.AsyncFunctionDef)),
+             (HOT_CLASSES, (ast.ClassDef,)))
+    missing = []
+    for registry, node_types in kinds:
+        for fragment, names in registry.items():
+            tree = ast.parse((src / fragment).read_text())
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, node_types)}
+            missing += [(fragment, name) for name in sorted(names - {"*"})
+                        if name not in defined]
+    assert not missing
 
 
 # ----------------------------------------------------------------------

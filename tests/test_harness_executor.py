@@ -110,6 +110,9 @@ def test_jobs1_and_jobs4_artifacts_byte_identical(tmp_path):
 
 # ----------------------------------------------------------------------
 # Resume (acceptance): only missing jobs re-run on re-invocation
+#
+# Tests that watch an in-process list pin ``jobs=1``: with ``jobs=None`` a
+# multi-core machine forks workers and the parent's list stays empty.
 # ----------------------------------------------------------------------
 def test_resume_runs_only_missing_jobs(tmp_path):
     calls = []
@@ -121,7 +124,7 @@ def test_resume_runs_only_missing_jobs(tmp_path):
     registry = {"fake": fake_module(run)}
     spec = SweepSpec.from_json(dict(name="t", experiment="fake",
                                     grid={"x": [1, 2]}, seeds=[1, 2]))
-    outcome = run_sweep(spec, tmp_path, registry=registry)
+    outcome = run_sweep(spec, tmp_path, jobs=1, registry=registry)
     assert outcome.all_ok and len(calls) == 4
 
     # Pre-seeded partial directory: drop two artifacts, keep the rest.
@@ -130,7 +133,7 @@ def test_resume_runs_only_missing_jobs(tmp_path):
     store.artifact_path("fake-x=2--s2").unlink()
 
     calls.clear()
-    outcome = run_sweep(spec, tmp_path, registry=registry)
+    outcome = run_sweep(spec, tmp_path, jobs=1, registry=registry)
     assert outcome.all_ok
     assert sorted(outcome.skipped) == ["fake-x=1--s1", "fake-x=1--s2"]
     assert sorted(outcome.ok) == ["fake-x=2--s1", "fake-x=2--s2"]
@@ -138,8 +141,42 @@ def test_resume_runs_only_missing_jobs(tmp_path):
 
     # --force re-runs everything.
     calls.clear()
-    outcome = run_sweep(spec, tmp_path, registry=registry, force=True)
+    outcome = run_sweep(spec, tmp_path, jobs=1, registry=registry,
+                        force=True)
     assert outcome.all_ok and not outcome.skipped and len(calls) == 4
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(4, marks=needs_fork)])
+def test_resume_same_outcome_on_any_core_count(tmp_path, monkeypatch, cpus):
+    """``jobs=None`` on a 1-CPU and on a 4-CPU machine: the same runs are
+    skipped and re-run, judged by the artifacts alone."""
+    monkeypatch.setattr(executor, "_available_cpus", lambda: cpus)
+
+    def run(seed=0, x=0):
+        return {"x": x, "ran_at_ns": time.perf_counter_ns()}
+
+    registry = {"fake": fake_module(run)}
+    spec = SweepSpec.from_json(dict(name="t", experiment="fake",
+                                    grid={"x": [1, 2]}, seeds=[1, 2]))
+    assert run_sweep(spec, tmp_path, registry=registry).all_ok
+
+    store = ResultStore(tmp_path)
+    kept = ["fake-x=1--s1", "fake-x=1--s2"]
+    dropped = ["fake-x=2--s1", "fake-x=2--s2"]
+    before = {run_id: store.artifact_path(run_id).read_bytes()
+              for run_id in kept + dropped}
+    for run_id in dropped:
+        store.artifact_path(run_id).unlink()
+
+    outcome = run_sweep(spec, tmp_path, registry=registry)
+    assert outcome.all_ok
+    assert sorted(outcome.skipped) == kept and sorted(outcome.ok) == dropped
+    for run_id in kept:  # untouched: not executed again
+        assert store.artifact_path(run_id).read_bytes() == before[run_id]
+    for run_id in dropped:  # executed again: a later ran_at_ns
+        artifact = store.read_artifact(run_id)
+        assert artifact["status"] == "ok" and artifact["result"]["x"] == 2
+        assert store.artifact_path(run_id).read_bytes() != before[run_id]
 
 
 def test_resume_retries_error_artifacts(tmp_path):
@@ -153,9 +190,9 @@ def test_resume_retries_error_artifacts(tmp_path):
 
     registry = {"fake": fake_module(run)}
     spec = SweepSpec.from_json(dict(name="t", experiment="fake", seeds=[1]))
-    outcome = run_sweep(spec, tmp_path, registry=registry)
+    outcome = run_sweep(spec, tmp_path, jobs=1, registry=registry)
     assert outcome.failed == ["fake--s1"]
-    outcome = run_sweep(spec, tmp_path, registry=registry)
+    outcome = run_sweep(spec, tmp_path, jobs=1, registry=registry)
     assert outcome.ok == ["fake--s1"] and not outcome.skipped
 
 
@@ -183,7 +220,7 @@ def test_inline_failure_does_not_stop_sweep(tmp_path):
 
     spec = SweepSpec.from_json(dict(name="t", experiment="fake",
                                     grid={"x": [1, 2]}, seeds=[1]))
-    outcome = run_sweep(spec, tmp_path,
+    outcome = run_sweep(spec, tmp_path, jobs=1,
                         registry={"fake": fake_module(run)})
     assert outcome.failed == ["fake-x=1--s1"]
     assert outcome.ok == ["fake-x=2--s1"]

@@ -10,8 +10,8 @@ from repro.network.base import RouterGraphTopology
 class LineTopology(RouterGraphTopology):
     """Five routers in a line with unit link delays (analytically known)."""
 
-    def __init__(self, lan_delay=0.001):
-        super().__init__(lan_delay=lan_delay)
+    def __init__(self, lan_delay=0.001, **kwargs):
+        super().__init__(lan_delay=lan_delay, **kwargs)
         rows = [0, 1, 2, 3]
         cols = [1, 2, 3, 4]
         self._set_graph(5, rows, cols, [1.0, 1.0, 1.0, 1.0])
@@ -72,12 +72,16 @@ def test_proximity_default_is_rtt():
     assert topo.proximity(a, b) == pytest.approx(2 * topo.delay(a, b))
 
 
-def test_distance_rows_cached():
-    topo = LineTopology()
-    rng = random.Random(5)
-    a, b = topo.attach(rng), topo.attach(rng)
-    topo.delay(a, b)
-    assert topo.router_of(a) in topo._dist_cache
-    cached = topo._dist_cache[topo.router_of(a)]
-    assert topo.delay(a, b) >= 0.0  # second call served from cache
-    assert topo._dist_cache[topo.router_of(a)] is cached
+def test_distance_rows_cached_and_evicted_fifo():
+    topo = LineTopology(max_cached_rows=2)
+    assert topo.router_delay(0, 4) == pytest.approx(4.0)
+    row = topo._dist_cache[0]
+    assert type(row) is list and row == [0.0, 1.0, 2.0, 3.0, 4.0]
+    topo.router_delay(0, 2)  # second call served from the cache
+    assert topo._dist_cache[0] is row
+    topo.router_delay(1, 0)
+    topo.router_delay(0, 1)  # a hit does not refresh row 0's position
+    topo.router_delay(2, 0)  # third row: the oldest one goes
+    assert list(topo._dist_cache) == [1, 2]
+    assert topo.router_delay(0, 4) == pytest.approx(4.0)  # recomputed
+    assert list(topo._dist_cache) == [2, 0]

@@ -1,117 +1,82 @@
-"""Property tests for the array-oriented simulation core.
+"""Property test for the simulation core's one ordering contract.
 
-Two equivalence contracts carry the perf refactor:
+The calendar-queue scheduler executes events in exactly the ``(time, seq)``
+order a plain sorted list would — near heap, wheel buckets, promotion and
+lazy cancellation are pure implementation detail.
 
-* the calendar-queue scheduler executes events in exactly the
-  ``(time, seq)`` order a plain sorted heap would, for *any* bucket
-  width / wheel span — near wheel, far heap and promotion are pure
-  implementation detail;
-* batched APIs (``Simulator.schedule_calls``, ``Network.send_many``)
-  are byte-identical to the per-item loops they replace — same seq
-  draws, same delivery order, same counters.
-
-Hypothesis drives randomized op sequences over small delay grids with
-guaranteed ties, so tie-breaking by sequence number is always exercised.
+Hypothesis drives randomized op sequences over a small delay grid with
+guaranteed ties, so tie-breaking by sequence number is always exercised;
+the grid reaches past 1000 simulated seconds, so events that sit in the
+wheel for thousands of bucket widths are compared too.
 """
 
-import random
+import bisect
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.simple import UniformDelayTopology
-from repro.network.transport import Network
 from repro.sim.engine import Simulator
 
-# Delay grid with exact float ties, spanning near-wheel and far-heap
-# territory for every bucket width used below.
-_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 7.5, 100.0, 1000.0])
-
-# Engine geometries: degenerate one-bucket wheels, tiny wheels that force
-# constant far-heap promotion, and the production default.
-_GEOMETRY = st.sampled_from([
-    (0.0625, 8192),  # production default
-    (0.0625, 1),     # everything lands in the far heap
-    (0.5, 2),        # constant promotion traffic
-    (7.3, 16),       # coarse buckets: many ties per bucket
-    (1000.0, 8192),  # one giant bucket swallows the whole horizon
-])
+# Delay grid with exact float ties: fractions of the 1/16 s bucket width
+# (distinct times that share a bucket) up to 16,000 bucket widths ahead.
+_DELAYS = st.sampled_from(
+    [0.0, 1 / 64, 1 / 32, 0.25, 1.0, 7.5, 100.0, 1000.0])
 
 _API_SCHEDULE, _API_SCHEDULE_AT, _API_SCHEDULE_CALL = range(3)
 
+# Scheduled before the run: (delay, api, cancel it straight away?)
 _OPS = st.lists(
     st.tuples(_DELAYS, st.integers(0, 2), st.booleans()),
     max_size=60,
 )
+# Scheduled from inside callbacks: (near delay, far delay, cancel the
+# previous far timer?)
+_PROGRAM = st.lists(st.tuples(_DELAYS, _DELAYS, st.booleans()), max_size=40)
 
 
-@settings(max_examples=100, deadline=None)
-@given(ops=_OPS, geometry=_GEOMETRY)
-def test_calendar_queue_matches_sorted_reference(ops, geometry):
-    """Static schedule + cancel: pop order is exactly sorted (time, seq).
+class _SortedReference:
+    """The specification: one list kept sorted by (time, seq)."""
 
-    Every scheduling API draws one sequence number per entry (cancelled
-    or not), so the reference order is a plain sort of the surviving
-    ``(time, seq)`` pairs — no calendar structure in sight.
-    """
-    bucket_width, wheel_span = geometry
-    sim = Simulator(bucket_width=bucket_width, wheel_span=wheel_span)
-    order = []
-    expected = []
-    for seq, (delay, api, do_cancel) in enumerate(ops):
-        if api == _API_SCHEDULE:
-            handle = sim.schedule(delay, order.append, seq)
-        elif api == _API_SCHEDULE_AT:
-            handle = sim.schedule_at(delay, order.append, seq)
-        else:
-            sim.schedule_call(delay, order.append, seq)
-            handle = None
-        if do_cancel and handle is not None:
-            handle.cancel()
-        else:
-            expected.append((delay, seq))
-    sim.run()
-    assert order == [seq for _delay, seq in sorted(expected)]
+    class _Handle:
+        def __init__(self, entry):
+            self._entry = entry
 
+        def cancel(self):
+            self._entry[2] = None
 
-@settings(max_examples=100, deadline=None)
-@given(ops=_OPS)
-def test_schedule_calls_batch_equivalent_to_loop(ops):
-    """One schedule_calls burst == the same entries via schedule_call.
+    def __init__(self):
+        self.now = 0.0
+        self._seq = 0
+        self._queue = []
 
-    The batch draws sequence numbers in list order, so interleaving with
-    ordinary scheduling before and after must leave the execution order
-    unchanged.
-    """
-    delays = [delay for delay, _api, _cancel in ops]
+    def schedule_at(self, time, callback, *args):
+        self._seq += 1
+        entry = [time, self._seq, callback, args]
+        bisect.insort(self._queue, entry)  # seq is unique: ties stop there
+        return self._Handle(entry)
 
-    loop_sim = Simulator()
-    loop_order = []
-    loop_sim.schedule_call(0.125, loop_order.append, "pre")
-    for i, delay in enumerate(delays):
-        loop_sim.schedule_call(delay, loop_order.append, i)
-    loop_sim.schedule_call(0.125, loop_order.append, "post")
-    loop_sim.run()
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
 
-    batch_sim = Simulator()
-    batch_order = []
-    batch_sim.schedule_call(0.125, batch_order.append, "pre")
-    batch_sim.schedule_calls(
-        delays, batch_order.append, [(i,) for i in range(len(delays))]
-    )
-    batch_sim.schedule_call(0.125, batch_order.append, "post")
-    batch_sim.run()
+    def schedule_call(self, delay, callback, *args):
+        self.schedule_at(self.now + delay, callback, *args)
 
-    assert batch_order == loop_order
+    def run(self):
+        while self._queue:
+            time, _seq, callback, args = self._queue.pop(0)
+            if callback is not None:
+                self.now = time
+                callback(*args)
 
 
-def _run_program(sim, program):
-    """Drive ``program`` through callbacks: schedule children, cancel.
+def _drive(sim, ops, program):
+    """Run ``ops`` then ``program`` on ``sim``; return the execution log.
 
-    Each executed event consumes one program entry and schedules a near
-    child plus a far timer; ``do_cancel`` lazily cancels the previous far
-    timer, leaving a dead entry for promotion/compaction to step over.
-    Returns the (tag, time) execution log.
+    ``ops`` are scheduled up front through all three entry points, some
+    cancelled at once.  ``program`` is consumed from inside callbacks:
+    each executed event takes one entry, schedules a near child plus a far
+    timer, and ``do_cancel`` lazily cancels the previous far timer, leaving
+    a dead entry for promotion/compaction to step over.
     """
     order = []
     pending = [None]
@@ -129,121 +94,29 @@ def _run_program(sim, program):
         sim.schedule_call(near_delay, tick, 2 * tag + 1)
         pending[0] = sim.schedule(far_delay + 50.0, tick, 2 * tag + 2)
 
+    for i, (delay, api, do_cancel) in enumerate(ops):
+        if api == _API_SCHEDULE:
+            handle = sim.schedule(delay, order.append, ("op", i))
+        elif api == _API_SCHEDULE_AT:
+            handle = sim.schedule_at(delay, order.append, ("op", i))
+        else:
+            sim.schedule_call(delay, order.append, ("op", i))
+            handle = None
+        if do_cancel and handle is not None:
+            handle.cancel()
     sim.schedule(0.0, tick, 0)
     sim.run()
     return order
 
 
-@settings(max_examples=75, deadline=None)
-@given(
-    program=st.lists(
-        st.tuples(_DELAYS, _DELAYS, st.booleans()), max_size=40
-    ),
-    geometry=_GEOMETRY,
-)
-def test_calendar_queue_dynamic_cross_geometry(program, geometry):
-    """Events scheduled *during* the run execute in geometry-independent
-    order: any (bucket_width, wheel_span) equals the production default."""
-    bucket_width, wheel_span = geometry
-    reference = _run_program(Simulator(), program)
-    variant = _run_program(
-        Simulator(bucket_width=bucket_width, wheel_span=wheel_span), program
-    )
-    assert variant == reference
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, program=_PROGRAM)
+def test_calendar_queue_matches_sorted_reference(ops, program):
+    """Static schedule + cancel + in-callback scheduling: execution order
+    is exactly that of the sorted list.
 
-
-# ----------------------------------------------------------------------
-# Batched delivery == per-message delivery
-# ----------------------------------------------------------------------
-
-_N_ADDRS = 4
-
-# A burst: one source plus up to 6 destination indices (dupes allowed —
-# a node may send several messages to the same peer in one burst).
-_BURSTS = st.lists(
-    st.tuples(
-        st.integers(0, _N_ADDRS - 1),
-        st.lists(st.integers(0, _N_ADDRS - 1), min_size=1, max_size=6),
-    ),
-    max_size=12,
-)
-
-
-class _CountingStats:
-    """Minimal stats sink: counts on_send calls like StatsCollector."""
-
-    def __init__(self):
-        self.sends = []
-
-    def on_send(self, msg, src, dst, now):
-        self.sends.append((msg, src, dst, now))
-
-
-def _run_bursts(bursts, batched, with_stats):
-    sim = Simulator()
-    net = Network(sim, UniformDelayTopology(0.05), random.Random(99))
-    stats = _CountingStats() if with_stats else None
-    if stats is not None:
-        net.stats = stats
-    addrs = [net.attach() for _ in range(_N_ADDRS)]
-    log = []
-    for i, addr in enumerate(addrs):
-        net.register(
-            addr,
-            lambda src, msg, me=i: log.append((me, src, msg, round(sim.now, 9))),
-        )
-    for burst_id, (src_idx, dst_idxs) in enumerate(bursts):
-        dsts = [addrs[d] for d in dst_idxs]
-        msgs = [("m", burst_id, j) for j in range(len(dsts))]
-        if batched:
-            net.send_many(addrs[src_idx], dsts, msgs)
-        else:
-            for dst, msg in zip(dsts, msgs):
-                net.send(addrs[src_idx], dst, msg)
-    sim.run()
-    counters = (net.messages_sent, net.messages_delivered, net.messages_lost)
-    return log, counters, stats.sends if stats is not None else None
-
-
-@settings(max_examples=100, deadline=None)
-@given(bursts=_BURSTS, with_stats=st.booleans())
-def test_send_many_equivalent_to_send_loop(bursts, with_stats):
-    """send_many == the send loop: same delivery log, counters and stats.
-
-    Covers both the handler-free fast path and the stats-collector path
-    (send_many hoists the on_send calls ahead of the batch enqueue; the
-    intake is pure counting so the reordering must be invisible).
+    Every scheduling API draws one sequence number per entry (cancelled or
+    not), so the two sides number their events identically.
     """
-    batched = _run_bursts(bursts, batched=True, with_stats=with_stats)
-    scalar = _run_bursts(bursts, batched=False, with_stats=with_stats)
-    assert batched == scalar
-
-
-@settings(max_examples=50, deadline=None)
-@given(bursts=_BURSTS)
-def test_send_many_equivalent_under_loss(bursts):
-    """With loss enabled send_many must fall back to the scalar path:
-    identical RNG draw order, so identical losses and deliveries."""
-    def run(batched):
-        sim = Simulator()
-        net = Network(
-            sim, UniformDelayTopology(0.05), random.Random(7), loss_rate=0.3
-        )
-        addrs = [net.attach() for _ in range(_N_ADDRS)]
-        log = []
-        for i, addr in enumerate(addrs):
-            net.register(
-                addr, lambda src, msg, me=i: log.append((me, src, msg))
-            )
-        for burst_id, (src_idx, dst_idxs) in enumerate(bursts):
-            dsts = [addrs[d] for d in dst_idxs]
-            msgs = [("m", burst_id, j) for j in range(len(dsts))]
-            if batched:
-                net.send_many(addrs[src_idx], dsts, msgs)
-            else:
-                for dst, msg in zip(dsts, msgs):
-                    net.send(addrs[src_idx], dst, msg)
-        sim.run()
-        return log, net.messages_sent, net.messages_lost, net.messages_delivered
-
-    assert run(True) == run(False)
+    assert _drive(Simulator(), ops, program) == _drive(
+        _SortedReference(), ops, program)
