@@ -26,12 +26,16 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
          "_promote", "_compact"}
     ),
     "repro/network/transport.py": frozenset({"send", "_deliver", "_lose"}),
-    "repro/network/base.py": frozenset({"delay", "router_delay"}),
+    "repro/network/base.py": frozenset(
+        {"delay", "router_delay", "_router_distances"}
+    ),
     "repro/pastry/node.py": frozenset(
         {"_on_message", "_next_hop", "_route", "_forward",
          "_handle_ls_info", "consider_for_routing_table"}
     ),
-    "repro/pastry/leafset.py": frozenset({"add", "_prune", "members"}),
+    "repro/pastry/leafset.py": frozenset(
+        {"add", "_prune", "members", "covers", "closest_to"}
+    ),
     "repro/pastry/routingtable.py": frozenset({"add"}),
     "repro/metrics/collector.py": frozenset({"on_send", "on_loss"}),
     "repro/pastry/messages.py": frozenset({"wire_size"}),
@@ -193,13 +197,13 @@ class NoNumpyScalarBoxingOnHotPath(Rule):
         "Indexing a float64 array one element at a time allocates a boxed "
         "numpy scalar per read, and `.item()`/`float(arr[i])` adds a "
         "second conversion on top — per simulated event that is slower "
-        "than a dict or list lookup (the topology converts each row "
-        "once with .tolist() instead; see DESIGN.md §10).  The "
-        "check is syntactic: any `.item()` call, or `float()` over a "
-        "subscript, inside a registered hot-path function.  If the "
-        "subscripted object is genuinely not an array, indexing a plain "
-        "list needs no float() wrapper — removing it also clears the "
-        "finding."
+        "than a dict or list lookup (the topology copies each Dijkstra "
+        "row once into an array('d'), whose reads yield python floats; "
+        "see DESIGN.md §10).  The check is syntactic: any `.item()` call, "
+        "or `float()` over a subscript, inside a registered hot-path "
+        "function.  If the subscripted object is genuinely not a numpy "
+        "array, indexing a list or array('d') needs no float() wrapper — "
+        "removing it also clears the finding."
     )
     packages = tuple(HOT_FUNCTIONS)
 
@@ -224,8 +228,9 @@ class NoNumpyScalarBoxingOnHotPath(Rule):
                     yield self.finding(
                         ctx, inner,
                         f".item() inside hot-path function {node.name}(): "
-                        f"per-event numpy scalar unboxing — convert the "
-                        f"row in bulk (.tolist()) outside the loop")
+                        f"per-event numpy scalar unboxing — copy the "
+                        f"row in bulk (array('d', row.tobytes())) outside "
+                        f"the loop")
                 elif (isinstance(func, ast.Name) and func.id == "float"
                         and len(inner.args) == 1
                         and isinstance(inner.args[0], ast.Subscript)):
@@ -233,5 +238,5 @@ class NoNumpyScalarBoxingOnHotPath(Rule):
                         ctx, inner,
                         f"float(...[...]) inside hot-path function "
                         f"{node.name}(): boxes a numpy scalar and converts "
-                        f"it per event — keep the row as a python list "
-                        f"and index that instead")
+                        f"it per event — keep the row as an array('d') "
+                        f"or list and index that instead")

@@ -29,11 +29,11 @@ from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.pastry import messages as m
 from repro.pastry.node import MSPastryNode
+from repro.pastry.nodeid import root_among
 from repro.runtime.live import (
     LiveSpec,
     live_config,
     make_plan,
-    root_of,
     run_live,
 )
 from repro.sim.engine import Simulator
@@ -88,6 +88,7 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
 
 def _score(pending: Dict[int, Dict[str, Any]],
            node_ids: List[int]) -> Dict[str, Any]:
+    ring = sorted(node_ids)
     delivered = 0
     consistent = 0
     hops: List[int] = []
@@ -99,7 +100,7 @@ def _score(pending: Dict[int, Dict[str, Any]],
         node_id, n_hops, latency = entry["deliveries"][0]
         hops.append(n_hops)
         latencies.append(latency)
-        if node_id == root_of(entry["key"], node_ids):
+        if node_id == root_among(ring, entry["key"]):
             consistent += 1
     hops.sort()
     latencies.sort()

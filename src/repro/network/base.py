@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from array import array
 from collections import OrderedDict
 from typing import List
 
@@ -18,10 +19,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-#: default bound on cached per-router Dijkstra rows.  A row is one float64
-#: per router, so at the paper's 5050-router GT-ITM topology the cache is
-#: capped at ~512 * 5050 * 8 B ~= 20 MB regardless of how many routers end
-#: up hosting nodes.
+#: default bound on cached per-router Dijkstra rows.  A row is one unboxed
+#: float64 per router (``array('d')``), so at the paper's 5050-router GT-ITM
+#: topology the cache is capped at ~512 * 5050 * 8 B ~= 20 MB regardless of
+#: how many routers end up hosting nodes.
 MAX_CACHED_DIST_ROWS = 512
 
 
@@ -50,9 +51,9 @@ class RouterGraphTopology(Topology):
     End nodes attach to routers through a LAN link.  Router-to-router delays
     are computed by single-source Dijkstra on demand and cached per source
     router (only routers that actually host end nodes pay the cost); the
-    cache is *bounded* — least-recently-computed rows are evicted FIFO past
-    :data:`MAX_CACHED_DIST_ROWS` — so memory stays flat even at the paper's
-    5050-router scale.
+    cache is *bounded* — past :data:`MAX_CACHED_DIST_ROWS` the row computed
+    longest ago is evicted (FIFO; a hit does not refresh a row) — so memory
+    stays flat even at the paper's 5050-router scale.
     """
 
     def __init__(self, lan_delay: float = 0.001,
@@ -62,10 +63,10 @@ class RouterGraphTopology(Topology):
         self._graph: csr_matrix = None  # set by subclass via _set_graph
         self._n_routers = 0
         #: router id -> distance row, FIFO-bounded at max_cached_rows.  Rows
-        #: are python lists: indexing one yields an unboxed float, whereas
-        #: ``row[r2]`` on a float64 array allocates a numpy scalar per
-        #: event (the boxing pattern detlint HOT003 flags).
-        self._dist_cache: "OrderedDict[int, List[float]]" = OrderedDict()
+        #: are ``array('d')``: 8 B per router, and indexing one yields a
+        #: python float, whereas ``row[r2]`` on a float64 ndarray allocates
+        #: a numpy scalar per event (the boxing pattern detlint HOT003 flags).
+        self._dist_cache: "OrderedDict[int, array[float]]" = OrderedDict()
         self._max_cached_rows = max_cached_rows
         #: attachment id -> router id
         self._attach_router: List[int] = []
@@ -115,12 +116,17 @@ class RouterGraphTopology(Topology):
         """The attachment→router map as a numpy array (a fresh copy)."""
         return np.array(self._attach_router, dtype=np.int64)
 
-    def _router_distances(self, router: int) -> List[float]:
+    def _router_distances(self, router: int) -> array[float]:
         cache = self._dist_cache
         row = cache.get(router)
         if row is None:
-            # tolist() preserves the exact float64 values.
-            row = dijkstra(self._graph, indices=router, directed=False).tolist()
+            # directed=True: _set_graph stores both directions of every
+            # link, so the transpose scipy builds per call for an undirected
+            # search finds nothing new.  The bytes copy keeps the exact
+            # float64 values.
+            row = array(
+                "d", dijkstra(self._graph, indices=router, directed=True).tobytes()
+            )
             if len(cache) >= self._max_cached_rows:
                 # FIFO eviction: deterministic (insertion-ordered) and
                 # cheap; router access patterns are stable enough that

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional
 
-from repro.pastry.nodeid import is_closer_root
+from repro.pastry.nodeid import root_among
 
 
 class Oracle:
@@ -74,15 +74,7 @@ class Oracle:
     def root_of(self, key: int) -> Optional[int]:
         """The nodeId that should receive a lookup for ``key`` right now."""
         ids = self._active_ids
-        if not ids:
-            return None
-        idx = bisect_left(ids, key)
-        candidates = [ids[idx % len(ids)], ids[(idx - 1) % len(ids)]]
-        best = candidates[0]
-        for candidate in candidates[1:]:
-            if is_closer_root(candidate, best, key):
-                best = candidate
-        return best
+        return root_among(ids, key) if ids else None
 
     def is_correct_root(self, node_id: int, key: int) -> bool:
         return self.root_of(key) == node_id

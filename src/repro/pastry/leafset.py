@@ -17,13 +17,16 @@ protocol-visible iteration orders (``members()``, pruning) are unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional
+from typing import Container, Dict, List, Optional, Sequence
 
-from repro.pastry.nodeid import (
-    ID_SPACE,
-    NodeDescriptor,
-    is_closer_root,
-)
+from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
+
+
+def _in_any(node_id: int, id_sets: Sequence[Container[int]]) -> bool:
+    for ids in id_sets:
+        if node_id in ids:
+            return True
+    return False
 
 
 class LeafSet:
@@ -265,10 +268,42 @@ class LeafSet:
         # counter-clockwise distance is ID_SPACE - clockwise distance).
         return cw < self._ring_keys[half - 1] or cw > self._ring_keys[n - half]
 
-    def closest_to(self, key: int) -> NodeDescriptor:
-        """Member (or owner) with minimal ring distance to ``key``."""
-        best = self.owner
-        for desc in self._members.values():
-            if is_closer_root(desc.id, best.id, key):
-                best = desc
-        return best
+    def closest_to(self, key: int, *unusable: Container[int]) -> NodeDescriptor:
+        """Root of ``key`` among the owner and the usable members.
+
+        The order is ``(ring_distance to key, id)`` — a strict total order,
+        so every node resolves the same root whatever order it learnt its
+        members in.  A member is unusable when any of the ``unusable`` id
+        containers holds its id; the owner always qualifies.
+
+        Unroll the ring at the owner: the owner sits at clockwise offset 0
+        *and* ``ID_SPACE``, the members at their sorted offsets in between,
+        the key at ``k``.  The root is then the nearer of the first usable
+        entry at or above ``k`` and the first one below it — a member
+        reached the other way round the ring lies beyond the owner, which
+        is closer.  The two gaps sum to at most ``ID_SPACE``, so the smaller
+        one is a true ring distance and no half-space fold is needed; the
+        owner ends both walks, so wrapped sets need no modular indexing.
+        """
+        ring = self._ring
+        keys = self._ring_keys
+        n = len(ring)
+        k = (key - self._owner_id) % ID_SPACE
+        i = bisect_left(keys, k)
+        up = i
+        while up < n and _in_any(ring[up].id, unusable):
+            up += 1
+        down = i - 1
+        while down >= 0 and _in_any(ring[down].id, unusable):
+            down -= 1
+        if up == n:
+            above, above_gap = self.owner, ID_SPACE - k
+        else:
+            above, above_gap = ring[up], keys[up] - k
+        if down < 0:
+            below, below_gap = self.owner, k
+        else:
+            below, below_gap = ring[down], k - keys[down]
+        if above_gap != below_gap:
+            return above if above_gap < below_gap else below
+        return above if above.id < below.id else below

@@ -36,6 +36,7 @@ from repro.pastry.config import PastryConfig
 from repro.pastry.discovery import SeedDiscovery
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import (
+    HALF_SPACE,
     ID_SPACE,
     NodeDescriptor,
     digit,
@@ -999,27 +1000,13 @@ class MSPastryNode:
         return True
 
     def _next_hop(self, key: int, excluded: frozenset) -> Optional[NodeDescriptor]:
-        # Routing inner loop: the usability predicate (not suspected, not
-        # failed, not excluded) is inlined against hoisted locals — it runs
-        # once per candidate per hop, for every routed message.
         suspected = self.suspected
         failed = self.failed
         my_id = self.id
         leaf_set = self.leaf_set
         if leaf_set.covers(key):
-            best = self.descriptor
-            best_id = my_id
-            for desc in leaf_set.members():
-                desc_id = desc.id
-                if (
-                    desc_id not in suspected
-                    and desc_id not in failed
-                    and desc_id not in excluded
-                    and is_closer_root(desc_id, best_id, key)
-                ):
-                    best = desc
-                    best_id = desc_id
-            return None if best_id == my_id else best
+            best = leaf_set.closest_to(key, suspected, failed, excluded)
+            return None if best.id == my_id else best
 
         b = self.config.b
         row = shared_prefix_length(key, my_id, b)
@@ -1034,7 +1021,8 @@ class MSPastryNode:
                 return primary
 
         # Route around the missing/suspect entry: any known node strictly
-        # closer to the key that shares a prefix of length >= row.
+        # closer to the key that shares a prefix of length >= row.  Runs
+        # once per candidate, so the ring distance is inlined.
         best = None
         best_dist = ring_distance(my_id, key)
         for desc in chain(self.routing_table.entries(), leaf_set.members()):
@@ -1047,7 +1035,9 @@ class MSPastryNode:
                 continue
             if shared_prefix_length(key, desc_id, b) < row:
                 continue
-            dist = ring_distance(desc_id, key)
+            dist = (desc_id - key) % ID_SPACE
+            if dist > HALF_SPACE:
+                dist = ID_SPACE - dist
             if dist < best_dist:
                 best = desc
                 best_dist = dist
@@ -1114,9 +1104,16 @@ class MSPastryNode:
             return False
         if msg.deferrals >= self.config.max_delivery_deferrals:
             return False
+        suspected = self.suspected
+        if not suspected:
+            return False
+        # Not LeafSet.closest_to: with several closer suspects the one that
+        # holds the message (its reply or failure re-routes it) is the first
+        # in members() order, not the closest.
+        my_id = self.id
         blocker = None
         for desc in self.leaf_set.members():
-            if desc.id in self.suspected and is_closer_root(desc.id, self.id, key):
+            if desc.id in suspected and is_closer_root(desc.id, my_id, key):
                 blocker = desc
                 break
         if blocker is None:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 ID_BITS = 128
 ID_SPACE = 1 << ID_BITS
@@ -93,7 +94,7 @@ def shared_prefix_length(a: int, b_id: int, b: int) -> int:
 def ring_distance(a: int, b_id: int) -> int:
     """Shortest distance around the ring (used for root determination)."""
     d = (a - b_id) % ID_SPACE
-    return min(d, ID_SPACE - d)
+    return d if d <= HALF_SPACE else ID_SPACE - d
 
 
 def clockwise_distance(a: int, b_id: int) -> int:
@@ -116,3 +117,15 @@ def is_closer_root(candidate: int, incumbent: int, key: int) -> bool:
     if dc != di:
         return dc < di
     return candidate < incumbent
+
+
+def root_among(sorted_ids: Sequence[int], key: int) -> int:
+    """The root of ``key`` among the ids of a non-empty ascending sequence.
+
+    The global-view form of the root rule (oracles, harness scoring): the
+    root is one of the key's two ring neighbours, found by bisection.
+    """
+    i = bisect_left(sorted_ids, key)
+    above = sorted_ids[i] if i < len(sorted_ids) else sorted_ids[0]
+    below = sorted_ids[i - 1]  # i == 0 wraps to the largest id
+    return below if is_closer_root(below, above, key) else above

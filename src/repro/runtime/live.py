@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
 from repro.pastry.node import MSPastryNode
-from repro.pastry.nodeid import is_closer_root, random_nodeid
+from repro.pastry.nodeid import random_nodeid, root_among
 from repro.runtime.service import NodeService
 
 #: Schema tag for live-run artifacts.  Bump on breaking layout changes.
@@ -103,12 +103,9 @@ def make_plan(spec: LiveSpec) -> Dict[str, Any]:
 
 
 def root_of(key: int, node_ids: List[int]) -> int:
-    """The true root of ``key`` among ``node_ids`` (harness oracle)."""
-    best = node_ids[0]
-    for nid in node_ids[1:]:
-        if is_closer_root(nid, best, key):
-            best = nid
-    return best
+    """The true root of ``key`` among ``node_ids``, in any order (harness
+    oracle; a caller scoring many keys sorts once and uses ``root_among``)."""
+    return root_among(sorted(node_ids), key)
 
 
 async def _await_predicate(predicate, timeout: float, interval: float,
@@ -185,6 +182,7 @@ async def run_live_async(spec: LiveSpec,
         clock.close()
 
     # Score against the oracle.
+    ring = sorted(node_ids)
     delivered = 0
     consistent = 0
     hops: List[int] = []
@@ -196,7 +194,7 @@ async def run_live_async(spec: LiveSpec,
         node_id, n_hops, latency = entry["deliveries"][0]
         hops.append(n_hops)
         latencies.append(latency)
-        if node_id == root_of(entry["key"], node_ids):
+        if node_id == root_among(ring, entry["key"]):
             consistent += 1
     hops.sort()
     latencies.sort()

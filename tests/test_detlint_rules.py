@@ -408,7 +408,7 @@ def test_hot003_triggers_in_hot_functions(snippet):
      "        return float('inf')\n"),
     # bulk conversion outside the per-event read is the idiom
     ("class T:\n    def _router_distances(self, router):\n"
-     "        return self.dijkstra(router).tolist()\n"),
+     "        return array('d', self.dijkstra(router).tobytes())\n"),
     # .item() in a non-hot function of a hot file is not checked
     ("class T:\n    def summarize(self):\n"
      "        return self.row[0].item()\n"),

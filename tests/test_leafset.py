@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import (
+    HALF_SPACE,
     ID_SPACE,
     NodeDescriptor,
     clockwise_distance,
     counter_clockwise_distance,
     ring_distance,
 )
+from tests.conftest import linear_root
 
 ids = st.integers(min_value=0, max_value=ID_SPACE - 1)
 
@@ -202,6 +204,64 @@ def test_closest_to_is_global_minimum(owner_id, others, key):
     candidates = [owner_id] + [d.id for d in ls.members()]
     best = ls.closest_to(key).id
     assert ring_distance(best, key) == min(ring_distance(c, key) for c in candidates)
+
+
+@st.composite
+def leafset_key_unusable(draw):
+    """A leaf set, a key and a set of unusable member ids, biased towards
+    the cases a ring bisect can get wrong: sets wrapping past id 0, all
+    members on one side of the owner, everyone unusable, keys equal to or
+    exactly between members."""
+    owner_id = draw(st.one_of(ids, st.sampled_from([0, 1, HALF_SPACE, ID_SPACE - 1])))
+    offset = draw(st.sampled_from([
+        st.integers(1, ID_SPACE - 1),  # anywhere on the ring
+        st.integers(-40, 40),  # a dense cluster around the owner: ties
+        st.integers(1, HALF_SPACE - 1),  # clockwise only
+        st.integers(HALF_SPACE + 1, ID_SPACE - 1),  # counter-clockwise only
+    ]))
+    ls = LeafSet(desc(owner_id), draw(st.sampled_from([4, 8, 16, 32])))
+    for off in draw(st.lists(offset, min_size=0, max_size=40)):
+        ls.add(desc((owner_id + off) % ID_SPACE))
+    candidates = sorted([owner_id] + [d.id for d in ls.members()])
+    j = draw(st.integers(0, len(candidates) - 1))
+    a, b = candidates[j], candidates[(j + 1) % len(candidates)]  # ring neighbours
+    key = draw(st.one_of(
+        ids,
+        st.just(a),  # the owner or a member itself
+        st.just((a + clockwise_distance(a, b) // 2) % ID_SPACE),  # a tie if even
+        st.integers(-3, 3).map(lambda d: (a + d) % ID_SPACE),
+    ))
+    unusable = draw(st.one_of(
+        st.just(frozenset()),
+        st.frozensets(st.sampled_from(candidates)),
+        st.just(frozenset(candidates)),  # everyone; the owner stays eligible
+    ))
+    return ls, key, unusable
+
+
+@given(leafset_key_unusable())
+def test_closest_to_matches_linear_scan(case):
+    ls, key, unusable = case
+    expected = linear_root(ls, key, unusable)
+    assert ls.closest_to(key, unusable) is expected
+    some = frozenset(list(unusable)[::2])  # split over several containers
+    assert ls.closest_to(key, some, {}, unusable - some) is expected
+    if not unusable:
+        assert ls.closest_to(key) is expected
+
+
+def test_closest_to_breaks_ties_towards_smaller_id():
+    ls = make(owner_id=1000, size=4)
+    for i in (900, 1100, ID_SPACE - 10):
+        ls.add(desc(i))
+    assert ls.closest_to(1050).id == 1000  # owner vs member
+    assert ls.closest_to(1050, {900}).id == 1000
+    assert ls.closest_to(950).id == 900  # member vs owner
+    assert ls.closest_to(1000, {900, 1100}, {ID_SPACE - 10}).id == 1000
+    wrapping = LeafSet(desc(ID_SPACE - 4), 4)
+    wrapping.add(desc(6))
+    assert wrapping.closest_to(1).id == 6  # 5 away either way round id 0
+    assert wrapping.closest_to(0).id == ID_SPACE - 4
 
 
 @given(ids, st.lists(ids, min_size=0, max_size=40))

@@ -1,10 +1,15 @@
 """Unit tests for the router-graph topology base class."""
 
 import random
+from array import array
 
+import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.network.base import RouterGraphTopology
+from repro.network.corpnet import CorpNetTopology
+from repro.network.transit_stub import TransitStubTopology
 
 
 class LineTopology(RouterGraphTopology):
@@ -76,7 +81,9 @@ def test_distance_rows_cached_and_evicted_fifo():
     topo = LineTopology(max_cached_rows=2)
     assert topo.router_delay(0, 4) == pytest.approx(4.0)
     row = topo._dist_cache[0]
-    assert type(row) is list and row == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert type(row) is array and row.typecode == "d"
+    assert list(row) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert type(row[4]) is float  # a python float, not a numpy scalar
     topo.router_delay(0, 2)  # second call served from the cache
     assert topo._dist_cache[0] is row
     topo.router_delay(1, 0)
@@ -85,3 +92,27 @@ def test_distance_rows_cached_and_evicted_fifo():
     assert list(topo._dist_cache) == [1, 2]
     assert topo.router_delay(0, 4) == pytest.approx(4.0)  # recomputed
     assert list(topo._dist_cache) == [2, 0]
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        LineTopology(),
+        CorpNetTopology(random.Random(7)),
+        TransitStubTopology.scaled(random.Random(7), scale=1.0),  # full GATech map
+    ],
+    ids=lambda t: type(t).__name__,
+)
+def test_router_graph_is_symmetric_so_directed_search_is_exact(topo):
+    """``_router_distances`` searches with ``directed=True``; that equals the
+    undirected search bit for bit only while ``_set_graph`` stores every
+    link in both directions with the same weight."""
+    graph = topo._graph
+    assert (graph != graph.T).nnz == 0
+    sources = range(0, topo.n_routers, max(1, topo.n_routers // 25))
+    for source in sources:
+        undirected = dijkstra(graph, indices=source, directed=False)
+        assert np.array_equal(
+            dijkstra(graph, indices=source, directed=True), undirected
+        )
+        assert topo._router_distances(source).tobytes() == undirected.tobytes()

@@ -2,7 +2,8 @@
 
 import random
 
-from repro.pastry.nodeid import random_nodeid, ring_distance
+from repro.pastry.nodeid import is_closer_root, random_nodeid, ring_distance
+from tests.conftest import linear_root
 
 
 def true_root(nodes, key):
@@ -108,6 +109,53 @@ def test_next_hop_never_returns_failed(small_overlay):
         second = src._next_hop(key, frozenset())
         assert second is None or second.id != hop.id
         del src.failed[hop.id]
+
+
+def test_next_hop_is_none_when_every_closer_leaf_is_unusable(small_overlay):
+    """Leaf-set branch: with all closer members suspected, failed or
+    excluded the node is the usable root; freeing any one restores it."""
+    _sim, _net, nodes = small_overlay
+    src = nodes[0]
+    key = src.leaf_set.rightmost.id
+    assert src.leaf_set.covers(key)
+    closer = [
+        d for d in src.leaf_set.members() if is_closer_root(d.id, src.id, key)
+    ]
+    assert len(closer) >= 3
+    best = min(closer, key=lambda d: (ring_distance(d.id, key), d.id))
+    assert src._next_hop(key, frozenset()) is best
+    suspect, dead, *rest = closer
+    excluded = frozenset(d.id for d in rest)
+    src.suspected.add(suspect.id)
+    src.failed[dead.id] = dead
+    try:
+        assert src._next_hop(key, excluded) is None
+        assert src._next_hop(key, frozenset()) in rest
+        src.suspected.discard(suspect.id)
+        assert src._next_hop(key, excluded) is suspect
+    finally:
+        src.suspected.discard(suspect.id)
+        del src.failed[dead.id]
+
+
+def test_next_hop_leaf_branch_matches_linear_scan(small_overlay):
+    """Node-level differential: the leaf-set branch picks what the
+    member-by-member ``is_closer_root`` scan it replaced picked."""
+    _sim, _net, nodes = small_overlay
+    rng = random.Random(8)
+    checked = 0
+    for node in nodes:
+        members = node.leaf_set.members()
+        for anchor in members + [node.descriptor]:
+            key = (anchor.id + rng.randrange(-2, 3)) % (1 << 128)
+            if not node.leaf_set.covers(key):
+                continue
+            excluded = frozenset(d.id for d in rng.sample(members, rng.randrange(4)))
+            best = linear_root(node.leaf_set, key, excluded)
+            hop = node._next_hop(key, excluded)
+            assert hop is (None if best is node.descriptor else best)
+            checked += 1
+    assert checked > 100
 
 
 def test_lookup_without_acks_flag(small_overlay):
