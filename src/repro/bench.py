@@ -200,10 +200,11 @@ def _scenario_mercator_100k(quick: bool) -> Tuple[int, str]:
     routers total (§5.1) — so the delay path exercises AS-path
     reconstruction, gateway traversal and the hop-count cache at realistic
     map size instead of the toy maps the other scenarios use.  Quick mode
-    shrinks the map to CI size.  The map alone is ~150 MB of distance
-    matrices, which is why this scenario opts out of the tracemalloc run
-    (``trace_memory=False``): instrumented allocation tracking at this
-    size multiplies wall clock without changing the determinism check.
+    shrinks the map to CI size.  The map builds in about a second, but
+    under tracemalloc its two million edge draws take four times that, so
+    this scenario opts out of the tracemalloc run (``trace_memory=False``):
+    instrumented allocation tracking at this size multiplies wall clock
+    without changing the determinism check.
     """
     from repro.network.hierarchical_as import HierarchicalASTopology
     from repro.overlay.runner import OverlayRunner

@@ -47,7 +47,7 @@ TOPOLOGIES = {
     # 10 transit domains x ~5 routers, ~10 stubs of ~10 routers: ~5,050
     "gatech": lambda rng: TransitStubTopology(rng),
     # scaled-down stand-in for the 102,639-router Mercator map; the full
-    # map would need ~2,662 ASes — pass n_as=2662 if you have the memory
+    # map is n_as=2662, routers_per_as=39 (about a second and 16 MB)
     "mercator": lambda rng: HierarchicalASTopology(
         rng, n_as=266, routers_per_as=16
     ),

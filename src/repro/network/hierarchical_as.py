@@ -18,12 +18,13 @@ adjacency is realised by a gateway router pair.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from repro.network.base import Topology
 
@@ -31,6 +32,11 @@ from repro.network.base import Topology
 #: FIFO eviction keeps the hot working set without unbounded growth over
 #: long runs with many distinct communicating pairs.
 MAX_CACHED_HOP_PAIRS = 1 << 17
+
+#: routers per block-diagonal ``shortest_path`` call when the intra-AS tables
+#: are filled: enough ASes per call to amortise scipy's fixed cost, few enough
+#: that the dense chunk result (routers squared, float64) stays at a few MB.
+_CHUNK_ROUTERS = 1024
 
 
 class HierarchicalASTopology(Topology):
@@ -76,78 +82,98 @@ class HierarchicalASTopology(Topology):
                 degree[target] += 1
                 endpoints.extend([new_as, target])
 
-        # AS-level shortest paths + predecessors for path reconstruction.
+        # AS-level predecessor rows, one per source AS, filled on first use
+        # (`_as_path`): a run asks for a fraction of the sources.  Ties
+        # between equal-length AS paths are broken by scipy's Dijkstra, so
+        # every row comes from that one routine.
         r = [e[0] for e in as_edges] + [e[1] for e in as_edges]
         c = [e[1] for e in as_edges] + [e[0] for e in as_edges]
-        as_graph = csr_matrix((np.ones(len(r)), (r, c)), shape=(n_as, n_as))
-        self._as_dist, self._as_pred = shortest_path(
-            as_graph, unweighted=True, return_predecessors=True, directed=False
-        )
+        self._as_graph = csr_matrix((np.ones(len(r)), (r, c)), shape=(n_as, n_as))
+        self._as_pred: Dict[int, array] = {}
 
-        # --- routers inside each AS ----------------------------------
+        # --- routers inside each AS: contiguous ranges ----------------
         self._router_as: List[int] = []
-        as_members: List[List[int]] = []
+        self._as_start: List[int] = []
+        self._as_size: List[int] = []
         for as_id in range(n_as):
             size = max(2, round(rng.gauss(routers_per_as, routers_per_as * 0.3)))
-            members = []
-            for _ in range(size):
-                self._router_as.append(as_id)
-                members.append(len(self._router_as) - 1)
-            as_members.append(members)
-        self._as_members = as_members
+            self._as_start.append(len(self._router_as))
+            self._as_size.append(size)
+            self._router_as.extend([as_id] * size)
 
         # Intra-AS connected random graphs; all-pairs hop counts (small).
-        self._intra_hops: List[np.ndarray] = []
-        for as_id in range(n_as):
-            members = as_members[as_id]
-            n = len(members)
-            er, ec = [], []
+        # Hop counts are integers, so any exact search gives the same table:
+        # one call covers a block-diagonal chunk of ASes.
+        self._intra_hops: List[bytes] = []
+        er, ec, base, first = [], [], 0, 0
+        for as_id, n in enumerate(self._as_size):
             for idx in range(1, n):
                 other = rng.randrange(idx)
-                er.append(idx)
-                ec.append(other)
+                er.append(base + idx)
+                ec.append(base + other)
+            extra_edge = 2.0 / n
             for i in range(n):
                 for j in range(i + 1, n):
-                    if rng.random() < 2.0 / max(1, n):
-                        er.append(i)
-                        ec.append(j)
-            g = csr_matrix(
-                (np.ones(2 * len(er)), (er + ec, ec + er)), shape=(n, n)
-            )
-            self._intra_hops.append(
-                shortest_path(g, unweighted=True, directed=False)
-            )
+                    if rng.random() < extra_edge:
+                        er.append(base + i)
+                        ec.append(base + j)
+            base += n
+            if base >= _CHUNK_ROUTERS or as_id == n_as - 1:
+                self._fill_intra_hops(er, ec, self._as_size[first:as_id + 1])
+                er, ec, base, first = [], [], 0, as_id + 1
 
         # --- gateways: one router pair per AS adjacency ---------------
         # _gateway[(A, B)] = (local index of A's gateway toward B,
         #                     local index of B's gateway toward A)
         self._gateway: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for a, b in as_edges:
-            ga = rng.randrange(len(as_members[a]))
-            gb = rng.randrange(len(as_members[b]))
+            ga = rng.randrange(self._as_size[a])
+            gb = rng.randrange(self._as_size[b])
             self._gateway[(a, b)] = (ga, gb)
             self._gateway[(b, a)] = (gb, ga)
+
+    def _fill_intra_hops(self, er: List[int], ec: List[int], sizes: List[int]) -> None:
+        """Append the tables of the next ``len(sizes)`` ASes, whose routers
+        the edge lists number from 0: one byte per entry, row-major."""
+        n = sum(sizes)
+        g = csr_matrix((np.ones(2 * len(er)), (er + ec, ec + er)), shape=(n, n))
+        dist = shortest_path(g, unweighted=True, directed=False)
+        lo = 0
+        for size in sizes:
+            block = dist[lo:lo + size, lo:lo + size]
+            if not block.max() < 256:
+                raise ValueError("intra-AS hop count does not fit one byte")
+            self._intra_hops.append(block.astype(np.uint8).tobytes())
+            lo += size
 
     # ------------------------------------------------------------------
     @property
     def n_routers(self) -> int:
         return len(self._router_as)
 
+    def routers_of(self, as_id: int) -> range:
+        """The routers of one AS (a contiguous range)."""
+        start = self._as_start[as_id]
+        return range(start, start + self._as_size[as_id])
+
     def attach(self, rng: random.Random) -> int:
         self._attach_router.append(rng.randrange(self.n_routers))
         return len(self._attach_router) - 1
 
-    def _local_index(self, router: int) -> int:
-        as_id = self._router_as[router]
-        return self._as_members[as_id].index(router)
-
     def _as_path(self, src_as: int, dst_as: int) -> List[int]:
+        row = self._as_pred.get(src_as)
+        if row is None:
+            _, pred = dijkstra(
+                self._as_graph, indices=src_as, unweighted=True,
+                return_predecessors=True, directed=False,
+            )
+            row = self._as_pred[src_as] = array("i", pred.tolist())
         path = [dst_as]
         while path[-1] != src_as:
-            prev = self._as_pred[src_as, path[-1]]
+            prev = row[path[-1]]
             if prev < 0:
                 raise RuntimeError("disconnected AS graph")
-            path.append(int(prev))
+            path.append(prev)
         path.reverse()
         return path
 
@@ -160,18 +186,19 @@ class HierarchicalASTopology(Topology):
         if cached is not None:
             return cached
         a_as, b_as = self._router_as[r1], self._router_as[r2]
-        la, lb = self._local_index(r1), self._local_index(r2)
+        start, size, intra = self._as_start, self._as_size, self._intra_hops
+        la, lb = r1 - start[a_as], r2 - start[b_as]
         if a_as == b_as:
-            hops = int(self._intra_hops[a_as][la, lb])
+            hops = intra[a_as][la * size[a_as] + lb]
         else:
             hops = 0
             current = la
             path = self._as_path(a_as, b_as)
             for here, nxt in zip(path, path[1:]):
                 gw_out, gw_in = self._gateway[(here, nxt)]
-                hops += int(self._intra_hops[here][current, gw_out]) + 1
+                hops += intra[here][current * size[here] + gw_out] + 1
                 current = gw_in
-            hops += int(self._intra_hops[b_as][current, lb])
+            hops += intra[b_as][current * size[b_as] + lb]
         if len(self._hops_cache) >= MAX_CACHED_HOP_PAIRS:
             self._hops_cache.popitem(last=False)
         self._hops_cache[key] = hops

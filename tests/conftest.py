@@ -29,3 +29,89 @@ def linear_root(leaf_set, key, unusable=frozenset()):
         if d.id not in unusable and is_closer_root(d.id, best.id, key):
             best = d
     return best
+
+
+class EagerMercatorMap:
+    """Reference for ``HierarchicalASTopology``'s tables: the eager build it
+    replaced — one ``shortest_path`` call per AS, one all-pairs AS
+    predecessor matrix, member lists scanned with ``list.index``.  Draws
+    from ``rng`` in the same order, so the two maps must be the same map."""
+
+    def __init__(self, rng, n_as, routers_per_as):
+        import numpy as np
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        as_edges = [(0, 1)]
+        endpoints = [0, 1]
+        for new_as in range(2, n_as):
+            targets = set()
+            attempts = 0
+            while len(targets) < min(2, new_as) and attempts < 50:
+                targets.add(rng.choice(endpoints))
+                attempts += 1
+            for target in sorted(targets):
+                as_edges.append((new_as, target))
+                endpoints.extend([new_as, target])
+        r = [e[0] for e in as_edges] + [e[1] for e in as_edges]
+        c = [e[1] for e in as_edges] + [e[0] for e in as_edges]
+        as_graph = csr_matrix((np.ones(len(r)), (r, c)), shape=(n_as, n_as))
+        # method="D": ties between equal-length AS paths are Dijkstra's, on
+        # every map size (scipy's default runs Floyd-Warshall on tiny ones)
+        _, self._as_pred = shortest_path(
+            as_graph, method="D", unweighted=True, return_predecessors=True,
+            directed=False,
+        )
+
+        self._router_as = []
+        self._as_members = []
+        for as_id in range(n_as):
+            size = max(2, round(rng.gauss(routers_per_as, routers_per_as * 0.3)))
+            first = len(self._router_as)
+            self._router_as.extend([as_id] * size)
+            self._as_members.append(list(range(first, first + size)))
+
+        self._intra_hops = []
+        for members in self._as_members:
+            n = len(members)
+            er, ec = [], []
+            for idx in range(1, n):
+                er.append(idx)
+                ec.append(rng.randrange(idx))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 2.0 / max(1, n):
+                        er.append(i)
+                        ec.append(j)
+            g = csr_matrix((np.ones(2 * len(er)), (er + ec, ec + er)), shape=(n, n))
+            self._intra_hops.append(shortest_path(g, unweighted=True, directed=False))
+
+        self._gateway = {}
+        for a, b in as_edges:
+            ga = rng.randrange(len(self._as_members[a]))
+            gb = rng.randrange(len(self._as_members[b]))
+            self._gateway[(a, b)] = (ga, gb)
+            self._gateway[(b, a)] = (gb, ga)
+
+    @property
+    def n_routers(self):
+        return len(self._router_as)
+
+    def router_hops(self, r1, r2):
+        if r1 == r2:
+            return 0
+        a_as, b_as = self._router_as[r1], self._router_as[r2]
+        la = self._as_members[a_as].index(r1)
+        lb = self._as_members[b_as].index(r2)
+        if a_as == b_as:
+            return int(self._intra_hops[a_as][la, lb])
+        path = [b_as]
+        while path[-1] != a_as:
+            path.append(int(self._as_pred[a_as, path[-1]]))
+        path.reverse()
+        hops, current = 0, la
+        for here, nxt in zip(path, path[1:]):
+            gw_out, gw_in = self._gateway[(here, nxt)]
+            hops += int(self._intra_hops[here][current, gw_out]) + 1
+            current = gw_in
+        return hops + int(self._intra_hops[b_as][current, lb])

@@ -1,13 +1,23 @@
 """Tests for the network topology models."""
 
+import hashlib
 import random
+import tracemalloc
+from array import array
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.network import hierarchical_as
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
 from repro.network.simple import EuclideanTopology, UniformDelayTopology
 from repro.network.transit_stub import TransitStubTopology
+from repro.sim.rng import RngStreams
+from tests.conftest import EagerMercatorMap
 
 
 def attach_n(topology, n, seed=1):
@@ -115,10 +125,9 @@ def test_mercator_triangle_violation_possible_but_routes_connected():
 def test_mercator_same_as_shorter_than_cross_as():
     rng = random.Random(8)
     topo = HierarchicalASTopology(rng, n_as=24, routers_per_as=8)
-    r_same = None
-    # find two routers in the same AS and two in different ASes
-    same = topo._as_members[0][:2]
-    cross = (topo._as_members[0][0], topo._as_members[12][0])
+    # two routers in the same AS and two in different ASes
+    same = topo.routers_of(0)[:2]
+    cross = (topo.routers_of(0)[0], topo.routers_of(12)[0])
     assert topo.router_hops(same[0], same[1]) <= topo.router_hops(*cross)
 
 
@@ -129,6 +138,100 @@ def test_mercator_hops_cache_consistency():
     first = [[topo.hops(a, b) for b in nodes] for a in nodes]
     second = [[topo.hops(a, b) for b in nodes] for a in nodes]
     assert first == second
+
+
+def _assert_same_map_as_eager_build(seed, n_as, routers_per_as, chunk):
+    """The chunked/lazy tables against the eager build they replaced:
+    the same map, and the same hop count for every ordered router pair."""
+    with mock.patch.object(hierarchical_as, "_CHUNK_ROUTERS", chunk):
+        topo = HierarchicalASTopology(random.Random(seed), n_as, routers_per_as)
+    ref = EagerMercatorMap(random.Random(seed), n_as, routers_per_as)
+    assert topo.n_routers == ref.n_routers
+    assert topo._router_as == ref._router_as
+    assert topo._gateway == ref._gateway
+    assert [list(topo.routers_of(a)) for a in range(n_as)] == ref._as_members
+    routers = range(topo.n_routers)
+    # router_hops caches per unordered pair: ask each direction on a cold cache
+    for forward in (True, False):
+        topo._hops_cache.clear()
+        for a in routers:
+            for b in routers[a + 1:]:
+                pair = (a, b) if forward else (b, a)
+                assert topo.router_hops(*pair) == ref.router_hops(*pair), pair
+    return topo
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), n_as=st.integers(2, 40),
+       routers_per_as=st.integers(2, 12), chunk=st.sampled_from([2, 16, 64, 1024]))
+@example(seed=0, n_as=2, routers_per_as=2, chunk=1024)
+def test_mercator_tables_equal_eager_build(seed, n_as, routers_per_as, chunk):
+    _assert_same_map_as_eager_build(seed, n_as, routers_per_as, chunk)
+
+
+def test_mercator_tables_equal_eager_build_at_chunk_edges():
+    # ASes of the minimum size 2, and a last chunk that holds one AS
+    topo = _assert_same_map_as_eager_build(3, n_as=9, routers_per_as=2, chunk=4)
+    assert 2 in topo._as_size
+    chunked, filled = 0, 0
+    for size in topo._as_size[:-1]:
+        filled += size
+        if filled >= 4:
+            chunked, filled = chunked + 1, 0
+    assert chunked > 1 and filled == 0  # the last AS starts its own chunk
+
+
+def test_mercator_hop_table_refuses_what_a_byte_cannot_hold():
+    class ChainRng(random.Random):
+        """Every AS a 300-router chain: end to end is 299 hops."""
+
+        def gauss(self, mu, sigma):
+            return 300
+
+        def randrange(self, n):
+            return n - 1
+
+        def random(self):
+            return 1.0
+
+    with pytest.raises(ValueError, match="one byte"):
+        HierarchicalASTopology(ChainRng(0), n_as=2, routers_per_as=300)
+
+
+def _elements(value):
+    if isinstance(value, np.ndarray):
+        return value.size
+    return len(value) if isinstance(value, (array, bytes, list, tuple)) else 0
+
+
+def test_mercator_paper_scale_map_pinned_and_small():
+    n_as = 2662
+    tracemalloc.start()
+    topo = HierarchicalASTopology(
+        RngStreams(2004).stream("topology"), n_as=n_as, routers_per_as=39)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert topo.n_routers == 104997
+    assert not topo._as_pred  # rows wait for the first route from their AS
+    # the eager build (57 MB AS distances, 28 MB all-pairs predecessors,
+    # 36 MB float64 hop tables) peaked at 129.7 MB; this one at 15.7 MB
+    assert peak < 65e6
+    for value in vars(topo).values():
+        assert _elements(value) < n_as * n_as
+    # a hop count inside a connected AS is below its size, so nothing wrapped
+    for table, size in zip(topo._intra_hops, topo._as_size):
+        assert len(table) == size * size and max(table) < min(size, 256)
+
+    rng = random.Random(17)
+    n = topo.n_routers
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20000)]
+    for _ in range(5000):  # mostly same-AS pairs
+        a = rng.randrange(n)
+        pairs.append((a, min(n - 1, a + rng.randrange(8))))
+    hops = ",".join(str(topo.router_hops(a, b)) for a, b in pairs)
+    # recorded on the eager build (the parent of the change that removed it)
+    assert hashlib.sha1(hops.encode()).hexdigest() == (
+        "c0dfe08e7535f0f37319747e320b7e57ae635883")
 
 
 # ----------------------------------------------------------------------
