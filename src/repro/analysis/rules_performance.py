@@ -8,8 +8,10 @@ it is advisory in spirit ("warning") but, like every detlint rule, any
 non-baselined finding fails CI — so a lambda reintroduced into
 ``Network.send`` shows up in review instead of in the next benchmark run.
 
-The registry below names the functions measured by ``repro bench``; add a
-function here when it joins the per-event path, remove it when it leaves.
+The registry below names the per-event functions ``perf/``'s traced runs
+attribute time to (``sim.*``, ``transport.*``, ``topology.*``,
+``pastry.h.*`` spans); add a function here when it joins the per-event
+path, remove it when it leaves.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ class NoClosuresOnHotPath(Rule):
     name = "no-hot-path-closures"
     severity = "warning"
     description = (
-        "Functions on the per-event hot path (the ones `repro bench` "
-        "measures) run up to millions of times per simulation; building a "
-        "lambda or nested function on each call allocates a fresh code "
-        "closure every time.  Hoist the callable to module or class level, "
-        "or precompute it at configuration time."
+        "Functions on the per-event hot path (the ones `perf/`'s traced "
+        "runs attribute time to: `sim.*`, `transport.*`, `topology.*`, "
+        "`pastry.h.*` spans) run up to millions of times per simulation; "
+        "building a lambda or nested function on each call allocates a "
+        "fresh code closure every time.  Hoist the callable to module or "
+        "class level, or precompute it at configuration time."
     )
     packages = tuple(HOT_FUNCTIONS)
 

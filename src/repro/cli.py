@@ -131,50 +131,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import BenchError, run_bench
-
-    try:
-        _report, text = run_bench(
-            quick=args.quick,
-            out=args.out,
-            label=args.label,
-            rebaseline=args.rebaseline,
-            scenarios=args.scenarios,
-        )
-    except BenchError as exc:
-        return _fail(str(exc), status=2)
-    print(text)
-    print(f"written: {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from repro.profiler import (
-        ProfileError,
-        render_profile,
-        run_profile,
-        write_profile,
-    )
-
-    try:
-        report = run_profile(
-            args.target,
-            kind=args.kind,
-            mode=args.mode,
-            top_n=args.top,
-            seed=args.seed,
-            scale=args.scale,
-            duration=args.duration,
-        )
-        path = write_profile(report, args.out)
-    except ProfileError as exc:
-        return _fail(str(exc), status=2)
-    print(render_profile(report))
-    print(f"written: {path}", file=sys.stderr)
-    return 0
-
-
 def cmd_fuzz(args) -> int:
     from repro.adversary import (
         FuzzError,
@@ -425,47 +381,6 @@ def main(argv=None) -> int:
                         metavar="SUBSTR",
                         help="only metrics containing SUBSTR (repeatable)")
 
-    bench = sub.add_parser(
-        "bench", help="run the simulation-core benchmark suite")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads (CI smoke; not comparable "
-                            "with full-mode baselines)")
-    bench.add_argument("--out", default="BENCH_sim_core.json",
-                       help="output JSON (default: BENCH_sim_core.json)")
-    bench.add_argument("--label", default="",
-                       help="label recorded with this run (e.g. a PR name)")
-    bench.add_argument("--rebaseline", action="store_true",
-                       help="record this run's numbers as the new baseline")
-    bench.add_argument("--scenario", action="append", dest="scenarios",
-                       metavar="NAME",
-                       help="only run the given scenario(s) (repeatable); "
-                            "also the only way to run opt-in scenarios "
-                            "such as full_gnutella")
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile an experiment or bench scenario (cProfile + tracemalloc)")
-    profile.add_argument("target",
-                         help="experiment name (see `repro list`) or bench "
-                              "scenario name (see `repro bench`)")
-    profile.add_argument("--kind", choices=("auto", "experiment", "bench"),
-                         default="auto",
-                         help="disambiguate the target namespace "
-                              "(default: experiments first, then scenarios)")
-    profile.add_argument("--mode", choices=("full", "smoke"), default="full",
-                         help="smoke: tiny workload (bench --quick sizes / "
-                              "scaled-down experiment), for CI")
-    profile.add_argument("--top", type=int, default=25,
-                         help="hotspot rows to keep (default: 25)")
-    profile.add_argument("--out", default=None,
-                         help="artifact path (default: benchmarks/results/"
-                              "profile_<kind>_<target>_<mode>.json)")
-    profile.add_argument("--seed", type=int, default=None)
-    profile.add_argument("--scale", type=float, default=None,
-                         help="experiment trace/population scale override")
-    profile.add_argument("--duration", type=float, default=None,
-                         help="experiment simulated seconds override")
-
     fuzz = sub.add_parser(
         "fuzz",
         help="search attack schedules for routing-consistency violations "
@@ -564,10 +479,6 @@ def main(argv=None) -> int:
         return cmd_sweep(args)
     if args.command == "report":
         return cmd_report(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "profile":
-        return cmd_profile(args)
     if args.command == "fuzz":
         return cmd_fuzz(args)
     if args.command == "lint":

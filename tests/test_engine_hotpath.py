@@ -153,6 +153,34 @@ def test_compaction_below_threshold_is_deferred():
     assert sim.events_executed == 0
 
 
+def test_far_timer_cancelled_from_the_next_tick_never_fires():
+    """The ack/retransmission pattern at production thresholds: every tick
+    arms a timer 100 simulated seconds out and cancels the one the previous
+    tick armed, so the wheel fills with dead entries that promotion and
+    compaction must step over without ever running one."""
+    ticks = 12_000
+    sim = Simulator()
+    count = [0]
+    pending = [None]
+    fired_timers = []
+
+    def tick():
+        count[0] += 1
+        if pending[0] is not None:
+            pending[0].cancel()
+        if count[0] < ticks:
+            pending[0] = sim.schedule(100.0, fired_timers.append, count[0])
+            sim.schedule(0.01, tick)
+
+    sim.schedule(0.01, tick)
+    sim.run()
+    assert fired_timers == []
+    assert sim.events_executed == count[0] == ticks  # ticks - 1 cancels
+    assert sim.now == pytest.approx(ticks * 0.01)
+    assert sim.live_events == 0
+    assert sim.heap_compactions >= 1
+
+
 def test_schedule_call_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):

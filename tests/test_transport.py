@@ -80,6 +80,33 @@ def test_zero_loss_delivers_everything():
     assert len(received) == 100
 
 
+def test_echo_ring_without_collector_or_faults_delivers_every_send():
+    """The warm-up configuration — no loss, no fault table, no collector —
+    with sends issued from inside delivery callbacks, as nodes do."""
+    n_nodes, target = 16, 4_000
+    sim, net = make_network()
+    assert net.stats is None and net.faults is None
+    addrs = [net.attach() for _ in range(n_nodes)]
+    received = [0]
+
+    def make_handler(me):
+        def handler(src, msg):
+            assert src == addrs[me - 1] and msg == ("ping", (me - 1) % n_nodes)
+            received[0] += 1
+            if received[0] + n_nodes <= target:
+                net.send(addrs[me], addrs[(me + 1) % n_nodes], ("ping", me))
+        return handler
+
+    for i in range(n_nodes):
+        net.register(addrs[i], make_handler(i))
+    for i in range(n_nodes):
+        net.send(addrs[i], addrs[(i + 1) % n_nodes], ("ping", i))
+    sim.run()
+    assert net.messages_sent == net.messages_delivered == received[0] == target
+    assert net.messages_lost == 0 and net.messages_dropped_dead == 0
+    assert sim.now == pytest.approx(0.05 * target / n_nodes)
+
+
 def test_stats_hook_sees_all_sends_including_lost():
     stats = _Stats()
     sim, net = make_network(loss=0.5, stats=stats, seed=3)
