@@ -8,15 +8,14 @@ package enforces those contracts statically.  :class:`Rule` subclasses
 register themselves with a stable code (``DET001`` ...); the runner parses
 each file once and hands every rule a shared :class:`FileContext`.
 
-Severity is informational (CI fails on *any* non-baselined finding); codes
-are the stable interface — they appear in suppression comments and in the
-baseline file, so they must never be renumbered.
+Severity is informational (CI fails on *any* finding); codes are the
+stable interface — ``--select``, the JSON report and the docs name them —
+so they must never be renumbered.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
@@ -41,30 +40,8 @@ class Finding:
     message: str
     line_text: str = ""
 
-    def fingerprint(self, occurrence: int = 0) -> str:
-        """Stable identity for baselining.
-
-        Deliberately excludes the line *number* (inserting unrelated lines
-        above a baselined finding must not un-baseline it) and includes the
-        stripped line *text* plus an occurrence index (two identical lines
-        in one file baseline independently).
-        """
-        payload = f"{self.code}:{self.path}:{self.line_text.strip()}:{occurrence}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"code": self.code, "severity": self.severity,
-                "path": self.path, "line": self.line, "col": self.col,
-                "message": self.message, "line_text": self.line_text}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "Finding":
-        return cls(code=doc["code"], severity=doc["severity"],
-                   path=doc["path"], line=doc["line"], col=doc["col"],
-                   message=doc["message"], line_text=doc.get("line_text", ""))
 
 
 @dataclass

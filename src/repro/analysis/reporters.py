@@ -1,41 +1,30 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
+"""Finding reporters: human text and machine JSON.
 
 The JSON shape is the CI interface — stable keys, findings sorted by
 (path, line, col, code) — so workflow steps can assert on it without
-scraping text.  The SARIF output targets GitHub code scanning: one run,
-every registered rule in ``tool.driver.rules``, baselined findings kept
-but marked suppressed, and detlint's occurrence-aware fingerprint in
-``partialFingerprints`` so alerts track across line-number churn.
+scraping text.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.analysis.baseline import fingerprint_findings
-from repro.analysis.core import AnalysisError, Finding, Rule
+from repro.analysis.core import Finding
 
 JSON_SCHEMA = 1
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
 
 def _sorted(findings: Sequence[Finding]) -> List[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
-def render_human(new: Sequence[Finding],
-                 baselined: Sequence[Finding] = (),
-                 stale: Sequence[Dict] = (),
-                 notes: Sequence[str] = ()) -> str:
+def render_human(findings: Sequence[Finding]) -> str:
     """Grouped-by-file report with a one-line verdict at the end."""
     lines: List[str] = []
     current = None
-    for finding in _sorted(new):
+    for finding in _sorted(findings):
         if finding.path != current:
             current = finding.path
             lines.append(f"{finding.path}:")
@@ -43,40 +32,22 @@ def render_human(new: Sequence[Finding],
                      f"{finding.code} [{finding.severity}]  {finding.message}")
         if finding.line_text.strip():
             lines.append(f"      | {finding.line_text.strip()}")
-    for note in notes:
-        lines.append(f"note: {note}")
-    for entry in stale:
-        lines.append(f"stale baseline entry: {entry.get('code')} "
-                     f"{entry.get('path')} ({entry.get('fingerprint')}) — "
-                     f"fixed; run --write-baseline to retire it")
-    verdict = summarize(new, baselined, stale)
     if lines:
         lines.append("")
-    lines.append(verdict)
+    lines.append(summarize(findings))
     return "\n".join(lines)
 
 
-def summarize(new: Sequence[Finding], baselined: Sequence[Finding],
-              stale: Sequence[Dict]) -> str:
-    by_code = Counter(f.code for f in new)
-    parts = [f"{len(new)} finding(s)"]
-    if by_code:
-        detail = ", ".join(f"{code} x{count}"
-                           for code, count in sorted(by_code.items()))
-        parts.append(f"({detail})")
-    if baselined:
-        parts.append(f"+ {len(baselined)} baselined")
-    if stale:
-        parts.append(f"+ {len(stale)} stale baseline entr"
-                     f"{'y' if len(stale) == 1 else 'ies'}")
-    return " ".join(parts) if (new or baselined or stale) else \
-        "clean: no findings"
+def summarize(findings: Sequence[Finding]) -> str:
+    if not findings:
+        return "clean: no findings"
+    by_code = Counter(f.code for f in findings)
+    detail = ", ".join(f"{code} x{count}"
+                       for code, count in sorted(by_code.items()))
+    return f"{len(findings)} finding(s) ({detail})"
 
 
-def render_json(new: Sequence[Finding],
-                baselined: Sequence[Finding] = (),
-                stale: Sequence[Dict] = (),
-                notes: Sequence[str] = ()) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     doc = {
         "schema": JSON_SCHEMA,
         "findings": [
@@ -89,198 +60,14 @@ def render_json(new: Sequence[Finding],
                 "message": f.message,
                 "line_text": f.line_text.strip(),
             }
-            for f in _sorted(new)
+            for f in _sorted(findings)
         ],
         "summary": {
-            "new": len(new),
-            "baselined": len(baselined),
-            "stale_baseline": len(stale),
-            "by_code": dict(sorted(Counter(f.code for f in new).items())),
+            "new": len(findings),
+            "by_code": dict(sorted(
+                Counter(f.code for f in findings).items())),
             "by_severity": dict(sorted(
-                Counter(f.severity for f in new).items())),
+                Counter(f.severity for f in findings).items())),
         },
-        "notes": list(notes),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# SARIF 2.1.0
-# ----------------------------------------------------------------------
-
-#: pseudo-rules the scanner itself emits (not in any registry)
-_META_RULES = (
-    ("LINT000", "malformed-suppression",
-     "A detlint suppression directive is malformed, unjustified, or its "
-     "justification does not name the suppressed rule code."),
-    ("LINT001", "unparsable-file",
-     "The file does not parse; no rule ran over it."),
-)
-
-
-def _sarif_level(severity: str) -> str:
-    return "error" if severity == "error" else "warning"
-
-
-def _sarif_rules(rules: Sequence[Rule]) -> List[Dict]:
-    descriptors = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.name},
-            "fullDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": _sarif_level(rule.severity)},
-        }
-        for rule in rules
-    ]
-    descriptors.extend(
-        {
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": name},
-            "fullDescription": {"text": description},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for code, name, description in _META_RULES
-    )
-    return sorted(descriptors, key=lambda d: d["id"])
-
-
-def _sarif_result(finding: Finding, fingerprint: str,
-                  suppressed: bool) -> Dict:
-    location = {
-        "physicalLocation": {
-            "artifactLocation": {"uri": finding.path,
-                                 "uriBaseId": "%SRCROOT%"},
-            "region": {"startLine": max(finding.line, 1),
-                       "startColumn": finding.col + 1},
-        }
-    }
-    snippet = finding.line_text.strip()
-    if snippet:
-        location["physicalLocation"]["region"]["snippet"] = \
-            {"text": snippet}
-    result = {
-        "ruleId": finding.code,
-        "level": _sarif_level(finding.severity),
-        "message": {"text": finding.message},
-        "locations": [location],
-        "partialFingerprints": {"detlintFingerprint/v1": fingerprint},
-    }
-    if suppressed:
-        result["suppressions"] = [
-            {"kind": "external",
-             "justification": "accepted in .detlint-baseline.json"}
-        ]
-    return result
-
-
-def render_sarif(new: Sequence[Finding],
-                 baselined: Sequence[Finding] = (),
-                 rules: Sequence[Rule] = (),
-                 tool_version: str = "2.0.0") -> str:
-    """One SARIF 2.1.0 run; baselined findings stay visible but suppressed.
-
-    The fingerprint map is computed over new+baselined together in report
-    order, matching how the baseline itself assigns occurrence indices.
-    """
-    ordered = _sorted(list(new) + list(baselined))
-    suppressed_ids = {id(f) for f in baselined}
-    results = [
-        _sarif_result(finding, fingerprint, id(finding) in suppressed_ids)
-        for fingerprint, finding in fingerprint_findings(ordered)
-    ]
-    doc = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "detlint",
-                        "informationUri":
-                            "https://example.invalid/repro/detlint",
-                        "version": tool_version,
-                        "rules": _sarif_rules(rules),
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)
-
-
-def validate_sarif(document) -> Dict:
-    """Structural SARIF 2.1.0 validation (no external schema library).
-
-    Accepts the serialized document or an already-parsed one.  Checks
-    the invariants GitHub code scanning rejects uploads over:
-    version/schema, tool driver identity, rule descriptors, and for each
-    result a ruleId known to the driver, a level, a message and a
-    physical location with 1-based coordinates.  Returns the parsed
-    document; raises :class:`AnalysisError` on the first violation.
-    """
-    def fail(message: str) -> None:
-        raise AnalysisError(f"invalid SARIF: {message}")
-
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise AnalysisError(f"invalid SARIF: not JSON ({exc})") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        fail("top level is not an object")
-    if doc.get("version") != SARIF_VERSION:
-        fail(f"version must be {SARIF_VERSION!r}, got {doc.get('version')!r}")
-    if "sarif-schema-2.1.0" not in str(doc.get("$schema", "")):
-        fail("$schema does not reference the 2.1.0 schema")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        fail("runs must be a non-empty array")
-    for run in runs:
-        driver = run.get("tool", {}).get("driver", {})
-        if not driver.get("name"):
-            fail("run.tool.driver.name is required")
-        rule_ids = set()
-        for rule in driver.get("rules", []):
-            if not rule.get("id"):
-                fail("every driver rule needs an id")
-            if rule["id"] in rule_ids:
-                fail(f"duplicate rule id {rule['id']}")
-            rule_ids.add(rule["id"])
-        results = run.get("results")
-        if not isinstance(results, list):
-            fail("run.results must be an array")
-        for result in results:
-            rule_id = result.get("ruleId")
-            if not rule_id:
-                fail("result.ruleId is required")
-            if rule_ids and rule_id not in rule_ids:
-                fail(f"result.ruleId {rule_id} not in driver rules")
-            if result.get("level") not in ("none", "note", "warning",
-                                           "error"):
-                fail(f"result.level invalid: {result.get('level')!r}")
-            if not result.get("message", {}).get("text"):
-                fail("result.message.text is required")
-            locations = result.get("locations")
-            if not isinstance(locations, list) or not locations:
-                fail("result.locations must be non-empty")
-            for location in locations:
-                physical = location.get("physicalLocation", {})
-                if not physical.get("artifactLocation", {}).get("uri"):
-                    fail("physicalLocation.artifactLocation.uri required")
-                region = physical.get("region", {})
-                start_line = region.get("startLine")
-                if not isinstance(start_line, int) or start_line < 1:
-                    fail(f"region.startLine must be >= 1, "
-                         f"got {start_line!r}")
-                start_col = region.get("startColumn")
-                if start_col is not None and (
-                        not isinstance(start_col, int) or start_col < 1):
-                    fail(f"region.startColumn must be >= 1, "
-                         f"got {start_col!r}")
-    return doc

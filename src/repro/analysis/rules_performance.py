@@ -5,7 +5,7 @@ lambda construction from the functions that execute once per simulated
 event or message.  A closure object allocated a million times per run is
 real wall-clock, and CPython cannot hoist it.  HOT001 pins that property:
 it is advisory in spirit ("warning") but, like every detlint rule, any
-non-baselined finding fails CI — so a lambda reintroduced into
+finding fails CI — so a lambda reintroduced into
 ``Network.send`` shows up in review instead of in the next benchmark run.
 
 The registry below names the per-event functions ``perf/``'s traced runs
@@ -101,7 +101,7 @@ class NoClosuresOnHotPath(Rule):
 #: ``"*"`` means every class defined in the file (used for the wire-message
 #: module, where each class IS a per-message allocation).  A class that
 #: deliberately keeps a ``__dict__`` (e.g. a grab-bag stats object created
-#: once per run) belongs in a suppression with a justification, not here.
+#: once per run) is not listed here.
 HOT_CLASSES: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset({"EventHandle"}),
     "repro/sim/periodic.py": frozenset({"PeriodicTask"}),
@@ -159,8 +159,8 @@ class SlotsOnHotClasses(Rule):
         "entry exist in the hundreds of thousands at paper scale; an "
         "unslotted instance carries a per-object __dict__ (~100 bytes of "
         "pure overhead).  Declare __slots__ or use @dataclass(slots=True); "
-        "if a class legitimately needs a __dict__, suppress with a "
-        "justification instead of delisting it."
+        "a class that legitimately needs a __dict__ does not belong in "
+        "HOT_CLASSES."
     )
     packages = tuple(HOT_CLASSES)
 

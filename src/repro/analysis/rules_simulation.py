@@ -76,8 +76,7 @@ class NoFloatEquality(Rule):
         "summation order.  Compare with a tolerance (math.isclose) or "
         "restructure around exact integer counts."
     )
-    packages = ("repro/metrics", "repro/overlay/invariants.py",
-                "repro/overlay/health.py")
+    packages = ("repro/metrics", "repro/overlay/invariants.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -1,21 +1,7 @@
-"""Orchestration: scan a tree, run every rule, apply suppressions + baseline.
+"""Orchestration: scan a tree and run every rule over each file.
 
 This is what the ``repro lint`` CLI verb calls.  ``lint_paths`` is pure
 (returns a :class:`LintReport`); exit-code policy lives in the CLI.
-
-Two analysis tiers run over the same scan:
-
-* the **per-file tier** (``core.check_file``) — every registered
-  :class:`~repro.analysis.core.Rule` over each file's AST;
-* the **project tier** (``project.check_project``) — whole-program rules
-  (RNG/FLOW/WIRE/PAR families) over the symbol table + call graph built
-  from *all* scanned modules.
-
-With a ``cache_path``, results are memoized per content hash (see
-``analysis.cache``): a warm run re-reads and re-hashes every file but
-re-analyzes only changed ones, and skips the project tier entirely when
-no file (and no wire baseline) changed.  Suppression *matching* replays
-every run so cached findings still interact with fresh ones.
 """
 
 from __future__ import annotations
@@ -26,44 +12,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# Importing the rule modules registers every rule with the registries.
+# Importing the rule modules registers every rule with the registry.
 from repro.analysis import rules_determinism  # noqa: F401
-from repro.analysis import rules_flow  # noqa: F401
 from repro.analysis import rules_performance  # noqa: F401
 from repro.analysis import rules_simulation  # noqa: F401
-from repro.analysis.baseline import Baseline, BaselineResult, apply_baseline
-from repro.analysis.cache import (
-    FileEntry,
-    LintCache,
-    content_hash,
-    project_key,
-    rules_fingerprint,
-)
 from repro.analysis.core import (
     EXEMPTIONS,
     REGISTRY,
     AnalysisError,
     FileContext,
     Finding,
+    Rule,
     check_file,
 )
-from repro.analysis.project import (
-    PROJECT_REGISTRY,
-    ModuleSummary,
-    ProjectContext,
-    check_project,
-    module_name_of,
-)
-from repro.analysis.rules_flow import WIRE_BASELINE_NAME, load_wire_baseline
-from repro.analysis.suppress import Suppressions, parse_suppressions
 
 #: directories never worth scanning
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", "build",
               "dist", ".mypy_cache", ".ruff_cache"}
-
-#: pseudo-codes that bypass --select filtering (they report on the scan
-#: itself, not on a rule's contract)
-_META_CODES = ("LINT000", "LINT001")
 
 
 def collect_files(paths: Sequence, root: Optional[Path] = None) -> List[Tuple[str, Path]]:
@@ -71,7 +36,7 @@ def collect_files(paths: Sequence, root: Optional[Path] = None) -> List[Tuple[st
 
     ``rel_path`` is posix-style relative to ``root`` (default: the current
     working directory) when possible, else the path as given — it is the
-    identity used in findings, suppressions and baselines.
+    identity used in findings.
     """
     root = Path(root) if root is not None else Path.cwd()
     out: Dict[str, Path] = {}
@@ -99,157 +64,57 @@ def collect_files(paths: Sequence, root: Optional[Path] = None) -> List[Tuple[st
 class LintReport:
     """Outcome of one detlint run, before exit-code policy."""
 
-    files_scanned: int = 0
-    result: BaselineResult = field(default_factory=BaselineResult)
-    #: all raw findings after suppression, before baseline split
     findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    notes: List[str] = field(default_factory=list)
-    #: cache statistics — surfaced on stderr only, never in rendered
-    #: reports (warm output must be byte-identical to cold)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    project_cached: bool = False
-    #: hash over every scanned file, for tool-outcome caching
-    tree_hash: str = ""
 
     @property
     def failed(self) -> bool:
-        return bool(self.result.new)
+        return bool(self.findings)
 
 
-def _selected_codes(select: Optional[Sequence[str]]) -> Optional[set]:
+def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
     if not select:
-        return None
-    known = sorted(set(REGISTRY.codes()) | set(PROJECT_REGISTRY.codes()))
+        return REGISTRY.rules()
+    known = REGISTRY.codes()
     unknown = sorted(set(select) - set(known))
     if unknown:
         raise AnalysisError(
             f"unknown rule code(s): {', '.join(unknown)}; "
             f"known: {', '.join(known)}")
-    return set(select)
+    return [rule for rule in REGISTRY.rules() if rule.code in select]
 
 
-def _analyze_file(rel_path: str, source: str) -> Tuple[List[Finding],
-                                                       Suppressions, Dict]:
-    """Cold path: parse + per-file rules + suppressions + module summary."""
-    from repro.analysis.project import summarize_module
-    suppressions = parse_suppressions(rel_path, source)
-    try:
-        ctx = FileContext.parse(rel_path, source)
-    except SyntaxError as exc:
-        raw = [Finding(
-            code="LINT001", severity="error", path=rel_path,
-            line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"file does not parse: {exc.msg}")]
-        summary = ModuleSummary(module=module_name_of(rel_path),
-                                rel_path=rel_path)
-        return raw, suppressions, summary.to_dict()
-    raw = check_file(ctx, REGISTRY.rules())
-    return raw, suppressions, summarize_module(ctx).to_dict()
-
-
-def lint_paths(paths: Sequence, baseline: Optional[Baseline] = None,
-               root: Optional[Path] = None,
+def lint_paths(paths: Sequence, root: Optional[Path] = None,
                select: Optional[Sequence[str]] = None, *,
-               cache_path: Optional[Path] = None,
-               wire_baseline_path: Optional[Path] = None,
                validate_exemptions: bool = False) -> LintReport:
-    """Run both analysis tiers over ``paths``.
+    """Run every registered rule over each file under ``paths``.
 
     ``select`` narrows to specific rule codes (used by the self-tests and
-    by ``repro lint --select``); the cache stores unfiltered results, so
-    a select run neither pollutes nor misses the cache.
+    by ``repro lint --select``); a file that does not parse is reported
+    as ``LINT001`` whatever is selected, since no rule ran over it.
     ``validate_exemptions`` additionally asserts that every registered
     package exemption matches at least one scanned file.
     """
-    selected = _selected_codes(select)
+    rules = _selected_rules(select)
     files = collect_files(paths, root=root)
-    rel_paths = [rel for rel, _ in files]
     if validate_exemptions:
-        EXEMPTIONS.validate(rel_paths)
-
-    rules_fp = rules_fingerprint()
-    cache = LintCache.load(cache_path, rules_fp) if cache_path is not None \
-        else LintCache(rules_fp=rules_fp)
+        EXEMPTIONS.validate([rel for rel, _ in files])
 
     report = LintReport()
-    per_file: Dict[str, Tuple[List[Finding], Suppressions, Dict]] = {}
-    file_hashes: Dict[str, str] = {}
     for rel_path, abs_path in files:
         try:
-            data = abs_path.read_bytes()
+            source = abs_path.read_bytes().decode("utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {rel_path}: {exc}") from exc
-        digest = content_hash(data)
-        file_hashes[rel_path] = digest
-        entry = cache.files.get(rel_path)
-        if entry is not None and entry.content_hash == digest:
-            report.cache_hits += 1
-            raw = [Finding.from_dict(d) for d in entry.raw_findings]
-            suppressions = Suppressions.from_dict(rel_path, entry.suppress)
-            summary_doc = entry.summary
+        try:
+            ctx = FileContext.parse(rel_path, source)
+        except SyntaxError as exc:
+            report.findings.append(Finding(
+                code="LINT001", severity="error", path=rel_path,
+                line=exc.lineno or 1, col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}"))
         else:
-            report.cache_misses += 1
-            raw, suppressions, summary_doc = _analyze_file(
-                rel_path, data.decode("utf-8"))
-            cache.files[rel_path] = FileEntry(
-                content_hash=digest,
-                raw_findings=[f.to_dict() for f in raw],
-                suppress=suppressions.to_dict(),
-                summary=summary_doc)
-        per_file[rel_path] = (raw, suppressions, summary_doc)
-        report.files_scanned += 1
-
-    # ---- project tier (skipped wholesale when nothing changed) -------
-    wire_path = wire_baseline_path if wire_baseline_path is not None else \
-        (Path(root) if root is not None else Path.cwd()) / WIRE_BASELINE_NAME
-    wire_bytes = wire_path.read_bytes() if wire_path.exists() else b""
-    pkey = project_key(rules_fp, file_hashes, wire_bytes)
-    report.tree_hash = pkey
-    if cache.project_key == pkey:
-        report.project_cached = True
-        project_raw = [Finding.from_dict(d) for d in cache.project_findings]
-    else:
-        summaries = [ModuleSummary.from_dict(per_file[rel][2])
-                     for rel in rel_paths]
-        project = ProjectContext(summaries)
-        project.wire_baseline = load_wire_baseline(wire_path)
-        project_rules = [r for r in PROJECT_REGISTRY.rules()]
-        project_raw = check_project(project, project_rules)
-        cache.project_key = pkey
-        cache.project_findings = [f.to_dict() for f in project_raw]
-
-    # ---- suppression matching replays every run ----------------------
-    for rel_path in rel_paths:
-        raw, suppressions, _ = per_file[rel_path]
-        for finding in raw:
-            if selected is not None and finding.code not in selected \
-                    and finding.code not in _META_CODES:
-                continue
-            if suppressions.matches(finding):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-        # malformed/unjustified directives are findings in their own right
-        report.findings.extend(suppressions.problems)
-    for finding in project_raw:
-        if selected is not None and finding.code not in selected:
-            continue
-        holder = per_file.get(finding.path)
-        if holder is not None and holder[1].matches(finding):
-            report.suppressed += 1
-        else:
-            report.findings.append(finding)
-    for rel_path in rel_paths:
-        report.notes.extend(per_file[rel_path][1].unused())
-
+            report.findings.extend(check_file(ctx, rules))
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    report.result = apply_baseline(report.findings, baseline or Baseline())
-
-    if cache_path is not None:
-        cache.prune(rel_paths)
-        cache.save(cache_path)
     return report
 
 
@@ -283,32 +148,11 @@ def _run_external(name: str, args: List[str]) -> ToolOutcome:
     return ToolOutcome(name, "failed", tail)
 
 
-def run_all_tools(mypy_targets: Sequence[str] = (
-        "src/repro/harness", "src/repro/sim", "src/repro/interfaces.py",
-        "src/repro/network/transport.py", "src/repro/runtime")) -> List[ToolOutcome]:
-    """ruff + mypy, for `repro lint --all` (detlint itself runs in-process)."""
-    outcomes = [_run_external("ruff", ["check", "."])]
-    outcomes.append(_run_external("mypy", list(mypy_targets)))
-    return outcomes
+def run_all_tools() -> List[ToolOutcome]:
+    """ruff + mypy, for `repro lint --all` (detlint itself runs in-process).
 
-
-def run_all_tools_cached(cache_path: Optional[Path],
-                         tree_hash: str) -> Tuple[List[ToolOutcome], bool]:
-    """Tool outcomes memoized against the scanned tree's hash.
-
-    Only clean outcomes ("ok"/"skipped") are cached — a failure always
-    re-runs so a fix is picked up immediately even if the failing tool
-    reads files outside the scanned tree.  Returns (outcomes, cached?).
+    mypy takes its targets from ``pyproject.toml [tool.mypy] files``, the
+    same list the CI ``mypy`` job uses.
     """
-    if cache_path is None or not tree_hash:
-        return run_all_tools(), False
-    cache = LintCache.load(cache_path, rules_fingerprint())
-    if cache.tools_key == tree_hash and cache.tools:
-        return [ToolOutcome(**doc) for doc in cache.tools], True
-    outcomes = run_all_tools()
-    if all(o.status in ("ok", "skipped") for o in outcomes):
-        cache.tools_key = tree_hash
-        cache.tools = [{"name": o.name, "status": o.status,
-                        "detail": o.detail} for o in outcomes]
-        cache.save(cache_path)
-    return outcomes, False
+    return [_run_external("ruff", ["check", "."]),
+            _run_external("mypy", [])]

@@ -24,8 +24,7 @@ them).  ``report`` aggregates a sweep directory across seeds (mean/CI).
 
 ``lint`` runs detlint (``repro.analysis``) — the determinism &
 simulation-correctness static analysis — over ``src/repro`` (or the given
-paths).  ``--write-baseline`` accepts the current findings as pre-existing
-debt; ``--all`` additionally runs ruff and mypy when they are installed.
+paths).  ``--all`` additionally runs ruff and mypy when they are installed.
 """
 
 from __future__ import annotations
@@ -157,33 +156,25 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.analysis import (
+        EXEMPTIONS,
+        REGISTRY,
         AnalysisError,
-        Baseline,
-        build_baseline,
         lint_paths,
         render_human,
         render_json,
-        render_sarif,
-        run_all_tools_cached,
+        run_all_tools,
     )
 
     if args.explain:
-        from repro.analysis import runner  # noqa: F401 - registers rules
-        from repro.analysis.core import EXEMPTIONS, REGISTRY
-        from repro.analysis.project import PROJECT_REGISTRY
-        for registry, tier in ((REGISTRY, "per-file"),
-                               (PROJECT_REGISTRY, "whole-program")):
-            for rule in registry.rules():
-                scope = ", ".join(rule.packages) if rule.packages \
-                    else "all files"
-                print(f"{rule.code} ({rule.name}) [{tier}; {scope}]")
-                print(f"    {rule.description}")
-                if rule.exempt:
-                    print(f"    exempt: {', '.join(rule.exempt)} — "
-                          f"{rule.exempt_reason}")
+        for rule in REGISTRY.rules():
+            scope = ", ".join(rule.packages) if rule.packages \
+                else "all files"
+            print(f"{rule.code} ({rule.name}) [{scope}]")
+            print(f"    {rule.description}")
+            if rule.exempt:
+                print(f"    exempt: {', '.join(rule.exempt)} — "
+                      f"{rule.exempt_reason}")
         exemptions = EXEMPTIONS.all()
         if exemptions:
             print("\npackage exemptions:")
@@ -192,79 +183,26 @@ def cmd_lint(args) -> int:
                 print(f"    {ex.reason}")
         return 0
 
-    cache_path = None if args.no_cache else Path(args.cache)
-
-    if args.write_wire_baseline:
-        from repro.analysis.core import FileContext
-        from repro.analysis.project import build_project
-        from repro.analysis.runner import collect_files
-        from repro.analysis.rules_flow import write_wire_baseline
-        try:
-            contexts = []
-            for rel_path, abs_path in collect_files(args.paths):
-                try:
-                    contexts.append(FileContext.parse(
-                        rel_path, abs_path.read_text(encoding="utf-8")))
-                except SyntaxError:
-                    continue
-            count = write_wire_baseline(Path(args.wire_baseline),
-                                        build_project(contexts))
-        except (AnalysisError, OSError) as exc:
-            return _fail(str(exc), status=2)
-        print(f"wire baseline written: {args.wire_baseline} "
-              f"({count} type id{'' if count == 1 else 's'})",
-              file=sys.stderr)
-        return 0
-
     try:
-        baseline = Baseline() if args.no_baseline \
-            else Baseline.load(args.baseline)
-        report = lint_paths(
-            args.paths, baseline=baseline, select=args.select,
-            cache_path=cache_path,
-            wire_baseline_path=Path(args.wire_baseline),
-            validate_exemptions=args.check_exemptions)
+        report = lint_paths(args.paths, select=args.select,
+                            validate_exemptions=args.check_exemptions)
     except AnalysisError as exc:
         return _fail(str(exc), status=2)
-    if cache_path is not None:
-        total = report.cache_hits + report.cache_misses
-        project_note = "cached" if report.project_cached else "re-analyzed"
-        print(f"[cache] reused {report.cache_hits}/{total} files; "
-              f"project tier {project_note}", file=sys.stderr)
 
     status = 0
     if args.all:
-        outcomes, cached = run_all_tools_cached(cache_path,
-                                                report.tree_hash)
-        for outcome in outcomes:
+        for outcome in run_all_tools():
             if outcome.status == "failed":
                 print(f"[{outcome.name}] FAILED\n{outcome.detail}",
                       file=sys.stderr)
                 status = 1
             else:
                 note = f" ({outcome.detail})" if outcome.detail else ""
-                cached_note = " [cached]" if cached else ""
-                print(f"[{outcome.name}] {outcome.status}{note}"
-                      f"{cached_note}", file=sys.stderr)
+                print(f"[{outcome.name}] {outcome.status}{note}",
+                      file=sys.stderr)
 
-    if args.write_baseline:
-        build_baseline(report.findings).save(args.baseline)
-        print(f"baseline written: {args.baseline} "
-              f"({len(report.findings)} entr"
-              f"{'y' if len(report.findings) == 1 else 'ies'})",
-              file=sys.stderr)
-        return status
-
-    if args.format == "sarif":
-        from repro.analysis.core import REGISTRY
-        from repro.analysis.project import PROJECT_REGISTRY
-        print(render_sarif(report.result.new, report.result.baselined,
-                           rules=(REGISTRY.rules()
-                                  + PROJECT_REGISTRY.rules())))
-    else:
-        render = render_json if args.format == "json" else render_human
-        print(render(report.result.new, report.result.baselined,
-                     report.result.stale, report.notes))
+    render = render_json if args.format == "json" else render_human
+    print(render(report.findings))
     return 1 if report.failed else status
 
 
@@ -407,14 +345,8 @@ def main(argv=None) -> int:
         "lint", help="run detlint static analysis (determinism contracts)")
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files/directories to scan (default: src/repro)")
-    lint.add_argument("--format", choices=("human", "json", "sarif"),
+    lint.add_argument("--format", choices=("human", "json"),
                       default="human")
-    lint.add_argument("--baseline", default=".detlint-baseline.json",
-                      help="baseline file (default: .detlint-baseline.json)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, baselined or not")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="accept all current findings as pre-existing debt")
     lint.add_argument("--select", action="append", metavar="CODE",
                       help="only run the given rule code(s) (repeatable)")
     lint.add_argument("--explain", action="store_true",
@@ -422,18 +354,6 @@ def main(argv=None) -> int:
                            "then exit")
     lint.add_argument("--all", action="store_true",
                       help="also run ruff and mypy (skipped if not installed)")
-    lint.add_argument("--cache", default=".detlint-cache.json",
-                      help="incremental cache file "
-                           "(default: .detlint-cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="analyze everything from scratch, "
-                           "don't read or write the cache")
-    lint.add_argument("--wire-baseline", default=".detlint-wire-baseline.json",
-                      help="committed wire type-id baseline for WIRE002 "
-                           "(default: .detlint-wire-baseline.json)")
-    lint.add_argument("--write-wire-baseline", action="store_true",
-                      help="pin the current wire _REGISTRY type ids as the "
-                           "append-only baseline")
     lint.add_argument("--check-exemptions", action="store_true",
                       help="error if any package exemption matches no "
                            "scanned file (CI hygiene)")

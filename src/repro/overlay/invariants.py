@@ -1,9 +1,9 @@
 """Runtime invariant checking against the ground-truth oracle.
 
-While :mod:`repro.overlay.health` offers one-shot audits for tests and
-operators, this module runs *during* a simulation: a periodic sweep that
-compares every active node's routing state against the oracle's global
-view and records violations — with timestamps — instead of crashing.
+This module runs *during* a simulation: a periodic sweep that compares
+every active node's routing state against the oracle's global view and
+records violations — with timestamps — instead of crashing
+(:meth:`InvariantChecker.check_now` is the one-shot form tests use).
 Experiments use the series to report how long the overlay takes to
 reconverge after an injected fault.
 

@@ -10,7 +10,9 @@ changes — say so in the commit message.
 
 Parameters live in GOLDEN_RUNS and are imported by
 ``tests/test_golden_traces.py`` so the test and the generator can never
-drift apart.
+drift apart.  ``wire_ids.json`` in this directory is not generated: it is
+the append-only wire type-id pin ``tests/test_runtime_wire.py`` reads, and
+new ids are appended to it by hand.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The `repro lint` CLI verb: exit codes, formats, baseline workflow —
-and the acceptance check that the repo's own tree is clean."""
+"""The `repro lint` CLI verb: exit codes and formats — and the acceptance
+check that the repo's own tree is clean."""
 
 import json
 import os
@@ -23,10 +23,13 @@ def violation_tree(tmp_path, monkeypatch):
 
 
 def test_repo_tree_is_clean(monkeypatch, capsys):
-    """Acceptance: `repro lint` exits 0 on the repaired tree."""
+    """Acceptance: `repro lint` exits 0 on the repaired tree, every
+    package exemption still matches a file, and the run writes nothing."""
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["lint"]) == 0
+    before = sorted(os.listdir(REPO_ROOT))
+    assert main(["lint", "--check-exemptions"]) == 0
     assert "clean" in capsys.readouterr().out
+    assert sorted(os.listdir(REPO_ROOT)) == before
 
 
 def test_violation_fails_with_location(violation_tree, capsys):
@@ -45,46 +48,6 @@ def test_json_format(violation_tree, capsys):
     assert finding["code"] == "DET002"
     assert finding["path"] == "src/repro/sim/fixture.py"
     assert finding["line"] == 2
-
-
-def test_write_baseline_then_clean(violation_tree, capsys):
-    assert main(["lint", "src", "--write-baseline"]) == 0
-    assert os.path.exists(".detlint-baseline.json")
-    capsys.readouterr()
-    assert main(["lint", "src"]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-
-
-def test_new_violation_fails_over_baseline(violation_tree, capsys):
-    assert main(["lint", "src", "--write-baseline"]) == 0
-    fixture = violation_tree / "src/repro/sim/fixture.py"
-    fixture.write_text(fixture.read_text() + "u = time.monotonic()\n")
-    assert main(["lint", "src"]) == 1
-    doc_run = main(["lint", "src", "--format", "json"])
-    assert doc_run == 1
-    out = capsys.readouterr().out
-    doc = json.loads(out[out.index('{'):])
-    assert doc["summary"]["new"] == 1
-    assert doc["summary"]["baselined"] == 1
-
-
-def test_no_baseline_flag_reports_everything(violation_tree, capsys):
-    assert main(["lint", "src", "--write-baseline"]) == 0
-    assert main(["lint", "src", "--no-baseline"]) == 1
-
-
-def test_stale_baseline_reported(violation_tree, capsys):
-    assert main(["lint", "src", "--write-baseline"]) == 0
-    (violation_tree / "src/repro/sim/fixture.py").write_text("t = 0\n")
-    capsys.readouterr()
-    assert main(["lint", "src"]) == 0  # stale entries don't fail the run
-    out = capsys.readouterr().out
-    assert "stale baseline entry" in out
-    # --write-baseline retires it
-    assert main(["lint", "src", "--write-baseline"]) == 0
-    doc = json.loads((violation_tree / ".detlint-baseline.json").read_text())
-    assert doc["entries"] == []
 
 
 def test_select_narrows_rules(violation_tree, capsys):

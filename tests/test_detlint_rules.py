@@ -5,15 +5,13 @@ Fixtures are parsed as if they lived at a given path inside the repo, so
 the per-package scoping (sim code vs harness vs CLI) is exercised too.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro.analysis.runner  # noqa: F401  (registers the rules)
 from repro.analysis.core import REGISTRY, FileContext, check_file
-from repro.analysis.project import (
-    PROJECT_REGISTRY,
-    build_project,
-    check_project,
-)
 
 SIM_PATH = "src/repro/sim/fixture.py"
 ANY_PATH = "src/repro/fixture.py"
@@ -27,40 +25,24 @@ def lint_snippet(source, path=ANY_PATH, select=None):
     return [f.code for f in check_file(ctx, rules)]
 
 
-def per_file_codes(files):
-    """Every per-file finding across a dict of {path: source} fixtures."""
-    out = []
-    for path in sorted(files):
-        ctx = FileContext.parse(path, files[path])
-        out.extend(f.code for f in check_file(ctx, REGISTRY.rules()))
-    return out
-
-
-def project_findings(files, wire_baseline=None):
-    """Whole-program findings over a dict of {path: source} fixtures."""
-    contexts = [FileContext.parse(path, files[path])
-                for path in sorted(files)]
-    project = build_project(contexts)
-    project.wire_baseline = wire_baseline
-    return check_project(project, PROJECT_REGISTRY.rules())
-
-
-def project_codes(files, wire_baseline=None):
-    return [f.code for f in project_findings(files, wire_baseline)]
-
-
 def test_registry_has_all_advertised_rules():
     assert REGISTRY.codes() == [
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
         "HARN001", "HOT001", "HOT002", "HOT003", "SIM001", "SIM002",
     ]
-    assert PROJECT_REGISTRY.codes() == [
-        "FLOW001", "PAR001", "RNG001", "RNG002", "WIRE001", "WIRE002",
-    ]
+
+
+def test_readme_table_names_exactly_the_registered_rules():
+    """Doc drift: the static-analysis table in README has one row per
+    registered rule code, no more and no fewer."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Linting & static analysis")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| ([A-Z]+\d{3}) \|", section, flags=re.M)
+    assert sorted(rows) == REGISTRY.codes()
 
 
 def test_rule_metadata_complete():
-    for rule in REGISTRY.rules() + PROJECT_REGISTRY.rules():
+    for rule in REGISTRY.rules():
         assert rule.name and rule.description
         assert rule.severity in ("warning", "error")
         if rule.exempt:
@@ -369,18 +351,6 @@ def test_hot002_scoped_to_registered_files():
     assert "HOT002" not in lint_snippet(snippet, path=ANY_PATH)
 
 
-def test_hot002_suppressible_with_justification():
-    snippet = ("class RtoTable:  # detlint: disable=HOT002 -- HOT002: shim\n"
-               "    def __init__(self):\n        self.x = 1\n")
-    from repro.analysis.suppress import parse_suppressions
-    ctx = FileContext.parse(RTO_PATH, snippet)
-    findings = check_file(ctx, REGISTRY.rules())
-    assert "HOT002" in [f.code for f in findings]
-    suppressions = parse_suppressions(RTO_PATH, snippet)
-    kept = [f for f in findings if not suppressions.matches(f)]
-    assert "HOT002" not in [f.code for f in kept]
-
-
 # ----------------------------------------------------------------------
 # HOT003 — no per-event numpy scalar boxing on the hot path
 # ----------------------------------------------------------------------
@@ -625,467 +595,3 @@ def test_lint_paths_validate_exemptions_flag(tmp_path):
     # without the flag, partial trees lint fine
     report = lint_paths([tmp_path / "src"], root=tmp_path)
     assert report.findings == []
-
-
-# ----------------------------------------------------------------------
-# Whole-program tier — RNG001/RNG002 (stream aliasing, global Random)
-# ----------------------------------------------------------------------
-def test_rng001_two_streams_into_one_call_triggers():
-    files = {
-        "src/repro/sim/consumer.py": "def consume(a, b):\n    return 0\n",
-        "src/repro/overlay/driver.py": (
-            "from repro.sim.consumer import consume\n"
-            "def go(streams):\n"
-            "    consume(streams.stream('net'), streams.stream('nodes'))\n"),
-    }
-    assert "RNG001" in project_codes(files)
-
-
-def test_rng001_one_stream_per_consumer_is_clean():
-    files = {
-        "src/repro/sim/consumer.py": (
-            "def eat(s):\n    return 0\n\ndef eat2(s):\n    return 0\n"),
-        "src/repro/overlay/driver.py": (
-            "from repro.sim.consumer import eat, eat2\n"
-            "def go(streams):\n"
-            "    eat(streams.stream('net'))\n"
-            "    eat2(streams.stream('nodes'))\n"),
-    }
-    assert project_codes(files) == []
-
-
-def test_rng001_same_stream_across_subsystems_triggers():
-    files = {
-        "src/repro/sim/a.py": "def eat(s):\n    return 0\n",
-        "src/repro/pastry/b.py": "def eat2(s):\n    return 0\n",
-        "src/repro/overlay/driver.py": (
-            "from repro.sim.a import eat\n"
-            "from repro.pastry.b import eat2\n"
-            "def go(streams):\n"
-            "    shared = streams.stream('x')\n"
-            "    eat(shared)\n"
-            "    eat2(shared)\n"),
-    }
-    assert "RNG001" in project_codes(files)
-
-
-def test_rng001_stream_escaping_to_module_global_triggers():
-    files = {
-        "src/repro/sim/leak.py": (
-            "_CACHE = {}\n"
-            "def go(streams):\n"
-            "    global _CACHE\n"
-            "    _CACHE = streams.stream('x')\n"),
-    }
-    assert "RNG001" in project_codes(files)
-
-
-def test_rng001_derived_seeds_are_not_streams():
-    """derive_stream_seed yields plain ints; passing them around is the
-    *intended* pattern and must not read as aliasing."""
-    files = {
-        "src/repro/sim/run.py": (
-            "import random\n"
-            "from repro.sim.rng import derive_stream_seed\n"
-            "def go(seed, trial):\n"
-            "    s1 = derive_stream_seed(seed, 'gen')\n"
-            "    s2 = derive_stream_seed(seed, 'trial')\n"
-            "    run_trial(s1, s2)\n"
-            "def run_trial(a, b):\n    return a + b\n"),
-    }
-    assert "RNG001" not in project_codes(files)
-
-
-def test_rng001_data_drawn_from_stream_travels_freely():
-    """Values *drawn from* a stream are data, not the stream: handing a
-    generated trace to another subsystem is fine."""
-    files = {
-        "src/repro/traces/gen.py": "def make_trace(rng):\n    return [1]\n",
-        "src/repro/sim/replay.py": "def replay(trace):\n    return len(trace)\n",
-        "src/repro/overlay/driver.py": (
-            "from repro.traces.gen import make_trace\n"
-            "from repro.sim.replay import replay\n"
-            "def go(streams):\n"
-            "    trace = make_trace(streams.stream('trace'))\n"
-            "    replay(trace)\n"),
-    }
-    assert project_codes(files) == []
-
-
-def test_rng002_global_random_reachable_from_sim_triggers():
-    files = {
-        "src/repro/util/shared.py": (
-            "import random\n_RNG = random.Random(7)\n"),
-        "src/repro/sim/engine.py": (
-            "from repro.util.shared import _RNG\n"),
-    }
-    codes = project_codes(files)
-    assert "RNG002" in codes
-
-
-def test_rng002_unreachable_global_random_is_clean():
-    """A global Random in a module sim code never imports is out of
-    scope for RNG002 (DET001 still polices its construction per-file)."""
-    files = {
-        "src/repro/tools/offline.py": (
-            "import random\n_RNG = random.Random(7)\n"),
-        "src/repro/sim/engine.py": "x = 1\n",
-    }
-    assert "RNG002" not in project_codes(files)
-
-
-def test_rng002_seen_through_transitive_imports():
-    files = {
-        "src/repro/util/shared.py": (
-            "import random\n_RNG = random.Random(7)\n"),
-        "src/repro/util/middle.py": (
-            "from repro.util.shared import _RNG\n"),
-        "src/repro/sim/engine.py": (
-            "from repro.util.middle import _RNG\n"),
-    }
-    assert "RNG002" in project_codes(files)
-
-
-# ----------------------------------------------------------------------
-# Whole-program tier — FLOW001 (real-world taint into sim state)
-# ----------------------------------------------------------------------
-def test_flow001_wallclock_into_sim_constructor_state_triggers():
-    files = {
-        "src/repro/pastry/node.py": "class Node:\n    pass\n",
-        "src/repro/runtime/boot.py": (
-            "import time\n"
-            "from repro.pastry.node import Node\n"
-            "def boot():\n"
-            "    n = Node()\n"
-            "    n.started = time.time()\n"),
-    }
-    assert "FLOW001" in project_codes(files)
-
-
-def test_flow001_wallclock_arg_into_sim_call_triggers():
-    files = {
-        "src/repro/pastry/node.py": "def on_join(t):\n    return t\n",
-        "src/repro/runtime/drive.py": (
-            "import time\n"
-            "from repro.pastry.node import on_join\n"
-            "def drive():\n"
-            "    on_join(time.time())\n"),
-    }
-    assert "FLOW001" in project_codes(files)
-
-
-def test_flow001_wallclock_kept_in_runtime_is_clean():
-    """repro.runtime may use the wall clock freely for its own state."""
-    files = {
-        "src/repro/runtime/clockkeeper.py": (
-            "import time\n"
-            "class Keeper:\n"
-            "    def tick(self):\n"
-            "        self.last = time.time()\n"),
-    }
-    assert "FLOW001" not in project_codes(files)
-
-
-def test_flow001_untainted_values_cross_freely():
-    files = {
-        "src/repro/pastry/node.py": "def on_join(t):\n    return t\n",
-        "src/repro/runtime/drive.py": (
-            "from repro.pastry.node import on_join\n"
-            "def drive(spec):\n"
-            "    on_join(spec.seed)\n"),
-    }
-    assert "FLOW001" not in project_codes(files)
-
-
-# ----------------------------------------------------------------------
-# Whole-program tier — WIRE001/WIRE002 (registry drift, append-only ids)
-# ----------------------------------------------------------------------
-_WIRE_MESSAGES = (
-    "class Message:\n    pass\n"
-    "class JoinRequest(Message):\n    pass\n"
-    "class JoinReply(Message):\n    pass\n"
-)
-
-
-def test_wire001_missing_registry_entry_triggers():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()),)\n"),
-    }
-    findings = project_findings(
-        files, wire_baseline={1: "repro.pastry.messages.JoinRequest"})
-    wire = [f for f in findings if f.code == "WIRE001"]
-    assert len(wire) == 1
-    assert "JoinReply" in wire[0].message
-
-
-def test_wire001_complete_registry_is_clean():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.JoinReply, ()))\n"),
-    }
-    codes = project_codes(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        2: "repro.pastry.messages.JoinReply"})
-    assert "WIRE001" not in codes
-    assert "WIRE002" not in codes
-
-
-def test_wire001_registry_entry_for_unknown_class_triggers():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.JoinReply, ()),\n"
-            "             (3, m.Phantom, ()))\n"),
-    }
-    codes = project_codes(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        2: "repro.pastry.messages.JoinReply",
-        3: "repro.pastry.messages.Phantom"})
-    assert "WIRE001" in codes
-
-
-def test_wire002_removed_id_triggers():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.JoinReply, ()))\n"),
-    }
-    findings = project_findings(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        2: "repro.pastry.messages.JoinReply",
-        3: "repro.pastry.messages.Retired"})
-    messages = [f.message for f in findings if f.code == "WIRE002"]
-    assert any("removed" in m for m in messages)
-
-
-def test_wire002_reassigned_id_triggers():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinReply, ()), (2, m.JoinRequest, ()))\n"),
-    }
-    findings = project_findings(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        2: "repro.pastry.messages.JoinReply"})
-    messages = [f.message for f in findings if f.code == "WIRE002"]
-    assert any("reassigned" in m for m in messages)
-
-
-def test_wire002_recycled_id_triggers():
-    """A new type must take a fresh id past the baseline maximum."""
-    files = {
-        "src/repro/pastry/messages.py": (
-            _WIRE_MESSAGES + "class Late(Message):\n    pass\n"),
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.Late, ()),\n"
-            "             (3, m.JoinReply, ()))\n"),
-    }
-    findings = project_findings(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        3: "repro.pastry.messages.JoinReply"})
-    messages = [f.message for f in findings if f.code == "WIRE002"]
-    assert any("retired id space" in m for m in messages)
-
-
-def test_wire002_appended_id_is_clean():
-    files = {
-        "src/repro/pastry/messages.py": (
-            _WIRE_MESSAGES + "class Late(Message):\n    pass\n"),
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.JoinReply, ()),\n"
-            "             (3, m.Late, ()))\n"),
-    }
-    codes = project_codes(files, wire_baseline={
-        1: "repro.pastry.messages.JoinRequest",
-        2: "repro.pastry.messages.JoinReply"})
-    assert "WIRE002" not in codes
-
-
-def test_wire002_missing_baseline_is_a_warning():
-    files = {
-        "src/repro/pastry/messages.py": _WIRE_MESSAGES,
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()), (2, m.JoinReply, ()))\n"),
-    }
-    findings = [f for f in project_findings(files, wire_baseline=None)
-                if f.code == "WIRE002"]
-    assert len(findings) == 1
-    assert findings[0].severity == "warning"
-    assert "--write-wire-baseline" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# Whole-program tier — PAR001 (entry-point purity)
-# ----------------------------------------------------------------------
-def test_par001_worker_mutating_module_state_triggers():
-    files = {
-        "src/repro/harness/work.py": (
-            "_SEEN = {}\n"
-            "def work(job):\n"
-            "    _SEEN[job] = 1\n"),
-        "src/repro/harness/pool.py": (
-            "import multiprocessing as mp\n"
-            "from repro.harness.work import work\n"
-            "def main(jobs):\n"
-            "    ctx = mp.get_context('spawn')\n"
-            "    ctx.Process(target=work, args=(jobs,)).start()\n"),
-    }
-    assert "PAR001" in project_codes(files)
-
-
-def test_par001_pure_worker_is_clean():
-    files = {
-        "src/repro/harness/work.py": (
-            "def work(job):\n"
-            "    local = {}\n"
-            "    local[job] = 1\n"
-            "    return local\n"),
-        "src/repro/harness/pool.py": (
-            "import multiprocessing as mp\n"
-            "from repro.harness.work import work\n"
-            "def main(jobs):\n"
-            "    ctx = mp.get_context('spawn')\n"
-            "    ctx.Process(target=work, args=(jobs,)).start()\n"),
-    }
-    assert "PAR001" not in project_codes(files)
-
-
-def test_par001_pool_map_worker_checked_too():
-    files = {
-        "src/repro/harness/work.py": (
-            "_LOG = []\n"
-            "def work(job):\n"
-            "    _LOG.append(job)\n"),
-        "src/repro/harness/pool.py": (
-            "from repro.harness.work import work\n"
-            "def main(pool, jobs):\n"
-            "    pool.map(work, jobs)\n"),
-    }
-    assert "PAR001" in project_codes(files)
-
-
-# ----------------------------------------------------------------------
-# Seeded cross-module hazards: bugs the per-file tier provably misses
-# ----------------------------------------------------------------------
-#: hazard -> (files, expected project-tier code)
-_CROSS_MODULE_HAZARDS = {
-    "stream-shared-across-subsystems": ({
-        # Each file is individually spotless: no global RNG, no wall
-        # clock, no unordered iteration.  The bug only exists in the
-        # *composition*: one derived stream drives both the topology
-        # build (network) and the node lifecycle (pastry), so adding a
-        # draw in one silently perturbs the other.
-        "src/repro/network/topo.py": (
-            "def build_topology(rng):\n"
-            "    return [rng]\n"),
-        "src/repro/pastry/life.py": (
-            "def schedule_joins(rng):\n"
-            "    return [rng]\n"),
-        "src/repro/overlay/setup.py": (
-            "from repro.network.topo import build_topology\n"
-            "from repro.pastry.life import schedule_joins\n"
-            "def prepare(streams):\n"
-            "    shared = streams.stream('world')\n"
-            "    topology = build_topology(shared)\n"
-            "    joins = schedule_joins(shared)\n"
-            "    return topology, joins\n"),
-    }, "RNG001"),
-    "wallclock-laundered-through-helper": ({
-        # runtime is *exempt* from DET002 (it owns the wall clock), and
-        # pastry/clocked.py never calls time.time() itself — the taint
-        # arrives via a helper return across two module boundaries.  No
-        # per-file rule can connect those dots.
-        "src/repro/runtime/clockutil.py": (
-            "import time\n"
-            "def timestamp():\n"
-            "    return time.time()\n"),
-        "src/repro/runtime/bridge.py": (
-            "from repro.runtime.clockutil import timestamp\n"
-            "from repro.pastry.clocked import note_arrival\n"
-            "def deliver(message):\n"
-            "    note_arrival(timestamp())\n"),
-        "src/repro/pastry/clocked.py": (
-            "def note_arrival(when):\n"
-            "    return when\n"),
-    }, "FLOW001"),
-    "message-type-missing-from-wire-registry": ({
-        # messages.py alone cannot know the registry exists; wire.py
-        # alone cannot know a subclass was added elsewhere.
-        "src/repro/pastry/messages.py": (
-            "class Message:\n    __slots__ = ()\n"
-            "class JoinRequest(Message):\n    __slots__ = ()\n"
-            "class NewProbe(Message):\n    __slots__ = ()\n"),
-        "src/repro/runtime/wire.py": (
-            "from repro.pastry import messages as m\n"
-            "_REGISTRY = ((1, m.JoinRequest, ()),)\n"),
-    }, "WIRE001"),
-    "worker-mutates-far-away-module-state": ({
-        # The worker is a perfectly picklable module-level function
-        # (HARN001-clean) and the mutation hides two calls deep in a
-        # different module.
-        "src/repro/harness/registry.py": (
-            "_MEMO = {}\n"
-            "def intern(descriptor):\n"
-            "    return _MEMO.setdefault(descriptor, descriptor)\n"),
-        "src/repro/harness/jobs.py": (
-            "from repro.harness.registry import intern\n"
-            "def execute(job):\n"
-            "    return intern(job)\n"),
-        "src/repro/harness/pool.py": (
-            "import multiprocessing as mp\n"
-            "from repro.harness.jobs import execute\n"
-            "def run(jobs):\n"
-            "    ctx = mp.get_context('spawn')\n"
-            "    for job in jobs:\n"
-            "        ctx.Process(target=execute, args=(job,)).start()\n"),
-    }, "PAR001"),
-}
-
-
-@pytest.mark.parametrize("hazard", sorted(_CROSS_MODULE_HAZARDS))
-def test_cross_module_hazard_invisible_to_per_file_tier(hazard):
-    files, expected = _CROSS_MODULE_HAZARDS[hazard]
-    assert per_file_codes(files) == [], \
-        f"{hazard}: fixture must be clean under every per-file rule"
-
-
-@pytest.mark.parametrize("hazard", sorted(_CROSS_MODULE_HAZARDS))
-def test_cross_module_hazard_caught_by_project_tier(hazard):
-    files, expected = _CROSS_MODULE_HAZARDS[hazard]
-    baseline = {1: "repro.pastry.messages.JoinRequest"} \
-        if expected.startswith("WIRE") else None
-    assert expected in project_codes(files, wire_baseline=baseline), hazard
-
-
-def test_cross_module_hazards_via_full_runner(tmp_path):
-    """End to end: lint_paths surfaces a cross-module hazard and a line
-    suppression in the right file silences it."""
-    from repro.analysis import lint_paths
-    files, _ = _CROSS_MODULE_HAZARDS["stream-shared-across-subsystems"]
-    for rel, source in files.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-    report = lint_paths([tmp_path / "src"], root=tmp_path)
-    assert "RNG001" in [f.code for f in report.findings]
-    # suppress at the flagged line, with a justification naming the code
-    flagged = [f for f in report.findings if f.code == "RNG001"][0]
-    path = tmp_path / flagged.path
-    lines = path.read_text().splitlines()
-    lines[flagged.line - 1] += \
-        "  # detlint: disable=RNG001 -- RNG001: fixture shares by design"
-    path.write_text("\n".join(lines) + "\n")
-    report = lint_paths([tmp_path / "src"], root=tmp_path)
-    assert "RNG001" not in [f.code for f in report.findings]
-    assert report.suppressed >= 1
