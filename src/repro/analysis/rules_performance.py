@@ -32,9 +32,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {"delay", "router_delay", "_router_distances"}
     ),
     "repro/pastry/node.py": frozenset(
-        {"_on_message", "_next_hop", "_route", "_forward",
-         "_handle_ls_info", "consider_for_routing_table"}
+        {"_on_message", "consider_for_routing_table"}
     ),
+    "repro/pastry/forwarding.py": frozenset({"next_hop", "route", "forward"}),
+    "repro/pastry/maintenance.py": frozenset({"handle_ls_info"}),
     "repro/pastry/leafset.py": frozenset(
         {"add", "_prune", "members", "covers", "closest_to"}
     ),
@@ -112,6 +113,13 @@ HOT_CLASSES: Dict[str, FrozenSet[str]] = {
     "repro/pastry/rto.py": frozenset({"RttEstimator", "RtoTable"}),
     "repro/pastry/acks.py": frozenset({"PendingHop", "HopAckManager"}),
     "repro/pastry/pns.py": frozenset({"_Measurement", "ProximityManager"}),
+    "repro/pastry/state.py": frozenset(
+        {"_ProbeState", "ProbeTable", "FailureMemory", "RecencyMap"}
+    ),
+    "repro/pastry/join.py": frozenset({"JoinProtocol"}),
+    "repro/pastry/maintenance.py": frozenset({"LeafSetMaintenance"}),
+    "repro/pastry/liveness.py": frozenset({"Liveness"}),
+    "repro/pastry/forwarding.py": frozenset({"Forwarding"}),
     "repro/faults/state.py": frozenset({"GrayFailure", "FaultState"}),
     "repro/metrics/collector.py": frozenset({"ActiveIntegrator", "LookupRecord"}),
     "repro/adversary/behaviors.py": frozenset(

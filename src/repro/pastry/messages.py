@@ -236,10 +236,6 @@ HEADER_BYTES = 48
 DESCRIPTOR_BYTES = 22
 
 
-def _descriptor_list_bytes(descs) -> int:
-    return DESCRIPTOR_BYTES * len(descs)
-
-
 # Per-type payload bytes beyond the shared header/sender/hint part.
 # ``wire_size`` is on the transport hot path (every send while a stats
 # collector is attached); the sizing function is found by one exact-type

@@ -142,10 +142,10 @@ class ProximityManager:
         )
         self._node.send(measurement.target, m.DistanceProbe(seq=seq))
 
-    def on_probe(self, sender: NodeDescriptor, msg: m.DistanceProbe) -> None:
+    def on_probe(self, src_addr, sender: NodeDescriptor, msg: m.DistanceProbe) -> None:
         self._node.send(sender, m.DistanceProbeReply(seq=msg.seq))
 
-    def on_probe_reply(self, sender: NodeDescriptor, msg: m.DistanceProbeReply) -> None:
+    def on_probe_reply(self, src_addr, sender: NodeDescriptor, msg: m.DistanceProbeReply) -> None:
         measurement = self._measuring.get(sender.id)
         if measurement is None:
             return
@@ -181,7 +181,7 @@ class ProximityManager:
         for callback in measurement.callbacks:
             callback(value)
 
-    def on_report(self, sender: NodeDescriptor, msg: m.DistanceReport) -> None:
+    def on_report(self, src_addr, sender: NodeDescriptor, msg: m.DistanceReport) -> None:
         """Symmetric probing: adopt the peer's measurement of our RTT."""
         self.record(sender.id, msg.rtt, sender.addr)
         self._node.consider_for_routing_table(sender)
@@ -208,21 +208,21 @@ class ProximityManager:
         for desc in self._node.routing_state_members():
             self.measure(desc)
 
-    def on_row_announce(self, sender: NodeDescriptor, msg: m.RowAnnounce) -> None:
+    def on_row_announce(self, src_addr, sender: NodeDescriptor, msg: m.RowAnnounce) -> None:
         self._consider_entries(msg.entries)
 
-    def on_row_request(self, sender: NodeDescriptor, msg: m.RowRequest) -> None:
+    def on_row_request(self, src_addr, sender: NodeDescriptor, msg: m.RowRequest) -> None:
         entries = self._node.routing_table.row_entries(msg.row)
         self._node.send(sender, m.RowReply(row=msg.row, entries=entries))
 
-    def on_row_reply(self, sender: NodeDescriptor, msg: m.RowReply) -> None:
+    def on_row_reply(self, src_addr, sender: NodeDescriptor, msg: m.RowReply) -> None:
         self._consider_entries(msg.entries)
 
     def _consider_entries(self, entries: List[NodeDescriptor]) -> None:
         """Probe unknown candidates, then PNS-consider them for the table."""
         node = self._node
         for desc in entries:
-            if desc.id == node.id or node.is_failed(desc.id):
+            if desc.id == node.id or desc.id in node.failures.failed:
                 continue
             if desc.id in self.proximity:
                 node.consider_for_routing_table(desc)

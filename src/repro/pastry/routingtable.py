@@ -14,7 +14,7 @@ tuple-keyed storage.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.pastry.nodeid import ID_BITS, NodeDescriptor, n_rows
 
@@ -111,13 +111,6 @@ class RoutingTable:
                 self._install(flat, desc)
                 return True
         return False
-
-    def add_all(
-        self,
-        descs: Iterable[NodeDescriptor],
-        proximity: Optional[Mapping[int, float]] = None,
-    ) -> int:
-        return sum(1 for d in descs if self.add(d, proximity))
 
     def _install(self, flat: int, desc: NodeDescriptor) -> None:
         self._slots[flat] = desc

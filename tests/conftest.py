@@ -22,8 +22,8 @@ def fresh_overlay(n, **kwargs):
 
 def linear_root(leaf_set, key, unusable=frozenset()):
     """Reference for ``LeafSet.closest_to``: the member-by-member
-    ``is_closer_root`` scan it replaced (``MSPastryNode._next_hop`` ran it
-    on every hop)."""
+    ``is_closer_root`` scan it replaced (``Forwarding.next_hop`` ran it on
+    every hop)."""
     best = leaf_set.owner
     for d in leaf_set.members():
         if d.id not in unusable and is_closer_root(d.id, best.id, key):

@@ -136,10 +136,10 @@ def test_lookup_survives_next_hop_crash():
     # Choose a lookup whose first hop we then crash mid-flight.
     src = nodes[0]
     key = random_nodeid(rng)
-    hop = src._next_hop(key, frozenset())
+    hop = src.forwarding.next_hop(key, frozenset())
     while hop is None:
         key = random_nodeid(rng)
-        hop = src._next_hop(key, frozenset())
+        hop = src.forwarding.next_hop(key, frozenset())
     victim = next(n for n in nodes if n.id == hop.id)
     victim.crash()
     src.lookup(key)  # forwarded to the already-dead hop
@@ -173,10 +173,10 @@ def test_acks_disabled_config_drops_on_crash():
     rng = random.Random(3)
     src = nodes[0]
     key = random_nodeid(rng)
-    hop = src._next_hop(key, frozenset())
+    hop = src.forwarding.next_hop(key, frozenset())
     while hop is None:
         key = random_nodeid(rng)
-        hop = src._next_hop(key, frozenset())
+        hop = src.forwarding.next_hop(key, frozenset())
     victim = next(n for n in nodes if n.id == hop.id)
     victim.crash()
     delivered = []

@@ -35,7 +35,7 @@ def test_deferral_waits_for_suspected_root():
         node.on_deliver = lambda n, msg: delivered.append((n, msg))
     second.suspected.add(root.id)
     msg = second.make_lookup(key)
-    second._receive_root(msg, key)
+    second.forwarding.receive_root(msg, key)
     assert delivered == []  # deferred, not misdelivered
     # The suspicion resolves (any direct message) -> forwarded to the root.
     sim.run(until=sim.now + 10)
@@ -54,7 +54,7 @@ def test_deferral_budget_bounds_delay_for_dead_root():
     second.suspected.add(root.id)
     start = sim.now
     msg = second.make_lookup(key)
-    second._receive_root(msg, key)
+    second.forwarding.receive_root(msg, key)
     sim.run(until=sim.now + 30)
     assert delivered  # eventually delivered despite the dead blocker
     config = PastryConfig(leaf_set_size=8)
@@ -73,7 +73,7 @@ def test_deferral_disabled_delivers_immediately():
     second.on_deliver = lambda n, msg: delivered.append(msg)
     second.suspected.add(root.id)
     msg = second.make_lookup(key)
-    second._receive_root(msg, key)
+    second.forwarding.receive_root(msg, key)
     assert len(delivered) == 1  # immediate (inconsistent) delivery allowed
     second.suspected.discard(root.id)
     sim.run(until=sim.now + 5)
@@ -91,10 +91,10 @@ def test_same_hop_retransmit_recovers_single_loss():
         node.on_deliver = lambda n, msg: delivered.append(msg)
     src = nodes[0]
     key = random_nodeid(rng)
-    hop = src._next_hop(key, frozenset())
+    hop = src.forwarding.next_hop(key, frozenset())
     while hop is None:
         key = random_nodeid(rng)
-        hop = src._next_hop(key, frozenset())
+        hop = src.forwarding.next_hop(key, frozenset())
 
     # Drop exactly the next message from src to that hop (simulated loss).
     orig_send = net.send
@@ -114,7 +114,7 @@ def test_same_hop_retransmit_recovers_single_loss():
     assert dropped  # the first copy was dropped
     assert delivered  # recovered by retransmission to the same hop
     # The hop was never excluded: no suspicion of it at src.
-    assert hop.id not in src.failed
+    assert hop.id not in src.failures.failed
 
 
 # ----------------------------------------------------------------------
@@ -126,12 +126,12 @@ def test_heartbeat_resurrects_falsely_failed_node():
     victim = a.leaf_set.right_side[0]
     victim_node = next(n for n in nodes if n.id == victim.id)
     # Simulate a false positive: a marked victim faulty though it is alive.
-    a._mark_faulty(victim)
-    assert victim.id in a.failed
+    a.maintenance.mark_faulty(victim)
+    assert victim.id in a.failures.failed
     assert victim.id not in a.leaf_set
     # The victim keeps heart-beating; a recovers it.
-    a._on_heartbeat(victim)
-    assert victim.id not in a.failed
+    a.liveness.on_heartbeat(victim.addr, victim, m.Heartbeat())
+    assert victim.id not in a.failures.failed
     sim.run(until=sim.now + 10)
     assert victim.id in a.leaf_set  # probed and re-admitted
 
@@ -148,7 +148,7 @@ def test_heartbeat_from_unknown_close_node_triggers_probe():
     )
     if stranger is None:
         return  # every admissible node already tracked at this size
-    a._on_heartbeat(stranger.descriptor)
-    assert stranger.id in a.probing
+    a.liveness.on_heartbeat(stranger.addr, stranger.descriptor, m.Heartbeat())
+    assert stranger.id in a.probing.pending
     sim.run(until=sim.now + 10)
     assert stranger.id in a.leaf_set

@@ -5,7 +5,7 @@ import random
 from repro.network.simple import EuclideanTopology
 from repro.overlay.utils import build_overlay
 from repro.pastry.config import PastryConfig
-from repro.pastry.discovery import SeedDiscovery
+from repro.pastry.join import SeedDiscovery
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import random_nodeid
 
@@ -26,8 +26,10 @@ def test_discovery_finds_node_closer_than_random_start():
     )
     start = nodes[0]
     found = []
-    discovery = SeedDiscovery(joiner, start.descriptor, found.append)
-    joiner._discovery = discovery  # wire StateReply dispatch
+    discovery = SeedDiscovery(
+        joiner.send, joiner.prox.measure, sim, joiner.config.probe_timeout,
+        joiner.id, start.descriptor, found.append)
+    joiner.joining.discovery = discovery  # wire StateReply dispatch
     discovery.start()
     sim.run(until=sim.now + 60)
     assert len(found) == 1
@@ -46,8 +48,10 @@ def test_discovery_quality_near_optimal_on_average():
         )
         start = nodes[trial % len(nodes)]
         found = []
-        discovery = SeedDiscovery(joiner, start.descriptor, found.append)
-        joiner._discovery = discovery
+        discovery = SeedDiscovery(
+            joiner.send, joiner.prox.measure, sim, joiner.config.probe_timeout,
+            joiner.id, start.descriptor, found.append)
+        joiner.joining.discovery = discovery
         discovery.start()
         sim.run(until=sim.now + 60)
         got = topo.proximity(joiner.addr, found[0].addr)
@@ -69,8 +73,10 @@ def test_discovery_handles_dead_start_by_timeout():
     victim = nodes[3]
     victim.crash()
     found = []
-    discovery = SeedDiscovery(joiner, victim.descriptor, found.append)
-    joiner._discovery = discovery
+    discovery = SeedDiscovery(
+        joiner.send, joiner.prox.measure, sim, joiner.config.probe_timeout,
+        joiner.id, victim.descriptor, found.append)
+    joiner.joining.discovery = discovery
     discovery.start()
     sim.run(until=sim.now + 60)
     assert found == [victim.descriptor]  # falls back to the start node
@@ -83,8 +89,10 @@ def test_discovery_cancel_prevents_callback():
         sim, net, PastryConfig(leaf_set_size=8), random_nodeid(rng), rng
     )
     found = []
-    discovery = SeedDiscovery(joiner, nodes[0].descriptor, found.append)
-    joiner._discovery = discovery
+    discovery = SeedDiscovery(
+        joiner.send, joiner.prox.measure, sim, joiner.config.probe_timeout,
+        joiner.id, nodes[0].descriptor, found.append)
+    joiner.joining.discovery = discovery
     discovery.start()
     discovery.cancel()
     sim.run(until=sim.now + 60)

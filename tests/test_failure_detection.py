@@ -67,7 +67,7 @@ def test_false_positive_recovers_on_probe_reply():
     a.probe(next(m for m in a.leaf_set.members() if m.id == target.id))
     sim.run(until=sim.now + 10)
     assert target.id not in a.suspected  # reply cleared the suspicion
-    assert target.id not in a.failed
+    assert target.id not in a.failures.failed
 
 
 def test_mark_faulty_records_failure_for_mu_estimate():
@@ -75,9 +75,9 @@ def test_mark_faulty_records_failure_for_mu_estimate():
     a = nodes[0]
     before = len(a.tuner.failures._times)
     victim_desc = a.leaf_set.members()[0]
-    a._mark_faulty(victim_desc)
+    a.maintenance.mark_faulty(victim_desc)
     assert len(a.tuner.failures._times) == before + 1
-    assert victim_desc.id in a.failed
+    assert victim_desc.id in a.failures.failed
 
 
 def test_heartbeats_flow_to_left_neighbour():
@@ -109,7 +109,7 @@ def test_probe_suppression_skips_heartbeat_after_traffic():
     left = a.leaf_set.left_neighbour
     a.last_sent[left.id] = sim.now  # just exchanged traffic
     before = a.network.messages_sent
-    a._heartbeat_tick()
+    a.liveness.heartbeat_tick()
     assert a.network.messages_sent == before  # suppressed
 
 
@@ -119,7 +119,7 @@ def test_heartbeat_sent_without_recent_traffic():
     left = a.leaf_set.left_neighbour
     a.last_sent.pop(left.id, None)
     before = a.network.messages_sent
-    a._heartbeat_tick()
+    a.liveness.heartbeat_tick()
     assert a.network.messages_sent == before + 1
 
 
@@ -127,13 +127,13 @@ def test_monitor_suspects_silent_right_neighbour():
     sim, _net, nodes = fresh(seed=23)
     a = nodes[4]
     right = a.leaf_set.right_neighbour
-    a._monitored_id = right.id
-    a._monitor_since = sim.now - 1000.0
+    a.liveness._monitored_id = right.id
+    a.liveness._monitor_since = sim.now - 1000.0
     a.last_heard[right.id] = sim.now - 1000.0  # long silence
-    a._monitor_tick()
-    assert right.id in a.probing  # SUSPECT-FAULTY fired a probe
+    a.liveness.monitor_tick()
+    assert right.id in a.probing.pending  # SUSPECT-FAULTY fired a probe
     sim.run(until=sim.now + 5)
-    assert right.id not in a.failed  # it answered; not faulty
+    assert right.id not in a.failures.failed  # it answered; not faulty
 
 
 def test_crash_cancels_all_timers():
@@ -142,7 +142,7 @@ def test_crash_cancels_all_timers():
     victim.crash()
     assert victim.crashed
     assert not victim._tasks
-    assert not victim.probing
+    assert not victim.probing.pending
     assert victim.acks.in_flight == 0
     # And the simulator drains without the crashed node acting again.
     sent_before = victim.network.messages_sent

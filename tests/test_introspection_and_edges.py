@@ -52,10 +52,10 @@ def test_unknown_sender_ack_does_not_release():
     src = nodes[0]
     rng = random.Random(1)
     key = random_nodeid(rng)
-    hop = src._next_hop(key, frozenset())
+    hop = src.forwarding.next_hop(key, frozenset())
     while hop is None:
         key = random_nodeid(rng)
-        hop = src._next_hop(key, frozenset())
+        hop = src.forwarding.next_hop(key, frozenset())
     msg = src.make_lookup(key)
     src.acks.track(msg, hop)
     src.acks.on_ack(msg.msg_id, hop.addr + 12345)  # wrong source
@@ -91,7 +91,7 @@ def test_duplicate_distance_probe_reply_ignored():
     sim, _net, nodes = overlay(seed=1113)
     a, b = nodes[0], nodes[1]
     # A reply for a measurement that does not exist must be a no-op.
-    a.prox.on_probe_reply(b.descriptor, m.DistanceProbeReply(seq=42))
+    a.prox.on_probe_reply(b.addr, b.descriptor, m.DistanceProbeReply(seq=42))
     assert b.id not in a.prox._measuring
 
 

@@ -88,7 +88,7 @@ def test_joiner_does_not_deliver_before_active():
     b.on_deliver = lambda node, msg: delivered.append(msg)
     b.join(a.descriptor)
     # lookup directly at b's own key while it is still joining
-    b._receive_root(b.make_lookup(b.id), b.id)
+    b.forwarding.receive_root(b.make_lookup(b.id), b.id)
     assert delivered == []  # buffered, not delivered
     sim.run(until=30)
     assert b.active

@@ -6,7 +6,8 @@ import random
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
-from repro.pastry.node import MAX_BUFFERED, MSPastryNode
+from repro.pastry.forwarding import MAX_BUFFERED
+from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import digit, random_nodeid, shared_prefix_length
 
 
@@ -25,7 +26,7 @@ def test_slot_request_finds_matching_entry():
     # a node matching a's prefix constraints if it knows one.
     target = next(iter(nodes[2:])).descriptor
     slot = a.routing_table.slot_for(target.id)
-    entry = b._find_slot_entry(a.id, slot[0], slot[1])
+    entry = b.forwarding.find_slot_entry(a.id, slot[0], slot[1])
     if entry is not None:
         assert shared_prefix_length(entry.id, a.id, 4) >= slot[0]
         assert digit(entry.id, slot[0], 4) == slot[1]
@@ -38,8 +39,9 @@ def test_slot_reply_probes_before_insert():
         n for n in nodes if n.id != a.id and n.id not in a.routing_table
     )
     slot = a.routing_table.slot_for(candidate.id)
-    a._on_slot_reply(m.SlotReply(row=slot[0], col=slot[1],
-                                 entry=candidate.descriptor))
+    a.forwarding.on_slot_reply(
+        candidate.addr, candidate.descriptor,
+        m.SlotReply(row=slot[0], col=slot[1], entry=candidate.descriptor))
     # Not inserted synchronously (repair rule: direct message first)...
     sim.run(until=sim.now + 15)
     # ...but after the distance probe exchange it lands in the table.
@@ -49,15 +51,17 @@ def test_slot_reply_probes_before_insert():
 def test_slot_reply_ignores_self_and_failed():
     sim, net, nodes = overlay(seed=1005)
     a, b = nodes[0], nodes[1]
-    a.failed[b.id] = b.descriptor
+    a.failures.failed[b.id] = b.descriptor
     slot = a.routing_table.slot_for(b.id)
     a.routing_table.remove(b.id)
     before = net.messages_sent
-    a._on_slot_reply(m.SlotReply(row=slot[0], col=slot[1], entry=b.descriptor))
+    a.forwarding.on_slot_reply(
+        b.addr, b.descriptor,
+        m.SlotReply(row=slot[0], col=slot[1], entry=b.descriptor))
     # The failed entry is ignored outright: no probe, no insert.
     assert net.messages_sent == before
     assert b.id not in a.routing_table
-    del a.failed[b.id]  # restore the shared state
+    del a.failures.failed[b.id]  # restore the shared state
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +74,8 @@ def test_buffer_capped():
         sim, net, PastryConfig(leaf_set_size=8), random_nodeid(rng), rng
     )
     for i in range(MAX_BUFFERED + 50):
-        joiner._buffer(joiner.make_lookup(random_nodeid(rng)))
-    assert len(joiner._buffered) == MAX_BUFFERED
+        joiner.forwarding.buffer(joiner.make_lookup(random_nodeid(rng)))
+    assert len(joiner.forwarding.buffered) == MAX_BUFFERED
 
 
 def test_buffered_join_request_served_after_activation():
@@ -132,11 +136,11 @@ def test_rt_probe_suppressed_when_recently_heard():
     for desc in entries:
         a.last_heard[desc.id] = sim.now  # everyone fresh
     before = a.network.messages_sent
-    a._last_rt_scan = sim.now
-    a._rt_scan()
+    a.liveness._last_rt_scan = sim.now
+    a.liveness.rt_scan()
     # No probes were necessary (the scan only rescheduled itself).
     assert a.network.messages_sent == before
-    a._rt_scan_handle.cancel()
+    a.liveness._rt_scan_handle.cancel()
 
 
 def test_rt_probe_sent_for_silent_entry():
@@ -148,10 +152,10 @@ def test_rt_probe_sent_for_silent_entry():
     silent = entries[0]
     a.last_heard.pop(silent.id, None)
     before = a.network.messages_sent
-    a._rt_scan()
+    a.liveness.rt_scan()
     assert a.network.messages_sent > before
-    assert silent.id in a._rt_probing
-    a._rt_scan_handle.cancel()
+    assert silent.id in a.rt_probing.pending
+    a.liveness._rt_scan_handle.cancel()
     sim.run(until=sim.now + 15)  # let the probe resolve
 
 

@@ -143,7 +143,7 @@ def test_row_announce_triggers_consideration():
         return  # everyone known in this tiny overlay; nothing to assert
     row = a.routing_table.slot_for(unknown.id)[0]
     a.prox.on_row_announce(
-        nodes[1].descriptor, m.RowAnnounce(row=row, entries=[unknown.descriptor])
+        nodes[1].addr, nodes[1].descriptor, m.RowAnnounce(row=row, entries=[unknown.descriptor])
     )
     sim.run(until=sim.now + 10)
     assert unknown.id in a.prox.proximity

@@ -87,9 +87,9 @@ def test_exclusion_reroutes_to_alternative(small_overlay):
     key = random_nodeid(rng)
     root = true_root(nodes, key)
     src = next(n for n in nodes if n.id != root.id)
-    first_hop = src._next_hop(key, frozenset())
+    first_hop = src.forwarding.next_hop(key, frozenset())
     assert first_hop is not None
-    alt = src._next_hop(key, frozenset({first_hop.id}))
+    alt = src.forwarding.next_hop(key, frozenset({first_hop.id}))
     if alt is not None:
         assert alt.id != first_hop.id
         # the alternative still makes progress
@@ -103,12 +103,12 @@ def test_next_hop_never_returns_failed(small_overlay):
     rng = random.Random(5)
     src = nodes[0]
     key = random_nodeid(rng)
-    hop = src._next_hop(key, frozenset())
+    hop = src.forwarding.next_hop(key, frozenset())
     if hop is not None:
-        src.failed[hop.id] = hop
-        second = src._next_hop(key, frozenset())
+        src.failures.failed[hop.id] = hop
+        second = src.forwarding.next_hop(key, frozenset())
         assert second is None or second.id != hop.id
-        del src.failed[hop.id]
+        del src.failures.failed[hop.id]
 
 
 def test_next_hop_is_none_when_every_closer_leaf_is_unusable(small_overlay):
@@ -123,19 +123,19 @@ def test_next_hop_is_none_when_every_closer_leaf_is_unusable(small_overlay):
     ]
     assert len(closer) >= 3
     best = min(closer, key=lambda d: (ring_distance(d.id, key), d.id))
-    assert src._next_hop(key, frozenset()) is best
+    assert src.forwarding.next_hop(key, frozenset()) is best
     suspect, dead, *rest = closer
     excluded = frozenset(d.id for d in rest)
     src.suspected.add(suspect.id)
-    src.failed[dead.id] = dead
+    src.failures.failed[dead.id] = dead
     try:
-        assert src._next_hop(key, excluded) is None
-        assert src._next_hop(key, frozenset()) in rest
+        assert src.forwarding.next_hop(key, excluded) is None
+        assert src.forwarding.next_hop(key, frozenset()) in rest
         src.suspected.discard(suspect.id)
-        assert src._next_hop(key, excluded) is suspect
+        assert src.forwarding.next_hop(key, excluded) is suspect
     finally:
         src.suspected.discard(suspect.id)
-        del src.failed[dead.id]
+        del src.failures.failed[dead.id]
 
 
 def test_next_hop_leaf_branch_matches_linear_scan(small_overlay):
@@ -152,7 +152,7 @@ def test_next_hop_leaf_branch_matches_linear_scan(small_overlay):
                 continue
             excluded = frozenset(d.id for d in rng.sample(members, rng.randrange(4)))
             best = linear_root(node.leaf_set, key, excluded)
-            hop = node._next_hop(key, excluded)
+            hop = node.forwarding.next_hop(key, excluded)
             assert hop is (None if best is node.descriptor else best)
             checked += 1
     assert checked > 100
@@ -180,7 +180,7 @@ def test_prefix_routing_monotone_progress(small_overlay):
     for _ in range(30):
         key = random_nodeid(rng)
         node = rng.choice(nodes)
-        hop = node._next_hop(key, frozenset())
+        hop = node.forwarding.next_hop(key, frozenset())
         if hop is None:
             continue
         better_prefix = shared_prefix_length(hop.id, key, 4) > shared_prefix_length(
