@@ -10,8 +10,10 @@ finding fails CI — so a lambda reintroduced into
 
 The registry below names the per-event functions ``perf/``'s traced runs
 attribute time to (``sim.*``, ``transport.*``, ``topology.*``,
-``pastry.h.*`` spans); add a function here when it joins the per-event
-path, remove it when it leaves.
+``pastry.h.*`` spans, and on the live substrate ``wire.*``, ``udp.*``,
+``clock.*``: the per-datagram path is held to what ``sim/`` is held to);
+add a function here when it joins the per-event path, remove it when it
+leaves.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/pastry/messages.py": frozenset({"wire_size"}),
     "repro/adversary/behaviors.py": frozenset(
         {"intercept", "_intercept_lookup", "_intercept_join"}
+    ),
+    "repro/runtime/wire.py": frozenset(
+        {"encode", "decode", "encode_frame", "decode_frame"}
+    ),
+    "repro/runtime/transport.py": frozenset({"send", "_on_datagram"}),
+    "repro/runtime/clock.py": frozenset(
+        {"schedule", "schedule_at", "_fire", "_rearm"}
     ),
 }
 
@@ -125,6 +134,7 @@ HOT_CLASSES: Dict[str, FrozenSet[str]] = {
     "repro/adversary/behaviors.py": frozenset(
         {"AdversaryParams", "ActiveAdversary"}
     ),
+    "repro/runtime/clock.py": frozenset({"RealTimerHandle"}),
 }
 
 

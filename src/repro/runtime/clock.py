@@ -72,7 +72,10 @@ class AsyncioClock:
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self._loop = loop if loop is not None else asyncio.get_event_loop()
-        self._origin = self._loop.time()
+        #: the loop's clock as one bound call: ``now`` is read several
+        #: times per datagram
+        self._time = self._loop.time
+        self._origin = self._time()
         #: (time, seq, handle); seq breaks ties in scheduling order, like
         #: the simulator's heap, and keeps handles out of comparisons
         self._heap: List[Tuple[float, int, RealTimerHandle]] = []
@@ -87,7 +90,7 @@ class AsyncioClock:
     @property
     def now(self) -> float:
         """Seconds since clock construction (monotonic)."""
-        return self._loop.time() - self._origin
+        return self._time() - self._origin
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> RealTimerHandle:

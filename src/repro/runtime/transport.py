@@ -20,11 +20,17 @@ matching (``HopAckManager.on_ack`` compares ``from_addr`` against
 ``next_hop.addr``) works exactly as in the simulator.  Malformed
 datagrams are counted and dropped — on a real network they are line
 noise, not a protocol event.
+
+Per datagram the socket pays for the frame and the syscall, not for
+address arithmetic: :func:`pack_addr` and :func:`unpack_addr` are pure, so
+both remember their most recent peers (bounded, least recently used out
+first — a flood of spoofed source addresses evicts itself).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import socket
 import struct
@@ -37,8 +43,11 @@ log = logging.getLogger(__name__)
 
 _PORT_BITS = 16
 _PORT_MASK = (1 << _PORT_BITS) - 1
+#: peers whose packed <-> endpoint forms are remembered, in each direction
+_PEER_CACHE = 4096
 
 
+@functools.lru_cache(maxsize=_PEER_CACHE)
 def pack_addr(host: str, port: int) -> Address:
     """Pack a dotted-quad IPv4 host and port into one opaque int."""
     if not 0 < port <= _PORT_MASK:
@@ -47,6 +56,7 @@ def pack_addr(host: str, port: int) -> Address:
     return (ip << _PORT_BITS) | port
 
 
+@functools.lru_cache(maxsize=_PEER_CACHE)
 def unpack_addr(addr: Address) -> Tuple[str, int]:
     """Inverse of :func:`pack_addr`."""
     host = socket.inet_ntoa(struct.pack(">I", addr >> _PORT_BITS))
@@ -54,14 +64,12 @@ def unpack_addr(addr: Address) -> Tuple[str, int]:
 
 
 class _DatagramProtocol(asyncio.DatagramProtocol):
-    """asyncio glue: forwards datagrams to the owning transport."""
+    """asyncio glue: ``datagram_received`` *is* the owning transport's
+    bound ``_on_datagram``, so a datagram crosses no trampoline."""
 
     def __init__(self, owner: "UdpTransport") -> None:
         self._owner = owner
-
-    def datagram_received(self, data: bytes,
-                          peer: Tuple[str, int]) -> None:
-        self._owner._on_datagram(data, peer)
+        self.datagram_received = owner._on_datagram  # type: ignore[assignment]
 
     def error_received(self, exc: Exception) -> None:
         self._owner.socket_errors += 1
@@ -160,7 +168,7 @@ class UdpTransport:
             msg, end = decode_frame(data)
             if end != len(data):
                 raise WireError(f"{len(data) - end} stray byte(s) in datagram")
-        except (WireError, ValueError, OSError):
+        except ValueError:  # a WireError, or pack_addr refusing source port 0
             self.messages_malformed += 1
             return
         if self._local_addr is None:

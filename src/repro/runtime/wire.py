@@ -9,54 +9,61 @@ Layout — all integers big-endian, no padding, no host-dependent types::
                 | per-type fields in declared order
     desc     := id:u128 | addr:u64
     opt-desc := present:u8 | [desc]
-    list     := count:u16 | desc*
+    list     := count:u16 | opt-desc*                 (each one present)
     rows     := count:u16 | (row:u16 | list)*
     payload  := kind:u8 | [u32 length | bytes]        (None/bytes/str/int)
 
 Encoding is a pure function of the message value: the same message always
 produces the same bytes (dict rows are emitted in sorted row order), so
 ``encode(decode(encode(msg))) == encode(msg)`` holds for every message —
-the property test in ``tests/test_runtime_wire.py`` enforces it across
-the whole registry, which must list every concrete message type
-(``test_registry_is_complete`` fails when a new type is added without a
-codec entry).
+``tests/test_runtime_wire.py`` enforces it across the whole registry, which
+must list every concrete message type (``test_registry_is_complete``), and
+``tests/golden/wire_frames.json`` pins the bytes.
 
-Type ids are a stable wire contract, like detlint rule codes: never
-renumber them, only append.
+The codec is compiled, not interpreted.  At import ``_compile`` turns each
+``_REGISTRY`` entry into one frame encoder and one body decoder (generated
+source) in which every maximal run of fixed-size fields — header, sender
+and hint included — is one precompiled ``struct`` call, a descriptor list
+is one ``iter_unpack`` over a bounds-checked span, and nothing on the
+success path builds an error label.  A failed encode is explained
+afterwards by ``_reject``; a decoder that runs off its buffer raises
+``struct.error`` / ``IndexError``, which ``decode_frame`` reports as
+truncation, so a decoder is always given a buffer that ends where its
+message must.  Frames are the primitive: ``encode`` / ``decode`` strip and
+add the length prefix around them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.pastry import messages as m
-from repro.pastry.nodeid import NodeDescriptor, intern_descriptor
+from repro.pastry.nodeid import NodeDescriptor
 
 #: bump only for incompatible layout changes; decoders reject mismatches
 WIRE_VERSION = 1
 
-_U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
+_DESC = struct.Struct(">QQQ")  # id high half, id low half, addr
+_OPT_DESC = struct.Struct(">BQQQ")  # a present descriptor behind its flag
+_LIST_ITEM = struct.Struct(">x24s")  # a list element: flag skipped, raw desc
+_PAYLOAD_DATA = struct.Struct(">BI")  # kind, length of the bytes that follow
+_PAYLOAD_INT = struct.Struct(">Bq")  # kind, value
 
-_MAX_U16 = 0xFFFF
-_MAX_U32 = 0xFFFFFFFF
-_MAX_U64 = 0xFFFFFFFFFFFFFFFF
-_MAX_U128 = (1 << 128) - 1
-
-#: flags byte bits (shared Message header fields)
-_FLAG_SENDER = 0x01
-_FLAG_HINT = 0x02
+#: inclusive upper bound of each unsigned integer width
+_LIMITS = {"u16": 0xFFFF, "u32": 0xFFFFFFFF, "u64": (1 << 64) - 1,
+           "u128": (1 << 128) - 1}
+_MAX_U64 = _LIMITS["u64"]
 
 #: payload kind tags
-_PAYLOAD_NONE = 0
-_PAYLOAD_BYTES = 1
-_PAYLOAD_STR = 2
-_PAYLOAD_INT = 3
+_PAYLOAD_NONE, _PAYLOAD_BYTES, _PAYLOAD_STR, _PAYLOAD_INTEGER = range(4)
+#: what a plan raises on a value it cannot encode
+_UNENCODABLE = (struct.error, TypeError, AttributeError, OverflowError,
+                ValueError)
+_Rows = Dict[int, List[NodeDescriptor]]
 
 
 class WireError(ValueError):
@@ -64,194 +71,146 @@ class WireError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Primitive writers
+# Variable-size kinds, encode side: ``_pack_<kind>(value) -> bytes``.  A bad
+# value raises what it raises (one of ``_UNENCODABLE``); ``_reject`` turns
+# that into the WireError that names the field.
 # ----------------------------------------------------------------------
-def _w_uint(out: bytearray, value: int, packer: struct.Struct,
-            limit: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WireError(f"{what}: expected int, got {type(value).__name__}")
-    if not 0 <= value <= limit:
-        raise WireError(f"{what} out of range [0, {limit}]: {value}")
-    out += packer.pack(value)
+def _check_ints(*values: Any) -> None:
+    """The slow half of the integer check, after ``type(v) is int`` failed:
+    int subclasses pass, ``bool`` and everything else do not."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"expected int, got {type(value).__name__}")
 
 
-def _w_u128(out: bytearray, value: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WireError(f"{what}: expected int, got {type(value).__name__}")
-    if not 0 <= value <= _MAX_U128:
-        raise WireError(f"{what} out of range [0, 2^128): {value}")
-    out += value.to_bytes(16, "big")
-
-
-def _w_f64(out: bytearray, value: float, what: str) -> None:
-    try:
-        out += _F64.pack(value)
-    except (struct.error, TypeError) as exc:
-        raise WireError(f"{what}: not a float: {value!r}") from exc
-
-
-def _w_desc(out: bytearray, desc: Optional[NodeDescriptor], what: str) -> None:
+def _pack_desc(desc: Optional[NodeDescriptor]) -> bytes:
     if desc is None:
-        out += b"\x00"
-        return
-    out += b"\x01"
-    _w_u128(out, desc.id, f"{what}.id")
-    _w_uint(out, desc.addr, _U64, _MAX_U64, f"{what}.addr")
+        return b"\x00"
+    i, a = desc.id, desc.addr
+    if not (type(i) is type(a) is int):
+        _check_ints(i, a)
+    return _OPT_DESC.pack(1, i >> 64, i & _MAX_U64, a)
 
 
-def _w_desc_list(out: bytearray, descs: List[NodeDescriptor], what: str) -> None:
-    if len(descs) > _MAX_U16:
-        raise WireError(f"{what}: list too long for the wire: {len(descs)}")
-    out += _U16.pack(len(descs))
-    for i, desc in enumerate(descs):
-        if desc is None:
-            raise WireError(f"{what}[{i}]: None descriptor inside a list")
-        _w_desc(out, desc, f"{what}[{i}]")
+def _pack_desc_list(descs: List[NodeDescriptor]) -> bytes:
+    if len(descs) > _LIMITS["u16"]:
+        raise ValueError(f"list too long for the wire: {len(descs)}")
+    pack = _OPT_DESC.pack
+    out = [_U16.pack(len(descs))]
+    for desc in descs:
+        i, a = desc.id, desc.addr  # None inside a list: AttributeError
+        if not (type(i) is type(a) is int):
+            _check_ints(i, a)
+        out.append(pack(1, i >> 64, i & _MAX_U64, a))
+    return b"".join(out)
 
 
-def _w_rows(out: bytearray, rows: Dict[int, List[NodeDescriptor]],
-            what: str) -> None:
-    if len(rows) > _MAX_U16:
-        raise WireError(f"{what}: too many rows: {len(rows)}")
-    out += _U16.pack(len(rows))
+def _pack_rows(rows: _Rows) -> bytes:
+    _check_ints(*rows)
     # Sorted row order: dict insertion order is a run artefact, not part of
     # the message value, and encoding must be a pure function of the value.
-    for row in sorted(rows):
-        _w_uint(out, row, _U16, _MAX_U16, f"{what} row index")
-        _w_desc_list(out, rows[row], f"{what}[{row}]")
+    return _U16.pack(len(rows)) + b"".join(
+        _U16.pack(row) + _pack_desc_list(rows[row]) for row in sorted(rows))
 
 
-def _w_payload(out: bytearray, payload: Any, what: str) -> None:
+def _pack_payload(payload: Any) -> bytes:
     if payload is None:
-        out += _U8.pack(_PAYLOAD_NONE)
-    elif isinstance(payload, (bytes, bytearray)):
-        data = bytes(payload)
-        out += _U8.pack(_PAYLOAD_BYTES) + _U32.pack(len(data)) + data
-    elif isinstance(payload, str):
+        return b"\x00"
+    if isinstance(payload, (bytes, bytearray)):
+        return _PAYLOAD_DATA.pack(_PAYLOAD_BYTES, len(payload)) + payload
+    if isinstance(payload, str):
         data = payload.encode("utf-8")
-        out += _U8.pack(_PAYLOAD_STR) + _U32.pack(len(data)) + data
-    elif isinstance(payload, int) and not isinstance(payload, bool):
-        try:
-            out += _U8.pack(_PAYLOAD_INT) + _I64.pack(payload)
-        except struct.error as exc:
-            raise WireError(f"{what}: int payload exceeds 64 bits") from exc
-    else:
-        raise WireError(
-            f"{what}: unencodable payload type {type(payload).__name__} "
-            f"(wire payloads are None/bytes/str/int)")
+        return _PAYLOAD_DATA.pack(_PAYLOAD_STR, len(data)) + data
+    if isinstance(payload, int) and not isinstance(payload, bool):
+        return _PAYLOAD_INT.pack(_PAYLOAD_INTEGER, payload)
+    raise TypeError(f"unencodable payload type {type(payload).__name__} "
+                    f"(wire payloads are None/bytes/str/int)")
 
 
 # ----------------------------------------------------------------------
-# Primitive readers: (buffer, offset) -> (value, new offset)
+# Variable-size kinds, decode side: ``_read_<kind>(buf, pos) -> (value, new
+# pos)``.  A count or length is checked against the bytes left before
+# anything is built from it; running out of bytes is an IndexError or a
+# struct.error, which ``decode_frame`` reports as truncation.
 # ----------------------------------------------------------------------
-def _need(buf: bytes, off: int, n: int) -> None:
-    if off + n > len(buf):
-        raise WireError(f"truncated message: need {n} bytes at offset {off}, "
-                        f"have {len(buf) - off}")
+class _DescriptorCache(dict):
+    """The 24 wire bytes of a descriptor -> one shared ``NodeDescriptor``:
+    the decoder's own intern table.  What arrives in datagrams must not
+    grow the process for good, so at the cap it is cleared and refills
+    (descriptors compare by value; sharing them is only a saving).  A hit
+    is one dict lookup and no 128-bit arithmetic."""
+
+    cap = 65536  #: distinct descriptors remembered before it starts over
+
+    def __missing__(self, raw: bytes) -> NodeDescriptor:
+        hi, lo, addr = _DESC.unpack(raw)  # struct.error if cut short
+        if len(self) >= self.cap:
+            self.clear()
+        desc = self[raw] = NodeDescriptor(hi << 64 | lo, addr)
+        return desc
 
 
-def _r_uint(buf: bytes, off: int, packer: struct.Struct) -> Tuple[int, int]:
-    _need(buf, off, packer.size)
-    return packer.unpack_from(buf, off)[0], off + packer.size
+_DESCRIPTORS = _DescriptorCache()
 
 
-def _r_u128(buf: bytes, off: int) -> Tuple[int, int]:
-    _need(buf, off, 16)
-    return int.from_bytes(buf[off:off + 16], "big"), off + 16
-
-
-def _r_f64(buf: bytes, off: int) -> Tuple[float, int]:
-    _need(buf, off, 8)
-    return _F64.unpack_from(buf, off)[0], off + 8
-
-
-def _r_desc(buf: bytes, off: int) -> Tuple[Optional[NodeDescriptor], int]:
-    present, off = _r_uint(buf, off, _U8)
+def _read_desc(buf: bytes, pos: int) -> Tuple[Optional[NodeDescriptor], int]:
+    present = buf[pos]
     if present == 0:
-        return None, off
+        return None, pos + 1
     if present != 1:
         raise WireError(f"bad descriptor presence flag: {present}")
-    node_id, off = _r_u128(buf, off)
-    addr, off = _r_uint(buf, off, _U64)
-    return intern_descriptor(node_id, addr), off
+    return _DESCRIPTORS[buf[pos + 1:pos + 25]], pos + 25
 
 
-def _r_desc_list(buf: bytes, off: int) -> Tuple[List[NodeDescriptor], int]:
-    count, off = _r_uint(buf, off, _U16)
-    out: List[NodeDescriptor] = []
+def _read_desc_list(buf: bytes, pos: int) -> Tuple[List[NodeDescriptor], int]:
+    (count,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    end = pos + 25 * count
+    if end > len(buf):
+        raise IndexError("descriptor count exceeds the bytes left")
+    if buf[pos:end:25] != b"\x01" * count:
+        raise WireError("None descriptor or bad presence flag inside a list")
+    return [_DESCRIPTORS[raw]
+            for (raw,) in _LIST_ITEM.iter_unpack(buf[pos:end])], end
+
+
+def _read_rows(buf: bytes, pos: int) -> Tuple[_Rows, int]:
+    (count,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    if pos + 4 * count > len(buf):  # a row is at least an index and a count
+        raise IndexError("row count exceeds the bytes left")
+    rows: _Rows = {}
     for _ in range(count):
-        desc, off = _r_desc(buf, off)
-        if desc is None:
-            raise WireError("None descriptor inside a list")
-        out.append(desc)
-    return out, off
+        (row,) = _U16.unpack_from(buf, pos)
+        rows[row], pos = _read_desc_list(buf, pos + 2)
+    return rows, pos
 
 
-def _r_rows(buf: bytes, off: int) -> Tuple[Dict[int, List[NodeDescriptor]], int]:
-    count, off = _r_uint(buf, off, _U16)
-    rows: Dict[int, List[NodeDescriptor]] = {}
-    for _ in range(count):
-        row, off = _r_uint(buf, off, _U16)
-        entries, off = _r_desc_list(buf, off)
-        rows[row] = entries
-    return rows, off
-
-
-def _r_bool(buf: bytes, off: int) -> Tuple[bool, int]:
-    _need(buf, off, 1)
-    return buf[off] != 0, off + 1
-
-
-def _r_payload(buf: bytes, off: int) -> Tuple[Any, int]:
-    kind, off = _r_uint(buf, off, _U8)
+def _read_payload(buf: bytes, pos: int) -> Tuple[Any, int]:
+    kind = buf[pos]
     if kind == _PAYLOAD_NONE:
-        return None, off
-    if kind == _PAYLOAD_INT:
-        _need(buf, off, 8)
-        return _I64.unpack_from(buf, off)[0], off + 8
-    if kind in (_PAYLOAD_BYTES, _PAYLOAD_STR):
-        length, off = _r_uint(buf, off, _U32)
-        _need(buf, off, length)
-        raw = bytes(buf[off:off + length])
-        off += length
-        if kind == _PAYLOAD_STR:
-            try:
-                return raw.decode("utf-8"), off
-            except UnicodeDecodeError as exc:
-                raise WireError(f"bad utf-8 in str payload: {exc}") from exc
-        return raw, off
-    raise WireError(f"unknown payload kind: {kind}")
+        return None, pos + 1
+    if kind == _PAYLOAD_INTEGER:
+        return _PAYLOAD_INT.unpack_from(buf, pos)[1], pos + 9
+    if kind != _PAYLOAD_BYTES and kind != _PAYLOAD_STR:
+        raise WireError(f"unknown payload kind: {kind}")
+    start = pos + 5
+    end = start + _U32.unpack_from(buf, pos + 1)[0]
+    if end > len(buf):
+        raise IndexError("payload length exceeds the bytes left")
+    raw = buf[start:end]
+    if kind == _PAYLOAD_BYTES:
+        return raw, end
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"bad utf-8 in str payload: {exc}") from exc
 
 
-# ----------------------------------------------------------------------
-# Field codecs by kind name
-# ----------------------------------------------------------------------
-_WRITERS = {
-    "u16": lambda out, v, what: _w_uint(out, v, _U16, _MAX_U16, what),
-    "u32": lambda out, v, what: _w_uint(out, v, _U32, _MAX_U32, what),
-    "u128": _w_u128,
-    "f64": _w_f64,
-    "bool": lambda out, v, what: out.extend(b"\x01" if v else b"\x00"),
-    "desc": _w_desc,
-    "desc_list": _w_desc_list,
-    "rows": _w_rows,
-    "payload": _w_payload,
-}
-
-_READERS = {
-    "u16": lambda buf, off: _r_uint(buf, off, _U16),
-    "u32": lambda buf, off: _r_uint(buf, off, _U32),
-    "u128": _r_u128,
-    "f64": _r_f64,
-    "bool": _r_bool,
-    "desc": _r_desc,
-    "desc_list": _r_desc_list,
-    "rows": _r_rows,
-    "payload": _r_payload,
-}
-
+#: The one declaration the plans are compiled from:
 #: (type id, message class, per-type fields beyond the shared header).
-#: Append-only: ids are the wire contract.
+#: Type ids are a stable wire contract, like detlint rule codes: never
+#: renumber them, only append.
 _REGISTRY: Tuple[Tuple[int, type, Tuple[Tuple[str, str], ...]], ...] = (
     (1, m.JoinRequest, (("msg_id", "u128"), ("joiner", "desc"),
                         ("rows", "rows"))),
@@ -282,12 +241,7 @@ _REGISTRY: Tuple[Tuple[int, type, Tuple[Tuple[str, str], ...]], ...] = (
 )
 
 _TYPE_TO_ID: Dict[type, int] = {cls: tid for tid, cls, _ in _REGISTRY}
-_ID_TO_ENTRY: Dict[int, Tuple[type, Tuple[Tuple[str, str], ...]]] = {
-    tid: (cls, fields) for tid, cls, fields in _REGISTRY
-}
-_TYPE_TO_FIELDS: Dict[type, Tuple[Tuple[str, str], ...]] = {
-    cls: fields for _, cls, fields in _REGISTRY
-}
+_TYPE_TO_FIELDS = {cls: fields for _, cls, fields in _REGISTRY}
 
 
 def wire_types() -> List[type]:
@@ -296,77 +250,197 @@ def wire_types() -> List[type]:
 
 
 # ----------------------------------------------------------------------
+# Plan compiler: one registry entry -> (frame encoder, body decoder)
+# ----------------------------------------------------------------------
+#: fixed-size kinds -> struct format (a u128 travels as two 64-bit halves);
+#: every other kind goes through its ``_pack_<kind>`` / ``_read_<kind>``
+_FIXED = {"u16": "H", "u32": "I", "u128": "QQ", "f64": "d", "bool": "?"}
+#: Both plans of one type, as closures over its class and structs: H0..H3 /
+#: D0..D3 are the header by flags value with the first run of fixed fields
+#: folded in, R<j> the later runs.  Every other name is a global of this
+#: module.  ``decode`` starts at the version byte, the header already checked.
+_PLAN_SOURCE = """\
+def plans(cls, {structs}):
+    def encode(msg):
+        sender = msg.sender; hint = msg.tuning_hint
+        {loads}
+        n = {size}
+        if sender is None:
+            head = (H0.pack(n, {ids}, 0, {args}) if hint is None
+                    else H2.pack(n + 8, {ids}, 2, hint, {args}))
+        else:
+            i = sender.id; a = sender.addr
+            if not (type(i) is type(a) is int):
+                _check_ints(i, a)
+            hi = i >> 64; lo = i & _MAX_U64
+            head = (H1.pack(n + 24, {ids}, 1, hi, lo, a, {args}) if hint is None
+                    else H3.pack(n + 32, {ids}, 3, hi, lo, a, hint, {args}))
+        return {frame}
+
+    def decode(buf, pos, flags):
+        if flags == 1:
+            [sender, {targets}] = D1.unpack_from(buf, pos); pos += {D1.size}
+            sender = _DESCRIPTORS[sender]; hint = None
+        elif flags == 0:
+            [{targets}] = D0.unpack_from(buf, pos); pos += {D0.size}
+            sender = hint = None
+        elif flags == 3:
+            [sender, hint, {targets}] = D3.unpack_from(buf, pos)
+            sender = _DESCRIPTORS[sender]; pos += {D3.size}
+        else:
+            [hint, {targets}] = D2.unpack_from(buf, pos); pos += {D2.size}
+            sender = None
+        {reads}
+        if pos != len(buf):
+            raise WireError(
+                f"{{len(buf) - pos}} trailing byte(s) after {name}")
+        return cls({values})
+    return encode, decode
+"""
+
+_ENCODERS: Dict[type, Callable[[Any], bytes]] = {}
+_DECODERS: Dict[int, Callable[..., Any]] = {}
+
+
+def _compile(type_id: int, cls: type, fields: Tuple[tuple, ...]) -> None:
+    """Generate, compile and register the two plans of one message type."""
+    # wire order: maximal runs of fixed-size fields (lists, possibly empty)
+    # alternate with single variable-size fields (tuples)
+    segments: List[Any] = [[]]
+    for k, field in enumerate(fields):
+        if field[1] in _FIXED:
+            segments[-1].append((f"v{k}", *field))
+        else:
+            segments += [(f"v{k}", *field), []]
+    structs: Dict[str, struct.Struct] = {}
+    # source fragments; the list-like ones keep a trailing separator
+    loads = reads = types = ints = size = ""
+    fixed, frame = 3, "head, "
+    values = {"sender": "sender", "tuning_hint": "hint"}
+    for j, segment in enumerate(segments):
+        if type(segment) is tuple:
+            v, attr, kind = segment
+            loads += f"{v} = _pack_{kind}(msg.{attr})\n        "
+            reads += f"{v}, pos = _read_{kind}(buf, pos)\n        "
+            size += f" + len({v})"
+            frame += f"{v}, "
+            values[attr] = v
+            continue
+        fmt = args = targets = ""
+        for v, attr, kind in segment:
+            wide = kind == "u128"
+            fmt += _FIXED[kind]
+            args += f"{v} >> 64, {v} & _MAX_U64, " if wide else f"{v}, "
+            targets += f"{v}, {v}_, " if wide else f"{v}, "
+            values[attr] = f"{v} << 64 | {v}_" if wide else v
+            loads += f"{v} = msg.{attr}\n        "
+            if kind in _LIMITS:
+                types, ints = f"{types}type({v}) is ", f"{ints}{v}, "
+        fixed += struct.calcsize(">" + fmt)
+        if j == 0:
+            for flags, (head, raw) in enumerate(
+                    (("", ""), ("QQQ", "24s"), ("d", "d"), ("QQQd", "24sd"))):
+                structs[f"H{flags}"] = struct.Struct(">IBBB" + head + fmt)
+                structs[f"D{flags}"] = struct.Struct(">3x" + raw + fmt)
+            head_args, head_targets = args, targets
+        elif segment:
+            run = structs[f"R{j}"] = struct.Struct(">" + fmt)
+            frame += f"R{j}.pack({args}), "
+            reads += (f"[{targets}] = R{j}.unpack_from(buf, pos); "
+                      f"pos += {run.size}\n        ")
+    if ints:
+        loads += f"if not ({types}int): _check_ints({ints})"
+    source = _PLAN_SOURCE.format(
+        structs=", ".join(structs), loads=loads, reads=reads,
+        size=f"{fixed}{size}", ids=f"{WIRE_VERSION}, {type_id}",
+        args=head_args, targets=head_targets, name=cls.__name__,
+        frame="head" if frame == "head, " else f"b''.join(({frame}))",
+        # in dataclass order: a field the registry forgot is a KeyError here
+        values=", ".join(values[f.name] for f in dataclasses.fields(cls)),
+        **structs)
+    scope: Dict[str, Any] = {}
+    exec(compile(source, f"<wire plan {cls.__name__}>", "exec"),
+         globals(), scope)
+    _ENCODERS[cls], _DECODERS[type_id] = scope["plans"](cls, **structs)
+
+
+for _entry in _REGISTRY:
+    _compile(*_entry)
+
+
+def _reject(msg: m.Message) -> None:
+    """Cold path, after a plan has failed: raise the WireError naming the
+    first field of ``msg`` that does not encode (header first, then declared
+    order); return if every field does."""
+    header = (("sender", "desc"),) + (
+        (("tuning_hint", "f64"),) if msg.tuning_hint is not None else ())
+    for attr, kind in header + _TYPE_TO_FIELDS[msg.__class__]:
+        value = getattr(msg, attr)
+        try:
+            if kind in _LIMITS:
+                _check_ints(value)
+                if not 0 <= value <= _LIMITS[kind]:
+                    raise ValueError(
+                        f"out of range [0, {_LIMITS[kind]}]: {value}")
+            elif kind == "f64":
+                struct.pack(">d", value)
+            elif kind != "bool":  # any value: its truth is what is sent
+                globals()[f"_pack_{kind}"](value)
+        except _UNENCODABLE as exc:
+            raise WireError(f"{type(msg).__name__}.{attr}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
+def encode_frame(msg: m.Message) -> bytes:
+    """``encode`` behind a u32 length prefix (datagrams, streams, files)."""
+    plan = _ENCODERS.get(msg.__class__)
+    if plan is None:
+        raise WireError(f"no wire codec for {type(msg).__name__}")
+    try:
+        return plan(msg)
+    except _UNENCODABLE:
+        _reject(msg)
+        raise  # no field's fault: a defect in the plan itself
+
+
 def encode(msg: m.Message) -> bytes:
     """Serialize one message to its canonical wire bytes."""
-    type_id = _TYPE_TO_ID.get(msg.__class__)
-    if type_id is None:
-        raise WireError(f"no wire codec for {type(msg).__name__}")
-    flags = 0
-    if msg.sender is not None:
-        flags |= _FLAG_SENDER
-    if msg.tuning_hint is not None:
-        flags |= _FLAG_HINT
-    out = bytearray((WIRE_VERSION, type_id, flags))
-    if msg.sender is not None:
-        _w_u128(out, msg.sender.id, "sender.id")
-        _w_uint(out, msg.sender.addr, _U64, _MAX_U64, "sender.addr")
-    if msg.tuning_hint is not None:
-        _w_f64(out, msg.tuning_hint, "tuning_hint")
-    what = type(msg).__name__
-    for attr, kind in _TYPE_TO_FIELDS[msg.__class__]:
-        _WRITERS[kind](out, getattr(msg, attr), f"{what}.{attr}")
-    return bytes(out)
+    return encode_frame(msg)[4:]
 
 
 def decode(data: bytes) -> m.Message:
-    """Parse canonical wire bytes back into a message.
-
-    Strict: the buffer must contain exactly one message — trailing bytes
-    are an error, as is any truncation or unknown type/version.
-    """
-    buf = bytes(data)
-    _need(buf, 0, 3)
-    version, type_id, flags = buf[0], buf[1], buf[2]
-    if version != WIRE_VERSION:
-        raise WireError(f"unsupported wire version: {version}")
-    entry = _ID_TO_ENTRY.get(type_id)
-    if entry is None:
-        raise WireError(f"unknown message type id: {type_id}")
-    if flags & ~(_FLAG_SENDER | _FLAG_HINT):
-        raise WireError(f"unknown flag bits set: {flags:#x}")
-    cls, fields = entry
-    off = 3
-    sender: Optional[NodeDescriptor] = None
-    if flags & _FLAG_SENDER:
-        sender_id, off = _r_u128(buf, off)
-        sender_addr, off = _r_uint(buf, off, _U64)
-        sender = intern_descriptor(sender_id, sender_addr)
-    hint: Optional[float] = None
-    if flags & _FLAG_HINT:
-        hint, off = _r_f64(buf, off)
-    msg = cls()
-    msg.sender = sender
-    msg.tuning_hint = hint
-    for attr, kind in fields:
-        value, off = _READERS[kind](buf, off)
-        setattr(msg, attr, value)
-    if off != len(buf):
-        raise WireError(
-            f"{len(buf) - off} trailing byte(s) after {cls.__name__}")
-    return msg
-
-
-def encode_frame(msg: m.Message) -> bytes:
-    """``encode`` with a u32 length prefix (stream transports, artifacts)."""
-    body = encode(msg)
-    return _U32.pack(len(body)) + body
+    """Parse canonical wire bytes back into a message.  Strict: exactly one
+    message — trailing bytes are an error, as is any truncation or unknown
+    type/version."""
+    return decode_frame(_U32.pack(len(data)) + data)[0]
 
 
 def decode_frame(data: bytes, off: int = 0) -> Tuple[m.Message, int]:
-    """Parse one length-prefixed frame at ``off``; returns (msg, new off)."""
-    buf = bytes(data)
-    length, off = _r_uint(buf, off, _U32)
-    _need(buf, off, length)
-    return decode(buf[off:off + length]), off + length
+    """Parse one length-prefixed frame at ``off``; returns (msg, new off).
+    A frame that ends where ``data`` ends (a datagram) is decoded in place;
+    one inside a longer buffer is sliced out once, so that no plan can read
+    past its frame."""
+    buf = data if type(data) is bytes else bytes(data)
+    pos = end = off + 4
+    if pos <= len(buf):
+        end += _U32.unpack_from(buf, off)[0]
+    if end > len(buf):
+        raise WireError(f"truncated message: the frame at offset {off} needs "
+                        f"{end - off} bytes, have {len(buf) - off}")
+    if end != len(buf):
+        buf, pos = buf[pos:end], 0
+    try:
+        version, type_id, flags = buf[pos], buf[pos + 1], buf[pos + 2]
+        if version != WIRE_VERSION:
+            raise WireError(f"unsupported wire version: {version}")
+        plan = _DECODERS.get(type_id)
+        if plan is None:
+            raise WireError(f"unknown message type id: {type_id}")
+        if flags > 3:  # bit 0: sender present, bit 1: tuning hint present
+            raise WireError(f"unknown flag bits set: {flags:#x}")
+        return plan(buf, pos, flags), end
+    except (struct.error, IndexError):  # a read past the end of the frame
+        raise WireError(f"truncated message: its {len(buf) - pos} bytes end "
+                        f"inside a field") from None

@@ -12,7 +12,10 @@ Parameters live in GOLDEN_RUNS and are imported by
 ``tests/test_golden_traces.py`` so the test and the generator can never
 drift apart.  ``wire_ids.json`` in this directory is not generated: it is
 the append-only wire type-id pin ``tests/test_runtime_wire.py`` reads, and
-new ids are appended to it by hand.
+new ids are appended to it by hand.  ``wire_frames.json`` pins the bytes
+deployed nodes speak: ``compute_wire_frames`` wrote it once, with the
+interpretive codec that preceded the compiled plans, and ``main`` does not
+call it — a new message type appends its three frames by hand.
 """
 
 from __future__ import annotations
@@ -48,6 +51,65 @@ def compute(name: str) -> str:
     else:  # pragma: no cover - registry/typo guard
         raise KeyError(experiment)
     return dumps_canonical(to_jsonable(result)) + "\n"
+
+
+#: header variants every message type is pinned under
+WIRE_FRAME_VARIANTS = ("bare", "sender", "sender+hint")
+
+
+def wire_frame_instances() -> dict:
+    """``"<Type>/<variant>"`` -> message: one fixed instance per wire type
+    and header variant.  Field values go by kind and variant, so the three
+    variants carry lists of 0, 1 and 32 descriptors, ids 0, > 2^64 and
+    2^128 - 1, unsorted row keys and every payload kind."""
+    from repro.pastry.nodeid import NodeDescriptor
+    from repro.runtime import wire
+
+    max_u128, max_u64 = (1 << 128) - 1, (1 << 64) - 1
+
+    def descs(n: int) -> list:
+        return [NodeDescriptor((i * 0x9E3779B97F4A7C15F39CC0605CEDC834 + 1)
+                               & max_u128, (0x7F000001 << 16) | (9000 + i))
+                for i in range(n)]
+
+    by_kind = {
+        "u16": (0, 0x1234, 0xFFFF),
+        "u32": (0, 0x12345678, 0xFFFFFFFF),
+        "u128": (0, (0xFFFF_FFFF_FFFF << 24) | 0x123456, max_u128),
+        "f64": (0.0, 12.625, -1e300),
+        "bool": (False, True, True),
+        "desc": (None, NodeDescriptor(0, 0),
+                 NodeDescriptor(max_u128, max_u64)),
+        "desc_list": (descs(0), descs(1), descs(32)),
+        "rows": ({}, {7: descs(1), 3: []}, {40000: descs(32), 2: descs(2)}),
+    }
+    payloads = {"Lookup": (None, b"\x00\xfe\xff", "caf\u00e9 \U0001f310"),
+                "AppDirect": (-(1 << 63), "", (1 << 63) - 1)}
+    sender = NodeDescriptor(0xA5 << 120 | 0x5A, (0x0A010203 << 16) | 4242)
+    out = {}
+    for _tid, cls, fields in wire._REGISTRY:
+        for v, variant in enumerate(WIRE_FRAME_VARIANTS):
+            msg = cls()
+            msg.sender = sender if v >= 1 else None
+            msg.tuning_hint = 17.5 if v == 2 else None
+            for attr, kind in fields:
+                value = (payloads[cls.__name__] if kind == "payload"
+                         else by_kind[kind])[v]
+                setattr(msg, attr, value)
+            out[f"{cls.__name__}/{variant}"] = msg
+    return out
+
+
+def compute_wire_frames() -> str:
+    """The text of ``wire_frames.json``.  Not part of ``main``: see the
+    module docstring."""
+    import json
+
+    from repro.runtime.wire import encode_frame
+
+    frames = {name: encode_frame(msg).hex()
+              for name, msg in wire_frame_instances().items()}
+    return json.dumps({"schema": 1, "frames": frames}, indent=2) + "\n"
 
 
 def main() -> int:
