@@ -12,11 +12,11 @@ the seed) runs twice,
   ``repro.runtime`` services on localhost UDP, wall-clock timers;
 * **sim**  — the deterministic simulator over a uniform-delay topology.
 
-and the report tabulates delivery, routing consistency, hop counts and
-latency side by side.  Hops and consistency should agree (same code, same
-identifier space); latency differs by construction (kernel scheduling vs
-a modelled constant delay) — the table shows both next to each other so
-the agreement and the difference are each visible.
+and the report tabulates delivery, routing consistency, hop counts, latency
+and bytes per message side by side.  Hops and consistency should agree (same
+code, same identifier space); latency differs by construction (kernel
+scheduling vs a modelled constant delay) and bytes per message by message mix
+(same frames, different timing) — the table shows them next to each other.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import random
 from typing import Any, Dict, List
 
 from repro.experiments.reporting import format_table
+from repro.metrics.collector import StatsCollector
 from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.pastry import messages as m
@@ -46,8 +47,9 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
     """The same plan under the simulator: ids, origins, keys, stagger."""
     cfg = live_config()
     sim = Simulator()
+    stats = StatsCollector()  # whole run, joins included, like the live counters
     network = Network(sim, UniformDelayTopology(SIM_DELAY),
-                      random.Random(spec.seed))
+                      random.Random(spec.seed), stats=stats)
     node_ids: List[int] = plan["node_ids"]
     pending: Dict[int, Dict[str, Any]] = {}
 
@@ -83,7 +85,10 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
     workload_horizon = (start + len(plan["lookups"]) * spec.lookup_interval
                         + spec.lookup_timeout)
     sim.run(until=workload_horizon)
-    return _score(pending, node_ids)
+    row = _score(pending, node_ids)
+    row["bytes_per_msg"] = (sum(stats.bytes_total.values())
+                            / sum(stats.sent_total.values()))
+    return row
 
 
 def _score(pending: Dict[int, Dict[str, Any]],
@@ -129,6 +134,8 @@ def run(seed: int = 42, n_nodes: int = 8, n_lookups: int = 60) -> Dict:
         "hops_mean": lk["hops_mean"],
         "hops_p50": lk["hops_p50"],
         "latency_ms_p50": lk["latency_ms_p50"],
+        "bytes_per_msg": (live_artifact["transport"]["bytes_sent"]
+                          / live_artifact["transport"]["messages_sent"]),
     }
     sim_row = _run_sim_twin(spec, plan)
     return {
@@ -162,10 +169,11 @@ def format_report(result: Dict) -> str:
             else "n/a",
             row["hops_p50"],
             row["latency_ms_p50"],
+            f"{row['bytes_per_msg']:.1f}",
         ])
     table = format_table(
         ["substrate", "delivered", "consistency", "hops mean", "hops p50",
-         "latency p50 (ms)"],
+         "latency p50 (ms)", "bytes/msg"],
         rows,
     )
     agreement = result["agreement"]

@@ -210,6 +210,8 @@ class JoinProtocol:
     # ------------------------------------------------------------------
     def on_join_request(self, src_addr, sender, msg: m.JoinRequest) -> None:
         node = self._node
+        if msg.joiner is None:  # optional on the wire; nobody to route towards
+            return
         # Figure 2: R.add(Ri) — contribute our routing table rows en route.
         table = node.routing_table
         for row in table.occupied_rows():

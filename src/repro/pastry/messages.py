@@ -1,4 +1,4 @@
-"""Overlay protocol messages.
+"""Overlay protocol messages, and the one schema both substrates read.
 
 Every message class carries a ``category`` used by the metrics collector for
 the control-traffic breakdown of the paper's Figure 4 (distance probes, leaf
@@ -8,12 +8,25 @@ Lookups are application traffic and excluded from control-traffic counts.
 ``tuning_hint`` piggybacks the sender's locally computed routing-table
 probing period T^l_rt (paper §4.1, self-tuning); receivers adopt the median
 of hints from their routing state.
+
+Schema rule: a message is declared once, on its dataclass — a ``wire_id``
+beside ``category`` and one line per field naming its wire kind
+(``seq: int = wire("u32", 0)``); ``sender`` / ``tuning_hint`` are the header
+every message shares.  Wire order is field order.  Ids are append-only, never
+renumbered, and pinned by ``tests/golden/wire_ids.json``.  ``SCHEMA`` is read
+off the classes at the bottom of the module; ``repro.runtime.wire`` compiles
+its codec from it and ``wire_size`` sizes from it.  One thing is described
+twice, the size of the four variable-size kinds — arithmetic here, pack/read
+in ``wire.py`` — because ``metrics/collector.py`` cannot import
+``repro.runtime`` (its ``__init__`` pulls asyncio into every simulator
+process); the property test in ``tests/test_wire_size.py`` ties the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import struct
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.pastry.nodeid import NodeDescriptor
 
@@ -26,6 +39,21 @@ CAT_ACK = "acks_retransmits"
 CAT_JOIN = "join"
 CAT_RT_MAINT = "rt_maintenance"
 CAT_LOOKUP = "lookup"
+CONTROL_CATEGORIES: Tuple[str, ...] = (
+    CAT_DISTANCE, CAT_LEAFSET, CAT_HEARTBEAT, CAT_RT_PROBE, CAT_ACK, CAT_JOIN,
+    CAT_RT_MAINT)
+
+#: fixed-size wire kinds -> struct format (a u128 travels as two 64-bit
+#: halves); the other four kinds are the keys of ``_VARIABLE_SIZE`` below
+FIXED_KINDS = {"u16": "H", "u32": "I", "u128": "QQ", "f64": "d", "bool": "?"}
+
+
+def wire(kind: str, default: Any = None) -> Any:
+    """A message field that travels as wire kind ``kind``.  ``default`` is its
+    default value, or ``list`` / ``dict`` for a fresh container per message."""
+    if default is list or default is dict:
+        return field(default_factory=default, metadata={"wire": kind})
+    return field(default=default, metadata={"wire": kind})
 
 
 @dataclass(slots=True)
@@ -37,323 +65,231 @@ class Message:
 
 @dataclass(slots=True)
 class JoinRequest(Message):
-    category = CAT_JOIN
+    category, wire_id = CAT_JOIN, 1
     #: join requests are routed like lookups and, like them, per-hop acked
     #: (§3.2): an un-acked join dies silently at the first dead hop, and the
     #: joiner's coarse retry timer is a poor substitute for rerouting
-    msg_id: int = 0
-    joiner: NodeDescriptor = None
+    msg_id: int = wire("u128", 0)
+    joiner: NodeDescriptor = wire("desc")
     #: routing-table rows accumulated along the join route: row index ->
     #: descriptors from the node whose prefix match length equals that row
-    rows: Dict[int, List[NodeDescriptor]] = field(default_factory=dict)
+    rows: Dict[int, List[NodeDescriptor]] = wire("rows", dict)
 
 
 @dataclass(slots=True)
 class JoinReply(Message):
-    category = CAT_JOIN
-    rows: Dict[int, List[NodeDescriptor]] = field(default_factory=dict)
-    leaf_set: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_JOIN, 2
+    rows: Dict[int, List[NodeDescriptor]] = wire("rows", dict)
+    leaf_set: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class LsProbe(Message):
     """Leaf set probe (Figure 2): carries the sender's leaf set and failed set."""
-
-    category = CAT_LEAFSET
-    leaf_set: List[NodeDescriptor] = field(default_factory=list)
-    failed: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_LEAFSET, 3
+    leaf_set: List[NodeDescriptor] = wire("desc_list", list)
+    failed: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class LsProbeReply(Message):
-    category = CAT_LEAFSET
-    leaf_set: List[NodeDescriptor] = field(default_factory=list)
-    failed: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_LEAFSET, 4
+    leaf_set: List[NodeDescriptor] = wire("desc_list", list)
+    failed: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class Heartbeat(Message):
     """Sent every Tls to the left neighbour only (§4.1)."""
-
-    category = CAT_HEARTBEAT
+    category, wire_id = CAT_HEARTBEAT, 5
 
 
 @dataclass(slots=True)
 class RtProbe(Message):
     """Liveness probe for a routing-table entry."""
-
-    category = CAT_RT_PROBE
-    seq: int = 0
+    category, wire_id = CAT_RT_PROBE, 6
+    seq: int = wire("u32", 0)
 
 
 @dataclass(slots=True)
 class RtProbeReply(Message):
-    category = CAT_RT_PROBE
-    seq: int = 0
+    category, wire_id = CAT_RT_PROBE, 7
+    seq: int = wire("u32", 0)
 
 
 @dataclass(slots=True)
 class DistanceProbe(Message):
     """Round-trip measurement probe for proximity neighbour selection."""
-
-    category = CAT_DISTANCE
-    seq: int = 0
+    category, wire_id = CAT_DISTANCE, 8
+    seq: int = wire("u32", 0)
 
 
 @dataclass(slots=True)
 class DistanceProbeReply(Message):
-    category = CAT_DISTANCE
-    seq: int = 0
+    category, wire_id = CAT_DISTANCE, 9
+    seq: int = wire("u32", 0)
 
 
 @dataclass(slots=True)
 class DistanceReport(Message):
     """Symmetric probing: tells the peer the RTT we measured to it (§4.2)."""
-
-    category = CAT_DISTANCE
-    rtt: float = 0.0
+    category, wire_id = CAT_DISTANCE, 10
+    rtt: float = wire("f64", 0.0)
 
 
 @dataclass(slots=True)
 class RowAnnounce(Message):
     """A joining node sends row r of its table to each node in that row."""
-
-    category = CAT_JOIN
-    row: int = 0
-    entries: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_JOIN, 11
+    row: int = wire("u16", 0)
+    entries: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class RowRequest(Message):
     """Periodic routing-table maintenance: ask a row member for its row."""
-
-    category = CAT_RT_MAINT
-    row: int = 0
+    category, wire_id = CAT_RT_MAINT, 12
+    row: int = wire("u16", 0)
 
 
 @dataclass(slots=True)
 class RowReply(Message):
-    category = CAT_RT_MAINT
-    row: int = 0
-    entries: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_RT_MAINT, 13
+    row: int = wire("u16", 0)
+    entries: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class SlotRequest(Message):
     """Passive repair: ask the next hop for an entry for an empty slot."""
-
-    category = CAT_RT_MAINT
-    row: int = 0
-    col: int = 0
+    category, wire_id = CAT_RT_MAINT, 14
+    row: int = wire("u16", 0)
+    col: int = wire("u16", 0)
 
 
 @dataclass(slots=True)
 class SlotReply(Message):
-    category = CAT_RT_MAINT
-    row: int = 0
-    col: int = 0
-    entry: Optional[NodeDescriptor] = None
+    category, wire_id = CAT_RT_MAINT, 15
+    row: int = wire("u16", 0)
+    col: int = wire("u16", 0)
+    entry: Optional[NodeDescriptor] = wire("desc")
 
 
 @dataclass(slots=True)
 class LeafSetRequest(Message):
     """Generalized leaf-set repair: ask for the l+1 closest nodes to a key."""
-
-    category = CAT_LEAFSET
-    key: int = 0
+    category, wire_id = CAT_LEAFSET, 16
+    key: int = wire("u128", 0)
 
 
 @dataclass(slots=True)
 class LeafSetReply(Message):
-    category = CAT_LEAFSET
-    key: int = 0
-    nodes: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_LEAFSET, 17
+    key: int = wire("u128", 0)
+    nodes: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class Lookup(Message):
     """Application lookup routed to the key's root (§2)."""
-
-    category = CAT_LOOKUP
-    msg_id: int = 0
-    key: int = 0
-    source: NodeDescriptor = None
-    sent_at: float = 0.0
-    hops: int = 0
-    payload: object = None
+    category, wire_id = CAT_LOOKUP, 18
+    msg_id: int = wire("u128", 0)
+    key: int = wire("u128", 0)
+    source: NodeDescriptor = wire("desc")
+    sent_at: float = wire("f64", 0.0)
+    hops: int = wire("u32", 0)
+    payload: object = wire("payload")
     #: switches per-hop acks off for this message when the app requests it
-    wants_acks: bool = True
+    wants_acks: bool = wire("bool", True)
     #: times delivery was deferred waiting on a suspected closer node
-    deferrals: int = 0
+    deferrals: int = wire("u32", 0)
 
 
 @dataclass(slots=True)
 class Ack(Message):
     """Per-hop acknowledgement for a routed message — Lookup or JoinRequest (§3.2)."""
-
-    category = CAT_ACK
-    msg_id: int = 0
-
-
-CONTROL_CATEGORIES: Tuple[str, ...] = (
-    CAT_DISTANCE,
-    CAT_LEAFSET,
-    CAT_HEARTBEAT,
-    CAT_RT_PROBE,
-    CAT_ACK,
-    CAT_JOIN,
-    CAT_RT_MAINT,
-)
+    category, wire_id = CAT_ACK, 19
+    msg_id: int = wire("u128", 0)
 
 
 @dataclass(slots=True)
 class StateRequest(Message):
     """Nearest-neighbour seed discovery: ask a node for its routing state."""
-
-    category = CAT_JOIN
+    category, wire_id = CAT_JOIN, 20
 
 
 @dataclass(slots=True)
 class StateReply(Message):
-    category = CAT_JOIN
-    nodes: List[NodeDescriptor] = field(default_factory=list)
+    category, wire_id = CAT_JOIN, 21
+    nodes: List[NodeDescriptor] = wire("desc_list", list)
 
 
 @dataclass(slots=True)
 class AppDirect(Message):
     """Application-level point-to-point message (counted as app traffic)."""
-
-    category = CAT_LOOKUP
-    payload: object = None
-
-
-# ----------------------------------------------------------------------
-# Wire-size model
-# ----------------------------------------------------------------------
-#: fixed per-message overhead: UDP/IP headers plus type tag and msg ids
-HEADER_BYTES = 48
-#: a NodeDescriptor on the wire: 128-bit id + address + port
-DESCRIPTOR_BYTES = 22
+    category, wire_id = CAT_LOOKUP, 22
+    payload: object = wire("payload")
 
 
-# Per-type payload bytes beyond the shared header/sender/hint part.
-# ``wire_size`` is on the transport hot path (every send while a stats
-# collector is attached); the sizing function is found by one exact-type
-# dict lookup instead of the former ~20-branch isinstance chain.  Values
-# are identical branch by branch.
+# --- the schema, read off the classes above, and the exact wire size ---
 
-def _extra_ls_probe(msg) -> int:
-    return DESCRIPTOR_BYTES * (len(msg.leaf_set) + len(msg.failed))
-
-
-def _extra_join_request(msg) -> int:
-    size = 8  # msg_id
-    for entries in msg.rows.values():
-        size += DESCRIPTOR_BYTES * len(entries)
-    if msg.joiner is not None:
-        size += DESCRIPTOR_BYTES
-    return size
+def _payload_size(payload: object) -> int:
+    if payload is None:
+        return 1
+    if isinstance(payload, (str, bytes, bytearray)):
+        return 5 + len(payload.encode() if isinstance(payload, str) else payload)
+    return 9 if isinstance(payload, int) and not isinstance(payload, bool) else 1
 
 
-def _extra_join_reply(msg) -> int:
-    size = DESCRIPTOR_BYTES * len(msg.leaf_set)
-    for entries in msg.rows.values():
-        size += DESCRIPTOR_BYTES * len(entries)
-    return size
+#: variable-size wire kind -> source of the encoded bytes of ``msg.{0}``: a
+#: descriptor is 24 bytes behind a presence byte, a count or a row index a u16
+_VARIABLE_SIZE = {
+    "desc": "(1 if msg.{0} is None else 25)",
+    "desc_list": "2 + 25 * len(msg.{0})",
+    "rows": "2 + 4 * len(msg.{0}) + 25 * sum(map(len, msg.{0}.values()))",
+    "payload": "_payload_size(msg.{0})",
+}
+#: the optional header parts: a bare descriptor, an f64
+_HEADER_SIZE = ("(0 if msg.sender is None else 24)",
+                "(0 if msg.tuning_hint is None else 8)")
 
 
-def _extra_row_entries(msg) -> int:
-    return 2 + DESCRIPTOR_BYTES * len(msg.entries)
+def _declared(cls: type) -> Tuple[int, type, Tuple[Tuple[str, str], ...]]:
+    """The ``SCHEMA`` entry of ``cls``, read off its own declaration."""
+    kinds = tuple((f.name, f.metadata.get("wire")) for f in fields(cls)[2:])
+    bare = [n for n, k in kinds if k not in FIXED_KINDS and k not in _VARIABLE_SIZE]
+    if bare or type(vars(cls).get("wire_id")) is not int:
+        raise TypeError(f"{cls.__name__}: no wire_id, or no wire kind on {bare}")
+    return cls.wire_id, cls, kinds
 
 
-def _extra_state_reply(msg) -> int:
-    return DESCRIPTOR_BYTES * len(msg.nodes)
+#: ``(wire_id, cls, ((field, kind), ...))`` per concrete message class in
+#: declaration order; the fields are those after the header's two
+SCHEMA = tuple(
+    _declared(cls) for cls in list(vars().values())
+    if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message)
+if len({wire_id for wire_id, _, _ in SCHEMA}) < len(SCHEMA):
+    raise TypeError("two message classes declare one wire_id")
 
 
-def _extra_leafset_reply(msg) -> int:
-    return 16 + DESCRIPTOR_BYTES * len(msg.nodes)
+def _sizer(kinds: Tuple[Tuple[str, str], ...]) -> Callable[[Message], int]:
+    """msg -> bytes of its frame, compiled for one class: 4 length prefix + 3
+    header + its fixed-size fields, then what varies with the value."""
+    fixed = struct.calcsize(">" + "".join(FIXED_KINDS.get(k, "") for _, k in kinds))
+    varies = [_VARIABLE_SIZE[k].format(n) for n, k in kinds if k in _VARIABLE_SIZE]
+    return eval("lambda msg: " + " + ".join((str(7 + fixed), *_HEADER_SIZE, *varies)))
 
 
-def _extra_slot_reply(msg) -> int:
-    if msg.entry is not None:
-        return 4 + DESCRIPTOR_BYTES
-    return 4
-
-
-def _extra_lookup(msg) -> int:
-    return 16 + 8 + DESCRIPTOR_BYTES  # key, id, source
-
-
-def _extra_const_16(msg) -> int:  # LeafSetRequest key / AppDirect payload ref
-    return 16
-
-
-def _extra_const_8(msg) -> int:  # seq / msg_id / row / rtt payloads
-    return 8
-
-
-def _extra_const_4(msg) -> int:  # SlotRequest (row, col)
-    return 4
-
-
-def _extra_zero(msg) -> int:
-    return 0
-
-
-#: Fallback resolution order for message *subclasses* — mirrors the old
-#: isinstance chain so a subclass sizes exactly as it used to.  The shipped
-#: message types are flat, so the exact-type table below always hits.
-_EXTRA_ORDER: Tuple[Tuple[type, Callable[[Message], int]], ...] = (
-    (LsProbe, _extra_ls_probe),
-    (LsProbeReply, _extra_ls_probe),
-    (JoinRequest, _extra_join_request),
-    (JoinReply, _extra_join_reply),
-    (RowAnnounce, _extra_row_entries),
-    (RowReply, _extra_row_entries),
-    (StateReply, _extra_state_reply),
-    (LeafSetReply, _extra_leafset_reply),
-    (LeafSetRequest, _extra_const_16),
-    (Lookup, _extra_lookup),
-    (SlotRequest, _extra_const_4),
-    (SlotReply, _extra_slot_reply),
-    (Ack, _extra_const_8),
-    (RtProbe, _extra_const_8),
-    (RtProbeReply, _extra_const_8),
-    (DistanceProbe, _extra_const_8),
-    (DistanceProbeReply, _extra_const_8),
-    (Heartbeat, _extra_const_8),
-    (RowRequest, _extra_const_8),
-    (StateRequest, _extra_const_8),
-    (DistanceReport, _extra_const_8),
-    (AppDirect, _extra_const_16),
-)
-
-_EXTRA_SIZE: Dict[type, Callable[[Message], int]] = dict(_EXTRA_ORDER)
-
-
-def _resolve_extra(msg_type: type) -> Callable[[Message], int]:
-    """Slow path for unknown message subclasses, memoized into the table."""
-    for registered, fn in _EXTRA_ORDER:
-        if issubclass(msg_type, registered):
-            _EXTRA_SIZE[msg_type] = fn
-            return fn
-    _EXTRA_SIZE[msg_type] = _extra_zero
-    return _extra_zero
+_SIZERS = {cls: _sizer(kinds) for _, cls, kinds in SCHEMA}
 
 
 def wire_size(msg: Message) -> int:
-    """Estimated bytes of ``msg`` on the wire.
-
-    The paper reports control traffic in messages/second; this model adds a
-    bandwidth view for library users.  Sizes follow the obvious encoding:
-    fixed header, 22 bytes per node descriptor carried, 16 bytes per key.
-    """
-    size = HEADER_BYTES
-    if msg.sender is not None:
-        size += DESCRIPTOR_BYTES
-    if msg.tuning_hint is not None:
-        size += 8
-    extra = _EXTRA_SIZE.get(msg.__class__)
-    if extra is None:
-        extra = _resolve_extra(msg.__class__)
-    return size + extra(msg)
+    """Bytes of ``msg`` on the wire: exactly ``len(encode_frame(msg))``, what
+    ``UdpTransport.bytes_sent`` counts, so a byte is the same thing on both
+    substrates.  A payload the codec could not carry (the simulator's apps
+    pass Python objects in process) is sized as an absent one, 1 byte; a
+    class outside ``SCHEMA`` raises ``TypeError``."""
+    sizer = _SIZERS.get(msg.__class__)
+    if sizer is None:
+        raise TypeError(f"{type(msg).__name__} declares no wire schema")
+    return sizer(msg)

@@ -145,8 +145,12 @@ class NodeService:
             BOOTSTRAP_RETRY, self._send_bootstrap_request)
 
     def _dispatch(self, src_addr: int, msg: m.Message) -> None:
-        if (self._awaiting_seed and isinstance(msg, m.StateReply)
-                and msg.sender is not None):
+        if msg.sender is None:
+            # The sender is optional on the wire but every honest send is
+            # stamped and the handlers read it: line noise, counted as such.
+            self.transport.messages_malformed += 1
+            return
+        if self._awaiting_seed and isinstance(msg, m.StateReply):
             self._awaiting_seed = False
             if self._bootstrap_timer is not None:
                 self._bootstrap_timer.cancel()

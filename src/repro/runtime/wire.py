@@ -6,7 +6,7 @@ Layout — all integers big-endian, no padding, no host-dependent types::
     body     := version:u8 | type-id:u8 | flags:u8
                 | [sender-descriptor]                 (flags bit 0)
                 | [tuning-hint:f64]                   (flags bit 1)
-                | per-type fields in declared order
+                | per-type fields in dataclass order
     desc     := id:u128 | addr:u64
     opt-desc := present:u8 | [desc]
     list     := count:u16 | opt-desc*                 (each one present)
@@ -16,9 +16,10 @@ Layout — all integers big-endian, no padding, no host-dependent types::
 Encoding is a pure function of the message value: the same message always
 produces the same bytes (dict rows are emitted in sorted row order), so
 ``encode(decode(encode(msg))) == encode(msg)`` holds for every message —
-``tests/test_runtime_wire.py`` enforces it across the whole registry, which
-must list every concrete message type (``test_registry_is_complete``), and
-``tests/golden/wire_frames.json`` pins the bytes.
+``tests/test_runtime_wire.py`` enforces it across the whole registry and
+``tests/golden/wire_frames.json`` pins the bytes.  The registry is not
+written here: a type's id, fields, their order and kinds are declared once,
+on its dataclass, and ``_REGISTRY`` is ``repro.pastry.messages.SCHEMA``.
 
 The codec is compiled, not interpreted.  At import ``_compile`` turns each
 ``_REGISTRY`` entry into one frame encoder and one body decoder (generated
@@ -35,7 +36,6 @@ add the length prefix around them.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -207,39 +207,9 @@ def _read_payload(buf: bytes, pos: int) -> Tuple[Any, int]:
         raise WireError(f"bad utf-8 in str payload: {exc}") from exc
 
 
-#: The one declaration the plans are compiled from:
-#: (type id, message class, per-type fields beyond the shared header).
-#: Type ids are a stable wire contract, like detlint rule codes: never
-#: renumber them, only append.
-_REGISTRY: Tuple[Tuple[int, type, Tuple[Tuple[str, str], ...]], ...] = (
-    (1, m.JoinRequest, (("msg_id", "u128"), ("joiner", "desc"),
-                        ("rows", "rows"))),
-    (2, m.JoinReply, (("rows", "rows"), ("leaf_set", "desc_list"))),
-    (3, m.LsProbe, (("leaf_set", "desc_list"), ("failed", "desc_list"))),
-    (4, m.LsProbeReply, (("leaf_set", "desc_list"), ("failed", "desc_list"))),
-    (5, m.Heartbeat, ()),
-    (6, m.RtProbe, (("seq", "u32"),)),
-    (7, m.RtProbeReply, (("seq", "u32"),)),
-    (8, m.DistanceProbe, (("seq", "u32"),)),
-    (9, m.DistanceProbeReply, (("seq", "u32"),)),
-    (10, m.DistanceReport, (("rtt", "f64"),)),
-    (11, m.RowAnnounce, (("row", "u16"), ("entries", "desc_list"))),
-    (12, m.RowRequest, (("row", "u16"),)),
-    (13, m.RowReply, (("row", "u16"), ("entries", "desc_list"))),
-    (14, m.SlotRequest, (("row", "u16"), ("col", "u16"))),
-    (15, m.SlotReply, (("row", "u16"), ("col", "u16"), ("entry", "desc"))),
-    (16, m.LeafSetRequest, (("key", "u128"),)),
-    (17, m.LeafSetReply, (("key", "u128"), ("nodes", "desc_list"))),
-    (18, m.Lookup, (("msg_id", "u128"), ("key", "u128"), ("source", "desc"),
-                    ("sent_at", "f64"), ("hops", "u32"),
-                    ("payload", "payload"), ("wants_acks", "bool"),
-                    ("deferrals", "u32"))),
-    (19, m.Ack, (("msg_id", "u128"),)),
-    (20, m.StateRequest, ()),
-    (21, m.StateReply, (("nodes", "desc_list"),)),
-    (22, m.AppDirect, (("payload", "payload"),)),
-)
-
+#: (type id, message class, per-type fields beyond the shared header) as
+#: ``messages.py`` reads it off its dataclasses; the plans compile from this
+_REGISTRY = m.SCHEMA
 _TYPE_TO_ID: Dict[type, int] = {cls: tid for tid, cls, _ in _REGISTRY}
 _TYPE_TO_FIELDS = {cls: fields for _, cls, fields in _REGISTRY}
 
@@ -252,9 +222,9 @@ def wire_types() -> List[type]:
 # ----------------------------------------------------------------------
 # Plan compiler: one registry entry -> (frame encoder, body decoder)
 # ----------------------------------------------------------------------
-#: fixed-size kinds -> struct format (a u128 travels as two 64-bit halves);
-#: every other kind goes through its ``_pack_<kind>`` / ``_read_<kind>``
-_FIXED = {"u16": "H", "u32": "I", "u128": "QQ", "f64": "d", "bool": "?"}
+#: fixed-size kinds -> struct format; every other kind goes through its
+#: ``_pack_<kind>`` / ``_read_<kind>``
+_FIXED = m.FIXED_KINDS
 #: Both plans of one type, as closures over its class and structs: H0..H3 /
 #: D0..D3 are the header by flags value with the first run of fixed fields
 #: folded in, R<j> the later runs.  Every other name is a global of this
@@ -355,8 +325,7 @@ def _compile(type_id: int, cls: type, fields: Tuple[tuple, ...]) -> None:
         size=f"{fixed}{size}", ids=f"{WIRE_VERSION}, {type_id}",
         args=head_args, targets=head_targets, name=cls.__name__,
         frame="head" if frame == "head, " else f"b''.join(({frame}))",
-        # in dataclass order: a field the registry forgot is a KeyError here
-        values=", ".join(values[f.name] for f in dataclasses.fields(cls)),
+        values=", ".join(values.values()),  # wire order is dataclass order
         **structs)
     scope: Dict[str, Any] = {}
     exec(compile(source, f"<wire plan {cls.__name__}>", "exec"),

@@ -1,9 +1,18 @@
-"""NodeService bookkeeping that must stay bounded over a long life."""
+"""NodeService: bookkeeping that must stay bounded over a long life, and the
+datagram entry against wire-valid frames no honest node sends."""
 
 import asyncio
+import json
+
+import pytest
 
 from repro.pastry import messages as m
+from repro.pastry.node import MSPastryNode
+from repro.pastry.nodeid import NodeDescriptor
 from repro.runtime.service import LATENCY_WINDOW, NodeService
+from repro.runtime.transport import pack_addr
+from repro.runtime.wire import decode_frame, wire_types
+from tests.test_golden_traces import GOLDEN_DIR
 
 
 def test_snapshot_latency_is_a_bounded_window():
@@ -26,3 +35,48 @@ def test_snapshot_latency_is_a_bounded_window():
         assert not hasattr(service, "_hops")
         assert 1000.0 <= lookups["latency_ms_p50"] < 1100.0
     asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# Wire-valid frames whose optional descriptors are absent
+# ----------------------------------------------------------------------
+def _routing_state(node):
+    return (node.leaf_set.members(), list(node.routing_table.entries()),
+            dict(node.failures.failed))
+
+
+def _dispatch_to_idle_node(msg):
+    """Hand ``msg`` to a started, idle (first, hence active) node's datagram
+    entry: nothing may raise, be sent, or change.  Returns what it counted."""
+    async def main():
+        service = await NodeService.start(node_id=7, rng_seed=7)
+        try:
+            assert service.is_active
+            before = _routing_state(service.node)
+            service._dispatch(service.node.addr + 1, msg)
+            assert service.transport.messages_sent == 0
+            assert _routing_state(service.node) == before
+            return service.transport.messages_malformed
+        finally:
+            await service.stop()
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("cls", wire_types(), ids=lambda cls: cls.__name__)
+def test_senderless_frame_is_dropped_and_counted(cls):
+    """Flags bit 0 is optional on the wire and the handlers dereference the
+    sender: the pinned ``*/bare`` frame of every type stops at the door."""
+    frames = json.loads((GOLDEN_DIR / "wire_frames.json").read_text())["frames"]
+    msg, _ = decode_frame(bytes.fromhex(frames[f"{cls.__name__}/bare"]))
+    assert type(msg) is cls and msg.sender is None
+    assert _dispatch_to_idle_node(msg) == 1
+
+
+def test_join_request_without_joiner_is_dropped_unacked():
+    peer = NodeDescriptor(id=1 << 100, addr=pack_addr("127.0.0.1", 9))
+    request = m.JoinRequest(sender=peer, msg_id=5, joiner=None)
+    assert _dispatch_to_idle_node(request) == 0  # not noise: the handler's guard
+
+
+def test_handler_table_lists_exactly_the_schema():
+    assert set(MSPastryNode._HANDLERS) == {cls for _, cls, _ in m.SCHEMA}
