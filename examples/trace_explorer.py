@@ -3,12 +3,11 @@
 
 Generates the three real-world trace reconstructions, prints their headline
 statistics (session times, population envelope, failure rates) and an ASCII
-failure-rate timeline, and round-trips one through the text format.
+failure-rate timeline.
 
 Run:  python examples/trace_explorer.py
 """
 
-import io
 import statistics
 
 from repro.sim.rng import RngStreams
@@ -19,8 +18,6 @@ from repro.traces import (
     active_count_series,
     failure_rate_series,
     generate_real_world_trace,
-    load_trace,
-    save_trace,
 )
 
 
@@ -46,23 +43,12 @@ def explore(model, scale):
     for i in range(0, len(rates), step):
         bar = "#" * int(40 * rates[i] / peak)
         print(f"  {times[i] / 3600:7.1f}h {rates[i]:.2e} {bar}")
-    return trace
 
 
 def main() -> None:
     explore(GNUTELLA, scale=0.1)
     explore(OVERNET, scale=0.3)
     explore(MICROSOFT, scale=0.01)
-
-    # Round-trip through the text format (how you'd feed a real trace in).
-    trace = explore(GNUTELLA, scale=0.02)
-    buffer = io.StringIO()
-    save_trace(trace, buffer)
-    text = buffer.getvalue()
-    reloaded = load_trace(io.StringIO(text))
-    print(f"\ntext round-trip: {len(text.splitlines())} lines, "
-          f"{len(reloaded)} events preserved: "
-          f"{'ok' if len(reloaded) == len(trace) else 'MISMATCH'}")
 
 
 if __name__ == "__main__":

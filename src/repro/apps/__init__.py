@@ -1,25 +1,9 @@
-"""Applications built on the MSPastry overlay.
+"""The application the paper runs on the overlay: the Squirrel web cache.
 
-The paper motivates the overlay with distributed hash tables, archival
-stores, web caches and application-level multicast; it validates the
-simulator against a deployment of the Squirrel web cache (§5.3.1).  This
-package provides three such applications:
-
-* :class:`DhtNode` — a replicated put/get distributed hash table,
-* :class:`SquirrelProxy` — the decentralized web cache used for Figure 8,
-* :class:`MulticastNode` — Scribe-style application-level multicast trees.
+The paper validates the simulator against a deployment of Squirrel
+(§5.3.1, Figure 8); :class:`SquirrelProxy` is that application.
 """
 
-from repro.apps.dht import Dht, DhtNode
-from repro.apps.multicast import MulticastNode
 from repro.apps.squirrel import SquirrelProxy, WebOrigin
-from repro.apps.storage import ReplicatingStore
 
-__all__ = [
-    "Dht",
-    "DhtNode",
-    "MulticastNode",
-    "ReplicatingStore",
-    "SquirrelProxy",
-    "WebOrigin",
-]
+__all__ = ["SquirrelProxy", "WebOrigin"]

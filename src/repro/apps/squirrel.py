@@ -16,10 +16,26 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.apps.common import chain_callback
 from repro.pastry.messages import AppDirect, Lookup
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import key_of
+
+
+def chain_callback(existing: Optional[Callable], new: Callable) -> Callable:
+    """Compose node callbacks so metrics hooks and the proxy coexist.
+
+    The experiment runner installs metrics callbacks on every node; an
+    application attaching afterwards must not displace them.  The existing
+    callback (if any) runs first, then the application's.
+    """
+    if existing is None:
+        return new
+
+    def chained(*args):
+        existing(*args)
+        new(*args)
+
+    return chained
 
 
 @dataclass

@@ -15,14 +15,7 @@ from repro.experiments.reporting import downsample, format_series, format_table
 from repro.experiments.resultio import as_pairs
 from repro.sim.rng import RngStreams
 from repro.traces.analysis import failure_rate_series
-from repro.traces.realworld import (
-    GNUTELLA,
-    MICROSOFT,
-    OVERNET,
-    generate_real_world_trace,
-)
-
-MODELS = {"gnutella": GNUTELLA, "overnet": OVERNET, "microsoft": MICROSOFT}
+from repro.traces.realworld import TRACE_MODELS, generate_real_world_trace
 
 
 def run(seed: int = 42, scale: float = 0.1,
@@ -30,7 +23,7 @@ def run(seed: int = 42, scale: float = 0.1,
     """Generate the three traces and their failure-rate series."""
     streams = RngStreams(seed)
     result = {"series": {}, "summary": {}}
-    for name, model in MODELS.items():
+    for name, model in TRACE_MODELS.items():
         trace_scale = microsoft_scale if name == "microsoft" else scale
         trace = generate_real_world_trace(
             streams.stream(f"trace-{name}"), model, scale=trace_scale

@@ -17,12 +17,9 @@ from repro.experiments.scenarios import Scenario
 from repro.sim.rng import RngStreams
 from repro.traces.realworld import (
     GNUTELLA,
-    MICROSOFT,
-    OVERNET,
+    TRACE_MODELS,
     generate_real_world_trace,
 )
-
-MODELS = {"gnutella": GNUTELLA, "overnet": OVERNET, "microsoft": MICROSOFT}
 
 
 def run(
@@ -33,7 +30,7 @@ def run(
     topology_scale: float = 0.25,
 ) -> Dict:
     result = {"traces": {}, "breakdown": None}
-    for name, model in MODELS.items():
+    for name, model in TRACE_MODELS.items():
         scenario = Scenario(seed=seed, topology_scale=topology_scale)
         runner = scenario.build_runner()
         if name == "microsoft":

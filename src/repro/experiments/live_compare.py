@@ -30,12 +30,12 @@ from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.pastry import messages as m
 from repro.pastry.node import MSPastryNode
-from repro.pastry.nodeid import root_among
 from repro.runtime.live import (
     LiveSpec,
     live_config,
     make_plan,
     run_live,
+    score_lookups,
 )
 from repro.sim.engine import Simulator
 
@@ -85,38 +85,21 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
     workload_horizon = (start + len(plan["lookups"]) * spec.lookup_interval
                         + spec.lookup_timeout)
     sim.run(until=workload_horizon)
-    row = _score(pending, node_ids)
-    row["bytes_per_msg"] = (sum(stats.bytes_total.values())
-                            / sum(stats.sent_total.values()))
-    return row
+    return _row(score_lookups(pending, node_ids),
+                sum(stats.bytes_total.values()) / sum(stats.sent_total.values()))
 
 
-def _score(pending: Dict[int, Dict[str, Any]],
-           node_ids: List[int]) -> Dict[str, Any]:
-    ring = sorted(node_ids)
-    delivered = 0
-    consistent = 0
-    hops: List[int] = []
-    latencies: List[float] = []
-    for entry in pending.values():
-        if not entry["deliveries"]:
-            continue
-        delivered += 1
-        node_id, n_hops, latency = entry["deliveries"][0]
-        hops.append(n_hops)
-        latencies.append(latency)
-        if node_id == root_among(ring, entry["key"]):
-            consistent += 1
-    hops.sort()
-    latencies.sort()
-    n = len(latencies)
+def _row(lookups: Dict[str, Any], bytes_per_msg: float) -> Dict[str, Any]:
+    """One substrate's line of the table, from a ``repro-live/1`` lookups
+    section."""
     return {
-        "issued": len(pending),
-        "delivered": delivered,
-        "consistency": consistent / delivered if delivered else None,
-        "hops_mean": sum(hops) / len(hops) if hops else None,
-        "hops_p50": hops[len(hops) // 2] if hops else None,
-        "latency_ms_p50": round(latencies[n // 2] * 1000.0, 3) if n else None,
+        "issued": lookups["issued"],
+        "delivered": lookups["delivered"],
+        "consistency": lookups["routing_consistency"],
+        "hops_mean": lookups["hops_mean"],
+        "hops_p50": lookups["hops_p50"],
+        "latency_ms_p50": lookups["latency_ms_p50"],
+        "bytes_per_msg": bytes_per_msg,
     }
 
 
@@ -126,17 +109,9 @@ def run(seed: int = 42, n_nodes: int = 8, n_lookups: int = 60) -> Dict:
     plan = make_plan(spec)
 
     live_artifact = run_live(spec)
-    lk = live_artifact["lookups"]
-    live_row = {
-        "issued": lk["issued"],
-        "delivered": lk["delivered"],
-        "consistency": lk["routing_consistency"],
-        "hops_mean": lk["hops_mean"],
-        "hops_p50": lk["hops_p50"],
-        "latency_ms_p50": lk["latency_ms_p50"],
-        "bytes_per_msg": (live_artifact["transport"]["bytes_sent"]
-                          / live_artifact["transport"]["messages_sent"]),
-    }
+    transport = live_artifact["transport"]
+    live_row = _row(live_artifact["lookups"],
+                    transport["bytes_sent"] / transport["messages_sent"])
     sim_row = _run_sim_twin(spec, plan)
     return {
         "spec": {"seed": seed, "n_nodes": n_nodes, "n_lookups": n_lookups},

@@ -20,7 +20,7 @@ from repro.overlay.runner import OverlayRunner, RunResult
 from repro.pastry.config import PastryConfig
 from repro.sim.rng import RngStreams
 from repro.traces.events import ChurnTrace
-from repro.traces.realworld import GNUTELLA, generate_real_world_trace
+from repro.traces.realworld import TRACE_MODELS, generate_real_world_trace
 
 
 def make_topology(name: str, streams: RngStreams, scale: float = 0.25) -> Topology:
@@ -71,12 +71,18 @@ class Scenario:
             invariant_period=self.invariant_period,
         )
 
-    def gnutella_trace(self, scale: float, duration: float) -> ChurnTrace:
-        streams = RngStreams(self.seed)
+    def trace(self, model: str, scale: float, duration: Optional[float]) -> ChurnTrace:
+        """The trace of ``model`` (a ``TRACE_MODELS`` name) at population
+        ``scale``, cut to ``duration`` seconds (None: all of it)."""
+        if model not in TRACE_MODELS:
+            raise ValueError(f"unknown trace {model!r}; try {sorted(TRACE_MODELS)}")
         return generate_real_world_trace(
-            streams.stream("trace"), GNUTELLA, scale=scale, duration=duration
+            RngStreams(self.seed).stream("trace"), TRACE_MODELS[model],
+            scale=scale, duration=duration,
         )
 
+    def run_trace(self, model: str, scale: float, duration: Optional[float]) -> RunResult:
+        return self.build_runner().run(self.trace(model, scale, duration))
+
     def run_gnutella(self, scale: float = 0.075, duration: float = 3600.0) -> RunResult:
-        runner = self.build_runner()
-        return runner.run(self.gnutella_trace(scale, duration))
+        return self.run_trace("gnutella", scale, duration)

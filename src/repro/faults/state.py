@@ -146,9 +146,6 @@ class FaultState:
             overlay.uninstall()
         self._adversaries = {}
 
-    def adversary_of(self, addr: int):
-        return self._adversaries.get(addr)
-
     @property
     def active_faults(self) -> Dict[str, int]:
         """How many faults of each kind are currently installed."""

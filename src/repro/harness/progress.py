@@ -70,8 +70,3 @@ class SweepProgress:
 def null_progress(total: int) -> "SweepProgress":
     """A disabled reporter (used by tests and library callers)."""
     return SweepProgress(total, enabled=False)
-
-
-def make_progress(total: int, workers: int,
-                  quiet: bool = False) -> Optional[SweepProgress]:
-    return SweepProgress(total, workers=workers, enabled=not quiet)

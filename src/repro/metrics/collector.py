@@ -7,12 +7,12 @@ active-population changes, and invariant-checker reports — and produces the
 paper's four metrics plus the per-message-type control-traffic breakdown of
 Figure 4.
 
-Traffic accounting: ``sent_total`` counts *attempted* sends, ``lost_total``
-the subset dropped by the channel or fault injection, and
-``delivered_total`` the difference.  Figure 4's control-traffic numbers (and
-all ``control_*``/bandwidth metrics here) use the **sent** counts — the
-paper measures the bandwidth a node *spends* on maintenance, and a message
-lost in the network still cost its sender the transmission.
+Traffic accounting: ``sent_total`` counts *attempted* sends and ``lost_total``
+the subset dropped by the channel or fault injection.  Figure 4's
+control-traffic numbers (and all ``control_*``/bandwidth metrics here) use
+the **sent** counts — the paper measures the bandwidth a node *spends* on
+maintenance, and a message lost in the network still cost its sender the
+transmission.
 """
 
 from __future__ import annotations
@@ -300,19 +300,6 @@ class StatsCollector:
         if not delivered:
             return 0.0
         return sum(r.hops for r in delivered) / len(delivered)
-
-    # ------------------------------------------------------------------
-    # Transport accounting (sent vs lost vs delivered)
-    # ------------------------------------------------------------------
-    def delivered_total(self) -> Dict[str, int]:
-        """Per-category messages that actually reached the wire's far end."""
-        return {
-            category: sent - self.lost_total.get(category, 0)
-            for category, sent in self.sent_total.items()
-        }
-
-    def messages_lost_in_network(self) -> int:
-        return sum(self.lost_total.values())
 
     # ------------------------------------------------------------------
     # Invariant violations and reconvergence (fault experiments)

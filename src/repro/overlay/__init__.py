@@ -8,7 +8,6 @@ against the ground-truth :class:`Oracle`.
 
 from repro.overlay.invariants import InvariantChecker
 from repro.overlay.oracle import Oracle
-from repro.overlay.reliable import ReliableLookups
 from repro.overlay.runner import OverlayRunner, RunResult
 from repro.overlay.utils import build_overlay
 from repro.overlay.workload import LookupWorkload
@@ -18,7 +17,6 @@ __all__ = [
     "LookupWorkload",
     "Oracle",
     "OverlayRunner",
-    "ReliableLookups",
     "RunResult",
     "build_overlay",
 ]

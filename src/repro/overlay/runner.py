@@ -272,18 +272,7 @@ class OverlayRunner:
                 "delivered": self.network.messages_delivered,
                 "dropped_dead": self.network.messages_dropped_dead,
             },
-            # Engine health: live_events (not pending_events, which also
-            # counts lazily-cancelled heap entries) is the truthful backlog.
-            "engine": {
-                "events_executed": self.sim.events_executed,
-                "live_events": self.sim.live_events,
-                "pending_events": self.sim.pending_events,
-                "heap_compactions": self.sim.heap_compactions,
-                "scheduler": self.sim.scheduler_stats(),
-            },
         }
-        if self.fault_schedule is not None:
-            extras["fault_windows"] = self.fault_schedule.windows()
         if self.network.faults is not None:
             extras["fault_drops"] = dict(self.network.faults.drops)
             if self.network.faults.adversary_counters:

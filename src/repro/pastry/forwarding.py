@@ -232,13 +232,6 @@ class Forwarding:
         # sender to us).  The fingerprints pin that.
         node = self._node
         msg.hops += 1
-        if node.on_forward is not None and not node.on_forward(node, msg):
-            # Application consumed the message mid-route (e.g. Scribe
-            # subscription absorbed by an existing forwarder).  Still ack:
-            # the message was handled.
-            if msg.wants_acks and node.config.per_hop_acks and msg.sender is not None:
-                node.send(msg.sender, m.Ack(msg_id=msg.msg_id))
-            return
         next_hop = self.next_hop(msg.key, frozenset())
         deliverable = next_hop is not None or (node.active and self.may_deliver())
         if (

@@ -70,8 +70,12 @@ class LeafSet:
     # Mutation
     # ------------------------------------------------------------------
     def add(self, desc: NodeDescriptor) -> bool:
-        """Insert a node; returns True if it is a member afterwards."""
-        if desc.id == self._owner_id:
+        """Insert a node; returns True if it is a member afterwards.
+
+        Never the owner — nor a foreign id at the owner's own address: a
+        hop to such a descriptor is a send to ourselves.
+        """
+        if desc.id == self._owner_id or desc.addr == self.owner.addr:
             return False
         previous = self._members.get(desc.id)
         if previous is not None and previous.addr == desc.addr:
@@ -256,7 +260,11 @@ class LeafSet:
         immediately: a candidate is admissible when either side is not full
         or it is closer than the current extreme on that side.
         """
-        if desc.id == self._owner_id or desc.id in self._members:
+        if (
+            desc.id == self._owner_id
+            or desc.id in self._members
+            or desc.addr == self.owner.addr
+        ):
             return False
         n = len(self._ring)
         half = self._half

@@ -96,7 +96,6 @@ class MSPastryNode:
         on_active: Optional[Callable[["MSPastryNode"], None]] = None,
         on_deliver: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
         on_drop: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
-        on_forward: Optional[Callable[["MSPastryNode", m.Lookup], bool]] = None,
         on_app_direct: Optional[Callable[["MSPastryNode", m.AppDirect], None]] = None,
     ) -> None:
         self.sim = sim
@@ -110,12 +109,11 @@ class MSPastryNode:
         #: measurable slice of the message hot path.
         self.id = node_id
         # The upcalls and ``adversary`` are reassigned after construction
-        # (apps, ReliableLookups, ActiveAdversary): components read them
+        # (SquirrelProxy, ActiveAdversary): components read them
         # through the node at call time and never capture them.
         self.on_active = on_active
         self.on_deliver = on_deliver
         self.on_drop = on_drop
-        self.on_forward = on_forward  # KBR forward upcall; False stops routing
         self.on_app_direct = on_app_direct
 
         self.leaf_set = LeafSet(self.descriptor, config.leaf_set_size)

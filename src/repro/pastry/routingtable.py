@@ -88,8 +88,11 @@ class RoutingTable:
         when a ``proximity`` map (node id -> measured proximity; missing
         nodes rank last) is supplied and the candidate is strictly closer
         (proximity neighbour selection).  Returns True when the table
-        changed.
+        changed.  Never the owner, nor a foreign id at the owner's own
+        address (see ``LeafSet.add``).
         """
+        if desc.addr == self.owner.addr:
+            return False
         node_id = desc.id
         flat = self._slot_of.get(node_id)
         if flat is not None:  # this id already holds its slot

@@ -108,6 +108,44 @@ def root_of(key: int, node_ids: List[int]) -> int:
     return root_among(sorted(node_ids), key)
 
 
+def score_lookups(pending: Dict[int, Dict[str, Any]],
+                  node_ids: List[int]) -> Dict[str, Any]:
+    """The ``lookups`` section of the artifact: each lookup's *first*
+    delivery scored against the oracle, then hop and latency percentiles.
+
+    ``pending`` maps msg id to ``{"key": k, "deliveries": [(node_id, hops,
+    latency_s), ...]}``; the simulated twin in ``live_compare`` fills the
+    same shape and is scored by the same code.
+    """
+    ring = sorted(node_ids)
+    consistent = 0
+    hops: List[int] = []
+    latencies: List[float] = []
+    for entry in pending.values():
+        if not entry["deliveries"]:
+            continue
+        node_id, n_hops, latency = entry["deliveries"][0]
+        hops.append(n_hops)
+        latencies.append(latency)
+        if node_id == root_among(ring, entry["key"]):
+            consistent += 1
+    hops.sort()
+    latencies.sort()
+    n = len(latencies)
+    return {
+        "issued": len(pending),
+        "delivered": n,
+        "consistent": consistent,
+        "routing_consistency": consistent / n if n else None,
+        "hops_mean": sum(hops) / n if n else None,
+        "hops_p50": hops[n // 2] if n else None,
+        "latency_ms_p50": round(latencies[n // 2] * 1000.0, 3) if n else None,
+        "latency_ms_p95": (
+            round(latencies[min(n - 1, int(n * 0.95))] * 1000.0, 3)
+            if n else None),
+    }
+
+
 async def _await_predicate(predicate, timeout: float, interval: float,
                            what: str) -> None:
     loop = asyncio.get_event_loop()
@@ -130,7 +168,7 @@ async def run_live_async(spec: LiveSpec,
     from repro.runtime.clock import AsyncioClock
     clock = AsyncioClock(loop)
     services: List[NodeService] = []
-    # msg_id -> {"sent": t, "deliveries": [(node_id, hops, latency), ...]}
+    # msg_id -> {"key": k, "deliveries": [(node_id, hops, latency), ...]}
     pending: Dict[int, Dict[str, Any]] = {}
 
     def on_deliver(node: MSPastryNode, msg: m.Lookup) -> None:
@@ -181,24 +219,6 @@ async def run_live_async(spec: LiveSpec,
             await svc.stop()
         clock.close()
 
-    # Score against the oracle.
-    ring = sorted(node_ids)
-    delivered = 0
-    consistent = 0
-    hops: List[int] = []
-    latencies: List[float] = []
-    for entry in pending.values():
-        if not entry["deliveries"]:
-            continue
-        delivered += 1
-        node_id, n_hops, latency = entry["deliveries"][0]
-        hops.append(n_hops)
-        latencies.append(latency)
-        if node_id == root_among(ring, entry["key"]):
-            consistent += 1
-    hops.sort()
-    latencies.sort()
-    n = len(latencies)
     transports = [svc.transport.counters() for svc in services]
     return {
         "schema": LIVE_SCHEMA,
@@ -211,20 +231,7 @@ async def run_live_async(spec: LiveSpec,
             "completed": spec.n_nodes,
             "wall_seconds": round(join_wall, 3),
         },
-        "lookups": {
-            "issued": spec.n_lookups,
-            "delivered": delivered,
-            "consistent": consistent,
-            "routing_consistency": (
-                consistent / delivered if delivered else None),
-            "hops_mean": (sum(hops) / len(hops)) if hops else None,
-            "hops_p50": hops[len(hops) // 2] if hops else None,
-            "latency_ms_p50": (
-                round(latencies[n // 2] * 1000.0, 3) if n else None),
-            "latency_ms_p95": (
-                round(latencies[min(n - 1, int(n * 0.95))] * 1000.0, 3)
-                if n else None),
-        },
+        "lookups": score_lookups(pending, node_ids),
         "transport": {
             "messages_sent": sum(t["messages_sent"] for t in transports),
             "messages_malformed": sum(

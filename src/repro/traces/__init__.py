@@ -9,7 +9,6 @@ envelope, diurnal/weekly failure-rate patterns — paper Figure 3).
 
 from repro.traces.analysis import active_count_series, failure_rate_series
 from repro.traces.events import ChurnTrace, TraceEvent
-from repro.traces.io import load_trace, save_trace
 from repro.traces.realworld import (
     GNUTELLA,
     MICROSOFT,
@@ -33,6 +32,4 @@ __all__ = [
     "generate_poisson_trace",
     "generate_real_world_trace",
     "generate_squirrel_trace",
-    "load_trace",
-    "save_trace",
 ]

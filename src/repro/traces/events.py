@@ -40,14 +40,6 @@ class ChurnTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def n_arrivals(self) -> int:
-        return sum(1 for e in self.events if e.kind == ARRIVAL)
-
-    @property
-    def n_failures(self) -> int:
-        return sum(1 for e in self.events if e.kind == FAILURE)
-
     def initial_nodes(self) -> List[int]:
         """Nodes whose arrival is at time zero (the bootstrap population)."""
         return [e.node for e in self.events if e.kind == ARRIVAL and e.time == 0.0]

@@ -95,6 +95,9 @@ MICROSOFT = TraceModel(
     analysis_window=HOUR,
 )
 
+#: the paper's three traces by name, in the order the figures list them
+TRACE_MODELS = {"gnutella": GNUTELLA, "overnet": OVERNET, "microsoft": MICROSOFT}
+
 
 def _rate_modulation(model: TraceModel, t: float) -> float:
     """Relative arrival-rate multiplier at time ``t`` (mean 1 over a week)."""

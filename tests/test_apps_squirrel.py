@@ -5,6 +5,7 @@ import pytest
 from repro.apps.squirrel import SquirrelProxy, WebOrigin
 from repro.overlay.utils import build_overlay
 from repro.pastry.config import PastryConfig
+from repro.pastry.nodeid import key_of, root_among
 
 
 @pytest.fixture()
@@ -77,3 +78,41 @@ def test_stats_accumulate(squirrel):
         sim.run(until=sim.now + 5)
     assert proxies[2].requests == 3
     assert proxies[2].local_hits == 2
+
+
+def test_double_attach_rejected(squirrel):
+    _sim, nodes, _proxies = squirrel
+    with pytest.raises(ValueError):
+        SquirrelProxy(nodes[0])
+
+
+def test_proxy_chains_after_hooks_already_on_the_node():
+    """The runner's metrics hook is not displaced, and runs first."""
+    sim, net, nodes = build_overlay(
+        8, config=PastryConfig(leaf_set_size=8), seed=215
+    )
+    proxies = []
+    fetches_seen_by_hook = []
+    for node in nodes:
+        node.on_deliver = lambda n, msg: fetches_seen_by_hook.append(
+            sum(p.origin_fetches for p in proxies))
+    proxies.extend(SquirrelProxy(n, WebOrigin(fetch_delay=0.2)) for n in nodes)
+    done = []
+    proxies[0].request("http://example.com/chained",
+                       lambda url, cached: done.append(cached))
+    sim.run(until=sim.now + 10)
+    assert fetches_seen_by_hook == [0]  # called before the proxy counted it
+    assert done == [False]  # and the proxy still served the request
+
+
+def test_request_whose_home_is_the_requester(squirrel):
+    """Origin == root: the response is handed over without a message."""
+    sim, nodes, proxies = squirrel
+    ring = sorted(n.id for n in nodes)
+    url = next(u for u in (f"http://example.com/{i}" for i in range(1000))
+               if root_among(ring, key_of(u.encode())) == nodes[0].id)
+    done = []
+    proxies[0].request(url, lambda url, cached: done.append(cached))
+    sim.run(until=sim.now + 5)
+    assert done == [False]
+    assert proxies[0].origin_fetches == 1

@@ -1,87 +1,30 @@
-"""Smoke tests for the paper-scale presets (run tiny, verify plumbing)."""
+"""The paper-scale setups are ``Scenario`` calls: one pinned, one sized."""
 
 import pytest
 
-from repro.experiments.full_scale import (
-    TOPOLOGIES,
-    TRACES,
-    build_full_run,
-    estimated_cost,
-)
-
-HOUR = 3600.0
-DAY = 24 * HOUR
+from repro.experiments.scenarios import Scenario
 
 
-def test_presets_cover_the_paper():
-    assert set(TRACES) == {"gnutella", "overnet", "microsoft"}
-    assert set(TOPOLOGIES) == {"gatech", "mercator", "corpnet"}
-
-
-# Published trace statistics, §2 (trace descriptions) and §5.1:
-# trace      duration  mean session  median session  avg active population
-PAPER_TRACE_STATS = {
-    "gnutella": (60 * HOUR, 2.3 * HOUR, 1.0 * HOUR, 2000),
-    "overnet": (7 * DAY, 134 * 60.0, 79 * 60.0, 455),
-    "microsoft": (37 * DAY, 37.7 * HOUR, 30.0 * HOUR, 15150),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TRACES))
-def test_preset_parameters_match_paper(name):
-    model, population_scale = TRACES[name]
-    duration, mean, median, avg_active = PAPER_TRACE_STATS[name]
-    assert population_scale == 1.0  # presets are the full populations
-    assert model.duration == duration
-    assert model.mean_session == mean
-    assert model.median_session == median
-    assert model.avg_active == avg_active
-    # heavy-tailed sessions: the paper's traces all have mean > median
-    assert model.mean_session > model.median_session
-
-
-@pytest.mark.parametrize("name", sorted(TRACES))
-def test_every_trace_preset_builds_tiny(name):
-    runner, trace = build_full_run(name, seed=3, scale=0.005, duration=900.0)
-    assert trace.duration == 900.0
-    assert len(trace.initial_nodes()) >= 2
-    assert runner is not None
-
-
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_every_topology_preset_builds(topology):
-    _runner, trace = build_full_run(
-        "overnet", topology_name=topology, seed=3, scale=0.005, duration=600.0
+def test_corporate_slice_fingerprint():
+    """EXPERIMENTS.md's calibration-scale corporate run, event for event."""
+    scenario = Scenario(seed=77, topology="corpnet", topology_scale=1.0)
+    runner = scenario.build_runner()
+    result = runner.run(scenario.trace("microsoft", scale=0.02, duration=3600.0))
+    fingerprint = (
+        f"{runner.sim.events_executed}:{runner.network.messages_sent}:"
+        f"{runner.network.messages_delivered}:{result.stats.n_lookups}:"
+        f"{result.final_active}"
     )
-    assert len(trace.initial_nodes()) >= 2
-
-
-def test_unknown_names_rejected():
-    with pytest.raises(ValueError):
-        build_full_run("kazaa")
-    with pytest.raises(ValueError):
-        build_full_run("gnutella", topology_name="flat-earth")
-
-
-def test_tiny_override_runs_end_to_end():
-    runner, trace = build_full_run(
-        "gnutella", seed=5, scale=0.01, duration=600.0
-    )
-    assert trace.duration == 600.0
-    result = runner.run(trace)
-    assert result.stats.n_lookups > 0
-    assert result.loss_rate < 0.05
-    assert result.incorrect_delivery_rate < 0.05
+    assert fingerprint == "424721:253505:253504:11036:308"
 
 
 def test_full_scale_trace_has_paper_population():
     # Generate (but do not simulate) a short full-scale Gnutella slice.
-    _runner, trace = build_full_run("gnutella", duration=3600.0)
+    trace = Scenario().trace("gnutella", scale=1.0, duration=3600.0)
     initial = len(trace.initial_nodes())
     assert 1500 <= initial <= 2600  # paper: 1,300..2,700 active
 
 
-def test_estimated_cost_mentions_magnitude():
-    _runner, trace = build_full_run("gnutella", scale=0.05, duration=3600.0)
-    text = estimated_cost(trace)
-    assert "events" in text and "wall clock" in text
+def test_unknown_names_rejected():
+    with pytest.raises(ValueError):
+        Scenario().trace("kazaa", scale=0.01, duration=600.0)

@@ -2,7 +2,8 @@
 
 No overlay is built: ``ProbeTable``, ``FailureMemory`` and ``RecencyMap``
 are driven directly, and the one ``MSPastryNode`` here talks to a transport
-that only records.
+that only records.  The exception is the last test, which needs the real
+transport's loopback to show a self-addressed descriptor doing harm.
 """
 
 import random
@@ -10,6 +11,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.overlay.invariants import KINDS, InvariantChecker
+from repro.overlay.oracle import Oracle
+from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
 from repro.pastry.node import MSPastryNode
@@ -230,3 +234,48 @@ def test_unregistered_message_class_is_dropped_without_side_effects():
     node._on_message(99, Unregistered())  # no sender at all
     assert state() == before
     assert node.last_heard[peer.id] == clock.now  # the bookkeeping still ran
+
+
+# ----------------------------------------------------------------------
+# Admission: a foreign id at our own address
+# ----------------------------------------------------------------------
+def test_foreign_id_at_own_address_is_never_routing_state():
+    """A wire-valid sender pairing a foreign id with the *receiver's* address
+    used to be admitted; a join request for a neighbouring id was then
+    forwarded to ourselves, acked and forwarded again at one timestamp,
+    without end."""
+    sim, net, nodes = build_overlay(4, config=PastryConfig(leaf_set_size=8), seed=5)
+    node = nodes[0]
+    assert node.addr == 0
+    phantom = NodeDescriptor(node.id ^ 1, 0)
+    for hostile in (m.Heartbeat(sender=phantom), m.LsProbe(sender=phantom),
+                    m.RtProbe(sender=phantom)):
+        node._on_message(0, hostile)
+    assert phantom.id not in node.leaf_set
+    assert phantom.id not in node.routing_table
+    assert phantom.id not in node.probing.pending
+
+    self_sends = []
+    send = net.send
+
+    def spy(src, dst, msg):
+        if src == dst:
+            self_sends.append(msg)
+        send(src, dst, msg)
+
+    net.send = spy
+    # a joiner whose id the phantom, not the node, would be root of
+    step = -1 if phantom.id < node.id else 1
+    joiner = NodeDescriptor(phantom.id + step, 99)
+    node._on_message(nodes[1].addr, m.JoinRequest(
+        msg_id=7, joiner=joiner, sender=nodes[1].descriptor))
+    sim.run(until=sim.now + 5.0, max_events=20_000)
+    assert self_sends == []
+
+    oracle = Oracle()
+    for member in nodes:
+        oracle.node_alive(member)
+        oracle.node_activated(member)
+    checker = InvariantChecker(sim, oracle, leaf_grace=0.0, rt_grace=0.0)
+    checker.stop()
+    assert checker.check_now() == {kind: 0 for kind in KINDS}

@@ -26,6 +26,9 @@ def test_model_parameters_match_paper():
     assert OVERNET.median_session == pytest.approx(79 * 60.0)
     assert MICROSOFT.duration == 37 * DAY
     assert MICROSOFT.mean_session == pytest.approx(37.7 * HOUR)
+    # §5.1: the published average active populations
+    assert (GNUTELLA.avg_active, OVERNET.avg_active, MICROSOFT.avg_active) == (
+        2000, 455, 15150)
 
 
 def test_lognormal_parameters_reproduce_mean_and_median():
