@@ -26,7 +26,7 @@ from repro.analysis.core import FileContext, Finding, Rule, register
 #: file fragment -> function/method names on the per-event hot path.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/sim/engine.py": frozenset(
-        {"run", "schedule", "schedule_at", "schedule_call", "_enqueue",
+        {"run", "schedule", "schedule_at", "schedule_call", "cancel",
          "_promote", "_compact"}
     ),
     "repro/network/transport.py": frozenset({"send", "_deliver", "_lose"}),
@@ -34,9 +34,13 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {"delay", "router_delay", "_router_distances"}
     ),
     "repro/pastry/node.py": frozenset(
-        {"_on_message", "consider_for_routing_table"}
+        {"send", "_on_message", "consider_for_routing_table"}
     ),
-    "repro/pastry/forwarding.py": frozenset({"next_hop", "route", "forward"}),
+    "repro/pastry/forwarding.py": frozenset(
+        {"next_hop", "route", "forward", "on_lookup", "receive_root"}
+    ),
+    "repro/pastry/acks.py": frozenset({"track", "on_ack"}),
+    "repro/pastry/rto.py": frozenset({"rto", "sample"}),
     "repro/pastry/maintenance.py": frozenset({"handle_ls_info"}),
     "repro/pastry/leafset.py": frozenset(
         {"add", "_prune", "members", "covers", "closest_to"}
@@ -51,8 +55,9 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         {"encode", "decode", "encode_frame", "decode_frame"}
     ),
     "repro/runtime/transport.py": frozenset({"send", "_on_datagram"}),
+    "repro/runtime/service.py": frozenset({"_dispatch", "_on_deliver"}),
     "repro/runtime/clock.py": frozenset(
-        {"schedule", "schedule_at", "_fire", "_rearm"}
+        {"schedule", "schedule_at", "cancel", "_fire", "_rearm", "_compact"}
     ),
 }
 

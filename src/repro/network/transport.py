@@ -183,9 +183,9 @@ class Network:
             self.messages_lost_faults += 1
             self._lose(msg, src, dst)
             return
-        handler = self._handlers.get(dst)
-        if handler is None:
+        handlers = self._handlers
+        if dst not in handlers:
             self.messages_dropped_dead += 1
             return
         self.messages_delivered += 1
-        handler(src, msg)
+        handlers[dst](src, msg)

@@ -10,11 +10,11 @@ exclusion is either confirmed (node marked faulty) or lifted (probe reply).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.interfaces import Clock, TimerHandle
-from repro.pastry.messages import Lookup
+from repro.pastry.messages import Ack, Lookup
 from repro.pastry.nodeid import NodeDescriptor
 
 
@@ -29,7 +29,8 @@ class PendingHop:
     same_hop_tries: int = 0  # retransmissions to the current hop
     timer: Optional[TimerHandle] = None
     retransmitted: bool = False  # Karn's rule: no RTT sample after a resend
-    excluded: Set[int] = field(default_factory=set)
+    #: hops given up on; allocated by the first timeout that excludes one
+    excluded: Optional[Set[int]] = None
 
 
 class HopAckManager:
@@ -85,24 +86,32 @@ class HopAckManager:
     # ------------------------------------------------------------------
     def track(self, msg: Lookup, next_hop: NodeDescriptor) -> None:
         """Start (or continue, after a reroute) tracking a forwarded lookup."""
-        previous = self._pending.pop(msg.msg_id, None)
-        entry = PendingHop(msg=msg, next_hop=next_hop, sent_at=self._sim.now)
-        if previous is not None:
+        pending = self._pending
+        msg_id = msg.msg_id
+        sim = self._sim
+        entry = PendingHop(msg, next_hop, sim.now)
+        if msg_id in pending:
+            previous = pending.pop(msg_id)
             if previous.timer is not None:
                 previous.timer.cancel()
             entry.attempts = previous.attempts + 1
             entry.retransmitted = True
             entry.excluded = previous.excluded
-        entry.timer = self._sim.schedule(
-            self._rto.rto(next_hop.addr), self._timeout, msg.msg_id
+        entry.timer = sim.schedule(
+            self._rto.rto(next_hop.addr), self._timeout, msg_id
         )
-        self._pending[msg.msg_id] = entry
+        pending[msg_id] = entry
 
-    def on_ack(self, msg_id: int, from_addr: int) -> None:
-        entry = self._pending.get(msg_id)
-        if entry is None or entry.next_hop.addr != from_addr:
+    def on_ack(self, from_addr: int, sender, msg: Ack) -> None:
+        """The node's handler for :class:`Ack` (``MSPastryNode._HANDLERS``)."""
+        pending = self._pending
+        msg_id = msg.msg_id
+        if msg_id not in pending:
+            return
+        entry = pending[msg_id]
+        if entry.next_hop.addr != from_addr:
             return  # stale ack from a hop we already rerouted away from
-        del self._pending[msg_id]
+        del pending[msg_id]
         if entry.timer is not None:
             entry.timer.cancel()
         if not entry.retransmitted:
@@ -127,6 +136,8 @@ class HopAckManager:
             if self._probe is not None:
                 self._probe(entry.next_hop)
             return
+        if entry.excluded is None:
+            entry.excluded = set()
         entry.excluded.add(entry.next_hop.id)
         self._suspect(entry.next_hop)
         if entry.attempts > self._max_reroutes:

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Set
 from repro.pastry import messages as m
 from repro.pastry.nodeid import (
     HALF_SPACE,
+    ID_BITS,
     ID_SPACE,
     NodeDescriptor,
     digit,
@@ -23,6 +24,8 @@ from repro.pastry.nodeid import (
 )
 
 MAX_BUFFERED = 128
+#: a first routing attempt excludes nobody
+_NOBODY: frozenset = frozenset()
 
 
 class Forwarding:
@@ -43,7 +46,7 @@ class Forwarding:
     # ------------------------------------------------------------------
     # Routing (Figure 2, routei)
     # ------------------------------------------------------------------
-    def route(self, msg: m.Message, key: int, excluded: frozenset = frozenset()) -> bool:
+    def route(self, msg: m.Message, key: int, excluded: frozenset = _NOBODY) -> bool:
         """Route ``msg`` one step towards ``key``; True if forwarded."""
         next_hop = self.next_hop(key, excluded)
         if next_hop is None:
@@ -76,10 +79,13 @@ class Forwarding:
                 return primary
 
         # Route around the missing/suspect entry: any known node strictly
-        # closer to the key that shares a prefix of length >= row.  Runs
-        # once per candidate, so the ring distance is inlined.
+        # closer to the key that shares a prefix of length >= row, i.e.
+        # whose id differs from the key only below the first ``row`` digits.
+        # Runs once per candidate, so that test and the ring distance are
+        # inlined.
         best = None
         best_dist = ring_distance(my_id, key)
+        below_prefix = ID_BITS - row * b
         for desc in chain(node.routing_table.entries(), leaf_set.members()):
             desc_id = desc.id
             if (
@@ -88,7 +94,7 @@ class Forwarding:
                 or desc_id in excluded
             ):
                 continue
-            if shared_prefix_length(key, desc_id, b) < row:
+            if (key ^ desc_id) >> below_prefix:
                 continue
             dist = (desc_id - key) % ID_SPACE
             if dist > HALF_SPACE:
@@ -107,10 +113,13 @@ class Forwarding:
 
     def forward(self, msg: m.Message, next_hop: NodeDescriptor) -> None:
         node = self._node
-        if isinstance(msg, m.Lookup):
+        # Exact classes, as in ``node._TUNING_HINT_TYPES``: the message
+        # types are flat and only these two are ever routed.
+        cls = msg.__class__
+        if cls is m.Lookup:
             if msg.wants_acks and node.config.per_hop_acks:
                 node.acks.track(msg, next_hop)
-        elif isinstance(msg, m.JoinRequest):
+        elif cls is m.JoinRequest:
             if msg.msg_id and node.config.per_hop_acks:
                 node.acks.track(msg, next_hop)
         node.send(next_hop, msg)
@@ -135,13 +144,14 @@ class Forwarding:
 
     def receive_root(self, msg: m.Message, key: int) -> None:
         node = self._node
-        if isinstance(msg, m.JoinRequest):
+        cls = msg.__class__
+        if cls is m.JoinRequest:
             node.joining.at_root(msg)
             return
-        if not isinstance(msg, m.Lookup):
+        if cls is not m.Lookup:
             return
-        if node.active and self.may_deliver():
-            if self._defer_for_suspect(msg, key):
+        if node.active:
+            if node.suspected and self._defer_for_suspect(msg, key):
                 return
             msg.hops += 1
             if node.on_deliver is not None:
@@ -164,9 +174,7 @@ class Forwarding:
             return False
         if msg.deferrals >= config.max_delivery_deferrals:
             return False
-        suspected = node.suspected
-        if not suspected:
-            return False
+        suspected = node.suspected  # non-empty, or receive_root would not ask
         # Not LeafSet.closest_to: with several closer suspects the one that
         # holds the message (its reply or failure re-routes it) is the first
         # in members() order, not the closest.
@@ -199,20 +207,13 @@ class Forwarding:
                 self.deferred_ids.discard(msg.msg_id)
                 self.route(msg, msg.key)
 
-    def may_deliver(self) -> bool:
-        """§3.1: no deliveries while one leaf-set side is empty (unless alone)."""
-        leaf_set = self._node.leaf_set
-        if len(leaf_set) == 0:
-            return True  # single-node overlay
-        return bool(leaf_set.left_side) and bool(leaf_set.right_side)
-
     def buffer(self, msg: m.Message) -> None:
         if len(self.buffered) >= MAX_BUFFERED:
             self.buffered.pop(0)
         self.buffered.append(msg)
 
     def flush_buffered(self) -> None:
-        if not self.buffered or not self._node.active or not self.may_deliver():
+        if not self.buffered or not self._node.active:
             return
         buffered, self.buffered = self.buffered, []
         for msg in buffered:
@@ -232,10 +233,9 @@ class Forwarding:
         # sender to us).  The fingerprints pin that.
         node = self._node
         msg.hops += 1
-        next_hop = self.next_hop(msg.key, frozenset())
-        deliverable = next_hop is not None or (node.active and self.may_deliver())
+        next_hop = self.next_hop(msg.key, _NOBODY)
         if (
-            deliverable
+            (next_hop is not None or node.active)
             and msg.wants_acks
             and node.config.per_hop_acks
             and msg.sender is not None
@@ -248,9 +248,6 @@ class Forwarding:
             self.receive_root(msg, msg.key)
         else:
             self.forward(msg, next_hop)
-
-    def on_ack(self, src_addr, sender, msg: m.Ack) -> None:
-        self._node.acks.on_ack(msg.msg_id, src_addr)
 
     def on_app_direct(self, src_addr, sender, msg: m.AppDirect) -> None:
         node = self._node

@@ -17,16 +17,9 @@ protocol-visible iteration orders (``members()``, pruning) are unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Container, Dict, List, Optional, Sequence
+from typing import Container, Dict, List, Optional
 
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
-
-
-def _in_any(node_id: int, id_sets: Sequence[Container[int]]) -> bool:
-    for ids in id_sets:
-        if node_id in ids:
-            return True
-    return False
 
 
 class LeafSet:
@@ -242,16 +235,21 @@ class LeafSet:
         return self.wrapped()
 
     def covers(self, key: int) -> bool:
-        """Whether ``key`` lies on the leftmost→rightmost arc through the owner."""
-        if len(self._members) == 0:
-            return True  # single-node overlay: the owner is root of everything
-        if self.wrapped():
-            return True  # the leaf set spans the entire known ring
-        leftmost, rightmost = self.leftmost, self.rightmost
-        if leftmost is None or rightmost is None:
-            return False  # one side empty: deliveries are suspended (§3.1)
-        span = (rightmost.id - leftmost.id) % ID_SPACE
-        return (key - leftmost.id) % ID_SPACE <= span
+        """Whether ``key`` lies on the leftmost→rightmost arc through the owner.
+
+        In clockwise offsets from the owner the rightmost member sits at
+        ``keys[half - 1]`` and the leftmost at ``keys[n - half]``, so the arc
+        is everything at or below the one or at or above the other.
+        """
+        keys = self._ring_keys
+        n = len(keys)
+        if n < self.size:
+            # No member: the owner is root of everything.  Fewer than ``l``:
+            # the set wraps, i.e. spans the entire known ring.
+            return True
+        half = self._half
+        k = (key - self._owner_id) % ID_SPACE
+        return k <= keys[half - 1] or k >= keys[n - half]
 
     def would_admit(self, desc: NodeDescriptor) -> bool:
         """Whether ``desc`` would become a member if added (without adding).
@@ -298,11 +296,25 @@ class LeafSet:
         n = len(ring)
         k = (key - self._owner_id) % ID_SPACE
         i = bisect_left(keys, k)
+        # The usability test is spelled out in both walks: as a helper it
+        # was a call per candidate, on every hop.
         up = i
-        while up < n and _in_any(ring[up].id, unusable):
+        while up < n:
+            member_id = ring[up].id
+            for ids in unusable:
+                if member_id in ids:
+                    break
+            else:
+                break  # usable
             up += 1
         down = i - 1
-        while down >= 0 and _in_any(ring[down].id, unusable):
+        while down >= 0:
+            member_id = ring[down].id
+            for ids in unusable:
+                if member_id in ids:
+                    break
+            else:
+                break  # usable
             down -= 1
         if up == n:
             above, above_gap = self.owner, ID_SPACE - k

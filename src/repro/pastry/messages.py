@@ -234,8 +234,8 @@ class AppDirect(Message):
 # --- the schema, read off the classes above, and the exact wire size ---
 
 def _payload_size(payload: object) -> int:
-    if payload is None:
-        return 1
+    """Bytes of a payload that is not ``None`` (an absent one is 1 byte, in
+    the compiled expression: most lookups carry none)."""
     if isinstance(payload, (str, bytes, bytearray)):
         return 5 + len(payload.encode() if isinstance(payload, str) else payload)
     return 9 if isinstance(payload, int) and not isinstance(payload, bool) else 1
@@ -247,7 +247,7 @@ _VARIABLE_SIZE = {
     "desc": "(1 if msg.{0} is None else 25)",
     "desc_list": "2 + 25 * len(msg.{0})",
     "rows": "2 + 4 * len(msg.{0}) + 25 * sum(map(len, msg.{0}.values()))",
-    "payload": "_payload_size(msg.{0})",
+    "payload": "(1 if msg.{0} is None else _payload_size(msg.{0}))",
 }
 #: the optional header parts: a bare descriptor, an f64
 _HEADER_SIZE = ("(0 if msg.sender is None else 24)",
@@ -289,7 +289,7 @@ def wire_size(msg: Message) -> int:
     substrates.  A payload the codec could not carry (the simulator's apps
     pass Python objects in process) is sized as an absent one, 1 byte; a
     class outside ``SCHEMA`` raises ``TypeError``."""
-    sizer = _SIZERS.get(msg.__class__)
-    if sizer is None:
-        raise TypeError(f"{type(msg).__name__} declares no wire schema")
-    return sizer(msg)
+    cls = msg.__class__
+    if cls not in _SIZERS:
+        raise TypeError(f"{cls.__name__} declares no wire schema")
+    return _SIZERS[cls](msg)

@@ -52,38 +52,42 @@ _TUNING_HINT_TYPES = frozenset(
 )
 #: what ``_on_message`` finds for a message class nobody handles
 _UNHANDLED = (None, None, False)
+#: positions in ``MSPastryNode._components``, which the handler table names
+#: a handler's component by: the table stays one per class and a dispatch
+#: is a tuple index, not a ``getattr`` by name
+_JOINING, _MAINTENANCE, _LIVENESS, _FORWARDING, _PROX, _ACKS = range(6)
 
 
 class MSPastryNode:
-    #: message class -> (component attribute, handler, is_contact), built once
-    #: for the class.  A handler is the component class's plain function,
-    #: called as ``handler(component, src_addr, sender, msg)``; a class not
-    #: listed is silently dropped.  ``is_contact`` marks the types active
-    #: ring members send, eligible to trigger contact-driven leaf-set
-    #: recovery in ``_on_message``.
+    #: message class -> (component, handler, is_contact), built once for the
+    #: class.  ``component`` indexes ``self._components``; a handler is the
+    #: component class's plain function, called as ``handler(component,
+    #: src_addr, sender, msg)``; a class not listed is silently dropped.
+    #: ``is_contact`` marks the types active ring members send, eligible to
+    #: trigger contact-driven leaf-set recovery in ``_on_message``.
     _HANDLERS: ClassVar[Dict[type, tuple]] = {
-        m.Lookup: ("forwarding", Forwarding.on_lookup, True),
-        m.Ack: ("forwarding", Forwarding.on_ack, True),
-        m.LsProbe: ("maintenance", LeafSetMaintenance.on_ls_probe, False),
-        m.LsProbeReply: ("maintenance", LeafSetMaintenance.on_ls_probe_reply, False),
-        m.Heartbeat: ("liveness", Liveness.on_heartbeat, True),
-        m.JoinRequest: ("joining", JoinProtocol.on_join_request, False),
-        m.JoinReply: ("joining", JoinProtocol.on_join_reply, False),
-        m.RtProbe: ("liveness", Liveness.on_rt_probe, True),
-        m.RtProbeReply: ("liveness", Liveness.on_rt_probe_reply, True),
-        m.DistanceProbe: ("prox", ProximityManager.on_probe, False),
-        m.DistanceProbeReply: ("prox", ProximityManager.on_probe_reply, False),
-        m.DistanceReport: ("prox", ProximityManager.on_report, False),
-        m.RowAnnounce: ("prox", ProximityManager.on_row_announce, False),
-        m.RowRequest: ("prox", ProximityManager.on_row_request, False),
-        m.RowReply: ("prox", ProximityManager.on_row_reply, False),
-        m.SlotRequest: ("forwarding", Forwarding.on_slot_request, False),
-        m.SlotReply: ("forwarding", Forwarding.on_slot_reply, False),
-        m.LeafSetRequest: ("maintenance", LeafSetMaintenance.on_leafset_request, False),
-        m.LeafSetReply: ("maintenance", LeafSetMaintenance.on_leafset_reply, False),
-        m.AppDirect: ("forwarding", Forwarding.on_app_direct, False),
-        m.StateRequest: ("joining", JoinProtocol.on_state_request, False),
-        m.StateReply: ("joining", JoinProtocol.on_state_reply, False),
+        m.Lookup: (_FORWARDING, Forwarding.on_lookup, True),
+        m.Ack: (_ACKS, HopAckManager.on_ack, True),
+        m.LsProbe: (_MAINTENANCE, LeafSetMaintenance.on_ls_probe, False),
+        m.LsProbeReply: (_MAINTENANCE, LeafSetMaintenance.on_ls_probe_reply, False),
+        m.Heartbeat: (_LIVENESS, Liveness.on_heartbeat, True),
+        m.JoinRequest: (_JOINING, JoinProtocol.on_join_request, False),
+        m.JoinReply: (_JOINING, JoinProtocol.on_join_reply, False),
+        m.RtProbe: (_LIVENESS, Liveness.on_rt_probe, True),
+        m.RtProbeReply: (_LIVENESS, Liveness.on_rt_probe_reply, True),
+        m.DistanceProbe: (_PROX, ProximityManager.on_probe, False),
+        m.DistanceProbeReply: (_PROX, ProximityManager.on_probe_reply, False),
+        m.DistanceReport: (_PROX, ProximityManager.on_report, False),
+        m.RowAnnounce: (_PROX, ProximityManager.on_row_announce, False),
+        m.RowRequest: (_PROX, ProximityManager.on_row_request, False),
+        m.RowReply: (_PROX, ProximityManager.on_row_reply, False),
+        m.SlotRequest: (_FORWARDING, Forwarding.on_slot_request, False),
+        m.SlotReply: (_FORWARDING, Forwarding.on_slot_reply, False),
+        m.LeafSetRequest: (_MAINTENANCE, LeafSetMaintenance.on_leafset_request, False),
+        m.LeafSetReply: (_MAINTENANCE, LeafSetMaintenance.on_leafset_reply, False),
+        m.AppDirect: (_FORWARDING, Forwarding.on_app_direct, False),
+        m.StateRequest: (_JOINING, JoinProtocol.on_state_request, False),
+        m.StateReply: (_JOINING, JoinProtocol.on_state_reply, False),
     }
 
     def __init__(
@@ -176,6 +180,9 @@ class MSPastryNode:
             resend=self.forwarding.resend,
             probe=self.probe,
         )
+
+        self._components = (self.joining, self.maintenance, self.liveness,
+                            self.forwarding, self.prox, self.acks)
 
         self._lookup_seq = 0
         self._tasks: List[PeriodicTask] = []
@@ -336,14 +343,18 @@ class MSPastryNode:
     def _on_message(self, src_addr: int, msg: m.Message) -> None:
         if self.crashed:
             return
-        owner, handler, is_contact = self._HANDLERS.get(msg.__class__, _UNHANDLED)
+        handlers = self._HANDLERS
+        cls = msg.__class__
+        component, handler, is_contact = (
+            handlers[cls] if cls in handlers else _UNHANDLED)
         sender = msg.sender
         if sender is not None and (sender_id := sender.id) != self.id:
             last_heard = self.last_heard
             last_heard[sender_id] = now = self.sim.now
             if len(last_heard) >= last_heard.cap:
                 last_heard.sweep(now)
-            self.suspected.discard(sender_id)
+            if self.suspected:
+                self.suspected.discard(sender_id)
             forwarding = self.forwarding
             if forwarding.deferred and sender_id in forwarding.deferred:
                 forwarding.flush_deferred_for(sender_id)
@@ -374,7 +385,7 @@ class MSPastryNode:
             adversary = self.adversary
             if adversary is not None and adversary.intercept(src_addr, msg):
                 return
-            handler(getattr(self, owner), src_addr, sender, msg)
+            handler(self._components[component], src_addr, sender, msg)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -106,28 +106,38 @@ class RtoTable:
             self._table.pop(next(iter(self._table)))
         self._table[addr] = complex(srtt, rttvar)
 
+    # ``rto`` and ``sample`` run once per forwarded message and once per ack,
+    # so they spell ``isnan``, ``min``/``max`` and ``abs`` as comparisons —
+    # with the same results bit for bit, :class:`RttEstimator` being the
+    # reference (``tests/test_rto.py``).
     def rto(self, addr: int) -> float:
-        entry = self._table.get(addr)
-        if entry is None:
+        table = self._table
+        if addr not in table:
             return self.initial_rto
+        entry = table[addr]
         srtt = entry.real
-        if math.isnan(srtt):
+        if srtt != srtt:  # nan: no sample yet
             base = entry.imag * (1.0 + self.variance_weight)
         else:
             base = srtt + self.variance_weight * entry.imag
-        return min(self.rto_max, max(self.rto_min, base))
+        floored = base if base > self.rto_min else self.rto_min
+        return floored if floored < self.rto_max else self.rto_max
 
     def sample(self, addr: int, rtt: float) -> None:
-        entry = self._table.get(addr)
-        if entry is None or math.isnan(entry.real):
-            self._set(addr, rtt, rtt / 2.0)
-        else:
+        table = self._table
+        if addr in table:
+            entry = table[addr]
             srtt = entry.real
-            rttvar = entry.imag
-            err = rtt - srtt
-            self._table[addr] = complex(
-                srtt + 0.125 * err, rttvar + 0.25 * (abs(err) - rttvar)
-            )
+            if srtt == srtt:  # not nan: there is an estimate to fold into
+                rttvar = entry.imag
+                err = rtt - srtt
+                # 0.0 - err, not -err: abs(0.0) is +0.0
+                deviation = err if err > 0.0 else 0.0 - err
+                table[addr] = complex(
+                    srtt + 0.125 * err, rttvar + 0.25 * (deviation - rttvar)
+                )
+                return
+        self._set(addr, rtt, rtt / 2.0)
 
     def seed(self, addr: int, rtt: float) -> None:
         entry = self._table.get(addr)

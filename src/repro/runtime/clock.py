@@ -7,6 +7,9 @@ with lazy cancellation.  :class:`AsyncioClock` mirrors that design on a
 real event loop: timers live on one binary heap, cancellation is O(1) and
 lazy, and a *single* ``loop.call_at`` wakeup is kept armed for the
 earliest live entry instead of one asyncio timer per protocol timer.
+Like the simulator, the clock counts its dead entries and compacts the
+heap in place once they dominate: a cancelled ack timer would otherwise
+sit there for a whole RTO.
 
 ``now`` is seconds since clock construction (``loop.time()`` minus the
 origin), so protocol timestamps look exactly like simulation timestamps:
@@ -26,6 +29,10 @@ from typing import Any, Callable, List, Optional, Tuple
 
 log = logging.getLogger(__name__)
 
+#: don't bother compacting while fewer entries than this are dead, and
+#: compact when more than half the heap is (the simulator's policy)
+_COMPACT_MIN_DEAD = 512
+
 
 def _noop(*_args: Any) -> None:
     return None
@@ -34,14 +41,17 @@ def _noop(*_args: Any) -> None:
 class RealTimerHandle:
     """A scheduled wall-clock callback; structurally a ``TimerHandle``."""
 
-    __slots__ = ("time", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled", "_clock")
 
     def __init__(self, time: float, callback: Callable[..., None],
-                 args: Tuple[Any, ...]):
+                 args: Tuple[Any, ...],
+                 clock: Optional["AsyncioClock"] = None):
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
+        #: the clock whose heap holds this handle; None once it is off it
+        self._clock = clock
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly."""
@@ -52,6 +62,12 @@ class RealTimerHandle:
         # popped and must not pin message/node object graphs.
         self.callback = _noop
         self.args = ()
+        clock = self._clock
+        if clock is not None:
+            self._clock = None
+            clock._dead = dead = clock._dead + 1
+            if dead >= _COMPACT_MIN_DEAD and 2 * dead > len(clock._heap):
+                clock._compact()
 
     @property
     def active(self) -> bool:
@@ -79,6 +95,8 @@ class AsyncioClock:
         #: (time, seq, handle); seq breaks ties in scheduling order, like
         #: the simulator's heap, and keeps handles out of comparisons
         self._heap: List[Tuple[float, int, RealTimerHandle]] = []
+        #: lazily cancelled entries still on the heap
+        self._dead = 0
         self._seq = 0
         self._wakeup: Optional[asyncio.TimerHandle] = None
         self._wakeup_time: Optional[float] = None
@@ -103,10 +121,14 @@ class AsyncioClock:
                     *args: Any) -> RealTimerHandle:
         if self._closed:
             raise RuntimeError("clock is closed")
-        handle = RealTimerHandle(time, callback, args)
+        handle = RealTimerHandle(time, callback, args, self)
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handle))
-        self._rearm()
+        wakeup_time = self._wakeup_time
+        if wakeup_time is None or time < wakeup_time:
+            # Otherwise the armed wakeup is early enough already — the
+            # case of every retransmission timer, a whole RTO out.
+            self._rearm()
         return handle
 
     def schedule_call(self, delay: float, callback: Callable[..., None],
@@ -125,6 +147,7 @@ class AsyncioClock:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
+            self._dead -= 1
         if not heap:
             if self._wakeup is not None:
                 self._wakeup.cancel()
@@ -147,6 +170,7 @@ class AsyncioClock:
         while heap and heap[0][0] <= now:
             _, _, handle = heapq.heappop(heap)
             if handle.cancelled:
+                self._dead -= 1
                 continue
             callback, args = handle.callback, handle.args
             # Mark consumed (handle.active turns False, which protocol
@@ -154,6 +178,7 @@ class AsyncioClock:
             handle.cancelled = True
             handle.callback = _noop
             handle.args = ()
+            handle._clock = None
             self.timers_fired += 1
             try:
                 callback(*args)
@@ -162,6 +187,15 @@ class AsyncioClock:
                 log.exception("timer callback failed")
             now = self.now  # callbacks take real time; re-read the clock
         self._rearm()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify, in place (``_fire`` holds
+        an alias).  Every survivor keeps its (time, seq) key, so the firing
+        order is what it would have been."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._dead = 0
 
     def close(self) -> None:
         """Cancel everything; the clock cannot schedule afterwards."""
@@ -173,5 +207,7 @@ class AsyncioClock:
             self._wakeup = None
             self._wakeup_time = None
         for _, _, handle in self._heap:
+            handle._clock = None  # the heap is going: nothing to account
             handle.cancel()
         self._heap.clear()
+        self._dead = 0

@@ -31,8 +31,10 @@ Design notes
   or below the index being drained — both directions preserve the
   global ``(time, seq)`` total order, byte-for-byte.
 
-* Three entry points share one private enqueue and one seq counter (and
-  therefore a single deterministic total order):
+* Three entry points share one seq counter and one insert rule — draw
+  the next seq, route by bucket index — and therefore a single
+  deterministic total order.  Each carries the rule's lines itself: a
+  shared helper was a frame per timer armed and per message sent.
 
   - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
     :class:`EventHandle` that can be cancelled — timers, retransmissions.
@@ -94,8 +96,13 @@ class EventHandle:
         # keep large object graphs (nodes, messages) alive.
         self.callback = _noop
         self.args = ()
-        if self._sim is not None:
-            self._sim._note_cancel()
+        sim = self._sim
+        if sim is not None:
+            # A live queued handle died; compact once the dead dominate.
+            sim._dead = dead = sim._dead + 1
+            if (dead >= sim._compact_min_dead
+                    and dead > sim._compact_dead_fraction * sim._count):
+                sim._compact()
 
     @property
     def active(self) -> bool:
@@ -166,7 +173,17 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay}")
         time = self.now + delay
         handle = EventHandle(time, callback, args, self)
-        self._enqueue(time, handle, None, None)
+        self._seq += 1
+        self._count += 1
+        entry = (time, self._seq, handle, None, None)
+        idx = int(time * _INV_WIDTH)
+        if idx <= self._cur_idx:
+            heapq.heappush(self._near, entry)
+        elif idx in self._buckets:
+            self._buckets[idx].append(entry)
+        else:
+            self._buckets[idx] = [entry]
+            heapq.heappush(self._bucket_heap, idx)
         return handle
 
     def schedule_at(
@@ -178,7 +195,17 @@ class Simulator:
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
         handle = EventHandle(time, callback, args, self)
-        self._enqueue(time, handle, None, None)
+        self._seq += 1
+        self._count += 1
+        entry = (time, self._seq, handle, None, None)
+        idx = int(time * _INV_WIDTH)
+        if idx <= self._cur_idx:
+            heapq.heappush(self._near, entry)
+        elif idx in self._buckets:
+            self._buckets[idx].append(entry)
+        else:
+            self._buckets[idx] = [entry]
+            heapq.heappush(self._bucket_heap, idx)
         return handle
 
     def schedule_call(
@@ -194,29 +221,18 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._enqueue(self.now + delay, None, callback, args)
-
-    def _enqueue(
-        self,
-        time: float,
-        handle: Optional[EventHandle],
-        callback: Optional[Callable[..., None]],
-        args: Optional[Tuple[Any, ...]],
-    ) -> None:
-        """The one insert: draw the next seq, route by bucket index."""
+        time = self.now + delay
         self._seq += 1
         self._count += 1
-        entry = (time, self._seq, handle, callback, args)
+        entry = (time, self._seq, None, callback, args)
         idx = int(time * _INV_WIDTH)
         if idx <= self._cur_idx:
             heapq.heappush(self._near, entry)
-            return
-        bucket = self._buckets.get(idx)
-        if bucket is None:
+        elif idx in self._buckets:
+            self._buckets[idx].append(entry)
+        else:
             self._buckets[idx] = [entry]
             heapq.heappush(self._bucket_heap, idx)
-        else:
-            bucket.append(entry)
 
     # ------------------------------------------------------------------
     # Promotion: refill the near heap from the wheel
@@ -264,14 +280,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """A live queued handle was cancelled; maybe compact."""
-        self._dead += 1
-        dead = self._dead
-        if (dead >= self._compact_min_dead
-                and dead > self._compact_dead_fraction * self._count):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop cancelled entries from both tiers and re-heapify, *in place*.
 

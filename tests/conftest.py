@@ -4,7 +4,7 @@ import pytest
 
 from repro.overlay.utils import build_overlay
 from repro.pastry.config import PastryConfig
-from repro.pastry.nodeid import is_closer_root
+from repro.pastry.nodeid import ID_SPACE, is_closer_root
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,20 @@ def linear_root(leaf_set, key, unusable=frozenset()):
         if d.id not in unusable and is_closer_root(d.id, best.id, key):
             best = d
     return best
+
+
+def linear_covers(leaf_set, key):
+    """Reference for ``LeafSet.covers``: the form it replaced, on ids and the
+    two side views (``Forwarding.next_hop`` ran it on every hop)."""
+    if len(leaf_set) == 0:
+        return True  # single-node overlay: the owner is root of everything
+    if leaf_set.wrapped():
+        return True  # the leaf set spans the entire known ring
+    leftmost, rightmost = leaf_set.leftmost, leaf_set.rightmost
+    if leftmost is None or rightmost is None:
+        return False  # one side empty
+    span = (rightmost.id - leftmost.id) % ID_SPACE
+    return (key - leftmost.id) % ID_SPACE <= span
 
 
 class EagerMercatorMap:

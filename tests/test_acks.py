@@ -43,7 +43,7 @@ def test_ack_cancels_timer_and_samples_rtt():
     msg = lookup()
     manager.track(msg, desc(5))
     sim.run(until=0.2)
-    manager.on_ack(msg.msg_id, 5)
+    manager.on_ack(5, None, m.Ack(msg_id=msg.msg_id))
     sim.run(until=10)
     assert calls["suspect"] == []
     assert manager.in_flight == 0
@@ -58,9 +58,9 @@ def test_stale_ack_from_old_hop_ignored():
     sim.run(until=1.0)  # timer fires, suspect 5, reroute
     assert calls["suspect"] and calls["suspect"][0].id == 5
     manager.track(msg, desc(6))  # rerouted to 6
-    manager.on_ack(msg.msg_id, 5)  # late ack from the abandoned hop
+    manager.on_ack(5, None, m.Ack(msg_id=msg.msg_id))  # late ack from the abandoned hop
     assert manager.in_flight == 1  # still waiting on 6
-    manager.on_ack(msg.msg_id, 6)
+    manager.on_ack(6, None, m.Ack(msg_id=msg.msg_id))
     assert manager.in_flight == 0
 
 
@@ -108,7 +108,7 @@ def test_karn_rule_no_sample_after_retransmit():
     manager.track(msg, desc(6))
     rto_before = manager._rto.rto(6)
     sim.run(until=1.05)
-    manager.on_ack(msg.msg_id, 6)
+    manager.on_ack(6, None, m.Ack(msg_id=msg.msg_id))
     assert manager._rto.rto(6) == rto_before  # no sample on rerouted send
 
 

@@ -393,12 +393,13 @@ def test_hot003_scoped_to_registered_files():
     assert "HOT003" not in lint_snippet(snippet, path=ANY_PATH)
 
 
-def test_hot_rules_cover_the_shared_enqueue():
-    """Every schedule* entry point funnels into _enqueue: it is hot."""
-    snippet = ("class S:\n    def _enqueue(self, time, handle, cb, args):\n"
+@pytest.mark.parametrize("name", ["schedule", "schedule_at", "schedule_call"])
+def test_hot_rules_cover_every_schedule_entry_point(name):
+    """Each schedule* entry point carries the queue insert itself: all hot."""
+    snippet = (f"class S:\n    def {name}(self, time, cb, *args):\n"
                "        return self.widths[0].item()\n")
     assert "HOT003" in lint_snippet(snippet, path=ENGINE_PATH)
-    lam = ("class S:\n    def _enqueue(self, time, handle, cb, args):\n"
+    lam = (f"class S:\n    def {name}(self, time, cb, *args):\n"
            "        return min(self.near, key=lambda e: e[0])\n")
     assert "HOT001" in lint_snippet(lam, path=ENGINE_PATH)
 

@@ -43,7 +43,7 @@ def test_debug_state_after_crash():
 def test_ack_for_unknown_message_ignored():
     sim, _net, nodes = overlay(seed=1105)
     node = nodes[0]
-    node.acks.on_ack(999999, 5)  # must not raise
+    node.acks.on_ack(5, None, m.Ack(msg_id=999999))  # must not raise
     assert node.acks.in_flight == 0
 
 
@@ -58,9 +58,9 @@ def test_unknown_sender_ack_does_not_release():
         hop = src.forwarding.next_hop(key, frozenset())
     msg = src.make_lookup(key)
     src.acks.track(msg, hop)
-    src.acks.on_ack(msg.msg_id, hop.addr + 12345)  # wrong source
+    src.acks.on_ack(hop.addr + 12345, None, m.Ack(msg_id=msg.msg_id))  # wrong source
     assert src.acks.in_flight == 1
-    src.acks.on_ack(msg.msg_id, hop.addr)
+    src.acks.on_ack(hop.addr, None, m.Ack(msg_id=msg.msg_id))
     assert src.acks.in_flight == 0
 
 

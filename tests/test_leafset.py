@@ -13,7 +13,7 @@ from repro.pastry.nodeid import (
     counter_clockwise_distance,
     ring_distance,
 )
-from tests.conftest import linear_root
+from tests.conftest import linear_covers, linear_root
 
 ids = st.integers(min_value=0, max_value=ID_SPACE - 1)
 
@@ -248,6 +248,39 @@ def test_closest_to_matches_linear_scan(case):
     assert ls.closest_to(key, some, {}, unusable - some) is expected
     if not unusable:
         assert ls.closest_to(key) is expected
+
+
+@given(leafset_key_unusable(), st.integers(-2, 2))
+def test_covers_matches_the_side_view_form(case, nudge):
+    """Wrapped sets, sets of exactly ``l`` members, the key on either extreme
+    (and one id beyond it), the key on the owner."""
+    ls, key, _unusable = case
+    assert ls.covers(key) == linear_covers(ls, key)
+    assert ls.covers(ls.owner.id) and linear_covers(ls, ls.owner.id)
+    for extreme in (ls.leftmost, ls.rightmost):
+        if extreme is not None:
+            edge = (extreme.id + nudge) % ID_SPACE
+            assert ls.covers(edge) == linear_covers(ls, edge)
+
+
+@given(
+    ids,
+    st.lists(st.tuples(st.booleans(), st.integers(-40, 40) | ids), max_size=60),
+    st.sampled_from([2, 4, 8]),
+)
+def test_a_side_is_empty_only_when_the_set_is(owner_id, ops, size):
+    """§3.1 suspends deliveries "while one leaf-set side is empty".  On the
+    sorted ring each side is the ``l/2`` closest members in its direction,
+    whichever way round they lie, so one member already sits on both: the
+    rule cannot bite, and ``Forwarding`` carries no predicate for it."""
+    ls = LeafSet(desc(owner_id), size)
+    for is_add, off in ops:
+        node_id = (owner_id + off) % ID_SPACE
+        if is_add:
+            ls.add(desc(node_id))
+        else:
+            ls.remove(node_id)
+        assert bool(ls.left_side) == bool(ls.right_side) == (len(ls) > 0)
 
 
 def test_closest_to_breaks_ties_towards_smaller_id():

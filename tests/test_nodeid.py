@@ -139,6 +139,22 @@ def test_shared_prefix_consistent_with_digits(a, b, base_bits):
         assert digit(a, length, base_bits) != digit(b, length, base_bits)
 
 
+@given(ids, ids, st.sampled_from([1, 2, 3, 4, 5, 8]), st.data())
+def test_prefix_test_by_shift_matches_shared_prefix_length(a, b, base_bits, data):
+    """``Forwarding.next_hop``'s route-around asks "does this candidate share
+    at least ``row`` digits with the key" once per candidate, as one shift:
+    two ids agree on their first ``row`` digits iff their xor has no bit set
+    at or above bit ``ID_BITS - row * b``.  ``row`` is a prefix length the
+    key has with some *other* id, so ``row * b`` < ``ID_BITS``."""
+    row = data.draw(st.integers(0, (ID_BITS - 1) // base_bits))
+    below_prefix = ID_BITS - row * base_bits
+    first_difference = data.draw(st.integers(0, ID_BITS - 1))
+    for other in (b, a, a ^ (1 << first_difference),
+                  a ^ (b & ((1 << first_difference + 1) - 1))):
+        by_shift = not (a ^ other) >> below_prefix
+        assert by_shift == (shared_prefix_length(a, other, base_bits) >= row)
+
+
 @given(ids, st.sampled_from([1, 2, 4]))
 def test_digits_reconstruct_identifier(value, base_bits):
     rows = ID_BITS // base_bits

@@ -1,5 +1,8 @@
 """Unit tests for TCP-style RTT estimation and per-destination RTO tables."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.pastry.rto import RtoTable, RttEstimator
 
 
@@ -80,3 +83,48 @@ def test_table_eviction_bounds_size():
     # Oldest entries evicted; newest retained.
     assert 9 in table._table
     assert 0 not in table._table
+
+
+# ----------------------------------------------------------------------
+# RtoTable against the reference estimator, bit for bit
+# ----------------------------------------------------------------------
+_rtts = st.one_of(
+    st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 0.05, 0.1, 6.0]),
+)
+_bounds = st.tuples(
+    st.floats(min_value=0.001, max_value=10.0),  # initial_rto
+    st.floats(min_value=0.0, max_value=2.0),  # rto_min
+    st.floats(min_value=0.0, max_value=8.0),  # rto_max, may sit below rto_min
+    st.sampled_from([2.0, 4.0, 0.5]),  # variance_weight
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounds, st.booleans(),
+       st.lists(st.tuples(st.booleans(), _rtts), max_size=30))
+def test_table_is_bit_identical_to_the_estimator(bounds, from_no_sample, ops):
+    """``RtoTable.rto`` / ``sample`` spell ``isnan``, ``min``, ``max`` and
+    ``abs`` as comparisons; ``RttEstimator`` keeps the calls.  Same floats
+    after every step, from the no-sample (``nan``) state and from a first
+    sample, through both clamps."""
+    initial, rto_min, rto_max, weight = bounds
+    est = RttEstimator(initial, rto_min, rto_max, variance_weight=weight)
+    table = RtoTable(initial, rto_min, rto_max, variance_weight=weight)
+    if from_no_sample:
+        table._table[7] = complex(float("nan"), est.rttvar)
+        assert table.rto(7).hex() == est.rto.hex()
+    else:
+        assert table.rto(7) == initial  # unknown destination: unclamped
+        ops = [(False, 0.25)] + ops
+    for is_seed, rtt in ops:
+        if is_seed:
+            est.seed(rtt)
+            table.seed(7, rtt)
+        else:
+            est.sample(rtt)
+            table.sample(7, rtt)
+        entry = table._table[7]
+        assert (entry.real.hex(), entry.imag.hex()) == (
+            est.srtt.hex(), est.rttvar.hex())
+        assert table.rto(7).hex() == est.rto.hex()

@@ -158,3 +158,61 @@ def test_schedule_call_is_fire_and_forget():
         assert fired == ["x"]
         clock.close()
     run(main())
+
+
+# ----------------------------------------------------------------------
+# Heap compaction: cancelled timers do not wait out their deadline
+# ----------------------------------------------------------------------
+def test_cancelled_timers_are_compacted_off_the_heap():
+    """The per-hop ack pattern: arm a retransmission timer a whole RTO out,
+    cancel it when the ack arrives a millisecond later."""
+    async def main():
+        clock = AsyncioClock()
+        # a live timer at the head: nothing behind it is popped in passing
+        keeper = clock.schedule(0.5, lambda: None)
+        for _ in range(10_000):
+            clock.schedule(1.0, lambda: None).cancel()
+            assert clock.pending_timers <= 1024
+        assert keeper.active
+        clock.close()
+    run(main())
+
+
+def test_firing_order_is_unchanged_across_a_compaction():
+    async def main():
+        clock = AsyncioClock()
+        fired = []
+        target = clock.now + 0.05
+        handles = []
+        for i in range(1500):
+            # equal deadlines in threes: seq, not the heap's shape, orders them
+            handles.append(
+                clock.schedule_at(target + (i // 3) * 1e-5, fired.append, i))
+        before = clock.pending_timers
+        for i, handle in enumerate(handles):
+            if i % 5:
+                handle.cancel()
+        assert clock.pending_timers < before - 512  # compacted at least once
+        await asyncio.sleep(0.15)
+        assert fired == list(range(0, 1500, 5))
+        assert clock.pending_timers == 0
+        clock.close()
+    run(main())
+
+
+def test_a_fired_or_cancelled_handle_is_counted_once():
+    async def main():
+        clock = AsyncioClock()
+        fired = clock.schedule(0.005, lambda: None)
+        await asyncio.sleep(0.03)
+        for _ in range(3):
+            fired.cancel()  # consumed: off the heap, nothing to account
+        live = [clock.schedule(1.0, lambda: None) for _ in range(1200)]
+        for handle in live[:600]:
+            handle.cancel()
+            handle.cancel()  # idempotent: one dead entry, not two
+        assert clock.pending_timers == 1200  # 600 dead of 1200: not yet half
+        live[600].cancel()
+        assert clock.pending_timers == 599
+        clock.close()
+    run(main())
