@@ -1,49 +1,31 @@
-"""Byzantine node behavior models and the attack-schedule fuzzer.
+"""Byzantine node behavior models, scheduled like any other fault.
 
 The paper evaluates MSPastry under *benign* failures (crashes, loss,
 churn); this package extends the dependability story to *Byzantine*
 behavior — where structured overlays actually break in deployment, because
 consistent routing concentrates trust in the O(log N) nodes on each path.
 
-Three layers:
+Two layers:
 
 * :mod:`~repro.adversary.behaviors` — composable per-node behavior
   overlays (:class:`AdversaryParams` knobs, :data:`BEHAVIORS` presets,
   :class:`ActiveAdversary` hooked into ``MSPastryNode._on_message``),
 * :mod:`~repro.adversary.fault` — :class:`AdversaryFault`, scheduling
   compromise through the existing ``FaultSchedule`` machinery so attacks
-  compose with partitions, bursty loss and gray failures,
-* :mod:`~repro.adversary.fuzzer` — the invariant-guided attack fuzzer
-  behind ``repro fuzz``, searching attack schedules against the
-  ``InvariantChecker`` + ``routing_consistency`` oracle and shrinking
-  failures to minimal reproducing schedules.
+  compose with partitions, bursty loss and gray failures.
 
 The ``attacks`` experiment (``repro run attacks``) publishes the
-attack-coverage table built on these pieces.
+attack-coverage table built on these pieces; the overlay fuzzer
+(``tests/test_overlay_fuzz.py``) switches :class:`AdversaryFault` on and
+off among its other rules.
 """
 
 from repro.adversary.behaviors import BEHAVIORS, ActiveAdversary, AdversaryParams
 from repro.adversary.fault import AdversaryFault
-from repro.adversary.fuzzer import (
-    AttackScenario,
-    FuzzError,
-    render_fuzz_report,
-    run_fuzz,
-    run_trial,
-    verify_fuzz_schema,
-    write_fuzz_artifact,
-)
 
 __all__ = [
     "AdversaryFault",
     "AdversaryParams",
     "ActiveAdversary",
-    "AttackScenario",
     "BEHAVIORS",
-    "FuzzError",
-    "render_fuzz_report",
-    "run_fuzz",
-    "run_trial",
-    "verify_fuzz_schema",
-    "write_fuzz_artifact",
 ]

@@ -79,9 +79,8 @@ class AdversaryParams:
         )
 
 
-#: Named behavior presets — the vocabulary of ``AdversaryFault`` mixes and
-#: the fuzzer's search space.  Keep names stable: they appear in schedule
-#: artifacts and experiment tables.
+#: Named behavior presets — the vocabulary of ``AdversaryFault`` mixes.
+#: Keep names stable: the ``attacks`` experiment's rows are keyed by them.
 BEHAVIORS: Dict[str, AdversaryParams] = {
     "drop": AdversaryParams(drop=1.0),
     "spoof": AdversaryParams(drop=1.0, spoof_acks=True),
@@ -211,8 +210,8 @@ class ActiveAdversary:
 
     def _intercept_join(self, msg) -> bool:
         node = self.node
-        if msg.joiner.id == node.id:
-            return False  # our own join request routed back to us
+        if msg.joiner is None or msg.joiner.id == node.id:
+            return False  # no joiner on the wire, or our own request back
         params = self.params
         if params.eclipse:
             # Capture the join outright: ack the previous hop (claiming

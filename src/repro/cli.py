@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli run all
     python -m repro.cli sweep examples/sweeps/fig6_seeds.json --jobs 4 --out out/fig6
     python -m repro.cli report out/fig6
-    python -m repro.cli fuzz --seed 6 --budget 12 --out out/fuzz.json
     python -m repro.cli serve --port 9000 --metrics-port 9001
     python -m repro.cli serve --seed 127.0.0.1:9000
     python -m repro.cli live --nodes 5 --lookups 50 --out out/live.json
@@ -127,31 +126,6 @@ def cmd_report(args) -> int:
         print(format_sweep_report(args.dir, metrics=args.metrics))
     except StoreError as exc:
         return _fail(str(exc), status=2)
-    return 0
-
-
-def cmd_fuzz(args) -> int:
-    from repro.adversary import (
-        FuzzError,
-        render_fuzz_report,
-        run_fuzz,
-        write_fuzz_artifact,
-    )
-
-    try:
-        artifact = run_fuzz(
-            seed=args.seed,
-            budget=args.budget,
-            threshold=args.threshold,
-            n_nodes=args.nodes,
-            recovery=args.recovery,
-            shrink_budget=args.shrink_budget,
-        )
-        path = write_fuzz_artifact(artifact, args.out)
-    except (FuzzError, ValueError) as exc:
-        return _fail(str(exc), status=2)
-    print(render_fuzz_report(artifact))
-    print(f"written: {path}", file=sys.stderr)
     return 0
 
 
@@ -319,28 +293,6 @@ def main(argv=None) -> int:
                         metavar="SUBSTR",
                         help="only metrics containing SUBSTR (repeatable)")
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="search attack schedules for routing-consistency violations "
-             "and shrink the first failure to a minimal reproduction")
-    fuzz.add_argument("--seed", type=int, default=42,
-                      help="master seed; same seed => byte-identical artifact")
-    fuzz.add_argument("--budget", type=int, default=12,
-                      help="generated schedules to try (default: 12)")
-    fuzz.add_argument("--threshold", type=float, default=0.9,
-                      help="routing-consistency failure threshold "
-                           "(default: 0.9)")
-    fuzz.add_argument("--nodes", type=int, default=24,
-                      help="overlay size per trial (default: 24)")
-    fuzz.add_argument("--recovery", type=float, default=240.0,
-                      help="post-attack observation window in simulated "
-                           "seconds (default: 240)")
-    fuzz.add_argument("--shrink-budget", type=int, default=16,
-                      help="max trials spent shrinking a failure "
-                           "(default: 16)")
-    fuzz.add_argument("--out", default="out/fuzz.json",
-                      help="artifact path (default: out/fuzz.json)")
-
     lint = sub.add_parser(
         "lint", help="run detlint static analysis (determinism contracts)")
     lint.add_argument("paths", nargs="*", default=["src/repro"],
@@ -399,8 +351,6 @@ def main(argv=None) -> int:
         return cmd_sweep(args)
     if args.command == "report":
         return cmd_report(args)
-    if args.command == "fuzz":
-        return cmd_fuzz(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "serve":

@@ -24,7 +24,10 @@ Checked invariants (per sweep, counts per kind):
 ``dead_leaf`` / ``dead_rt``
     No leaf-set (routing-table) entry still points at a node that has been
     dead longer than the detection machinery needs (``leaf_grace`` /
-    ``rt_grace`` seconds).  Fresh corpses are not violations: immediate
+    ``rt_grace`` seconds).  An entry that binds a live id to an address that
+    is not that node's own reaches no one who answers for the id either, so
+    it counts the same way once it has been held for the same grace.  Fresh
+    corpses are not violations: immediate
     neighbours notice within a heartbeat period and failure announcements
     usually ripple outward fast, but the only *guaranteed* cleanup of a
     dead member far along a leaf-set side — or of a routing-table entry —
@@ -75,6 +78,9 @@ class InvariantChecker:
         self.sweeps = 0
         self._death_time: Dict[int, float] = {}
         self._mutual_since: Dict[Tuple[int, int], float] = {}
+        #: (id, address) -> first sweep that saw a live id held at that
+        #: foreign address; a pair no sweep sees any more stops aging
+        self._misbound_since: Dict[Tuple[int, int], float] = {}
         self._known_alive: Set[int] = set(oracle.alive_ids())
         self._started_at = sim.now
         self._task = PeriodicTask(sim, period, self._tick, start_delay=start_delay)
@@ -100,10 +106,16 @@ class InvariantChecker:
             self._death_time.setdefault(node_id, now)
         self._known_alive = alive
 
-    def _dead_longer_than(self, node_id: int, grace: float) -> bool:
-        if self.oracle.is_alive(node_id):
-            return False
-        since = self._death_time.setdefault(node_id, self._started_at)
+    def _stale_longer_than(self, desc, addr: Optional[int], grace: float,
+                           misbound: Dict[Tuple[int, int], float]) -> bool:
+        """Whether ``desc``, whose id is dead (``addr`` None) or alive at
+        ``addr`` rather than ``desc.addr``, has been held so for ``grace``
+        seconds (``misbound`` collects this sweep's live-id pairs)."""
+        if addr is None:
+            since = self._death_time.setdefault(desc.id, self._started_at)
+        else:
+            key = (desc.id, desc.addr)
+            since = misbound[key] = self._misbound_since.get(key, self.sim.now)
         return self.sim.now - since >= grace
 
     # ------------------------------------------------------------------
@@ -127,13 +139,18 @@ class InvariantChecker:
 
         now = self.sim.now
         mutual_now: Set[Tuple[int, int]] = set()
+        misbound: Dict[Tuple[int, int], float] = {}
+        stale = self._stale_longer_than
+        address = oracle.addresses().get
+        get_active = oracle.get_active
         for node_id in ids:
-            node = oracle.get_active(node_id)
+            node = get_active(node_id)
             for desc in node.leaf_set.members():
-                peer = oracle.get_active(desc.id)
+                addr = address(desc.id)
+                if addr != desc.addr and stale(desc, addr, self.leaf_grace, misbound):
+                    counts["dead_leaf"] += 1
+                peer = get_active(desc.id)
                 if peer is None:
-                    if self._dead_longer_than(desc.id, self.leaf_grace):
-                        counts["dead_leaf"] += 1
                     continue
                 if (
                     node_id not in peer.leaf_set
@@ -145,15 +162,15 @@ class InvariantChecker:
                     if now - since >= self.mutual_grace:
                         counts["leafset_mutual"] += 1
             for desc in node.routing_table.entries():
-                if not oracle.is_alive(desc.id) and self._dead_longer_than(
-                    desc.id, self.rt_grace
-                ):
+                addr = address(desc.id)
+                if addr != desc.addr and stale(desc, addr, self.rt_grace, misbound):
                     counts["dead_rt"] += 1
 
         # pairs that repaired themselves stop aging
         for pair in list(self._mutual_since):
             if pair not in mutual_now:
                 del self._mutual_since[pair]
+        self._misbound_since = misbound
 
         return counts
 

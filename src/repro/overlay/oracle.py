@@ -68,8 +68,9 @@ class Oracle:
     def get_active(self, node_id: int):
         return self._by_id.get(node_id)
 
-    def is_alive(self, node_id: int) -> bool:
-        return node_id in self._alive
+    def addresses(self) -> Dict[int, int]:
+        """id -> address of every alive node, including ones still joining."""
+        return {node_id: node.addr for node_id, node in self._alive.items()}
 
     def root_of(self, key: int) -> Optional[int]:
         """The nodeId that should receive a lookup for ``key`` right now."""

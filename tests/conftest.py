@@ -1,10 +1,55 @@
 """Shared fixtures for protocol tests."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.overlay.utils import build_overlay
+from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
-from repro.pastry.nodeid import ID_SPACE, is_closer_root
+from repro.pastry.nodeid import ID_SPACE, intern_descriptor, is_closer_root
+
+#: the overlay fuzzer's CI budget (``tests/test_overlay_fuzz.py`` runs a
+#: fixed derandomized search otherwise): ``--hypothesis-profile=ci``
+settings.register_profile("ci", max_examples=1200, deadline=None,
+                          print_blob=True)
+
+MAX_U128 = ID_SPACE - 1
+MAX_U64 = (1 << 64) - 1
+
+ids = st.integers(0, MAX_U128)
+#: any descriptor the codec can carry
+any_descriptors = st.builds(intern_descriptor, ids, st.integers(0, MAX_U64))
+
+
+@st.composite
+def wire_messages(draw, descs=any_descriptors, senders=None, u128s=ids,
+                  schema=m.SCHEMA):
+    """Any message of a type in ``schema``, every field drawn for its wire
+    kind: descriptors from ``descs``, the sender from ``senders`` (default:
+    absent or one of ``descs``), ids and keys from ``u128s``.  NaN is
+    excluded: its bit patterns are not canonical across pack/unpack, and
+    the protocol never sends NaN timestamps/RTTs."""
+    _, cls, fields = draw(st.sampled_from(schema))
+    kinds = {
+        "u16": st.integers(0, 0xFFFF),
+        "u32": st.integers(0, 0xFFFFFFFF),
+        "u128": u128s,
+        "f64": st.floats(allow_nan=False),
+        "bool": st.booleans(),
+        "desc": st.none() | descs,
+        "desc_list": st.lists(descs, max_size=40),
+        "rows": st.dictionaries(st.integers(0, 0xFFFF),
+                                st.lists(descs, max_size=6), max_size=6),
+        "payload": (st.none() | st.binary(max_size=64) | st.text(max_size=64)
+                    | st.integers(-(1 << 63), (1 << 63) - 1)),
+    }
+    msg = cls()
+    msg.sender = draw(st.none() | descs if senders is None else senders)
+    msg.tuning_hint = draw(st.none() | st.floats(allow_nan=False))
+    for attr, kind in fields:
+        setattr(msg, attr, draw(kinds[kind]))
+    return msg
 
 
 @pytest.fixture(scope="module")

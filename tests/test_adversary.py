@@ -2,8 +2,9 @@
 
 The interception tests drive :class:`ActiveAdversary` directly with crafted
 messages — the integration path (schedule install → intercepted traffic →
-metrics) is covered by the fuzzer tests and the ``attacks`` experiment
-smoke test.
+metrics) is covered by the ``attacks`` experiment smoke test, and
+``tests/test_overlay_fuzz.py`` composes attacks with churn, faults and
+hostile messages (its committed poisoning case pins the attack's effect).
 """
 
 import random
@@ -156,6 +157,10 @@ def test_eclipse_captures_foreign_join(small_overlay):
         own = m.JoinRequest(msg_id=0xCAFE, joiner=nodes[1].descriptor, rows={})
         own.sender = nodes[0].descriptor
         assert adv.intercept(nodes[0].addr, own) is False
+        # the joiner is optional on the wire: nobody to capture (found by
+        # tests/test_overlay_fuzz.py; it raised AttributeError)
+        anonymous = m.JoinRequest(msg_id=0xD00D, sender=nodes[0].descriptor)
+        assert adv.intercept(nodes[0].addr, anonymous) is False
     finally:
         adv.uninstall()
 

@@ -48,6 +48,14 @@ def test_requires_subcommand():
         main([])
 
 
+def test_fuzz_is_not_a_verb(capsys):
+    # the overlay is fuzzed by tests/test_overlay_fuzz.py, not from the CLI
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seed", "6"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fuzz'" in capsys.readouterr().err
+
+
 def test_experiment_exception_is_one_clean_line(capsys, monkeypatch):
     def explode(seed=42):
         raise RuntimeError("deliberate failure")

@@ -152,3 +152,19 @@ def test_heartbeat_from_unknown_close_node_triggers_probe():
     assert stranger.id in a.probing.pending
     sim.run(until=sim.now + 10)
     assert stranger.id in a.leaf_set
+
+
+def test_contact_from_a_missing_member_readmits_it():
+    """Contact-driven recovery in ``_on_message``: traffic an active member
+    sends (here a routing-table probe) from a node that belongs in the leaf
+    set but is not in it gets that node probed and readmitted.  Failure
+    memory expiry re-merges a healed partition on its own at these sizes,
+    so the overlay fuzzer cannot see this rule go missing; this does."""
+    sim, _net, nodes = overlay(seed=311)
+    a = nodes[1]
+    member = a.leaf_set.right_side[1]  # not a's neighbour: no heartbeats
+    b = next(n for n in nodes if n.id == member.id)
+    a.leaf_set.remove(b.id)
+    b.send(a.descriptor, m.RtProbe(seq=1))
+    sim.run(until=sim.now + 10)
+    assert b.id in a.leaf_set

@@ -5,6 +5,7 @@ import pytest
 from repro.metrics.collector import StatsCollector
 from repro.overlay.invariants import KINDS, InvariantChecker
 from repro.overlay.oracle import Oracle
+from repro.pastry.nodeid import intern_descriptor
 from tests.conftest import fresh_overlay
 
 
@@ -110,6 +111,34 @@ def test_dead_references_counted_after_grace_only():
     counts = lenient.check_now()
     assert counts["dead_leaf"] == 0
     assert counts["dead_rt"] == 0
+
+
+def test_a_live_id_at_a_foreign_address_counts_as_dead_after_grace():
+    """An entry that binds a live id to another address reaches no one who
+    answers for the id; looked up by id alone it used to read as healthy."""
+    sim_clock = FakeSim(now=0.0)
+    _, _, nodes, oracle = settled()
+    node = nodes[0]
+    leaf = node.leaf_set.members()[0]
+    entry = node.routing_table.entries()[0]
+    for desc in (leaf, entry):
+        spoofed = intern_descriptor(desc.id, 0xDEAD0000 + desc.addr)
+        node.leaf_set.add(spoofed)  # a member's address is overwritten
+        node.routing_table.add(spoofed)  # and so is a slot holder's
+    checker = make_checker(oracle, sim=sim_clock, leaf_grace=100.0,
+                           rt_grace=100.0, mutual_grace=1e9)
+    assert checker.check_now() == {kind: 0 for kind in KINDS}  # fresh
+    sim_clock.now += 100.0
+    counts = checker.check_now()
+    assert counts["dead_leaf"] >= 1 and counts["dead_rt"] >= 1
+    assert counts["ring"] == 0  # the ring check still reads by id
+
+    # restored, the pair stops aging; spoofed again, it starts over
+    node.leaf_set.add(leaf)
+    node.routing_table.add(entry)
+    assert checker.check_now()["dead_leaf"] == 0
+    node.leaf_set.add(intern_descriptor(leaf.id, 0xDEAD0000))
+    assert checker.check_now()["dead_leaf"] == 0
 
 
 def test_periodic_sweeps_report_into_the_collector():

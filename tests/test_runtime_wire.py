@@ -26,41 +26,7 @@ from repro.runtime.wire import (
     encode_frame,
     wire_types,
 )
-
-MAX_U128 = (1 << 128) - 1
-MAX_U64 = (1 << 64) - 1
-
-ids = st.integers(0, MAX_U128)
-addrs = st.integers(0, MAX_U64)
-descs = st.builds(intern_descriptor, ids, addrs)
-
-#: one strategy per field kind the registry uses.  NaN is excluded: its
-#: bit patterns are not canonical across pack/unpack, and the protocol
-#: never sends NaN timestamps/RTTs.
-KIND_STRATEGIES = {
-    "u16": st.integers(0, 0xFFFF),
-    "u32": st.integers(0, 0xFFFFFFFF),
-    "u128": ids,
-    "f64": st.floats(allow_nan=False),
-    "bool": st.booleans(),
-    "desc": st.none() | descs,
-    "desc_list": st.lists(descs, max_size=40),
-    "rows": st.dictionaries(st.integers(0, 0xFFFF),
-                            st.lists(descs, max_size=6), max_size=6),
-    "payload": (st.none() | st.binary(max_size=64) | st.text(max_size=64)
-                | st.integers(-(1 << 63), (1 << 63) - 1)),
-}
-
-
-@st.composite
-def wire_messages(draw):
-    type_id, cls, fields = draw(st.sampled_from(wire._REGISTRY))
-    msg = cls()
-    msg.sender = draw(st.none() | descs)
-    msg.tuning_hint = draw(st.none() | st.floats(allow_nan=False))
-    for attr, kind in fields:
-        setattr(msg, attr, draw(KIND_STRATEGIES[kind]))
-    return msg
+from tests.conftest import MAX_U64, MAX_U128, wire_messages
 
 
 @settings(max_examples=300, deadline=None)

@@ -26,8 +26,8 @@ from repro.runtime.wire import (
     encode,
     encode_frame,
 )
+from tests.conftest import wire_messages
 from tests.test_golden_traces import GOLDEN_DIR, _generate
-from tests.test_runtime_wire import wire_messages
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,8 @@ from repro.pastry.messages import wire_size
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import NodeDescriptor, random_nodeid
 from repro.runtime.wire import decode_frame, encode_frame
+from tests.conftest import wire_messages
 from tests.test_golden_traces import GOLDEN_DIR, _generate
-from tests.test_runtime_wire import wire_messages
 
 
 def desc(i):
