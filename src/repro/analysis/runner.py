@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 # Importing the rule modules registers every rule with the registry.
 from repro.analysis import rules_determinism  # noqa: F401
-from repro.analysis import rules_performance  # noqa: F401
 from repro.analysis import rules_simulation  # noqa: F401
 from repro.analysis.core import (
     EXEMPTIONS,

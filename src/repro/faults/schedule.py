@@ -125,7 +125,7 @@ class GrayFailures(Fault):
         ctx.state.clear_gray()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultEvent:
     """One timed fault: active on ``[start, start + duration)``."""
 

@@ -65,7 +65,7 @@ class RouterGraphTopology(Topology):
         #: router id -> distance row, FIFO-bounded at max_cached_rows.  Rows
         #: are ``array('d')``: 8 B per router, and indexing one yields a
         #: python float, whereas ``row[r2]`` on a float64 ndarray allocates
-        #: a numpy scalar per event (the boxing pattern detlint HOT003 flags).
+        #: a numpy scalar per event (``test_delay_is_a_python_float``).
         self._dist_cache: "OrderedDict[int, array[float]]" = OrderedDict()
         self._max_cached_rows = max_cached_rows
         #: attachment id -> router id

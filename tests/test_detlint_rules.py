@@ -28,7 +28,7 @@ def lint_snippet(source, path=ANY_PATH, select=None):
 def test_registry_has_all_advertised_rules():
     assert REGISTRY.codes() == [
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-        "HARN001", "HOT001", "HOT002", "HOT003", "SIM001", "SIM002",
+        "HARN001", "SIM001", "SIM002",
     ]
 
 
@@ -268,163 +268,6 @@ def test_harn001_clean(snippet):
 def test_harn001_scoped_to_harness():
     snippet = "def go(ctx):\n    ctx.Process(target=lambda: 1).start()\n"
     assert "HARN001" not in lint_snippet(snippet, path=SIM_PATH)
-
-
-# ----------------------------------------------------------------------
-# HOT001 — no closures on the hot path
-# ----------------------------------------------------------------------
-ENGINE_PATH = "src/repro/sim/engine.py"
-TRANSPORT_PATH = "src/repro/network/transport.py"
-
-
-@pytest.mark.parametrize("snippet", [
-    "class S:\n    def run(self):\n        f = lambda: 1\n        return f()\n",
-    ("class S:\n    def schedule_call(self, d, cb):\n"
-     "        def fire():\n            cb()\n        return fire\n"),
-])
-def test_hot001_triggers_in_hot_functions(snippet):
-    assert "HOT001" in lint_snippet(snippet, path=ENGINE_PATH)
-
-
-@pytest.mark.parametrize("snippet", [
-    # lambda in a non-hot function of a hot file is fine
-    "class S:\n    def render(self):\n        return (lambda: 1)()\n",
-    # hot function without closures is fine
-    "class S:\n    def run(self):\n        return 1\n",
-])
-def test_hot001_clean(snippet):
-    assert "HOT001" not in lint_snippet(snippet, path=ENGINE_PATH)
-
-
-def test_hot001_scoped_to_hot_files():
-    snippet = "class S:\n    def run(self):\n        return (lambda: 1)()\n"
-    assert "HOT001" not in lint_snippet(snippet, path=ANY_PATH)
-
-
-def test_hot001_flags_send_in_transport():
-    snippet = ("class N:\n    def send(self, m):\n"
-               "        self.q.append(lambda: m)\n")
-    assert "HOT001" in lint_snippet(snippet, path=TRANSPORT_PATH)
-
-
-# ----------------------------------------------------------------------
-# HOT002 — __slots__ on hot-path classes
-# ----------------------------------------------------------------------
-RTO_PATH = "src/repro/pastry/rto.py"
-MESSAGES_PATH = "src/repro/pastry/messages.py"
-
-
-def test_hot002_flags_unslotted_hot_class():
-    snippet = "class RtoTable:\n    def __init__(self):\n        self.x = 1\n"
-    assert "HOT002" in lint_snippet(snippet, path=RTO_PATH)
-
-
-@pytest.mark.parametrize("snippet", [
-    # plain __slots__ assignment
-    "class RtoTable:\n    __slots__ = ('x',)\n",
-    # annotated __slots__ assignment
-    "class RtoTable:\n    __slots__: tuple = ('x',)\n",
-    # dataclass with slots=True
-    ("from dataclasses import dataclass\n"
-     "@dataclass(slots=True)\nclass RtoTable:\n    x: int = 0\n"),
-    # a class in a hot file but not in the registry is not checked
-    "class Helper:\n    def __init__(self):\n        self.x = 1\n",
-])
-def test_hot002_clean(snippet):
-    assert "HOT002" not in lint_snippet(snippet, path=RTO_PATH)
-
-
-def test_hot002_dataclass_without_slots_still_flagged():
-    snippet = ("from dataclasses import dataclass\n"
-               "@dataclass(frozen=True)\nclass RtoTable:\n    x: int = 0\n")
-    assert "HOT002" in lint_snippet(snippet, path=RTO_PATH)
-
-
-def test_hot002_star_registry_checks_every_class():
-    """messages.py registers '*': any class defined there is hot."""
-    snippet = "class AnythingAtAll:\n    def __init__(self):\n        self.x = 1\n"
-    assert "HOT002" in lint_snippet(snippet, path=MESSAGES_PATH)
-
-
-def test_hot002_scoped_to_registered_files():
-    snippet = "class RtoTable:\n    def __init__(self):\n        self.x = 1\n"
-    assert "HOT002" not in lint_snippet(snippet, path=ANY_PATH)
-
-
-# ----------------------------------------------------------------------
-# HOT003 — no per-event numpy scalar boxing on the hot path
-# ----------------------------------------------------------------------
-BASE_PATH = "src/repro/network/base.py"
-
-
-@pytest.mark.parametrize("snippet", [
-    # float() over a subscript: the classic per-event row read
-    ("class T:\n    def delay(self, a, b):\n"
-     "        return float(self.row[b])\n"),
-    # .item() boxing
-    ("class T:\n    def delay(self, a, b):\n"
-     "        return self.row[b].item()\n"),
-])
-def test_hot003_triggers_in_hot_functions(snippet):
-    assert "HOT003" in lint_snippet(snippet, path=BASE_PATH)
-
-
-@pytest.mark.parametrize("snippet", [
-    # plain list indexing needs no conversion — the prescribed fix
-    ("class T:\n    def delay(self, a, b):\n"
-     "        return self.row_list[b] + self.lan\n"),
-    # float() over a non-subscript (e.g. a literal) is fine
-    ("class T:\n    def delay(self, a, b):\n"
-     "        return float('inf')\n"),
-    # bulk conversion outside the per-event read is the idiom
-    ("class T:\n    def _router_distances(self, router):\n"
-     "        return array('d', self.dijkstra(router).tobytes())\n"),
-    # .item() in a non-hot function of a hot file is not checked
-    ("class T:\n    def summarize(self):\n"
-     "        return self.row[0].item()\n"),
-])
-def test_hot003_clean(snippet):
-    assert "HOT003" not in lint_snippet(snippet, path=BASE_PATH)
-
-
-def test_hot003_scoped_to_registered_files():
-    snippet = ("class T:\n    def delay(self, a, b):\n"
-               "        return float(self.row[b])\n")
-    assert "HOT003" not in lint_snippet(snippet, path=ANY_PATH)
-
-
-@pytest.mark.parametrize("name", ["schedule", "schedule_at", "schedule_call"])
-def test_hot_rules_cover_every_schedule_entry_point(name):
-    """Each schedule* entry point carries the queue insert itself: all hot."""
-    snippet = (f"class S:\n    def {name}(self, time, cb, *args):\n"
-               "        return self.widths[0].item()\n")
-    assert "HOT003" in lint_snippet(snippet, path=ENGINE_PATH)
-    lam = (f"class S:\n    def {name}(self, time, cb, *args):\n"
-           "        return min(self.near, key=lambda e: e[0])\n")
-    assert "HOT001" in lint_snippet(lam, path=ENGINE_PATH)
-
-
-def test_hot_registries_name_only_definitions_that_exist():
-    """A renamed or deleted function must leave the registry with it:
-    every (file, name) in HOT_FUNCTIONS / HOT_CLASSES resolves to a
-    function / class defined in that file."""
-    import ast
-    from pathlib import Path
-
-    from repro.analysis.rules_performance import HOT_CLASSES, HOT_FUNCTIONS
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    kinds = ((HOT_FUNCTIONS, (ast.FunctionDef, ast.AsyncFunctionDef)),
-             (HOT_CLASSES, (ast.ClassDef,)))
-    missing = []
-    for registry, node_types in kinds:
-        for fragment, names in registry.items():
-            tree = ast.parse((src / fragment).read_text())
-            defined = {node.name for node in ast.walk(tree)
-                       if isinstance(node, node_types)}
-            missing += [(fragment, name) for name in sorted(names - {"*"})
-                        if name not in defined]
-    assert not missing
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the router-graph topology base class."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from array import array
 
@@ -7,9 +10,14 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from repro.network.base import RouterGraphTopology
+import repro.network
+from repro.network.base import RouterGraphTopology, Topology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.transit_stub import TransitStubTopology
+
+# every topology module, so that ``Topology.__subclasses__`` sees them all
+for _module in pkgutil.iter_modules(repro.network.__path__):
+    importlib.import_module(f"repro.network.{_module.name}")
 
 
 class LineTopology(RouterGraphTopology):
@@ -116,3 +124,21 @@ def test_router_graph_is_symmetric_so_directed_search_is_exact(topo):
             dijkstra(graph, indices=source, directed=True), undirected
         )
         assert topo._router_distances(source).tobytes() == undirected.tobytes()
+
+
+def built_topologies(cls=Topology):
+    """Every ``Topology`` subclass no other class derives from."""
+    for sub in cls.__subclasses__():
+        yield from built_topologies(sub) if sub.__subclasses__() else (sub,)
+
+
+@pytest.mark.parametrize("cls", list(built_topologies()), ids=lambda cls: cls.__name__)
+def test_delay_is_a_python_float(cls):
+    """The transport adds to and schedules with this value once per message:
+    a float64 ndarray row would hand out a boxed ``numpy.float64`` instead
+    (a float subclass, so only the exact type tells)."""
+    rng = random.Random(7)
+    takes_rng = "rng" in inspect.signature(cls).parameters
+    topo = cls(rng) if takes_rng else cls()
+    points = [topo.attach(rng) for _ in range(12)]
+    assert {type(topo.delay(a, b)) for a in points for b in points} == {float}
