@@ -9,6 +9,14 @@ aggregate them from disk.  All experiments are scale-parameterised: the defaults
 tens of seconds on a laptop; pass larger ``scale``/``duration`` values to
 approach the paper's full setups (see DESIGN.md on the scale substitution).
 
+A grid-shaped figure is a declaration, not a loop: its cells (``(row key,
+Scenario kwargs)`` pairs), the fields each row reads off a ``RunResult``
+(names in ``scenarios.METRICS``) and its ``(header, field)`` table columns.
+``scenarios.measure`` runs the cells in their declared order and
+``reporting.render`` prints the tables; a module keeps only what is its own
+(a penalty or ratio line, CDF quantiles, a formatted column).  fig3, fig4,
+fig8 and live_compare report series rather than cells and stay hand-written.
+
 ===================  =====================================================
 module               paper artefact
 ===================  =====================================================

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import Scenario
+from repro.experiments.reporting import render
+from repro.experiments.scenarios import measure
 from repro.pastry.config import PastryConfig
 
 VARIANTS = {
@@ -27,6 +27,9 @@ VARIANTS = {
     "probing-only": dict(per_hop_acks=False, active_rt_probing=True),
     "both": dict(per_hop_acks=True, active_rt_probing=True),
 }
+COLUMNS = (("loss", "loss"), ("incorrect", "incorrect"), ("RDP", "rdp"),
+           ("control", "control"))
+LOW_RATE_COLUMNS = (("RDP", "rdp"), ("loss", "loss"))
 
 
 def run(
@@ -35,64 +38,35 @@ def run(
     duration: float = 2400.0,
     low_lookup_rate: float = 0.001,
 ) -> Dict:
-    rows = {}
-    for name, overrides in VARIANTS.items():
-        scenario = Scenario(seed=seed, config=PastryConfig(**overrides))
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        rows[name] = {
-            "loss": result.loss_rate,
-            "incorrect": result.incorrect_delivery_rate,
-            "rdp": result.rdp,
-            "control": result.control_traffic,
-        }
+    def sweep(names, columns, **scenario):
+        cells = [(name, dict(scenario, config=PastryConfig(**VARIANTS[name])))
+                 for name in names]
+        return measure(cells, [f for _, f in columns], seed, trace_scale, duration)
+    return {
+        "rows": sweep(VARIANTS, COLUMNS),
+        # RDP sensitivity to application traffic: acks-only vs both.
+        "low_rate": sweep(("acks-only", "both"), LOW_RATE_COLUMNS,
+                          lookup_rate=low_lookup_rate),
+    }
 
-    # RDP sensitivity to application traffic (acks-only vs both).
-    low_rate = {}
-    for name in ("acks-only", "both"):
-        scenario = Scenario(
-            seed=seed,
-            lookup_rate=low_lookup_rate,
-            config=PastryConfig(**VARIANTS[name]),
-        )
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        low_rate[name] = {"rdp": result.rdp, "loss": result.loss_rate}
 
-    return {"rows": rows, "low_rate": low_rate}
+def _penalty(rows: Dict) -> float:
+    both, acks = rows["both"]["rdp"], rows["acks-only"]["rdp"]
+    return 100 * (acks - both) / both
 
 
 def format_report(result: Dict) -> str:
-    parts = [
+    parts = [render(
         "Ablation — active probing and per-hop acks (0.01 lookups/s/node)",
-        format_table(
-            ["variant", "loss", "incorrect", "RDP", "control"],
-            [
-                (name, r["loss"], r["incorrect"], r["rdp"], r["control"])
-                for name, r in result["rows"].items()
-            ],
-        ),
-        "\nLow application traffic (0.001 lookups/s/node):",
-        format_table(
-            ["variant", "RDP", "loss"],
-            [
-                (name, r["rdp"], r["loss"])
-                for name, r in result["low_rate"].items()
-            ],
-        ),
-    ]
-    both = result["rows"]["both"]["rdp"]
-    acks = result["rows"]["acks-only"]["rdp"]
-    if both > 0:
-        parts.append(
-            f"\nacks-only RDP penalty vs both: "
-            f"{100 * (acks - both) / both:+.1f}% (paper: +17%)"
-        )
-    lo_both = result["low_rate"]["both"]["rdp"]
-    lo_acks = result["low_rate"]["acks-only"]["rdp"]
-    if lo_both > 0:
-        parts.append(
-            f"acks-only RDP penalty at low traffic: "
-            f"{100 * (lo_acks - lo_both) / lo_both:+.1f}% (paper: +61%)"
-        )
+        [(None, "variant", COLUMNS, result["rows"]),
+         ("\nLow application traffic (0.001 lookups/s/node):", "variant",
+          LOW_RATE_COLUMNS, result["low_rate"])])]
+    if result["rows"]["both"]["rdp"] > 0:
+        parts.append(f"\nacks-only RDP penalty vs both: "
+                     f"{_penalty(result['rows']):+.1f}% (paper: +17%)")
+    if result["low_rate"]["both"]["rdp"] > 0:
+        parts.append(f"acks-only RDP penalty at low traffic: "
+                     f"{_penalty(result['low_rate']):+.1f}% (paper: +61%)")
     return "\n".join(parts)
 
 

@@ -16,42 +16,28 @@ degradation in the table is attributable to the attack.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.adversary import AdversaryFault
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import reconvergence, render
 from repro.experiments.resultio import num_key
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import INVARIANT_PERIOD, measure, reconvergence_after
 from repro.faults import FaultEvent, FaultSchedule
 
-INVARIANT_PERIOD = 30.0
 #: attack types: BEHAVIORS preset names (see repro.adversary.behaviors)
 ATTACKS = ("poison", "eclipse", "misroute", "spoof", "spam")
 FRACTIONS = (0.1, 0.25)
-
-
-def _run_one(
-    seed: int,
-    trace_scale: float,
-    duration: float,
-    schedule: Optional[FaultSchedule],
-    reconverge_after: float,
-) -> Dict:
-    scenario = Scenario(
-        seed=seed, fault_schedule=schedule, invariant_period=INVARIANT_PERIOD
-    )
-    result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-    stats = result.stats
-    return {
-        "consistency": stats.routing_consistency(),
-        "loss": result.loss_rate,
-        "incorrect": result.incorrect_delivery_rate,
-        "lookups": stats.n_lookups,
-        "max_violations": stats.max_violations(),
-        "standing_violations": stats.standing_violations(),
-        "reconvergence": stats.reconvergence_time(reconverge_after),
-        "adversary": result.extras.get("adversary", {}),
-    }
+FIELDS = ("consistency", "loss", "incorrect", "lookups", "max_violations",
+          "standing_violations")
+#: short names of the attack-activity counters
+ACTIVITY = {
+    "lookups_dropped": "drop",
+    "lookups_misrouted": "misroute",
+    "acks_spoofed": "spoof",
+    "joins_poisoned": "poison",
+    "joins_captured": "capture",
+    "spam_sent": "spam",
+}
 
 
 def run(
@@ -69,69 +55,42 @@ def run(
     then are revoked; reconvergence is measured from the revocation
     instant.
     """
-    rows: Dict[str, Dict] = {}
-    rows["baseline"] = {
-        "attack": "none",
-        "fraction": 0.0,
-        **_run_one(seed, trace_scale, duration, None, start + length),
-    }
+    grid = {"baseline": ("none", 0.0, None)}
     for attack in attacks:
         for fraction in fractions:
-            schedule = FaultSchedule([
-                FaultEvent(
-                    AdversaryFault(fraction=fraction, mix=attack),
-                    start=start,
-                    duration=length,
-                )
-            ])
-            rows[f"{attack}-{num_key(fraction)}"] = {
-                "attack": attack,
-                "fraction": fraction,
-                **_run_one(seed, trace_scale, duration, schedule, start + length),
-            }
-    return {"rows": rows, "start": start, "length": length}
+            grid[f"{attack}-{num_key(fraction)}"] = (attack, fraction, FaultSchedule([
+                FaultEvent(AdversaryFault(fraction=fraction, mix=attack),
+                           start=start, duration=length)]))
+    cells = [(key, dict(fault_schedule=schedule, invariant_period=INVARIANT_PERIOD))
+             for key, (_, _, schedule) in grid.items()]
+    columns = FIELDS + (reconvergence_after(start + length), "adversary")
+    rows = measure(cells, columns, seed, trace_scale, duration)
+    return {"rows": {key: {"attack": attack, "fraction": fraction, **rows[key]}
+                     for key, (attack, fraction, _) in grid.items()},
+            "start": start, "length": length}
 
 
-def _fmt_reconv(value) -> str:
-    return "never" if value is None else f"{value:.0f}s"
-
-
-def _activity(counters: Dict) -> str:
+def _activity(row: Dict) -> str:
+    counters = row["adversary"]
     if not counters:
         return "-"
-    short = {
-        "lookups_dropped": "drop",
-        "lookups_misrouted": "misroute",
-        "acks_spoofed": "spoof",
-        "joins_poisoned": "poison",
-        "joins_captured": "capture",
-        "spam_sent": "spam",
-    }
     return " ".join(
-        f"{short.get(key, key)}:{counters[key]}" for key in sorted(counters)
+        f"{ACTIVITY.get(key, key)}:{counters[key]}" for key in sorted(counters)
     )
 
 
 def format_report(result: Dict) -> str:
-    parts = [
-        "Byzantine attack coverage — routing consistency under compromise",
+    return render(
+        "Byzantine attack coverage — routing consistency under compromise\n"
         f"(attack window [{result['start']:.0f}s, "
         f"{result['start'] + result['length']:.0f}s), attackers revoked at "
-        f"the end; reconvergence measured from revocation)",
-        "",
-    ]
-    parts.append(format_table(
-        ["attack", "fraction", "consistency", "lookup loss", "incorrect",
-         "max viol", "standing", "reconvergence", "activity"],
-        [
-            (row["attack"], row["fraction"], row["consistency"],
-             row["loss"], row["incorrect"], row["max_violations"],
-             row["standing_violations"], _fmt_reconv(row["reconvergence"]),
-             _activity(row["adversary"]))
-            for row in result["rows"].values()
-        ],
-    ))
-    return "\n".join(parts)
+        f"the end; reconvergence measured from revocation)\n",
+        [(None, None, (("attack", "attack"), ("fraction", "fraction"),
+                       ("consistency", "consistency"), ("lookup loss", "loss"),
+                       ("incorrect", "incorrect"), ("max viol", "max_violations"),
+                       ("standing", "standing_violations"),
+                       ("reconvergence", reconvergence), ("activity", _activity)),
+          result["rows"])])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,184 +14,84 @@ time, each against the natural baseline the paper argues against:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import Scenario
-from repro.faults import BurstLoss, FaultEvent, FaultSchedule, GEParams
+from repro.experiments.reporting import render
+from repro.experiments.scenarios import measure, whole_run_bursts
 from repro.pastry.config import PastryConfig
-from repro.pastry.messages import CAT_DISTANCE, CAT_HEARTBEAT, CAT_RT_PROBE
+
+#: (result key, heading, table columns) per ablation, in run order
+SECTIONS = (
+    ("heartbeats", "1. heartbeat strategy",
+     (("heartbeat msg/s/node", "heartbeat_rate"), ("control", "control"),
+      ("loss", "loss"))),
+    ("tuning", "2. probing-period tuning",
+     (("rt-probe rate", "rt_probe_rate"), ("control", "control"), ("RDP", "rdp"),
+      ("loss", "loss"))),
+    ("suppression", "3. probe suppression (lookup-rate/state)",
+     (("probe+hb rate", "probe_rate"), ("control", "control"))),
+    ("symmetry", "4. distance-probe symmetry",
+     (("distance msg/s/node", "distance_rate"), ("control", "control"))),
+    ("rto", "5. retransmission timers", (("RDP", "rdp"), ("loss", "loss"))),
+    ("deferral", "6. delivery deferral at 3% link loss",
+     (("incorrect", "incorrect"), ("RDP", "rdp"), ("loss", "loss"))),
+    ("burstiness", "7. bursty vs uniform loss at equal 3% average (channel/variant)",
+     (("incorrect", "incorrect"), ("loss", "loss"), ("RDP", "rdp"))),
+)
+ON_OFF = (("on", True), ("off", False))
 
 
-def _run(seed, trace_scale, duration, lookup_rate=0.01, loss_rate=0.0,
-         fault_schedule=None, **cfg):
-    scenario = Scenario(
-        seed=seed,
-        lookup_rate=lookup_rate,
-        loss_rate=loss_rate,
-        config=PastryConfig(**cfg),
-        fault_schedule=fault_schedule,
-    )
-    return scenario.run_gnutella(scale=trace_scale, duration=duration)
+def _config(**overrides) -> Dict:
+    return {"config": PastryConfig(**overrides)}
 
 
-def _category_rate(result, category: str) -> float:
-    node_seconds = result.stats.active.total_node_seconds or 1.0
-    return result.stats.sent_total.get(category, 0) / node_seconds
-
-
-def run(seed: int = 42, trace_scale: float = 0.04,
-        duration: float = 1800.0) -> Dict:
-    out: Dict[str, Dict] = {}
-
-    # 1. Heartbeats: left-neighbour vs all leaf-set members.
-    out["heartbeats"] = {}
-    for name, all_pairs in (("left-neighbour", False), ("all-members", True)):
-        result = _run(seed, trace_scale, duration,
-                      heartbeat_all_leafset=all_pairs)
-        out["heartbeats"][name] = {
-            "heartbeat_rate": _category_rate(result, CAT_HEARTBEAT),
-            "control": result.control_traffic,
-            "loss": result.loss_rate,
-        }
-
-    # 2. Self-tuned vs fixed probing periods.
-    out["tuning"] = {}
-    variants = (
-        ("self-tuned", dict(self_tuning=True)),
-        ("fixed-30s", dict(self_tuning=False, rt_probe_period=30.0)),
-        ("fixed-600s", dict(self_tuning=False, rt_probe_period=600.0)),
-    )
-    for name, overrides in variants:
-        result = _run(seed, trace_scale, duration, **overrides)
-        out["tuning"][name] = {
-            "rt_probe_rate": _category_rate(result, CAT_RT_PROBE),
-            "control": result.control_traffic,
-            "rdp": result.rdp,
-            "loss": result.loss_rate,
-        }
-
-    # 3. Probe suppression across application traffic levels.
-    out["suppression"] = {}
-    for rate in (0.01, 0.1):
-        for name, on in (("on", True), ("off", False)):
-            result = _run(seed, trace_scale, duration, lookup_rate=rate,
-                          probe_suppression=on)
-            out["suppression"][f"{rate}/{name}"] = {
-                "probe_rate": _category_rate(result, CAT_RT_PROBE)
-                + _category_rate(result, CAT_HEARTBEAT),
-                "control": result.control_traffic,
-            }
-
-    # 4. Symmetric distance probes.
-    out["symmetry"] = {}
-    for name, on in (("symmetric", True), ("independent", False)):
-        result = _run(seed, trace_scale, duration,
-                      symmetric_distance_probes=on)
-        out["symmetry"][name] = {
-            "distance_rate": _category_rate(result, CAT_DISTANCE),
-            "control": result.control_traffic,
-        }
-
-    # 5. Aggressive vs conservative retransmission timers.
-    out["rto"] = {}
-    variants = (
-        ("aggressive", dict(rto_variance_weight=2.0, rto_min=0.05,
-                            rto_initial=0.5)),
-        ("tcp-conservative", dict(rto_variance_weight=4.0, rto_min=1.0,
-                                  rto_initial=3.0)),
-    )
-    for name, overrides in variants:
-        result = _run(seed, trace_scale, duration, **overrides)
-        out["rto"][name] = {"rdp": result.rdp, "loss": result.loss_rate}
-
-    # 6. Delivery deferral under link loss.
-    out["deferral"] = {}
-    for name, on in (("on", True), ("off", False)):
-        result = _run(seed, trace_scale, duration, loss_rate=0.03,
-                      defer_delivery_on_suspect=on)
-        out["deferral"][name] = {
-            "incorrect": result.incorrect_delivery_rate,
-            "rdp": result.rdp,
-            "loss": result.loss_rate,
-        }
-
+def _cells(duration: float) -> Dict[str, List]:
+    """Each ablation's ``(variant, Scenario kwargs)`` cells, keyed as in
+    ``SECTIONS``."""
     # 7. Burstiness: the same mechanisms at the same *average* loss rate,
     # but concentrated in Gilbert–Elliott bursts.  Bursts defeat one-shot
     # recovery (a retransmission inside a burst is lost again), so this is
     # where deferral and per-hop acks earn (or lose) their keep.
-    out["burstiness"] = {}
-    avg = 0.03
-    channels = (
-        ("uniform", dict(loss_rate=avg)),
-        ("bursty", dict(fault_schedule=FaultSchedule([
-            FaultEvent(BurstLoss(GEParams.with_average(avg)),
-                       start=0.0, duration=duration),
-        ]))),
-    )
-    variants = (
-        ("full", {}),
-        ("no-defer", dict(defer_delivery_on_suspect=False)),
-        ("no-acks", dict(per_hop_acks=False)),
-    )
-    for channel_name, channel_kwargs in channels:
-        for variant_name, overrides in variants:
-            result = _run(seed, trace_scale, duration,
-                          **channel_kwargs, **overrides)
-            out["burstiness"][f"{channel_name}/{variant_name}"] = {
-                "incorrect": result.incorrect_delivery_rate,
-                "loss": result.loss_rate,
-                "rdp": result.rdp,
-            }
+    channels = (("uniform", dict(loss_rate=0.03)),
+                ("bursty", dict(fault_schedule=whole_run_bursts(0.03, duration))))
+    variants = (("full", {}), ("no-defer", dict(defer_delivery_on_suspect=False)),
+                ("no-acks", dict(per_hop_acks=False)))
+    return {
+        "heartbeats": [("left-neighbour", _config(heartbeat_all_leafset=False)),
+                       ("all-members", _config(heartbeat_all_leafset=True))],
+        "tuning": [("self-tuned", _config(self_tuning=True)),
+                   ("fixed-30s", _config(self_tuning=False, rt_probe_period=30.0)),
+                   ("fixed-600s", _config(self_tuning=False, rt_probe_period=600.0))],
+        "suppression": [(f"{rate}/{name}", dict(lookup_rate=rate,
+                                                **_config(probe_suppression=on)))
+                        for rate in (0.01, 0.1) for name, on in ON_OFF],
+        "symmetry": [("symmetric", _config(symmetric_distance_probes=True)),
+                     ("independent", _config(symmetric_distance_probes=False))],
+        "rto": [("aggressive", _config(rto_variance_weight=2.0, rto_min=0.05,
+                                       rto_initial=0.5)),
+                ("tcp-conservative", _config(rto_variance_weight=4.0, rto_min=1.0,
+                                             rto_initial=3.0))],
+        "deferral": [(name, dict(loss_rate=0.03,
+                                 **_config(defer_delivery_on_suspect=on)))
+                     for name, on in ON_OFF],
+        "burstiness": [(f"{channel}/{variant}", dict(scenario, **_config(**config)))
+                       for channel, scenario in channels
+                       for variant, config in variants],
+    }
 
-    return out
+
+def run(seed: int = 42, trace_scale: float = 0.04,
+        duration: float = 1800.0) -> Dict:
+    cells = _cells(duration)
+    return {key: measure(cells[key], [f for _, f in columns], seed, trace_scale,
+                         duration)
+            for key, _, columns in SECTIONS}
 
 
 def format_report(result: Dict) -> str:
-    parts = ["Design-choice ablations (DESIGN.md §5)"]
-    parts.append("\n1. heartbeat strategy")
-    parts.append(format_table(
-        ["variant", "heartbeat msg/s/node", "control", "loss"],
-        [(n, r["heartbeat_rate"], r["control"], r["loss"])
-         for n, r in result["heartbeats"].items()],
-    ))
-    parts.append("\n2. probing-period tuning")
-    parts.append(format_table(
-        ["variant", "rt-probe rate", "control", "RDP", "loss"],
-        [(n, r["rt_probe_rate"], r["control"], r["rdp"], r["loss"])
-         for n, r in result["tuning"].items()],
-    ))
-    parts.append("\n3. probe suppression (lookup-rate/state)")
-    parts.append(format_table(
-        ["variant", "probe+hb rate", "control"],
-        [(n, r["probe_rate"], r["control"])
-         for n, r in result["suppression"].items()],
-    ))
-    parts.append("\n4. distance-probe symmetry")
-    parts.append(format_table(
-        ["variant", "distance msg/s/node", "control"],
-        [(n, r["distance_rate"], r["control"])
-         for n, r in result["symmetry"].items()],
-    ))
-    parts.append("\n5. retransmission timers")
-    parts.append(format_table(
-        ["variant", "RDP", "loss"],
-        [(n, r["rdp"], r["loss"]) for n, r in result["rto"].items()],
-    ))
-    parts.append("\n6. delivery deferral at 3% link loss")
-    parts.append(format_table(
-        ["variant", "incorrect", "RDP", "loss"],
-        [(n, r["incorrect"], r["rdp"], r["loss"])
-         for n, r in result["deferral"].items()],
-    ))
-    parts.append("\n7. bursty vs uniform loss at equal 3% average "
-                 "(channel/variant)")
-    parts.append(format_table(
-        ["variant", "incorrect", "loss", "RDP"],
-        [(n, r["incorrect"], r["loss"], r["rdp"])
-         for n, r in result["burstiness"].items()],
-    ))
-    return "\n".join(parts)
+    return render("Design-choice ablations (DESIGN.md §5)",
+                  [(f"\n{heading}", "variant", columns, result[key])
+                   for key, heading, columns in SECTIONS])
 
 
 if __name__ == "__main__":  # pragma: no cover

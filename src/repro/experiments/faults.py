@@ -20,39 +20,40 @@ final standing-violation counts, and post-fault reconvergence time.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Sequence
 
-from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import Scenario
-from repro.faults import (
-    BurstLoss,
-    FaultEvent,
-    FaultSchedule,
-    GEParams,
-    GrayFailure,
-    GrayFailures,
-    Partition,
-)
+from repro.experiments.reporting import percent, reconvergence, render
+from repro.experiments.scenarios import (INVARIANT_PERIOD, Scenario, measure, read,
+                                         reconvergence_after, whole_run_bursts)
+from repro.faults import Fault, FaultEvent, FaultSchedule, GrayFailure, GrayFailures, Partition
 
-INVARIANT_PERIOD = 30.0
 BURST_RATES = (0.01, 0.03, 0.05)
+GRAY_MIX = (
+    GrayFailures(fraction=0.10, profile=GrayFailure.slow(factor=5.0)),
+    GrayFailures(fraction=0.05, profile=GrayFailure.lossy(0.5)),
+    GrayFailures(fraction=0.05, profile=GrayFailure.stuck()),
+)
+FIELDS = ("loss", "incorrect", "rdp_median", "control", "lookups",
+          "max_violations", "standing_violations", "fault_drops")
+WINDOW_COLUMNS = (("lookup loss", "loss"), ("incorrect", "incorrect"),
+                  ("RDP-med", "rdp_median"), ("max viol", "max_violations"),
+                  ("standing", "standing_violations"),
+                  ("reconvergence", reconvergence))
+BURST_COLUMNS = (("lookup loss", "loss"), ("incorrect", "incorrect"),
+                 ("RDP-med", "rdp_median"), ("control", "control"),
+                 ("standing", "standing_violations"))
 
 
-def _metrics(result, reconverge_after: Optional[float] = None) -> Dict:
-    stats = result.stats
-    row = {
-        "loss": result.loss_rate,
-        "incorrect": result.incorrect_delivery_rate,
-        "rdp_median": result.rdp_median,
-        "control": result.control_traffic,
-        "lookups": stats.n_lookups,
-        "max_violations": stats.max_violations(),
-        "standing_violations": stats.standing_violations(),
-        "fault_drops": sum(result.extras.get("fault_drops", {}).values()),
-    }
-    if reconverge_after is not None:
-        row["reconvergence"] = stats.reconvergence_time(reconverge_after)
-    return row
+def _window(faults: Sequence[Fault], start: float, length: float, seed: int,
+            trace_scale: float, duration: float) -> Dict:
+    """One run with ``faults`` struck over [start, start + length), with the
+    reconvergence time after the window."""
+    schedule = FaultSchedule(
+        [FaultEvent(fault, start=start, duration=length) for fault in faults])
+    result = Scenario(seed=seed, fault_schedule=schedule,
+                      invariant_period=INVARIANT_PERIOD).run_gnutella(
+                          scale=trace_scale, duration=duration)
+    return read(result, FIELDS + (reconvergence_after(start + length),))
 
 
 def run_partition_heal(
@@ -63,14 +64,8 @@ def run_partition_heal(
     length: float = 300.0,
     fraction: float = 0.5,
 ) -> Dict:
-    schedule = FaultSchedule(
-        [FaultEvent(Partition(fraction=fraction), start=start, duration=length)]
-    )
-    scenario = Scenario(
-        seed=seed, fault_schedule=schedule, invariant_period=INVARIANT_PERIOD
-    )
-    result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-    return _metrics(result, reconverge_after=start + length)
+    return _window([Partition(fraction=fraction)], start, length, seed,
+                   trace_scale, duration)
 
 
 def run_burst_sweep(
@@ -80,26 +75,16 @@ def run_burst_sweep(
     rates=BURST_RATES,
 ) -> Dict:
     """Uniform vs Gilbert–Elliott loss at equal average rates."""
-    rows: Dict[str, Dict] = {}
+    cells = []
     for rate in rates:
-        uniform = Scenario(
-            seed=seed, loss_rate=rate, invariant_period=INVARIANT_PERIOD
-        ).run_gnutella(scale=trace_scale, duration=duration)
-        rows[f"uniform-{rate:.0%}"] = _metrics(uniform)
-        schedule = FaultSchedule(
-            [
-                FaultEvent(
-                    BurstLoss(GEParams.with_average(rate)),
-                    start=0.0,
-                    duration=duration,
-                )
-            ]
-        )
-        bursty = Scenario(
-            seed=seed, fault_schedule=schedule, invariant_period=INVARIANT_PERIOD
-        ).run_gnutella(scale=trace_scale, duration=duration)
-        rows[f"bursty-{rate:.0%}"] = _metrics(bursty)
-    return rows
+        cells += [
+            (f"uniform-{percent(rate)}",
+             dict(loss_rate=rate, invariant_period=INVARIANT_PERIOD)),
+            (f"bursty-{percent(rate)}",
+             dict(fault_schedule=whole_run_bursts(rate, duration),
+                  invariant_period=INVARIANT_PERIOD)),
+        ]
+    return measure(cells, FIELDS, seed, trace_scale, duration)
 
 
 def run_gray_mix(
@@ -110,30 +95,7 @@ def run_gray_mix(
     length: float = 300.0,
 ) -> Dict:
     """Slow + out-lossy + stuck nodes strike together, then recover."""
-    schedule = FaultSchedule(
-        [
-            FaultEvent(
-                GrayFailures(fraction=0.10, profile=GrayFailure.slow(factor=5.0)),
-                start=start,
-                duration=length,
-            ),
-            FaultEvent(
-                GrayFailures(fraction=0.05, profile=GrayFailure.lossy(0.5)),
-                start=start,
-                duration=length,
-            ),
-            FaultEvent(
-                GrayFailures(fraction=0.05, profile=GrayFailure.stuck()),
-                start=start,
-                duration=length,
-            ),
-        ]
-    )
-    scenario = Scenario(
-        seed=seed, fault_schedule=schedule, invariant_period=INVARIANT_PERIOD
-    )
-    result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-    return _metrics(result, reconverge_after=start + length)
+    return _window(GRAY_MIX, start, length, seed, trace_scale, duration)
 
 
 def run(
@@ -149,42 +111,15 @@ def run(
     }
 
 
-def _fmt_reconv(value) -> str:
-    return "never" if value is None else f"{value:.0f}s"
-
-
 def format_report(result: Dict) -> str:
-    parts = ["Fault injection — partitions, bursty loss, gray failures"]
-
-    part = result["partition"]
-    parts.append("\n1. partition/heal (half the population cut, then healed)")
-    parts.append(format_table(
-        ["lookup loss", "incorrect", "RDP-med", "max viol", "standing",
-         "reconvergence"],
-        [(part["loss"], part["incorrect"], part["rdp_median"],
-          part["max_violations"], part["standing_violations"],
-          _fmt_reconv(part["reconvergence"]))],
-    ))
-
-    parts.append("\n2. bursty vs uniform loss at equal average rates")
-    parts.append(format_table(
-        ["channel", "lookup loss", "incorrect", "RDP-med", "control",
-         "standing"],
-        [(name, row["loss"], row["incorrect"], row["rdp_median"],
-          row["control"], row["standing_violations"])
-         for name, row in result["burst"].items()],
-    ))
-
-    gray = result["gray"]
-    parts.append("\n3. gray-failure mix (10% slow, 5% out-lossy, 5% stuck)")
-    parts.append(format_table(
-        ["lookup loss", "incorrect", "RDP-med", "max viol", "standing",
-         "reconvergence"],
-        [(gray["loss"], gray["incorrect"], gray["rdp_median"],
-          gray["max_violations"], gray["standing_violations"],
-          _fmt_reconv(gray["reconvergence"]))],
-    ))
-    return "\n".join(parts)
+    return render("Fault injection — partitions, bursty loss, gray failures", [
+        ("\n1. partition/heal (half the population cut, then healed)", None,
+         WINDOW_COLUMNS, {"": result["partition"]}),
+        ("\n2. bursty vs uniform loss at equal average rates", "channel",
+         BURST_COLUMNS, result["burst"]),
+        ("\n3. gray-failure mix (10% slow, 5% out-lossy, 5% stuck)", None,
+         WINDOW_COLUMNS, {"": result["gray"]}),
+    ])
 
 
 if __name__ == "__main__":  # pragma: no cover

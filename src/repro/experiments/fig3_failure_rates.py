@@ -11,11 +11,14 @@ from __future__ import annotations
 import statistics
 from typing import Dict
 
-from repro.experiments.reporting import downsample, format_series, format_table
+from repro.experiments.reporting import downsample, format_series, render
 from repro.experiments.resultio import as_pairs
 from repro.sim.rng import RngStreams
 from repro.traces.analysis import failure_rate_series
 from repro.traces.realworld import TRACE_MODELS, generate_real_world_trace
+
+COLUMNS = (("mean rate", "mean"), ("peak rate", "peak"), ("events", "n_events"),
+           ("duration", lambda summary: f"{summary['duration_h']:.0f}h"))
 
 
 def run(seed: int = 42, scale: float = 0.1,
@@ -42,22 +45,8 @@ def run(seed: int = 42, scale: float = 0.1,
 
 
 def format_report(result: Dict) -> str:
-    rows = [
-        (
-            name,
-            s["mean"],
-            s["peak"],
-            s["n_events"],
-            f"{s['duration_h']:.0f}h",
-        )
-        for name, s in result["summary"].items()
-    ]
-    parts = [
-        "Figure 3 — node failures per node per second",
-        format_table(
-            ["trace", "mean rate", "peak rate", "events", "duration"], rows
-        ),
-    ]
+    parts = [render("Figure 3 — node failures per node per second",
+                    [(None, "trace", COLUMNS, result["summary"])])]
     for name, series in result["series"].items():
         parts.append(format_series(f"\n{name} failure rate", downsample(series)))
     return "\n".join(parts)

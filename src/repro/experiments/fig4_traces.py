@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import downsample, format_series, format_table
+from repro.experiments.reporting import downsample, format_series, format_table, render
 from repro.experiments.resultio import as_pairs
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, read
 from repro.sim.rng import RngStreams
 from repro.traces.realworld import (
     GNUTELLA,
     TRACE_MODELS,
     generate_real_world_trace,
 )
+
+COLUMNS = (("RDP-mean", "rdp"), ("RDP-med", "rdp_median"), ("control", "control"),
+           ("loss", "loss"), ("incorrect", "incorrect"))
 
 
 def run(
@@ -51,11 +54,7 @@ def run(
         run_result = runner.run(trace)
         stats = run_result.stats
         result["traces"][name] = {
-            "rdp": stats.mean_rdp(),
-            "rdp_median": stats.rdp_percentile(0.5),
-            "control": stats.control_traffic_rate(),
-            "loss": stats.loss_rate(),
-            "incorrect": stats.incorrect_delivery_rate(),
+            **read(run_result, [f for _, f in COLUMNS]),
             "rdp_series": as_pairs(stats.rdp_series()),
             "control_series": as_pairs(stats.control_traffic_series()),
         }
@@ -68,18 +67,8 @@ def run(
 
 
 def format_report(result: Dict) -> str:
-    rows = [
-        (name, t["rdp"], t["rdp_median"], t["control"], t["loss"],
-         t["incorrect"])
-        for name, t in result["traces"].items()
-    ]
-    parts = [
-        "Figure 4 — RDP and control traffic per trace",
-        format_table(
-            ["trace", "RDP-mean", "RDP-med", "control", "loss", "incorrect"],
-            rows,
-        ),
-    ]
+    parts = [render("Figure 4 — RDP and control traffic per trace",
+                    [(None, "trace", COLUMNS, result["traces"])])]
     for name, t in result["traces"].items():
         parts.append(format_series(f"\n{name} RDP over time", downsample(t["rdp_series"])))
         parts.append(

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import render
 from repro.experiments.resultio import num_key
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, read
 from repro.metrics.cdf import cdf_points
 from repro.sim.rng import RngStreams
 from repro.traces.synthetic import generate_poisson_trace
 
 SESSION_MINUTES = (5, 15, 30, 60, 120, 600)
+FIELDS = ("rdp", "rdp_median", "control", "loss", "incorrect", "never_activated",
+          "joins")
+COLUMNS = (("RDP-mean", "rdp"), ("RDP-med", "rdp_median"), ("control", "control"),
+           ("loss", "loss"), ("died joining", "never_activated"), ("joins", "joins"))
 
 
 def run(
@@ -31,8 +35,7 @@ def run(
     rows: Dict[str, Dict] = {}
     cdfs: Dict[str, List] = {}
     for minutes in session_minutes:
-        scenario = Scenario(seed=seed, topology_scale=topology_scale)
-        runner = scenario.build_runner()
+        runner = Scenario(seed=seed, topology_scale=topology_scale).build_runner()
         trace = generate_poisson_trace(
             RngStreams(seed).stream(f"poisson-{minutes}"),
             n_nodes,
@@ -41,41 +44,15 @@ def run(
             name=f"poisson-{minutes}m",
         )
         result = runner.run(trace)
-        rows[num_key(minutes)] = {
-            "rdp": result.rdp,
-            "rdp_median": result.rdp_median,
-            "control": result.control_traffic,
-            "loss": result.loss_rate,
-            "incorrect": result.incorrect_delivery_rate,
-            "never_activated": result.nodes_never_activated,
-            "joins": len(result.stats.join_latencies),
-        }
+        rows[num_key(minutes)] = read(result, FIELDS)
         if minutes in (5, 30):
             cdfs[num_key(minutes)] = cdf_points(result.stats.join_latencies)
     return {"rows": rows, "join_cdfs": cdfs}
 
 
 def format_report(result: Dict) -> str:
-    rows = [
-        (
-            minutes,
-            row["rdp"],
-            row["rdp_median"],
-            row["control"],
-            row["loss"],
-            row["never_activated"],
-            row["joins"],
-        )
-        for minutes, row in result["rows"].items()
-    ]
-    parts = [
-        "Figure 5 — Poisson traces: session time sweep",
-        format_table(
-            ["session (min)", "RDP-mean", "RDP-med", "control", "loss",
-             "died joining", "joins"],
-            rows,
-        ),
-    ]
+    parts = [render("Figure 5 — Poisson traces: session time sweep",
+                    [(None, "session (min)", COLUMNS, result["rows"])])]
     for minutes, cdf in result["join_cdfs"].items():
         if not cdf:
             continue

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import percent, render
 from repro.experiments.resultio import num_key
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import measure
 
 LOSS_RATES = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
+COLUMNS = (("RDP-mean", "rdp"), ("RDP-med", "rdp_median"), ("control", "control"),
+           ("lookup loss", "loss"), ("incorrect", "incorrect"), ("lookups", "lookups"))
 
 
 def run(
@@ -23,51 +25,15 @@ def run(
     duration: float = 2400.0,
     loss_rates=LOSS_RATES,
 ) -> Dict:
-    rows = {}
-    for loss in loss_rates:
-        scenario = Scenario(seed=seed, loss_rate=loss)
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        rows[num_key(loss)] = {
-            "rdp": result.rdp,
-            "rdp_median": result.rdp_median,
-            "control": result.control_traffic,
-            "loss": result.loss_rate,
-            "incorrect": result.incorrect_delivery_rate,
-            "lookups": result.stats.n_lookups,
-        }
-    return {"rows": rows}
+    cells = [(num_key(loss), dict(loss_rate=loss)) for loss in loss_rates]
+    fields = [field for _, field in COLUMNS]
+    return {"rows": measure(cells, fields, seed, trace_scale, duration)}
 
 
 def format_report(result: Dict) -> str:
-    rows = [
-        (
-            f"{float(loss):.0%}",
-            row["rdp"],
-            row["rdp_median"],
-            row["control"],
-            row["loss"],
-            row["incorrect"],
-            row["lookups"],
-        )
-        for loss, row in result["rows"].items()
-    ]
-    return "\n".join(
-        [
-            "Figure 6 — dependability and performance vs network loss rate",
-            format_table(
-                [
-                    "net loss",
-                    "RDP-mean",
-                    "RDP-med",
-                    "control",
-                    "lookup loss",
-                    "incorrect",
-                    "lookups",
-                ],
-                rows,
-            ),
-        ]
-    )
+    rows = {percent(float(loss)): row for loss, row in result["rows"].items()}
+    return render("Figure 6 — dependability and performance vs network loss rate",
+                  [(None, "net loss", COLUMNS, rows)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import render
 from repro.experiments.resultio import num_key
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import measure
 from repro.pastry.config import PastryConfig
 
 LEAF_SIZES = (8, 16, 32, 64)
 B_VALUES = (1, 2, 3, 4)
+L_COLUMNS = (("control", "control"), ("heartbeats", "heartbeat_traffic"),
+             ("RDP", "rdp"), ("hops", "hops"), ("loss", "loss"))
+B_COLUMNS = (("control", "control"), ("RDP", "rdp"), ("hops", "hops"),
+             ("loss", "loss"))
 
 
 def run(
@@ -27,62 +31,22 @@ def run(
     leaf_sizes=LEAF_SIZES,
     b_values=B_VALUES,
 ) -> Dict:
-    l_rows = {}
-    for leaf_size in leaf_sizes:
-        scenario = Scenario(
-            seed=seed, config=PastryConfig(leaf_set_size=leaf_size)
-        )
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        stats = result.stats
-        node_seconds = stats.active.total_node_seconds or 1.0
-        l_rows[num_key(leaf_size)] = {
-            "control": result.control_traffic,
-            "heartbeat_traffic": stats.sent_total.get("heartbeats", 0)
-            / node_seconds,
-            "rdp": result.rdp,
-            "hops": stats.mean_hops(),
-            "loss": result.loss_rate,
-        }
-    b_rows = {}
-    for b in b_values:
-        scenario = Scenario(seed=seed, config=PastryConfig(b=b))
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        b_rows[num_key(b)] = {
-            "control": result.control_traffic,
-            "rdp": result.rdp,
-            "hops": result.stats.mean_hops(),
-            "loss": result.loss_rate,
-        }
-    return {"l": l_rows, "b": b_rows}
+    l_cells = [(num_key(l), dict(config=PastryConfig(leaf_set_size=l)))
+               for l in leaf_sizes]
+    b_cells = [(num_key(b), dict(config=PastryConfig(b=b))) for b in b_values]
+    return {
+        "l": measure(l_cells, [f for _, f in L_COLUMNS], seed, trace_scale, duration),
+        "b": measure(b_cells, [f for _, f in B_COLUMNS], seed, trace_scale, duration),
+    }
 
 
 def format_report(result: Dict) -> str:
-    parts = [
-        "Figure 7 — leaf-set size sweep",
-        "(heartbeats column is flat in l: a single left-neighbour heartbeat",
+    return render(
+        "Figure 7 — leaf-set size sweep\n"
+        "(heartbeats column is flat in l: a single left-neighbour heartbeat\n"
         " regardless of leaf-set size, §4.1)",
-    ]
-    parts.append(
-        format_table(
-            ["l", "control", "heartbeats", "RDP", "hops", "loss"],
-            [
-                (l, r["control"], r["heartbeat_traffic"], r["rdp"], r["hops"],
-                 r["loss"])
-                for l, r in result["l"].items()
-            ],
-        )
-    )
-    parts.append("\nFigure 7 — digit size (b) sweep")
-    parts.append(
-        format_table(
-            ["b", "control", "RDP", "hops", "loss"],
-            [
-                (b, r["control"], r["rdp"], r["hops"], r["loss"])
-                for b, r in result["b"].items()
-            ],
-        )
-    )
-    return "\n".join(parts)
+        [(None, "l", L_COLUMNS, result["l"]),
+         ("\nFigure 7 — digit size (b) sweep", "b", B_COLUMNS, result["b"])])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,6 +29,37 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
+def render(title: str, sections: Iterable[Tuple]) -> str:
+    """``title``, then per ``(heading, label, columns, rows)`` section its
+    heading (when given) and a table of ``rows`` (``{key: row}``): a first
+    column headed ``label`` holding the keys (none when ``label`` is None),
+    then one per ``(header, field)`` in ``columns``, where ``field`` is a
+    row key or a function of the row."""
+    parts = [title]
+    for heading, label, columns, rows in sections:
+        if heading:
+            parts.append(heading)
+        headers = [header for header, _ in columns]
+        body = [[field(row) if callable(field) else row[field]
+                 for _, field in columns] for row in rows.values()]
+        if label is not None:
+            headers.insert(0, label)
+            body = [[key, *cells] for key, cells in zip(rows, body)]
+        parts.append(format_table(headers, body))
+    return "\n".join(parts)
+
+
+def percent(rate: float) -> str:
+    """A rate as a percent label; distinct rates get distinct labels."""
+    return f"{rate * 100:g}%"
+
+
+def reconvergence(row) -> str:
+    """A row's reconvergence time as a table cell."""
+    value = row["reconvergence"]
+    return "never" if value is None else f"{value:.0f}s"
+
+
 def format_series(
     name: str, series: List[Tuple[float, float]], time_unit: float = 3600.0,
     unit_label: str = "h",

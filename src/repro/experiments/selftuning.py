@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import percent, render
 from repro.experiments.resultio import num_key
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import measure
 from repro.pastry.config import PastryConfig
 
 TARGETS = (0.05, 0.01)
+COLUMNS = (("measured loss", "measured_loss"), ("control", "control"),
+           ("RDP", "rdp"))
 
 
 def run(
@@ -23,40 +25,27 @@ def run(
     duration: float = 2400.0,
     targets=TARGETS,
 ) -> Dict:
-    rows = {}
-    for target in targets:
-        config = PastryConfig(
-            per_hop_acks=False,  # expose the raw loss rate
-            active_rt_probing=True,
-            self_tuning=True,
-            target_raw_loss=target,
-        )
-        scenario = Scenario(seed=seed, config=config)
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        rows[num_key(target)] = {
-            "measured_loss": result.loss_rate,
-            "control": result.control_traffic,
-            "rdp": result.rdp,
-        }
-    return {"rows": rows}
+    cells = [(num_key(target), dict(config=PastryConfig(
+        per_hop_acks=False,  # expose the raw loss rate
+        active_rt_probing=True,
+        self_tuning=True,
+        target_raw_loss=target,
+    ))) for target in targets]
+    return {"rows": measure(cells, [f for _, f in COLUMNS], seed, trace_scale,
+                            duration)}
 
 
 def format_report(result: Dict) -> str:
-    rows = [
-        (f"{float(target):.0%}", r["measured_loss"], r["control"], r["rdp"])
-        for target, r in result["rows"].items()
-    ]
-    parts = [
-        "Self-tuning — target raw loss rate vs measured loss (acks off)",
-        format_table(["target Lr", "measured loss", "control", "RDP"], rows),
-    ]
+    rows = {percent(float(target)): row for target, row in result["rows"].items()}
+    parts = [render("Self-tuning — target raw loss rate vs measured loss (acks off)",
+                    [(None, "target Lr", COLUMNS, rows)])]
     targets = list(result["rows"])
     if len(targets) >= 2:
         hi, lo = result["rows"][targets[0]], result["rows"][targets[1]]
         if hi["control"] > 0:
             parts.append(
-                f"\ncontrol traffic ratio {float(targets[1]):.0%} vs "
-                f"{float(targets[0]):.0%}: "
+                f"\ncontrol traffic ratio {percent(float(targets[1]))} vs "
+                f"{percent(float(targets[0]))}: "
                 f"{lo['control'] / hi['control']:.2f}x (paper: 2.6x)"
             )
     return "\n".join(parts)

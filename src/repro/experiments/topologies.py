@@ -19,68 +19,35 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import Scenario
+from repro.experiments.reporting import render
+from repro.experiments.scenarios import measure
 
 PAPER_ROWS = {
     "corpnet": {"control": 0.239, "rdp": 1.45},
     "gatech": {"control": 0.245, "rdp": 1.80},
     "mercator": {"control": 0.256, "rdp": 2.12},
 }
+FIELDS = ("loss", "incorrect", "control", "rdp", "rdp_median", "lookups")
+COLUMNS = (("loss", "loss"), ("incorrect", "incorrect"), ("control", "control"),
+           ("paper-ctl", "paper-ctl"), ("RDP-mean", "rdp"),
+           ("RDP-med", "rdp_median"), ("paper-RDP", "paper-RDP"))
 
 
 def run(seed: int = 42, trace_scale: float = 0.06,
         duration: float = 2400.0) -> Dict:
-    rows = {}
-    for topology in ("corpnet", "gatech", "mercator"):
-        scenario = Scenario(seed=seed, topology=topology)
-        result = scenario.run_gnutella(scale=trace_scale, duration=duration)
-        rows[topology] = {
-            "loss": result.loss_rate,
-            "incorrect": result.incorrect_delivery_rate,
-            "control": result.control_traffic,
-            "rdp": result.rdp,
-            "rdp_median": result.stats.rdp_percentile(0.5),
-            "lookups": result.stats.n_lookups,
-        }
-    return {"rows": rows, "paper": PAPER_ROWS}
+    cells = [(topology, dict(topology=topology)) for topology in PAPER_ROWS]
+    return {"rows": measure(cells, FIELDS, seed, trace_scale, duration),
+            "paper": PAPER_ROWS}
 
 
 def format_report(result: Dict) -> str:
-    rows = []
-    for name, row in result["rows"].items():
-        paper = result["paper"][name]
-        rows.append(
-            (
-                name,
-                row["loss"],
-                row["incorrect"],
-                row["control"],
-                paper["control"],
-                row["rdp"],
-                row["rdp_median"],
-                paper["rdp"],
-            )
-        )
-    return "\n".join(
-        [
-            "Topology table — loss / control traffic / RDP (measured vs paper)",
-            "(median RDP is the scale-robust stretch; see EXPERIMENTS.md)",
-            format_table(
-                [
-                    "topology",
-                    "loss",
-                    "incorrect",
-                    "control",
-                    "paper-ctl",
-                    "RDP-mean",
-                    "RDP-med",
-                    "paper-RDP",
-                ],
-                rows,
-            ),
-        ]
-    )
+    rows = {name: {**row, "paper-ctl": result["paper"][name]["control"],
+                   "paper-RDP": result["paper"][name]["rdp"]}
+            for name, row in result["rows"].items()}
+    return render(
+        "Topology table — loss / control traffic / RDP (measured vs paper)\n"
+        "(median RDP is the scale-robust stretch; see EXPERIMENTS.md)",
+        [(None, "topology", COLUMNS, rows)])
 
 
 if __name__ == "__main__":  # pragma: no cover

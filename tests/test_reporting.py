@@ -1,4 +1,5 @@
-"""Coverage for ``experiments.reporting``: tables, float formats, downsample."""
+"""Coverage for ``experiments.reporting``: tables, float formats, downsample,
+percent labels and the sectioned report renderer."""
 
 import pytest
 
@@ -7,6 +8,8 @@ from repro.experiments.reporting import (
     downsample,
     format_series,
     format_table,
+    percent,
+    render,
 )
 
 
@@ -61,6 +64,30 @@ def test_format_table_mixed_types_use_fmt():
 ])
 def test_fmt_edges(value, expected):
     assert _fmt(value) == expected
+
+
+# ----------------------------------------------------------------------
+# percent labels and render
+# ----------------------------------------------------------------------
+def test_percent_matches_whole_percent_and_keeps_fractions_apart():
+    for rate in (0.0, 0.01, 0.02, 0.03, 0.05, 0.07, 0.5, 1.0):
+        assert percent(rate) == f"{rate:.0%}"
+    labels = [percent(rate) for rate in (0.006, 0.01, 0.015, 0.02)]
+    assert labels == ["0.6%", "1%", "1.5%", "2%"]
+
+
+def test_render_sections_labels_and_computed_columns():
+    rows = {"a": {"x": 1.5, "y": 2}, "b": {"x": 3e-7, "y": 4}}
+    text = render("Title", [
+        (None, "key", (("X", "x"),), rows),
+        ("\nsecond", None, (("X", "x"), ("2y", lambda row: 2 * row["y"])), rows),
+    ])
+    assert text == "\n".join([
+        "Title",
+        format_table(["key", "X"], [("a", 1.5), ("b", 3e-7)]),
+        "\nsecond",
+        format_table(["X", "2y"], [(1.5, 4), (3e-7, 8)]),
+    ])
 
 
 # ----------------------------------------------------------------------
