@@ -100,6 +100,8 @@ def cmd_sweep(args) -> int:
             f"try: {', '.join(ALL_EXPERIMENTS)}", status=2)
     jobs_list = spec.expand()
     jobs = args.jobs if args.jobs is not None else default_jobs(len(jobs_list))
+    if jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {jobs}", status=2)
     progress = SweepProgress(len(jobs_list), workers=jobs,
                              enabled=not args.quiet)
     try:
@@ -189,16 +191,21 @@ def cmd_serve(args) -> int:
     from repro.runtime.service import NodeService
     from repro.runtime.transport import pack_addr
 
-    if args.id is not None:
-        node_id = int(args.id, 16)
-    else:
-        node_id = random_nodeid(random.Random(args.rng_seed))
+    try:
+        node_id = (int(args.id, 16) if args.id is not None
+                   else random_nodeid(random.Random(args.rng_seed)))
+    except ValueError:
+        return _fail(f"--id wants a hex nodeId, got {args.id!r}", status=2)
+    for flag, port in (("--port", args.port), ("--metrics-port", args.metrics_port)):
+        if port is not None and not 0 <= port <= 65535:
+            return _fail(f"{flag} wants 0-65535, got {port}", status=2)
     seed_addr = None
     if args.seed is not None:
         host, _, port = args.seed.rpartition(":")
-        if not host or not port.isdigit():
-            return _fail(f"--seed wants HOST:PORT, got {args.seed!r}")
-        seed_addr = pack_addr(host, int(port))
+        try:
+            seed_addr = pack_addr(host, int(port))
+        except (OSError, ValueError):
+            return _fail(f"--seed wants IPV4:PORT, got {args.seed!r}", status=2)
 
     async def serve() -> None:
         loop = asyncio.get_event_loop()
@@ -233,9 +240,12 @@ def cmd_live(args) -> int:
         write_live_artifact,
     )
 
-    spec = LiveSpec(n_nodes=args.nodes, n_lookups=args.lookups,
-                    seed=args.seed, host=args.host,
-                    join_timeout=args.timeout, lookup_timeout=args.timeout)
+    try:
+        spec = LiveSpec(n_nodes=args.nodes, n_lookups=args.lookups,
+                        seed=args.seed, host=args.host,
+                        join_timeout=args.timeout, lookup_timeout=args.timeout)
+    except LiveError as exc:
+        return _fail(str(exc), status=2)
     try:
         artifact = run_live(spec)
     except LiveError as exc:

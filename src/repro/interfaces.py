@@ -10,7 +10,8 @@ this module:
 * :class:`Clock` — ``now`` plus the three scheduling flavours of
   :class:`repro.sim.engine.Simulator`.  The simulation implementation is
   the discrete-event engine itself; the real-socket implementation is
-  :class:`repro.runtime.clock.AsyncioClock`, a wall-clock timer wheel.
+  :class:`repro.runtime.clock.AsyncioClock`, which drives a ``Simulator``
+  queue from the asyncio loop, so timers are one implementation.
 * :class:`Transport` — the address/handler/send surface of
   :class:`repro.network.transport.Network`.  The real-socket
   implementation is :class:`repro.runtime.transport.UdpTransport`.
@@ -49,8 +50,8 @@ Handler = Callable[[int, Any], None]
 class TimerHandle(Protocol):
     """A scheduled callback that can be cancelled before it fires.
 
-    Structurally matched by :class:`repro.sim.engine.EventHandle` and
-    :class:`repro.runtime.clock.RealTimerHandle`.
+    Both substrates return :class:`repro.sim.engine.EventHandle`: the
+    live clock schedules into a ``Simulator`` queue of its own.
     """
 
     @property
@@ -73,7 +74,9 @@ class Clock(Protocol):
     """Time source and timer service for protocol code.
 
     ``now`` is seconds since an arbitrary epoch (simulation start /
-    process start); only differences and ordering are meaningful.
+    clock construction); only differences and ordering are meaningful.
+    Both implementations queue timers in a
+    :class:`repro.sim.engine.Simulator` and hand out its ``EventHandle``.
     """
 
     @property

@@ -6,8 +6,9 @@ clock, behind the ``Clock``/``Transport`` seam of :mod:`repro.interfaces`:
 
 * :mod:`repro.runtime.wire` — deterministic length-prefixed codec for
   every ``repro.pastry.messages`` type,
-* :mod:`repro.runtime.clock` — :class:`AsyncioClock`, a wall-clock timer
-  wheel implementing the ``Clock`` protocol,
+* :mod:`repro.runtime.clock` — :class:`AsyncioClock`, the ``Clock``
+  protocol on the wall clock: it drives the simulator's own timer queue
+  from the asyncio loop,
 * :mod:`repro.runtime.transport` — :class:`UdpTransport`, one UDP socket
   per node implementing the ``Transport`` protocol,
 * :mod:`repro.runtime.metrics` — per-process JSON metrics endpoint,
@@ -22,7 +23,7 @@ from DET002/DET005/DET006 (see ``repro.analysis.rules_determinism``);
 the protocol packages it drives stay fully policed.
 """
 
-from repro.runtime.clock import AsyncioClock, RealTimerHandle  # noqa: F401
+from repro.runtime.clock import AsyncioClock  # noqa: F401
 from repro.runtime.live import (  # noqa: F401
     LIVE_SCHEMA,
     LiveError,

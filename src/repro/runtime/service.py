@@ -15,8 +15,9 @@ protocol code:
   node (MSPastry departures are fail-stop, cancelling every protocol
   timer), and closes the socket.
 * **observability** — ``snapshot()`` is the JSON the metrics endpoint
-  serves: identity, leaf set, routing-table fill, transport counters and
-  lookup latency/consistency counters.
+  serves: the node's ``debug_state()`` (leaf set, suspects, probes, acks
+  in flight, probe period, ...), routing-table fill, transport counters
+  and lookup latency counters.
 """
 
 from __future__ import annotations
@@ -206,25 +207,21 @@ class NodeService:
         (``repro-node/1``).  The counters cover the node's whole life;
         ``latency_ms_p50`` is the median over the last ``LATENCY_WINDOW``
         lookups delivered here, so a scrape costs the same on day ten as
-        in minute one."""
+        in minute one.  The node's own fields are its ``debug_state()``,
+        with ``id`` as hex."""
         node = self.node
         config = node.config
         total_slots = n_rows(config.b) * (1 << config.b)
         latencies = self._latencies
         return {
+            **node.debug_state(),
             "schema": "repro-node/1",
             "id": f"{node.id:032x}",
             "endpoint": self.endpoint,
-            "addr": node.addr,
-            "active": node.active,
-            "crashed": node.crashed,
             "uptime": self.clock.now - self._started_at,
             "bootstrap_failed": self.bootstrap_failed,
             "peers": len(node.routing_state_members()),
             "leaf_set": [f"{d.id:032x}" for d in node.leaf_set.members()],
-            "leaf_left": len(node.leaf_set.left_side),
-            "leaf_right": len(node.leaf_set.right_side),
-            "routing_table_entries": len(node.routing_table),
             "routing_table_fill": len(node.routing_table) / total_slots,
             "transport": self.transport.counters(),
             "lookups": {

@@ -55,6 +55,9 @@ Design notes
   entry, so it can never reorder or drop live events.
 * The simulator never advances past ``run(until=...)``; events scheduled
   beyond the horizon simply remain queued.
+* This is the one timer queue of both substrates:
+  :class:`repro.runtime.clock.AsyncioClock` keeps a loop wakeup armed for
+  :meth:`Simulator.next_time` and drains the queue with ``run(until=now)``.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class EventHandle:
         if sim is not None:
             # A live queued handle died; compact once the dead dominate.
             sim._dead = dead = sim._dead + 1
-            if (dead >= sim._compact_min_dead
-                    and dead > sim._compact_dead_fraction * sim._count):
+            if (dead >= _COMPACT_MIN_DEAD
+                    and dead > _COMPACT_DEAD_FRACTION * sim._count):
                 sim._compact()
 
     @property
@@ -141,6 +144,10 @@ class Simulator:
     (2.5, ['hello'])
     """
 
+    __slots__ = ("now", "_seq", "_dead", "_count", "_events_executed",
+                 "_compactions", "_promotions", "_running", "_near",
+                 "_buckets", "_bucket_heap", "_cur_idx")
+
     def __init__(self) -> None:
         self.now: float = 0.0
         self._seq: int = 0
@@ -158,9 +165,6 @@ class Simulator:
         self._buckets: Dict[int, List[_Entry]] = {}
         self._bucket_heap: List[int] = []
         self._cur_idx: int = -1
-        # Compaction policy knobs (instance attrs so tests can tighten them).
-        self._compact_min_dead = _COMPACT_MIN_DEAD
-        self._compact_dead_fraction = _COMPACT_DEAD_FRACTION
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -268,7 +272,7 @@ class Simulator:
             heapq.heapify(near)
         return True
 
-    def _next_time(self) -> Optional[float]:
+    def next_time(self) -> Optional[float]:
         """Earliest queued event time (cancelled wheel entries excluded
         opportunistically; promotes as needed, which preserves order)."""
         while True:
@@ -362,7 +366,7 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and self.now < until:
-            next_time = self._next_time()
+            next_time = self.next_time()
             if next_time is None or next_time > until:
                 # Advance the clock to the horizon so back-to-back run()
                 # calls see contiguous time windows.

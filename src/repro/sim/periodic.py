@@ -8,15 +8,10 @@ from repro.interfaces import Clock, TimerHandle
 
 
 class PeriodicTask:
-    """Fire a callback every ``period`` seconds until stopped.
+    """Fire a callback every ``period`` seconds until stopped; the first
+    firing comes after ``start_delay`` (default: one period)."""
 
-    The period can be changed between firings (used by self-tuning, which
-    adjusts the routing-table probing period as the failure-rate estimate
-    moves).  A period change takes effect at the *next* (re)scheduling, or
-    immediately when ``reschedule=True``.
-    """
-
-    __slots__ = ("_sim", "_period", "_callback", "_jitter", "_handle", "_stopped")
+    __slots__ = ("_sim", "_period", "_callback", "_handle", "_stopped")
 
     def __init__(
         self,
@@ -24,7 +19,6 @@ class PeriodicTask:
         period: float,
         callback: Callable[[], None],
         *,
-        jitter: Optional[Callable[[float], float]] = None,
         start_delay: Optional[float] = None,
     ) -> None:
         if period <= 0:
@@ -32,25 +26,9 @@ class PeriodicTask:
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._jitter = jitter
         self._handle: Optional[TimerHandle] = None
         self._stopped = False
-        first = period if start_delay is None else start_delay
-        self._schedule(first)
-
-    # ------------------------------------------------------------------
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def set_period(self, period: float, reschedule: bool = False) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive: {period}")
-        self._period = period
-        if reschedule and not self._stopped:
-            if self._handle is not None:
-                self._handle.cancel()
-            self._schedule(period)
+        self._schedule(period if start_delay is None else start_delay)
 
     def stop(self) -> None:
         self._stopped = True
@@ -58,22 +36,8 @@ class PeriodicTask:
             self._handle.cancel()
             self._handle = None
 
-    def defer(self) -> None:
-        """Push the next firing a full period into the future.
-
-        Used for traffic suppression: when regular traffic substitutes for a
-        probe, the probe timer is deferred rather than fired.
-        """
-        if self._stopped:
-            return
-        if self._handle is not None:
-            self._handle.cancel()
-        self._schedule(self._period)
-
     # ------------------------------------------------------------------
     def _schedule(self, delay: float) -> None:
-        if self._jitter is not None:
-            delay = self._jitter(delay)
         self._handle = self._sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:

@@ -70,6 +70,30 @@ def test_experiment_exception_is_one_clean_line(capsys, monkeypatch):
     assert "finished in" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["live", "--nodes", "0"],
+    ["live", "--lookups", "-1"],
+    ["sweep", "SPEC", "--jobs", "0", "--out", "OUT"],
+    ["serve", "--seed", "localhost:9000"],
+    ["serve", "--seed", "127.0.0.1:0"],
+    ["serve", "--id", "zz"],
+    ["serve", "--port", "70000"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    """Caught before any socket is bound or any run starts."""
+    import repro.runtime.transport
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was bound")
+
+    monkeypatch.setattr(repro.runtime.transport.UdpTransport, "open", no_socket)
+    paths = {"SPEC": write_spec(tmp_path, dict(name="x", experiment="fig3", seeds=[1])),
+             "OUT": str(tmp_path / "out")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
+
+
 # ----------------------------------------------------------------------
 # _kwargs_for: mapping shared flags onto run() signatures
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import engine
 from repro.sim.engine import SimulationError, Simulator
 
 # Small delay grid with guaranteed ties so seq-number ordering is exercised.
@@ -60,6 +61,12 @@ def test_schedule_call_equivalent_to_schedule(ops):
     assert _run_mixed(tagged) == _run_schedule(tagged)
 
 
+def tighten(patch, min_dead, dead_fraction):
+    """Set the engine's compaction policy for one test."""
+    patch.setattr(engine, "_COMPACT_MIN_DEAD", min_dead)
+    patch.setattr(engine, "_COMPACT_DEAD_FRACTION", dead_fraction)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(_DELAYS, st.booleans()), min_size=1, max_size=60),
@@ -69,20 +76,19 @@ def test_compaction_never_reorders_or_drops_live_events(events, rnd):
     """With compaction forced aggressively, live events still run in
     (time, seq) order and cancelled ones never run."""
     sim = Simulator()
-    # Tighten thresholds far below production values to force compaction
-    # even in small examples.
-    sim._compact_min_dead = 2
-    sim._compact_dead_fraction = 0.25
-
     executed = []
     handles = []
     for i, (delay, _cancel) in enumerate(events):
         handles.append(sim.schedule(delay, executed.append, i))
     cancelled = set()
-    for i, (_delay, cancel) in enumerate(events):
-        if cancel and rnd.random() < 0.8:
-            handles[i].cancel()
-            cancelled.add(i)
+    # Tighten thresholds far below production values to force compaction
+    # even in small examples.
+    with pytest.MonkeyPatch.context() as patch:
+        tighten(patch, 2, 0.25)
+        for i, (_delay, cancel) in enumerate(events):
+            if cancel and rnd.random() < 0.8:
+                handles[i].cancel()
+                cancelled.add(i)
     sim.run()
 
     expected = [
@@ -120,10 +126,9 @@ def test_live_events_accounting():
     assert not h3.active  # consumed handles read as spent
 
 
-def test_compaction_triggers_and_counts():
+def test_compaction_triggers_and_counts(monkeypatch):
+    tighten(monkeypatch, 8, 0.5)
     sim = Simulator()
-    sim._compact_min_dead = 8
-    sim._compact_dead_fraction = 0.5
     survivors = []
     keep = [sim.schedule(10.0 + i, survivors.append, i) for i in range(4)]
     doomed = [sim.schedule(5.0, lambda: None) for _ in range(20)]
@@ -139,10 +144,9 @@ def test_compaction_triggers_and_counts():
     assert survivors == [0, 1, 2, 3]
 
 
-def test_compaction_below_threshold_is_deferred():
+def test_compaction_below_threshold_is_deferred(monkeypatch):
+    tighten(monkeypatch, 64, 0.5)
     sim = Simulator()
-    sim._compact_min_dead = 64
-    sim._compact_dead_fraction = 0.5
     for _ in range(10):
         sim.schedule(1.0, lambda: None).cancel()
     # Too few dead entries to justify a rebuild: heap keeps them lazily.

@@ -37,6 +37,29 @@ def test_snapshot_latency_is_a_bounded_window():
     asyncio.run(main())
 
 
+def test_served_snapshot_carries_every_debug_state_field():
+    """One node view: the endpoint serves the node's whole ``debug_state()``
+    (suspects, probes, acks in flight, probe period, ...), ``id`` as hex."""
+    async def main():
+        service = await NodeService.start(node_id=7, rng_seed=7, metrics_port=0)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.metrics.port)
+            writer.write(b"GET / HTTP/1.0\r\n\r\n")
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            return json.loads(raw.partition(b"\r\n\r\n")[2]), service.node.debug_state()
+        finally:
+            await service.stop()
+
+    served, state = asyncio.run(main())
+    assert sorted(set(state) - set(served)) == []
+    assert served["id"] == f"{state['id']:032x}"
+    assert served["schema"] == "repro-node/1"
+    assert (served["suspected"], served["active"]) == (state["suspected"], True)
+
+
 # ----------------------------------------------------------------------
 # Wire-valid frames whose optional descriptors are absent
 # ----------------------------------------------------------------------

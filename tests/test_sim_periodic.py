@@ -31,46 +31,8 @@ def test_stop_prevents_future_firings():
     assert times == [1.0, 2.0]
 
 
-def test_set_period_takes_effect_next_cycle():
-    sim = Simulator()
-    times = []
-    task = PeriodicTask(sim, 1.0, lambda: times.append(sim.now))
-    sim.schedule(1.5, task.set_period, 3.0)
-    sim.run(until=9.0)
-    # fired at 1, 2 (already scheduled), then every 3
-    assert times == [1.0, 2.0, 5.0, 8.0]
-
-
-def test_set_period_with_reschedule_restarts_timer():
-    sim = Simulator()
-    times = []
-    task = PeriodicTask(sim, 10.0, lambda: times.append(sim.now))
-    sim.schedule(1.0, task.set_period, 2.0, True)
-    sim.run(until=8.0)
-    assert times == [3.0, 5.0, 7.0]
-
-
-def test_defer_pushes_next_firing():
-    sim = Simulator()
-    times = []
-    task = PeriodicTask(sim, 2.0, lambda: times.append(sim.now))
-    sim.schedule(1.5, task.defer)  # next firing moves from 2.0 to 3.5
-    sim.run(until=6.0)
-    assert times == [3.5, 5.5]
-
-
 def test_invalid_period_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         PeriodicTask(sim, 0.0, lambda: None)
-    task = PeriodicTask(sim, 1.0, lambda: None)
-    with pytest.raises(ValueError):
-        task.set_period(-1.0)
 
-
-def test_jitter_applied_to_delays():
-    sim = Simulator()
-    times = []
-    PeriodicTask(sim, 2.0, lambda: times.append(sim.now), jitter=lambda d: d + 0.5)
-    sim.run(until=6.0)
-    assert times == [2.5, 5.0]
