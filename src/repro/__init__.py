@@ -9,18 +9,11 @@ Public entry points:
 * :mod:`repro.network` — topology models and lossy transport,
 * :mod:`repro.traces` — churn trace generators and analysis,
 * :mod:`repro.apps` — the Squirrel web cache (the paper's Figure 8),
-* :mod:`repro.experiments` — one module per paper figure/table.
+* :mod:`repro.experiments` — one module per paper figure/table,
+* :mod:`repro.runtime` — the same protocol over asyncio UDP sockets.
+
+Importing ``repro`` imports none of them: a live node loads the protocol
+and the engine's timer queue, never the simulator's numeric stack.
 """
 
 __version__ = "1.0.0"
-
-from repro.overlay import OverlayRunner, build_overlay
-from repro.pastry import MSPastryNode, PastryConfig
-
-__all__ = [
-    "MSPastryNode",
-    "OverlayRunner",
-    "PastryConfig",
-    "build_overlay",
-    "__version__",
-]

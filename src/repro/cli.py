@@ -21,6 +21,9 @@ one JSON artifact per run plus a manifest under ``--out``.  Re-invoking the
 same sweep resumes it (completed runs are skipped; ``--force`` re-runs
 them).  ``report`` aggregates a sweep directory across seeds (mean/CI).
 
+Each verb imports what it runs: ``serve`` and ``live`` never load the
+simulator, the experiments or the harness.
+
 ``lint`` runs detlint (``repro.analysis``) — the determinism &
 simulation-correctness static analysis — over ``src/repro`` (or the given
 paths).  ``--all`` additionally runs ruff and mypy when they are installed.
@@ -33,17 +36,6 @@ import inspect
 import os
 import sys
 import time
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.harness import (
-    SpecError,
-    StoreError,
-    SweepProgress,
-    SweepSpec,
-    default_jobs,
-    format_sweep_report,
-    run_sweep,
-)
 
 
 def _kwargs_for(module, args) -> dict:
@@ -68,6 +60,8 @@ def _fail(message: str, status: int = 1) -> int:
 
 
 def run_experiment(name: str, args) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+
     module = ALL_EXPERIMENTS.get(name)
     if module is None:
         print(f"unknown experiment {name!r}; try: {', '.join(ALL_EXPERIMENTS)}",
@@ -89,7 +83,38 @@ def run_experiment(name: str, args) -> int:
     return 0
 
 
+def cmd_run(args) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+
+    if args.experiment != "all":
+        return run_experiment(args.experiment, args)
+    status = 0
+    for name in ALL_EXPERIMENTS:
+        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
+        status |= run_experiment(name, args)
+    return status
+
+
+def cmd_list(args) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+
+    for name, module in ALL_EXPERIMENTS.items():
+        doc = (module.__doc__ or "").strip().splitlines()[0]
+        print(f"{name:12s} {doc}")
+    return 0
+
+
 def cmd_sweep(args) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.harness import (
+        SpecError,
+        StoreError,
+        SweepProgress,
+        SweepSpec,
+        default_jobs,
+        run_sweep,
+    )
+
     try:
         spec = SweepSpec.from_file(args.spec)
     except SpecError as exc:
@@ -124,6 +149,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.harness import StoreError, format_sweep_report
+
     try:
         print(format_sweep_report(args.dir, metrics=args.metrics))
     except StoreError as exc:
@@ -351,30 +378,10 @@ def main(argv=None) -> int:
                            "(CI gate)")
 
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for name, module in ALL_EXPERIMENTS.items():
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:12s} {doc}")
-        return 0
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "live":
-        return cmd_live(args)
-
-    if args.experiment == "all":
-        status = 0
-        for name in ALL_EXPERIMENTS:
-            print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            status |= run_experiment(name, args)
-        return status
-    return run_experiment(args.experiment, args)
+    verbs = {"list": cmd_list, "run": cmd_run, "sweep": cmd_sweep,
+             "report": cmd_report, "lint": cmd_lint, "serve": cmd_serve,
+             "live": cmd_live}
+    return verbs[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

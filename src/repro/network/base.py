@@ -13,17 +13,27 @@ import random
 from abc import ABC, abstractmethod
 from array import array
 from collections import OrderedDict
-from typing import List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: default bound on cached per-router Dijkstra rows.  A row is one unboxed
 #: float64 per router (``array('d')``), so at the paper's 5050-router GT-ITM
 #: topology the cache is capped at ~512 * 5050 * 8 B ~= 20 MB regardless of
 #: how many routers end up hosting nodes.
 MAX_CACHED_DIST_ROWS = 512
+
+
+def dijkstra(graph, **kwargs):
+    """scipy's ``csgraph.dijkstra``, imported on the first call, so that
+    importing a topology module does not load scipy.  ``_router_distances``
+    calls it by this global name, so a profiler can rebind it."""
+    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+    return scipy_dijkstra(graph, **kwargs)
 
 
 class Topology(ABC):
@@ -84,6 +94,8 @@ class RouterGraphTopology(Topology):
 
     def _set_graph(self, n_routers: int, rows, cols, weights) -> None:
         """Install the (symmetric) router graph from edge lists."""
+        from scipy.sparse import csr_matrix
+
         data = np.asarray(weights, dtype=np.float64)
         graph = csr_matrix(
             (np.concatenate([data, data]),

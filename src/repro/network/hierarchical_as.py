@@ -23,8 +23,6 @@ from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from repro.network.base import Topology
 
@@ -57,6 +55,9 @@ class HierarchicalASTopology(Topology):
 
     # ------------------------------------------------------------------
     def _build(self, n_as: int, routers_per_as: int) -> None:
+        # scipy is imported when a map is built, not with this module
+        from scipy.sparse import csr_matrix
+
         rng = self._rng
         if n_as < 2:
             raise ValueError("need at least two ASes")
@@ -135,6 +136,9 @@ class HierarchicalASTopology(Topology):
     def _fill_intra_hops(self, er: List[int], ec: List[int], sizes: List[int]) -> None:
         """Append the tables of the next ``len(sizes)`` ASes, whose routers
         the edge lists number from 0: one byte per entry, row-major."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
         n = sum(sizes)
         g = csr_matrix((np.ones(2 * len(er)), (er + ec, ec + er)), shape=(n, n))
         dist = shortest_path(g, unweighted=True, directed=False)
@@ -163,6 +167,8 @@ class HierarchicalASTopology(Topology):
     def _as_path(self, src_as: int, dst_as: int) -> List[int]:
         row = self._as_pred.get(src_as)
         if row is None:
+            from scipy.sparse.csgraph import dijkstra
+
             _, pred = dijkstra(
                 self._as_graph, indices=src_as, unweighted=True,
                 return_predecessors=True, directed=False,

@@ -45,6 +45,10 @@ _PORT_BITS = 16
 _PORT_MASK = (1 << _PORT_BITS) - 1
 #: peers whose packed <-> endpoint forms are remembered, in each direction
 _PEER_CACHE = 4096
+#: bytes asyncio reads per datagram: the largest IPv4 UDP payload fits.
+#: asyncio's 256 KiB default is above glibc's 128 KiB mmap threshold, so
+#: every read would map and unmap a fresh buffer (DESIGN.md §13).
+_RECV_BUFFER = 65536
 
 
 @functools.lru_cache(maxsize=_PEER_CACHE)
@@ -106,6 +110,7 @@ class UdpTransport:
         loop = loop if loop is not None else asyncio.get_event_loop()
         transport, _protocol = await loop.create_datagram_endpoint(
             lambda: _DatagramProtocol(self), local_addr=(host, port))
+        transport.max_size = _RECV_BUFFER  # type: ignore[attr-defined]
         self._transport = transport
         bound_host, bound_port = transport.get_extra_info("sockname")[:2]
         self._local_addr = pack_addr(bound_host, bound_port)

@@ -10,9 +10,17 @@ from repro.pastry.config import PastryConfig
 from repro.pastry.nodeid import ID_SPACE, intern_descriptor, is_closer_root
 
 #: the overlay fuzzer's CI budget (``tests/test_overlay_fuzz.py`` runs a
-#: fixed derandomized search otherwise): ``--hypothesis-profile=ci``
+#: fixed derandomized search otherwise): ``--hypothesis-profile=ci``.  Not
+#: derandomized, so ``--hypothesis-seed`` picks the search (Hypothesis's own
+#: ``ci`` profile, loaded on CI machines, is derandomized).
 settings.register_profile("ci", max_examples=1200, deadline=None,
-                          print_blob=True)
+                          print_blob=True, derandomize=False)
+#: the whole suite on a fresh seed: ``--hypothesis-profile=random``
+settings.register_profile("random", derandomize=False, print_blob=True)
+#: tier-1 is one fixed search: every run draws the same examples, with or
+#: without a ``.hypothesis/`` database (derandomize implies none)
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 MAX_U128 = ID_SPACE - 1
 MAX_U64 = (1 << 64) - 1

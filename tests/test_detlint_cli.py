@@ -79,6 +79,7 @@ def test_cli_elapsed_uses_perf_counter(monkeypatch, capsys):
     import time as time_module
 
     import repro.cli as cli
+    from repro.experiments import ALL_EXPERIMENTS
 
     calls = {"perf": 0}
     real_perf = time_module.perf_counter
@@ -92,7 +93,7 @@ def test_cli_elapsed_uses_perf_counter(monkeypatch, capsys):
         cli.time, "time",
         lambda: pytest.fail("cli elapsed timing must not read time.time()"))
     monkeypatch.setitem(
-        cli.ALL_EXPERIMENTS, "fake",
+        ALL_EXPERIMENTS, "fake",
         type("M", (), {
             "run": staticmethod(lambda: {"ok": 1}),
             "format_report": staticmethod(lambda r: "fake report"),

@@ -1,7 +1,7 @@
 """Unit and property tests for the leaf set."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.pastry.leafset import LeafSet
@@ -19,7 +19,7 @@ ids = st.integers(min_value=0, max_value=ID_SPACE - 1)
 
 
 def desc(i: int) -> NodeDescriptor:
-    return NodeDescriptor(id=i, addr=i % 100000)
+    return NodeDescriptor(id=i, addr=i)  # one address per id: no member shares the owner's
 
 
 def make(owner_id=1000, size=8):
@@ -184,6 +184,9 @@ def test_add_updates_changed_address():
 # Properties
 # ----------------------------------------------------------------------
 @given(ids, st.lists(ids, min_size=0, max_size=40), st.sampled_from([4, 8, 16]))
+# ids that ``i % 100000`` once mapped to one address, so the member was
+# refused as carrying the owner's address
+@example(24_414_062_500_000, [0], 4)
 def test_members_are_per_side_closest(owner_id, others, size):
     ls = LeafSet(desc(owner_id), size)
     unique = {i for i in others if i != owner_id}

@@ -15,7 +15,7 @@ ids = st.integers(min_value=0, max_value=ID_SPACE - 1)
 
 
 def desc(i: int) -> NodeDescriptor:
-    return NodeDescriptor(id=i, addr=i % 100000)
+    return NodeDescriptor(id=i, addr=i)  # one address per id: no member shares the owner's
 
 
 def make(owner_id=0, b=4):

@@ -176,3 +176,32 @@ def test_counters_shape():
         }
         a.close()
     run(main())
+
+
+# ----------------------------------------------------------------------
+# Receive buffer
+# ----------------------------------------------------------------------
+def test_receive_buffer_fits_any_datagram_and_stays_off_mmap():
+    """asyncio reads every datagram into a fresh ``max_size`` buffer.  Its
+    256 KiB default is above glibc's 128 KiB mmap threshold, so each read
+    would map and unmap pages; the largest IPv4 UDP payload is 65,507 B."""
+    async def main():
+        transport = await UdpTransport.open()
+        assert 65507 <= transport._transport.max_size < 131072
+        transport.close()
+    run(main())
+
+
+def test_a_frame_over_60_kb_arrives_whole():
+    async def main():
+        a, addr_a, b, addr_b = await _pair()
+        got = []
+        b.register(addr_b, lambda src, msg: got.append(msg))
+        payload = bytes(range(256)) * 240  # 61,440 B
+        a.send(addr_a, addr_b, m.Lookup(msg_id=1, key=2, payload=payload))
+        await _drain(lambda: got)
+        assert got[0].payload == payload
+        assert b.messages_malformed == 0
+        assert b.bytes_received == a.bytes_sent > 60_000
+        a.close(); b.close()
+    run(main())

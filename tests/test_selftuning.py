@@ -21,7 +21,7 @@ from repro.pastry.selftuning import (
 
 
 def desc(i):
-    return NodeDescriptor(id=i, addr=i % 10000)
+    return NodeDescriptor(id=i, addr=i)  # one address per id: no member shares the owner's
 
 
 # ----------------------------------------------------------------------
