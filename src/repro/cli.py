@@ -23,10 +23,6 @@ them).  ``report`` aggregates a sweep directory across seeds (mean/CI).
 
 Each verb imports what it runs: ``serve`` and ``live`` never load the
 simulator, the experiments or the harness.
-
-``lint`` runs detlint (``repro.analysis``) — the determinism &
-simulation-correctness static analysis — over ``src/repro`` (or the given
-paths).  ``--all`` additionally runs ruff and mypy when they are installed.
 """
 
 from __future__ import annotations
@@ -69,9 +65,7 @@ def run_experiment(name: str, args) -> int:
         return 2
     kwargs = _kwargs_for(module, args)
     # perf_counter, not time.time(): wall clock can step backwards (NTP),
-    # and this is an interval measurement.  Real-clock reads are fine here
-    # at all — the CLI sits outside the simulated world, which is why
-    # DET002 allowlists repro/cli.py (see repro.analysis.rules_determinism).
+    # and this is an interval measurement.
     started = time.perf_counter()
     try:
         result = module.run(**kwargs)
@@ -156,57 +150,6 @@ def cmd_report(args) -> int:
     except StoreError as exc:
         return _fail(str(exc), status=2)
     return 0
-
-
-def cmd_lint(args) -> int:
-    from repro.analysis import (
-        EXEMPTIONS,
-        REGISTRY,
-        AnalysisError,
-        lint_paths,
-        render_human,
-        render_json,
-        run_all_tools,
-    )
-
-    if args.explain:
-        for rule in REGISTRY.rules():
-            scope = ", ".join(rule.packages) if rule.packages \
-                else "all files"
-            print(f"{rule.code} ({rule.name}) [{scope}]")
-            print(f"    {rule.description}")
-            if rule.exempt:
-                print(f"    exempt: {', '.join(rule.exempt)} — "
-                      f"{rule.exempt_reason}")
-        exemptions = EXEMPTIONS.all()
-        if exemptions:
-            print("\npackage exemptions:")
-            for ex in exemptions:
-                print(f"  {ex.package}: {', '.join(ex.codes)}")
-                print(f"    {ex.reason}")
-        return 0
-
-    try:
-        report = lint_paths(args.paths, select=args.select,
-                            validate_exemptions=args.check_exemptions)
-    except AnalysisError as exc:
-        return _fail(str(exc), status=2)
-
-    status = 0
-    if args.all:
-        for outcome in run_all_tools():
-            if outcome.status == "failed":
-                print(f"[{outcome.name}] FAILED\n{outcome.detail}",
-                      file=sys.stderr)
-                status = 1
-            else:
-                note = f" ({outcome.detail})" if outcome.detail else ""
-                print(f"[{outcome.name}] {outcome.status}{note}",
-                      file=sys.stderr)
-
-    render = render_json if args.format == "json" else render_human
-    print(render(report.findings))
-    return 1 if report.failed else status
 
 
 def cmd_serve(args) -> int:
@@ -330,23 +273,6 @@ def main(argv=None) -> int:
                         metavar="SUBSTR",
                         help="only metrics containing SUBSTR (repeatable)")
 
-    lint = sub.add_parser(
-        "lint", help="run detlint static analysis (determinism contracts)")
-    lint.add_argument("paths", nargs="*", default=["src/repro"],
-                      help="files/directories to scan (default: src/repro)")
-    lint.add_argument("--format", choices=("human", "json"),
-                      default="human")
-    lint.add_argument("--select", action="append", metavar="CODE",
-                      help="only run the given rule code(s) (repeatable)")
-    lint.add_argument("--explain", action="store_true",
-                      help="describe every rule and package exemption, "
-                           "then exit")
-    lint.add_argument("--all", action="store_true",
-                      help="also run ruff and mypy (skipped if not installed)")
-    lint.add_argument("--check-exemptions", action="store_true",
-                      help="error if any package exemption matches no "
-                           "scanned file (CI hygiene)")
-
     serve = sub.add_parser(
         "serve", help="run one live MSPastry node on a real UDP socket")
     serve.add_argument("--host", default="127.0.0.1")
@@ -379,8 +305,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     verbs = {"list": cmd_list, "run": cmd_run, "sweep": cmd_sweep,
-             "report": cmd_report, "lint": cmd_lint, "serve": cmd_serve,
-             "live": cmd_live}
+             "report": cmd_report, "serve": cmd_serve, "live": cmd_live}
     return verbs[args.command](args)
 
 

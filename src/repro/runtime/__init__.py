@@ -17,10 +17,10 @@ clock, behind the ``Clock``/``Transport`` seam of :mod:`repro.interfaces`:
 * :mod:`repro.runtime.live` — spawn/drive/tear down an N-node localhost
   network and emit a schema-versioned ``repro-live/1`` artifact.
 
-This package deliberately uses asyncio, sockets and the wall clock — the
-things detlint forbids in simulation code.  It is exempted *by package*
-from DET002/DET005/DET006 (see ``repro.analysis.rules_determinism``);
-the protocol packages it drives stay fully policed.
+This package deliberately uses asyncio, sockets and the wall clock, which
+simulation code may not: ``tests/test_import_hygiene.py`` keeps them out
+of the simulated packages and ``tests/test_determinism_regressions.py``
+runs the pinned experiments with them poisoned (DESIGN.md §9).
 """
 
 from repro.runtime.clock import AsyncioClock  # noqa: F401

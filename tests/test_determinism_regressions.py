@@ -1,15 +1,27 @@
-"""Regression tests for the nondeterminism hazards detlint surfaced.
+"""Determinism is checked by running the code.
 
-Each test pins the contract the fix restored: two constructions/runs from
-the same seed are *identical*, element for element.  The hazards were
-iteration over unordered sets feeding ordering-sensitive sinks (edge
-lists, RNG draw order, dict insertion order) — behaviour CPython happens
-to make repeatable in-process, but which no language rule guarantees and
-which detlint's DET003 now rejects statically.
+The poisoned differential re-runs the twelve digest-pinned tiny experiments
+of ``tests/test_experiments.py`` in two fresh interpreters at once, under
+``PYTHONHASHSEED`` 1 and 2, with every ambient source of nondeterminism
+poisoned: the global ``random`` functions, the wall clocks and ``sleep``,
+``os.environ`` and friends, ``uuid``/``secrets``, files, sockets and
+subprocesses.  Both must reproduce every pin.  CPython seeds the hashes of
+``str`` and ``bytes`` but not of ``int``, so the hash seeds move the order
+of ``str``-keyed sets only; an ``int``-set order hazard is caught as a
+behaviour change, by a pin or by one of the same-seed regressions below.
+
+The regressions pin what earlier fixes restored: two constructions or
+runs from the same seed are identical, element for element.  The hazards were iteration over unordered sets feeding
+ordering-sensitive sinks (edge lists, RNG draw order, dict insertion order).
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
+import repro
 from repro.faults.schedule import FaultEvent, FaultSchedule, GrayFailures, Partition
 from repro.network.hierarchical_as import HierarchicalASTopology
 from repro.network.simple import UniformDelayTopology
@@ -19,6 +31,7 @@ from repro.overlay.runner import OverlayRunner
 from repro.pastry.config import PastryConfig
 from repro.sim.rng import RngStreams
 from repro.traces.synthetic import generate_poisson_trace
+from tests.test_experiments import PINNED, digest
 
 
 def _mercator_signature(seed, n_as=12, routers_per_as=4, attached=10, probes=40):
@@ -140,3 +153,78 @@ def _fault_run_signature(seed):
 def test_fault_injection_identical_across_runs():
     """faults: schedules + fault RNG draws are seed-stable run to run."""
     assert _fault_run_signature(seed=5) == _fault_run_signature(seed=5)
+
+
+# ----------------------------------------------------------------------
+# The poisoned hash-seed differential
+# ----------------------------------------------------------------------
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+REPO = os.path.dirname(SRC)
+
+
+class Poisoned(BaseException):
+    """An ambient source was read inside a pinned run.  Not an
+    ``Exception``, so no handler's ``except Exception`` can swallow it."""
+
+
+def _poisoned(name):
+    def read(*args, **kwargs):
+        raise Poisoned(f"{name} called inside a simulated run")
+    return read
+
+
+class _PoisonedEnviron:
+    _raise = _poisoned("os.environ")
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = _raise
+
+
+def poison_ambient():
+    """Make every ambient source of nondeterminism raise ``Poisoned``."""
+    import builtins
+    import secrets
+    import socket
+    import time
+    import uuid
+
+    sources = {
+        random: [name for name in random.__all__
+                 if getattr(getattr(random, name), "__self__", None) is random._inst],
+        os: ["urandom", "getenv", "getpid"],
+        uuid: ["uuid1", "uuid4"],
+        secrets: secrets.__all__,
+        time: ["time", "time_ns", "monotonic", "perf_counter", "process_time",
+               "sleep"],
+        builtins: ["open"],
+        socket: ["socket"],
+        subprocess: ["Popen"],
+    }
+    for module, names in sources.items():
+        for name in names:
+            setattr(module, name, _poisoned(f"{module.__name__}.{name}"))
+    os.environ = _PoisonedEnviron()
+
+
+def print_pinned_digests_poisoned():
+    """The child: import everything a pinned run loads lazily, poison, then
+    print each pinned run's digest as JSON."""
+    import scipy.sparse.csgraph  # noqa: F401  (map builds import it on first use)
+
+    poison_ambient()
+    print(json.dumps({module.__name__: digest(module, module.run(**kwargs))
+                      for module, (kwargs, _) in PINNED.items()}))
+
+
+def test_pinned_runs_hold_poisoned_under_two_hash_seeds():
+    code = ("from tests.test_determinism_regressions import "
+            "print_pinned_digests_poisoned as main; main()")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    children = {seed: subprocess.Popen(
+        [sys.executable, "-c", code], cwd=REPO, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+    ) for seed in ("1", "2")}
+    pins = {module.__name__: pin for module, (_, pin) in PINNED.items()}
+    for seed, child in children.items():
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0, f"PYTHONHASHSEED={seed}:\n{err}"
+        assert json.loads(out) == pins, f"PYTHONHASHSEED={seed}"

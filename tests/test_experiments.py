@@ -6,6 +6,8 @@ structure (a JSON-round-trippable dict — the sweep-harness contract), and
 formats a report.  Each also pins the first 16 hex digits of the SHA-256 of
 its canonical result plus its report, so a refactor of the experiment
 scaffolding cannot change a number, a key or a byte of a report unseen.
+``tests/test_determinism_regressions.py`` re-runs the same pinned runs in
+fresh interpreters with every ambient source poisoned, under two hash seeds.
 """
 
 import hashlib
@@ -32,16 +34,52 @@ from repro.experiments.resultio import dumps_canonical, to_jsonable
 from repro.experiments.scenarios import Scenario, make_topology
 from repro.sim.rng import RngStreams
 
+#: module -> (its tiny ``run()`` kwargs, the digest of that run)
+PINNED = {
+    fig3_failure_rates: (dict(seed=1, scale=0.02, microsoft_scale=0.002),
+                         "bdf05f7aba94881c"),
+    topologies: (dict(seed=2, trace_scale=0.012, duration=600.0),
+                 "a4925b05172b4da4"),
+    fig4_traces: (dict(seed=10, scale=0.012, microsoft_scale=0.002,
+                       duration=900.0), "7ca50dec94a7c4d2"),
+    fig5_sessions: (dict(seed=3, n_nodes=25, duration=400.0,
+                         session_minutes=(30, 60)), "2302fea0022b099f"),
+    fig6_loss: (dict(seed=4, trace_scale=0.012, duration=500.0,
+                     loss_rates=(0.0, 0.05)), "c31f5b239df77838"),
+    fig7_params: (dict(seed=5, trace_scale=0.012, duration=500.0,
+                       leaf_sizes=(8, 16), b_values=(2, 4)), "bc6d6ff0f2504c2d"),
+    # Tiny scale: fault windows (600..900) must sit inside the duration so
+    # every scenario gets a post-fault reconvergence measurement.
+    faults: (dict(seed=9, trace_scale=0.012, duration=1200.0,
+                  burst_rates=(0.03,)), "b4040b2d79b93ca9"),
+    attacks: (dict(seed=11, trace_scale=0.012, duration=1200.0, start=300.0,
+                   length=300.0, attacks=("spoof",), fractions=(0.25,)),
+              "7053e9de32183ddd"),
+    ablation: (dict(seed=6, trace_scale=0.012, duration=600.0),
+               "27eec10e8adb4a35"),
+    selftuning: (dict(seed=7, trace_scale=0.012, duration=600.0),
+                 "0b97dd1ef073fc0c"),
+    fig8_squirrel: (dict(seed=8, n_machines=12, n_days=1, stats_window=3600.0,
+                         peak_request_rate=0.005), "7502c109548ceecf"),
+    design_ablations: (dict(seed=10, trace_scale=0.012, duration=500.0),
+                       "f34589e50ccee380"),
+}
 
-def assert_round_trips(result):
-    """Every experiment result must survive a JSON round-trip unchanged."""
-    assert json.loads(json.dumps(to_jsonable(result))) == result
 
-
-def assert_pinned(module, result, digest):
-    """The result and its report are byte-identical to the pinned run."""
+def digest(module, result):
+    """The first 16 hex digits of the SHA-256 of the result and its report."""
     text = dumps_canonical(result) + module.format_report(result)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run_pinned(module):
+    """Run ``module``'s pinned configuration.  The result survives a JSON
+    round-trip unchanged and, with its report, matches the pinned digest."""
+    kwargs, pin = PINNED[module]
+    result = module.run(**kwargs)
+    assert json.loads(json.dumps(to_jsonable(result))) == result
+    assert digest(module, result) == pin
+    return result
 
 
 def test_make_topology_names():
@@ -62,68 +100,45 @@ def test_scenario_runs_gnutella():
 
 
 def test_fig3_structure():
-    result = fig3_failure_rates.run(seed=1, scale=0.02, microsoft_scale=0.002)
+    result = run_pinned(fig3_failure_rates)
     assert set(result["series"]) == {"gnutella", "overnet", "microsoft"}
     for summary in result["summary"].values():
         assert summary["mean"] >= 0.0
-    assert_round_trips(result)
-    assert_pinned(fig3_failure_rates, result, "bdf05f7aba94881c")
     report = fig3_failure_rates.format_report(result)
     assert "gnutella" in report
 
 
 def test_topologies_structure():
-    result = topologies.run(seed=2, trace_scale=0.012, duration=600.0)
+    result = run_pinned(topologies)
     assert set(result["rows"]) == {"corpnet", "gatech", "mercator"}
-    assert_round_trips(result)
-    assert_pinned(topologies, result, "a4925b05172b4da4")
     report = topologies.format_report(result)
     assert "paper-RDP" in report
 
 
 def test_fig4_structure():
-    result = fig4_traces.run(seed=10, scale=0.012, microsoft_scale=0.002,
-                             duration=900.0)
+    result = run_pinned(fig4_traces)
     assert set(result["traces"]) == {"gnutella", "overnet", "microsoft"}
     assert result["breakdown"]
-    assert_round_trips(result)
-    assert_pinned(fig4_traces, result, "7ca50dec94a7c4d2")
 
 
 def test_fig5_structure():
-    result = fig5_sessions.run(
-        seed=3, n_nodes=25, duration=400.0, session_minutes=(30, 60)
-    )
+    result = run_pinned(fig5_sessions)
     assert set(result["rows"]) == {"30", "60"}
-    assert_round_trips(result)
-    assert_pinned(fig5_sessions, result, "2302fea0022b099f")
 
 
 def test_fig6_structure():
-    result = fig6_loss.run(
-        seed=4, trace_scale=0.012, duration=500.0, loss_rates=(0.0, 0.05)
-    )
+    result = run_pinned(fig6_loss)
     assert set(result["rows"]) == {"0", "0.05"}
-    assert_round_trips(result)
-    assert_pinned(fig6_loss, result, "c31f5b239df77838")
 
 
 def test_fig7_structure():
-    result = fig7_params.run(
-        seed=5, trace_scale=0.012, duration=500.0,
-        leaf_sizes=(8, 16), b_values=(2, 4),
-    )
+    result = run_pinned(fig7_params)
     assert set(result["l"]) == {"8", "16"}
     assert set(result["b"]) == {"2", "4"}
-    assert_round_trips(result)
-    assert_pinned(fig7_params, result, "bc6d6ff0f2504c2d")
 
 
 def test_faults_structure():
-    # Tiny scale: fault windows (600..900) must sit inside the duration so
-    # every scenario gets a post-fault reconvergence measurement.
-    result = faults.run(seed=9, trace_scale=0.012, duration=1200.0,
-                        burst_rates=(0.03,))
+    result = run_pinned(faults)
     assert set(result) == {"partition", "burst", "gray"}
     for scenario in ("partition", "gray"):
         row = result[scenario]
@@ -133,8 +148,6 @@ def test_faults_structure():
     assert set(result["burst"]) == {"uniform-3%", "bursty-3%"}
     assert result["burst"]["bursty-3%"]["fault_drops"] > 0
     assert result["burst"]["uniform-3%"]["fault_drops"] == 0
-    assert_round_trips(result)
-    assert_pinned(faults, result, "b4040b2d79b93ca9")
     report = faults.format_report(result)
     assert "partition/heal" in report
     assert "bursty vs uniform" in report
@@ -150,9 +163,7 @@ def test_burst_sweep_keeps_a_row_per_rate():
 
 
 def test_attacks_structure():
-    result = attacks.run(seed=11, trace_scale=0.012, duration=1200.0,
-                         start=300.0, length=300.0,
-                         attacks=("spoof",), fractions=(0.25,))
+    result = run_pinned(attacks)
     assert set(result["rows"]) == {"baseline", "spoof-0.25"}
     baseline = result["rows"]["baseline"]
     attacked = result["rows"]["spoof-0.25"]
@@ -160,46 +171,35 @@ def test_attacks_structure():
     assert attacked["adversary"].get("lookups_dropped", 0) > 0
     for row in result["rows"].values():
         assert 0.0 <= row["consistency"] <= 1.0
-    assert_round_trips(result)
-    assert_pinned(attacks, result, "7053e9de32183ddd")
     report = attacks.format_report(result)
     assert "attack coverage" in report
     assert "spoof" in report
 
 
 def test_ablation_structure():
-    result = ablation.run(seed=6, trace_scale=0.012, duration=600.0)
+    result = run_pinned(ablation)
     assert set(result["rows"]) == {"neither", "acks-only", "probing-only", "both"}
-    assert_round_trips(result)
-    assert_pinned(ablation, result, "27eec10e8adb4a35")
 
 
 def test_selftuning_structure():
-    result = selftuning.run(seed=7, trace_scale=0.012, duration=600.0)
+    result = run_pinned(selftuning)
     assert set(result["rows"]) == {"0.05", "0.01"}
-    assert_round_trips(result)
-    assert_pinned(selftuning, result, "0b97dd1ef073fc0c")
 
 
 def test_fig8_structure():
-    result = fig8_squirrel.run(seed=8, n_machines=12, n_days=1,
-                               stats_window=3600.0, peak_request_rate=0.005)
+    result = run_pinned(fig8_squirrel)
     assert result["simulator"]
     assert result["deployment"]
     assert -1.0 <= result["correlation"] <= 1.0
-    assert_round_trips(result)
-    assert_pinned(fig8_squirrel, result, "7502c109548ceecf")
 
 
 def test_design_ablations_structure():
-    result = design_ablations.run(seed=10, trace_scale=0.012, duration=500.0)
+    result = run_pinned(design_ablations)
     assert set(result) == {"heartbeats", "tuning", "suppression", "symmetry",
                            "rto", "deferral", "burstiness"}
     assert set(result["suppression"]) == {"0.01/on", "0.01/off", "0.1/on",
                                           "0.1/off"}
     assert len(result["burstiness"]) == 6
-    assert_round_trips(result)
-    assert_pinned(design_ablations, result, "f34589e50ccee380")
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,24 @@ def test_jobs1_and_jobs4_artifacts_byte_identical(tmp_path):
             canonical_without_timing(parallel / "runs" / path.name), path.name
 
 
+def test_spawned_workers_match_inline(tmp_path, monkeypatch):
+    """``spawn`` pickles each worker's target and arguments, as on platforms
+    without ``fork``; a lambda or nested worker passes the fork-based tests
+    above and fails here."""
+    monkeypatch.setattr(executor, "_mp_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    spec = tiny_spec(grid={"scale": [0.01]})
+    serial, spawned = tmp_path / "serial", tmp_path / "spawned"
+    assert run_sweep(spec, serial, jobs=1).all_ok
+    assert run_sweep(spec, spawned, jobs=2).all_ok
+    runs = sorted(path.name for path in (serial / "runs").glob("*.json"))
+    assert len(runs) == 2
+    assert runs == sorted(path.name for path in (spawned / "runs").glob("*.json"))
+    for name in runs:
+        assert canonical_without_timing(serial / "runs" / name) == \
+            canonical_without_timing(spawned / "runs" / name), name
+
+
 # ----------------------------------------------------------------------
 # Resume (acceptance): only missing jobs re-run on re-invocation
 #
