@@ -20,17 +20,18 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-#: default bound on cached per-router Dijkstra rows.  A row is one unboxed
-#: float64 per router (``array('d')``), so at the paper's 5050-router GT-ITM
-#: topology the cache is capped at ~512 * 5050 * 8 B ~= 20 MB regardless of
-#: how many routers end up hosting nodes.
+#: default bound on cached per-router delay rows.  A row is one unboxed
+#: float64 per router (``array('d')``), so on the 4924-router GT-ITM map the
+#: perf workloads build the cache is capped at ~512 * 4924 * 8 B ~= 20 MB
+#: regardless of how many routers end up hosting nodes.
 MAX_CACHED_DIST_ROWS = 512
 
 
 def dijkstra(graph, **kwargs):
     """scipy's ``csgraph.dijkstra``, imported on the first call, so that
     importing a topology module does not load scipy.  ``_router_distances``
-    calls it by this global name, so a profiler can rebind it."""
+    calls it by this global name, and subclasses as ``base.dijkstra``, so a
+    profiler can rebind it."""
     from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
     return scipy_dijkstra(graph, **kwargs)
@@ -59,8 +60,9 @@ class RouterGraphTopology(Topology):
     """Topology backed by a weighted router graph.
 
     End nodes attach to routers through a LAN link.  Router-to-router delays
-    are computed by single-source Dijkstra on demand and cached per source
-    router (only routers that actually host end nodes pay the cost); the
+    are computed one source row at a time on demand (``_row``, which a map
+    may override) and cached per source router (only routers that actually
+    host end nodes pay the cost); the
     cache is *bounded* — past :data:`MAX_CACHED_DIST_ROWS` the row computed
     longest ago is evicted (FIFO; a hit does not refresh a row) — so memory
     stays flat even at the paper's 5050-router scale.
@@ -128,17 +130,19 @@ class RouterGraphTopology(Topology):
         """The attachment→router map as a numpy array (a fresh copy)."""
         return np.array(self._attach_router, dtype=np.int64)
 
+    def _row(self, router: int) -> np.ndarray:
+        """The float64 delay row from ``router``: one search of the whole map.
+        directed=True: _set_graph stores both directions of every link, so
+        the transpose scipy builds per call for an undirected search finds
+        nothing new."""
+        return dijkstra(self._graph, indices=router, directed=True)
+
     def _router_distances(self, router: int) -> array[float]:
         cache = self._dist_cache
         row = cache.get(router)
         if row is None:
-            # directed=True: _set_graph stores both directions of every
-            # link, so the transpose scipy builds per call for an undirected
-            # search finds nothing new.  The bytes copy keeps the exact
-            # float64 values.
-            row = array(
-                "d", dijkstra(self._graph, indices=router, directed=True).tobytes()
-            )
+            # The bytes copy keeps the exact float64 values.
+            row = array("d", self._row(router).tobytes())
             if len(cache) >= self._max_cached_rows:
                 # FIFO eviction: deterministic (insertion-ordered) and
                 # cheap; router access patterns are stable enough that

@@ -11,14 +11,52 @@ enforced structurally.
 
 End nodes attach to randomly selected *stub* routers through a 1 ms LAN link,
 as in the paper.
+
+A delay row comes from that hierarchy (``_row``, DESIGN §10): a search of the
+source's stub, a fold along cached trees, and a certificate that makes it
+equal to scipy's search of the whole map bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Any, List, NamedTuple
 
+import numpy as np
+
+from repro.network import base
 from repro.network.base import RouterGraphTopology
+
+
+def _levels(graph, children: np.ndarray, parents: np.ndarray) -> list:
+    """The tree links ``parents[i] -> children[i]`` as ``(children, parents,
+    weights)`` per depth, weights read off ``graph``: folding the levels in
+    order labels each child from a labelled parent (depth 0: a root's)."""
+    position = np.full(graph.shape[0], -1)
+    position[children] = np.arange(len(children))
+    depth = np.zeros(len(children), dtype=np.int64)
+    up = position[parents]
+    while (inner := up >= 0).any():
+        depth[inner] += 1
+        up[inner] = position[parents[up[inner]]]
+    weights = np.asarray(graph[parents, children]).ravel()
+    return [(children[at], parents[at], weights[at])
+            for at in (depth == d for d in range(depth.max(initial=-1) + 1))]
+
+
+class _Fold(NamedTuple):
+    """What ``TransitStubTopology._row`` folds along, built at its first call."""
+
+    stub_graph: Any  # the intra-stub links: one search per row
+    core_ids: np.ndarray  # the transit routers
+    core_trees: list  # per transit router, its tree's (child, parent, weight), parents first
+    forest: list  # ``_levels`` of every stub's tree from its gateway
+    gate: np.ndarray  # router -> its stub's gateway, -1 for a transit router
+    entry: np.ndarray  # router -> index in core_ids of the transit router it leaves by
+    uplink: np.ndarray  # router -> weight of its stub's gateway-transit link
+    tails: np.ndarray  # every directed link (tail, head, weight), for the certificate
+    heads: np.ndarray
+    weights: np.ndarray
 
 
 class TransitStubTopology(RouterGraphTopology):
@@ -37,6 +75,11 @@ class TransitStubTopology(RouterGraphTopology):
         super().__init__(lan_delay=lan_delay)
         self._rng = rng
         self._stub_routers: List[int] = []
+        #: one (members, gateway, transit router) per stub domain
+        self._stubs: List[tuple] = []
+        self._fold: _Fold | None = None
+        #: relax passes the certificate has run (0 on every map seen so far)
+        self._relax_passes = 0
         self._build(
             n_transit_domains,
             transit_routers_per_domain,
@@ -126,10 +169,78 @@ class TransitStubTopology(RouterGraphTopology):
                         for _ in range(max(1, round(rng.gauss(per_stub, per_stub * 0.2))))
                     ]
                     connect_clique_ish(members, 0.2)
-                    add_edge(rng.choice(members), transit_router)
+                    gateway = rng.choice(members)
+                    add_edge(gateway, transit_router)
+                    self._stubs.append((members, gateway, transit_router))
                     self._stub_routers.extend(members)
 
         self._set_graph(len(positions), rows, cols, weights)
 
     def _pick_router(self, rng: random.Random) -> int:
         return rng.choice(self._stub_routers)
+
+    # ------------------------------------------------------------------
+    def _prepare(self) -> _Fold:
+        """Two searches, once: each transit router's shortest-path tree over
+        the transit core, and each stub's tree from its gateway.  Every weight
+        is read off the installed graph, where a doubled link is one entry."""
+        from scipy.sparse import csr_matrix
+
+        graph, n = self._graph, self._n_routers
+        coo = graph.tocoo()
+        transit = np.ones(n, dtype=bool)
+        transit[self._stub_routers] = False
+        inner = ~transit[coo.row] & ~transit[coo.col]
+        stub_graph = csr_matrix(
+            (coo.data[inner], (coo.row[inner], coo.col[inner])), shape=(n, n))
+        core_ids = np.flatnonzero(transit)
+        core = graph[core_ids][:, core_ids]
+        _, core_pred = base.dijkstra(core, directed=True, return_predecessors=True)
+        core_trees = []
+        for pred in core_pred:
+            tree = np.flatnonzero(pred >= 0)
+            core_trees.append([link for level in _levels(core, tree, pred[tree])
+                               for link in zip(*(part.tolist() for part in level))])
+        gateways = np.array([gateway for _, gateway, _ in self._stubs])
+        _, pred, _ = base.dijkstra(stub_graph, directed=True, indices=gateways,
+                                   min_only=True, return_predecessors=True)
+        gate = np.full(n, -1)
+        transit_of = np.arange(n)
+        for members, gateway, transit_router in self._stubs:
+            gate[members] = gateway
+            transit_of[members] = transit_router
+        pred[gateways] = transit_of[gateways]  # a gateway's parent is its transit router
+        stubs = np.flatnonzero(~transit)
+        uplink = np.zeros(n)
+        uplink[stubs] = np.asarray(graph[gate[stubs], transit_of[stubs]]).ravel()
+        self._fold = _Fold(
+            stub_graph, core_ids, core_trees, _levels(graph, stubs, pred[stubs]),
+            gate, np.searchsorted(core_ids, transit_of), uplink,
+            np.repeat(np.arange(n), np.diff(graph.indptr)),
+            graph.indices.astype(np.intp), graph.data)
+        return self._fold
+
+    def _row(self, router: int) -> np.ndarray:
+        """Labels inside the source's stub from one search of the stub-only
+        graph; its transit router's from the gateway's; every other router's
+        folded along the cached trees.  Each label is the left-to-right
+        float64 sum of some walk from the source, so once no link lowers any
+        label they are scipy's labels exactly, on any graph; the hierarchy
+        only makes the relax loop rare."""
+        fold = self._fold or self._prepare()
+        inside = base.dijkstra(fold.stub_graph, indices=router, directed=True)
+        gateway, entry = fold.gate[router], fold.entry[router]
+        core = [np.inf] * len(fold.core_ids)
+        core[entry] = float(inside[gateway] + fold.uplink[router]) if gateway >= 0 else 0.0
+        for child, parent, weight in fold.core_trees[entry]:
+            core[child] = core[parent] + weight
+        row = np.full(self._n_routers, np.inf)
+        row[fold.core_ids] = core
+        for children, parents, weights in fold.forest:
+            row[children] = row[parents] + weights
+        np.minimum(row, inside, out=row)
+        tails, heads, weights = fold.tails, fold.heads, fold.weights
+        while ((via := row[tails] + weights) < row[heads]).any():
+            np.minimum.at(row, heads, via)
+            self._relax_passes += 1
+        return row

@@ -11,9 +11,11 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 import repro.network
+from repro.network import base as network_base
 from repro.network.base import RouterGraphTopology, Topology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.transit_stub import TransitStubTopology
+from repro.sim.rng import RngStreams
 
 # every topology module, so that ``Topology.__subclasses__`` sees them all
 for _module in pkgutil.iter_modules(repro.network.__path__):
@@ -102,28 +104,73 @@ def test_distance_rows_cached_and_evicted_fifo():
     assert list(topo._dist_cache) == [2, 0]
 
 
+#: the full GATech map the perf workloads build (their ``MAP_SEED``)
+PERF_GATECH = TransitStubTopology.scaled(RngStreams(2004).stream("topology"), scale=1.0)
+
+
 @pytest.mark.parametrize(
-    "topo",
+    "topo, step",
     [
-        LineTopology(),
-        CorpNetTopology(random.Random(7)),
-        TransitStubTopology.scaled(random.Random(7), scale=1.0),  # full GATech map
+        pytest.param(LineTopology(), 1, id="LineTopology"),
+        pytest.param(CorpNetTopology(random.Random(7)), 1, id="CorpNetTopology"),
+        pytest.param(PERF_GATECH, 5, id="TransitStubTopology"),
+        *(pytest.param(TransitStubTopology.scaled(random.Random(seed), scale=scale), 1,
+                       id=f"TransitStubTopology-{scale}-{seed}")
+          for scale in (0.2, 0.3) for seed in (1, 2, 3)),
     ],
-    ids=lambda t: type(t).__name__,
 )
-def test_router_graph_is_symmetric_so_directed_search_is_exact(topo):
-    """``_router_distances`` searches with ``directed=True``; that equals the
-    undirected search bit for bit only while ``_set_graph`` stores every
-    link in both directions with the same weight."""
+def test_router_graph_is_symmetric_so_directed_search_is_exact(topo, step):
+    """A row equals scipy's undirected search of the whole map byte for byte:
+    the base class's ``directed=True`` search, exact only while
+    ``_set_graph`` stores every link in both directions with the same
+    weight, and GATech's fold from its hierarchy, from stub and transit
+    sources alike."""
     graph = topo._graph
     assert (graph != graph.T).nnz == 0
-    sources = range(0, topo.n_routers, max(1, topo.n_routers // 25))
-    for source in sources:
+    for source in range(0, topo.n_routers, step):
         undirected = dijkstra(graph, indices=source, directed=False)
-        assert np.array_equal(
-            dijkstra(graph, indices=source, directed=True), undirected
-        )
         assert topo._router_distances(source).tobytes() == undirected.tobytes()
+
+
+def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys():
+    """The certificate is what makes a GATech row exact: give one vertex a
+    real but longer parent in a cached tree level, and the row must still
+    equal scipy's, after at least one relax pass."""
+    for seed in range(20):
+        topo = TransitStubTopology.scaled(random.Random(seed), scale=0.3)
+        forest, graph = topo._prepare().forest, topo._graph.tolil()
+        source = 0  # a transit router: every stub label comes from the fold
+        exact = dijkstra(topo._graph, indices=source, directed=True)
+        for depth, (children, parents, weights) in enumerate(forest[1:], start=1):
+            labelled = set(np.concatenate([level[0] for level in forest[:depth]]).tolist())
+            for i, child in enumerate(children.tolist()):
+                for other in graph.rows[child]:
+                    if other in labelled and exact[other] + graph[other, child] > exact[child]:
+                        parents[i], weights[i] = other, graph[other, child]
+                        assert topo._row(source).tobytes() == exact.tobytes()
+                        assert topo._relax_passes >= 1
+                        return
+    pytest.fail("no small map has a stub link that is a longer parent")
+
+
+def test_one_search_per_row_computed(monkeypatch):
+    """``perf/tracing.py`` counts ``base.dijkstra`` calls as rows computed:
+    a GATech row is one search, beside two searches once for its trees."""
+    calls = []
+
+    def counting(graph, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(network_base, "dijkstra", counting)
+    topo = TransitStubTopology.scaled(random.Random(7), scale=0.3)
+    topo._max_cached_rows = 2
+    misses = 0
+    for router in [5, 60, 5, 61, 62, 5, 60, 60, 3, 61]:
+        misses += router not in topo._dist_cache
+        topo.router_delay(router, 100)
+    assert len(topo._dist_cache) == 2 and misses == 8  # hits, misses, evictions
+    assert len(calls) == misses + 2
 
 
 def built_topologies(cls=Topology):

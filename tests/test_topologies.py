@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network import hierarchical_as
+from repro.network.base import RouterGraphTopology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
 from repro.network.simple import EuclideanTopology, UniformDelayTopology
@@ -252,3 +253,34 @@ def test_corpnet_router_count_close_to_paper():
     rng = random.Random(12)
     topo = CorpNetTopology(rng)
     assert 200 < topo.n_routers < 400  # paper: 298 routers
+
+
+# ----------------------------------------------------------------------
+# Both router-graph maps
+# ----------------------------------------------------------------------
+@pytest.mark.xfail(strict=True, reason="ROADMAP 20: a link added twice carries the sum "
+                   "of both delays; the fix moves every GATech fingerprint (item 17)")
+def test_a_link_added_twice_keeps_one_delay(monkeypatch):
+    """GATech's ``connect_clique_ish`` and CorpNet's intra-site chords can add
+    a link the spanning chain already added, and ``_set_graph``'s
+    ``csr_matrix`` sums the two weights.  On the perf workloads' maps 948 of
+    8,743 GATech links carry twice their delay, and 22 of 824 CorpNet links
+    the sum of two draws."""
+    installed = []
+    set_graph = RouterGraphTopology._set_graph
+
+    def recording(self, n_routers, rows, cols, weights):
+        installed.append((rows, cols, weights))
+        set_graph(self, n_routers, rows, cols, weights)
+
+    monkeypatch.setattr(RouterGraphTopology, "_set_graph", recording)
+    maps = {
+        "GATech": TransitStubTopology.scaled(RngStreams(2004).stream("topology"), scale=1.0),
+        "CorpNet": CorpNetTopology(RngStreams(2004).stream("topology")),
+    }
+    doubled = {}
+    for (name, topo), (rows, cols, weights) in zip(maps.items(), installed):
+        wrong = np.asarray(topo._graph[rows, cols]).ravel() != np.asarray(weights)
+        doubled[name] = len({frozenset(link) for link in zip(
+            np.asarray(rows)[wrong].tolist(), np.asarray(cols)[wrong].tolist())})
+    assert doubled == {"GATech": 0, "CorpNet": 0}
