@@ -31,8 +31,8 @@ Checked invariants (per sweep, counts per kind):
     neighbours notice within a heartbeat period and failure announcements
     usually ripple outward fast, but the only *guaranteed* cleanup of a
     dead member far along a leaf-set side — or of a routing-table entry —
-    is the periodic state sweep (``PastryConfig.state_sweep_period``, 900 s
-    by default).  The default graces sit just past one (leaf sets) and two
+    is the periodic state sweep (``pastry.config.STATE_SWEEP_PERIOD``,
+    900 s).  The default graces sit just past one (leaf sets) and two
     (routing tables) sweep periods so only state that outlived its cleanup
     guarantee counts as a violation.
 """

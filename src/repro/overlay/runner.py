@@ -28,6 +28,9 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.traces.events import ARRIVAL, ChurnTrace
 
+#: seconds between the staggered joins that build the initial population
+WARMUP_JOIN_INTERVAL = 0.2
+
 
 @dataclass
 class RunResult:
@@ -75,7 +78,6 @@ class OverlayRunner:
         loss_rate: float = 0.0,
         lookup_rate: float = 0.01,
         stats_window: float = 600.0,
-        warmup_join_interval: float = 0.2,
         warmup_settle: float = 90.0,
         fault_schedule: Optional[FaultSchedule] = None,
         invariant_period: Optional[float] = None,
@@ -92,7 +94,6 @@ class OverlayRunner:
         self.collector: Optional[StatsCollector] = None
         self.stats_window = stats_window
         self.lookup_rate = lookup_rate
-        self.warmup_join_interval = warmup_join_interval
         self.warmup_settle = warmup_settle
         self._node_rng = streams.stream("nodes")
         self._seed_rng = streams.stream("seeds")
@@ -210,7 +211,7 @@ class OverlayRunner:
             if slots > len(self._population):
                 self._population.extend(
                     [None] * (slots - len(self._population)))
-        warmup = len(initial) * self.warmup_join_interval + self.warmup_settle
+        warmup = len(initial) * WARMUP_JOIN_INTERVAL + self.warmup_settle
         self._t0 = warmup
         self.collector = StatsCollector(window=self.stats_window)
 
@@ -237,9 +238,8 @@ class OverlayRunner:
         # the seq numbers the golden traces pin).  None is ever cancelled.
         schedule_call = self.sim.schedule_call
         spawn, crash = self._spawn, self._crash
-        interval = self.warmup_join_interval
         for i, trace_node in enumerate(initial):
-            schedule_call(i * interval, spawn, trace_node)
+            schedule_call(i * WARMUP_JOIN_INTERVAL, spawn, trace_node)
         schedule_call(warmup, self._start_measurement)
         for event in trace.events:
             if event.time == 0.0 and event.kind == ARRIVAL:

@@ -26,9 +26,7 @@ class PendingHop:
     next_hop: NodeDescriptor
     sent_at: float
     attempts: int = 1  # number of distinct hops tried (reroutes)
-    same_hop_tries: int = 0  # retransmissions to the current hop
     timer: Optional[TimerHandle] = None
-    retransmitted: bool = False  # Karn's rule: no RTT sample after a resend
     #: hops given up on; allocated by the first timeout that excludes one
     excluded: Optional[Set[int]] = None
 
@@ -51,9 +49,6 @@ class HopAckManager:
         "_reroute",
         "_suspect",
         "_on_drop",
-        "_same_hop_retransmits",
-        "_resend",
-        "_probe",
         "_pending",
     )
 
@@ -65,9 +60,6 @@ class HopAckManager:
         reroute: Callable[[Lookup, Set[int]], None],
         suspect: Callable[[NodeDescriptor], None],
         on_drop: Callable[[Lookup], None],
-        same_hop_retransmits: int = 2,
-        resend: Optional[Callable[[Lookup, NodeDescriptor], None]] = None,
-        probe: Optional[Callable[[NodeDescriptor], None]] = None,
     ) -> None:
         self._sim = sim
         self._rto = rto_table
@@ -75,12 +67,6 @@ class HopAckManager:
         self._reroute = reroute
         self._suspect = suspect
         self._on_drop = on_drop
-        #: TCP-style: retransmit to the same hop (with backoff) this many
-        #: times before excluding it — a single lost packet must not push
-        #: delivery to the wrong node (consistency under link loss, §3.2)
-        self._same_hop_retransmits = same_hop_retransmits
-        self._resend = resend
-        self._probe = probe
         self._pending: Dict[int, PendingHop] = {}
 
     # ------------------------------------------------------------------
@@ -95,7 +81,6 @@ class HopAckManager:
             if previous.timer is not None:
                 previous.timer.cancel()
             entry.attempts = previous.attempts + 1
-            entry.retransmitted = True
             entry.excluded = previous.excluded
         entry.timer = sim.schedule(
             self._rto.rto(next_hop.addr), self._timeout, msg_id
@@ -114,27 +99,12 @@ class HopAckManager:
         del pending[msg_id]
         if entry.timer is not None:
             entry.timer.cancel()
-        if not entry.retransmitted:
+        if entry.attempts == 1:  # Karn's rule: no RTT sample after a reroute
             self._rto.sample(from_addr, self._sim.now - entry.sent_at)
 
     def _timeout(self, msg_id: int) -> None:
         entry = self._pending.pop(msg_id, None)
         if entry is None:
-            return
-        if entry.same_hop_tries < self._same_hop_retransmits and self._resend is not None:
-            # Retransmit to the same hop with exponential backoff; kick off
-            # a liveness probe so a real failure is detected in parallel.
-            entry.same_hop_tries += 1
-            entry.retransmitted = True
-            entry.sent_at = self._sim.now
-            backoff = 2.0 ** entry.same_hop_tries
-            entry.timer = self._sim.schedule(
-                self._rto.rto(entry.next_hop.addr) * backoff, self._timeout, msg_id
-            )
-            self._pending[msg_id] = entry
-            self._resend(entry.msg, entry.next_hop)
-            if self._probe is not None:
-                self._probe(entry.next_hop)
             return
         if entry.excluded is None:
             entry.excluded = set()

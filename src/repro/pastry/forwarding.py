@@ -12,6 +12,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Set
 
 from repro.pastry import messages as m
+from repro.pastry.config import DELIVERY_DEFER_INTERVAL, MAX_DELIVERY_DEFERRALS
 from repro.pastry.nodeid import (
     HALF_SPACE,
     ID_BITS,
@@ -102,12 +103,7 @@ class Forwarding:
             if dist < best_dist:
                 best = desc
                 best_dist = dist
-        if (
-            best is not None
-            and primary is None
-            and config.passive_rt_repair
-            and config.pns
-        ):
+        if best is not None and primary is None and config.pns:
             node.send(best, m.SlotRequest(row=row, col=digit(key, row, b)))
         return best
 
@@ -132,10 +128,6 @@ class Forwarding:
                 msg, msg.joiner.id, frozenset(excluded) | {msg.joiner.id}
             )
         return self.route(msg, msg.key, frozenset(excluded))
-
-    def resend(self, msg: m.Message, next_hop: NodeDescriptor) -> None:
-        if not self._node.crashed:
-            self._node.send(next_hop, msg)
 
     def dropped(self, msg: m.Message) -> None:
         node = self._node
@@ -169,10 +161,9 @@ class Forwarding:
         cap bound the extra delay when the suspect is genuinely dead.
         """
         node = self._node
-        config = node.config
-        if not config.defer_delivery_on_suspect:
+        if not node.config.defer_delivery_on_suspect:
             return False
-        if msg.deferrals >= config.max_delivery_deferrals:
+        if msg.deferrals >= MAX_DELIVERY_DEFERRALS:
             return False
         suspected = node.suspected  # non-empty, or receive_root would not ask
         # Not LeafSet.closest_to: with several closer suspects the one that
@@ -190,7 +181,7 @@ class Forwarding:
         self.deferred.setdefault(blocker.id, []).append(msg)
         self.deferred_ids.add(msg.msg_id)
         node.probe(blocker)  # resolve the limbo quickly (no-op if probing)
-        node.call_later(config.delivery_defer_interval, self._deferred_timeout, msg)
+        node.call_later(DELIVERY_DEFER_INTERVAL, self._deferred_timeout, msg)
         return True
 
     def _deferred_timeout(self, msg: m.Lookup) -> None:

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.interfaces import TimerHandle
 from repro.pastry import messages as m
+from repro.pastry.config import RT_PROBE_PERIOD_MAX, STATE_SWEEP_PERIOD
 from repro.pastry.nodeid import NodeDescriptor
 
 
@@ -24,10 +25,8 @@ class Liveness:
         config = node.config
         self._monitored_id: Optional[int] = None
         self._monitor_since = 0.0
-        tuned = (
-            config.rt_probe_period_max if config.self_tuning else config.rt_probe_period
-        )
-        self.rt_period = min(tuned, config.state_sweep_period)
+        tuned = RT_PROBE_PERIOD_MAX if config.self_tuning else config.rt_probe_period
+        self.rt_period = min(tuned, STATE_SWEEP_PERIOD)
         self._rt_scan_handle: Optional[TimerHandle] = None
         self._last_rt_scan = 0.0
 
@@ -105,7 +104,7 @@ class Liveness:
         node = self._node
         members = len(node.routing_state_members())
         node.tuner.recompute_local(node.sim.now, node.leaf_set, members)
-        period = min(node.tuner.current_period(), node.config.state_sweep_period)
+        period = min(node.tuner.current_period(), STATE_SWEEP_PERIOD)
         if period != self.rt_period:
             self.rt_period = period
             self._maybe_advance_rt_scan()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.pastry import messages as m
+from repro.pastry.config import CANDIDATE_PROBE_SUPPRESSION
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor, ring_distance
 
 REPAIR_PROBE_DELAY = 0.5
@@ -79,7 +80,7 @@ class LeafSetMaintenance:
             self.probe_all(leaf_set.members())
 
     def retry_failed(self) -> None:
-        """Expire failure memory (PastryConfig.failed_memory)."""
+        """Expire failure memory (``FAILED_MEMORY``)."""
         node = self._node
         if node.failures.failed:
             for desc in node.failures.expire(node.sim.now, node.leaf_set.would_admit):
@@ -145,10 +146,9 @@ class LeafSetMaintenance:
         # Never suppress while joining or mid-repair: an ignored candidate
         # offer is not revisited, and a stalled repair can outlast a
         # joiner's retry budget.
-        config = node.config
         suppress = (
-            config.candidate_probe_suppression
-            if config.probe_suppression and node.active and leaf_set.complete
+            CANDIDATE_PROBE_SUPPRESSION
+            if node.config.probe_suppression and node.active and leaf_set.complete
             else 0.0
         )
         horizon = now - suppress

@@ -29,7 +29,18 @@ from typing import Callable, ClassVar, Dict, List, Optional, Set
 from repro.interfaces import Clock, TimerHandle, Transport
 from repro.pastry import messages as m
 from repro.pastry.acks import HopAckManager
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import (
+    CANDIDATE_PROBE_SUPPRESSION,
+    FAILED_BACKOFF_MAX,
+    FAILED_MEMORY,
+    MAX_PROBE_RETRIES,
+    MAX_REROUTES,
+    RT_MAINTENANCE_PERIOD,
+    RTO_MAX,
+    SELF_TUNING_INTERVAL,
+    STATE_SWEEP_PERIOD,
+    PastryConfig,
+)
 from repro.pastry.forwarding import Forwarding
 from repro.pastry.join import JoinProtocol
 from repro.pastry.leafset import LeafSet
@@ -132,23 +143,23 @@ class MSPastryNode:
         self.joined_at: Optional[float] = None
         self.activated_at: Optional[float] = None
 
-        self.failures = FailureMemory(config.failed_memory, config.failed_backoff_max)
+        self.failures = FailureMemory(FAILED_MEMORY, FAILED_BACKOFF_MAX)
         self.suspected: Set[int] = set()
         #: one probe cycle: the failure-claim contradiction window
-        self.probe_cycle = (config.max_probe_retries + 1) * config.probe_timeout
+        self.probe_cycle = (MAX_PROBE_RETRIES + 1) * config.probe_timeout
         self.last_heard = RecencyMap(max(
-            config.state_sweep_period,  # rt_scan suppression (<= this)
+            STATE_SWEEP_PERIOD,  # rt_scan suppression (<= this)
             config.heartbeat_period + config.probe_timeout,  # monitor_tick
             self.probe_cycle,
         ))
         self.last_sent = RecencyMap(config.heartbeat_period)  # _heartbeat_to
         #: completed LS-probe exchanges, for candidate-probe suppression
-        self.ls_heard = RecencyMap(config.candidate_probe_suppression)
+        self.ls_heard = RecencyMap(CANDIDATE_PROBE_SUPPRESSION)
 
         self.rto_table = RtoTable(
             config.rto_initial,
             config.rto_min,
-            config.rto_max,
+            RTO_MAX,
             variance_weight=config.rto_variance_weight,
         )
         self.tuner = SelfTuner(config)
@@ -162,23 +173,20 @@ class MSPastryNode:
         self.liveness = Liveness(self)
         self.forwarding = Forwarding(self)
         self.probing = ProbeTable(
-            sim, config.probe_timeout, config.max_probe_retries,
+            sim, config.probe_timeout, MAX_PROBE_RETRIES,
             self.maintenance.send_ls_probes, self.maintenance.ls_probe_exhausted,
         )
         self.rt_probing = ProbeTable(
-            sim, config.probe_timeout, config.max_probe_retries,
+            sim, config.probe_timeout, MAX_PROBE_RETRIES,
             self.liveness.send_rt_probes, self.liveness.rt_probe_exhausted,
         )
         self.acks = HopAckManager(
             sim,
             self.rto_table,
-            config.max_reroutes,
+            MAX_REROUTES,
             reroute=self.forwarding.reroute,
             suspect=self.suspect,
             on_drop=self.forwarding.dropped,
-            same_hop_retransmits=config.same_hop_retransmits,
-            resend=self.forwarding.resend,
-            probe=self.probe,
         )
 
         self._components = (self.joining, self.maintenance, self.liveness,
@@ -319,16 +327,15 @@ class MSPastryNode:
         )
         if config.self_tuning:
             self._tasks.append(
-                PeriodicTask(self.sim, config.self_tuning_interval, liveness.tune_tick,
-                             start_delay=uniform(0, config.self_tuning_interval))
+                PeriodicTask(self.sim, SELF_TUNING_INTERVAL, liveness.tune_tick,
+                             start_delay=uniform(0, SELF_TUNING_INTERVAL))
             )
         if config.pns:
             self._tasks.append(
-                PeriodicTask(self.sim, config.rt_maintenance_period,
+                PeriodicTask(self.sim, RT_MAINTENANCE_PERIOD,
                              self.prox.run_maintenance,
-                             start_delay=uniform(
-                                 0.5 * config.rt_maintenance_period,
-                                 1.5 * config.rt_maintenance_period))
+                             start_delay=uniform(0.5 * RT_MAINTENANCE_PERIOD,
+                                                 1.5 * RT_MAINTENANCE_PERIOD))
             )
         if config.active_rt_probing:
             liveness.schedule_rt_scan(uniform(0, liveness.rt_period))

@@ -27,6 +27,7 @@ from statistics import median
 from typing import Callable, Dict, List, Optional
 
 from repro.pastry import messages as m
+from repro.pastry.config import DISTANCE_PROBE_COUNT, DISTANCE_PROBE_SPACING
 from repro.pastry.nodeid import NodeDescriptor
 
 
@@ -124,9 +125,9 @@ class ProximityManager:
         if callback is not None:
             measurement.callbacks.append(callback)
         self._measuring[target.id] = measurement
-        n_probes = 1 if single else self._config.distance_probe_count
+        n_probes = 1 if single else DISTANCE_PROBE_COUNT
         for i in range(n_probes):
-            delay = i * self._config.distance_probe_spacing
+            delay = i * DISTANCE_PROBE_SPACING
             handle = self._sim.schedule(delay, self._send_probe, target.id)
             measurement.sends.append(handle)
 
@@ -169,7 +170,7 @@ class ProximityManager:
         self._maybe_finish(target_id, measurement)
 
     def _maybe_finish(self, target_id: int, measurement: _Measurement) -> None:
-        total = 1 if measurement.single else self._config.distance_probe_count
+        total = 1 if measurement.single else DISTANCE_PROBE_COUNT
         if measurement.resolved < total:
             return
         del self._measuring[target_id]

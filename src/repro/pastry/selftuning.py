@@ -24,7 +24,12 @@ from collections import deque
 from statistics import median
 from typing import Deque, Dict, Optional
 
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import (
+    FAILURE_HISTORY_SIZE,
+    MAX_PROBE_RETRIES,
+    RT_PROBE_PERIOD_MAX,
+    PastryConfig,
+)
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import ID_SPACE, clockwise_distance
 
@@ -54,7 +59,7 @@ def raw_loss_rate(
     config: PastryConfig,
 ) -> float:
     """Lr for a given Trt under the current failure rate and overlay size."""
-    detect_slack = (config.max_probe_retries + 1) * config.probe_timeout
+    detect_slack = (MAX_PROBE_RETRIES + 1) * config.probe_timeout
     p_leaf = prob_faulty(config.heartbeat_period + detect_slack, mu)
     p_rt = prob_faulty(rt_probe_period + detect_slack, mu)
     hops = expected_hops(n_nodes, config.b)
@@ -70,16 +75,16 @@ def solve_rt_probe_period(
     """Largest Trt achieving Lr <= target (minimum probing traffic).
 
     Lr is monotonically increasing in Trt, so this is a bisection.  Clamped
-    to [(retries+1)·To, rt_probe_period_max]; if even the lower bound cannot
+    to [(retries+1)·To, RT_PROBE_PERIOD_MAX]; if even the lower bound cannot
     reach the target the lower bound is returned (the paper's Trt floor).
     """
     lo = config.rt_probe_period_min
-    hi = config.rt_probe_period_max
+    hi = RT_PROBE_PERIOD_MAX
     # The leaf-set term and hop count of raw_loss_rate do not depend on the
     # probing period; hoist them so the 64-step bisection only re-evaluates
     # the Trt-dependent factor.  The arithmetic per evaluation is unchanged,
     # so the solved period is bit-identical to calling raw_loss_rate.
-    detect_slack = (config.max_probe_retries + 1) * config.probe_timeout
+    detect_slack = (MAX_PROBE_RETRIES + 1) * config.probe_timeout
     leaf_term = 1.0 - prob_faulty(config.heartbeat_period + detect_slack, mu)
     exp_h = expected_hops(n_nodes, config.b) - 1.0
     if 1.0 - leaf_term * (1.0 - prob_faulty(lo + detect_slack, mu)) ** exp_h >= target_lr:
@@ -169,9 +174,9 @@ class SelfTuner:
 
     def __init__(self, config: PastryConfig) -> None:
         self.config = config
-        self.failures = FailureRateEstimator(config.failure_history_size)
+        self.failures = FailureRateEstimator(FAILURE_HISTORY_SIZE)
         self._hints: Dict[int, float] = {}  # peer node id -> reported T^l_rt
-        self.local_period: float = config.rt_probe_period_max
+        self.local_period: float = RT_PROBE_PERIOD_MAX
         self.mu_estimate: float = 0.0
         self.n_estimate: float = 1.0
 
@@ -195,6 +200,6 @@ class SelfTuner:
         values.append(self.local_period)
         period = median(values)
         return min(
-            self.config.rt_probe_period_max,
+            RT_PROBE_PERIOD_MAX,
             max(self.config.rt_probe_period_min, period),
         )

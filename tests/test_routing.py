@@ -2,8 +2,18 @@
 
 import random
 
-from repro.pastry.nodeid import is_closer_root, random_nodeid, ring_distance
-from tests.conftest import linear_root
+import pytest
+
+from repro.pastry import messages as m
+from repro.pastry.config import PastryConfig
+from repro.pastry.nodeid import (
+    digit,
+    is_closer_root,
+    random_nodeid,
+    ring_distance,
+    shared_prefix_length,
+)
+from tests.conftest import fresh_overlay, linear_root
 
 
 def true_root(nodes, key):
@@ -188,3 +198,44 @@ def test_prefix_routing_monotone_progress(small_overlay):
         )
         closer = ring_distance(hop.id, key) < ring_distance(node.id, key)
         assert better_prefix or closer
+
+
+@pytest.mark.parametrize("pns", [True, False])
+def test_empty_slot_hit_while_routing_is_repaired_passively(pns):
+    """Empty the routing-table slot a key routes through and look the key
+    up: with PNS the fallback hop is asked for the slot once, and its
+    answer fills it; without PNS nothing is asked."""
+    sim, net, nodes = fresh_overlay(
+        24, config=PastryConfig(leaf_set_size=8, pns=pns), seed=113)
+    rng = random.Random(8)
+    while True:
+        src, key = rng.choice(nodes), random_nodeid(rng)
+        row = shared_prefix_length(key, src.id, 4)
+        col = digit(key, row, 4)
+        primary = src.routing_table.get(row, col)
+        if not src.leaf_set.covers(key) and primary is not None:
+            break
+    src.routing_table.remove(primary.id)
+    sent = []
+    send = net.send
+
+    def recording(s, d, msg):
+        sent.append((s, d, msg))
+        send(s, d, msg)
+
+    net.send = recording
+    src.lookup(key)
+    sim.run(until=sim.now + 30)
+    hop = next(d for s, d, msg in sent if s == src.addr and isinstance(msg, m.Lookup))
+    requests = [(d, msg.row, msg.col) for s, d, msg in sent
+                if s == src.addr and isinstance(msg, m.SlotRequest)]
+    if not pns:
+        assert requests == []
+        assert src.routing_table.get(row, col) is None
+        return
+    assert requests == [(hop, row, col)]
+    [reply] = [msg for s, d, msg in sent
+               if s == hop and d == src.addr and isinstance(msg, m.SlotReply)]
+    assert (reply.row, reply.col) == (row, col)
+    assert reply.entry is not None
+    assert src.routing_table.get(row, col) == reply.entry

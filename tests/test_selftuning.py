@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import RT_PROBE_PERIOD_MAX, PastryConfig
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
 from repro.pastry.selftuning import (
@@ -96,7 +96,7 @@ def test_solver_achieves_target():
     cfg = config()
     mu, n = 1e-4, 10000
     trt = solve_rt_probe_period(0.05, mu, n, cfg)
-    if cfg.rt_probe_period_min < trt < cfg.rt_probe_period_max:
+    if cfg.rt_probe_period_min < trt < RT_PROBE_PERIOD_MAX:
         assert raw_loss_rate(trt, mu, n, cfg) == pytest.approx(0.05, rel=1e-3)
 
 
@@ -110,7 +110,7 @@ def test_solver_clamps_to_floor_when_target_unreachable():
 def test_solver_returns_max_when_failures_negligible():
     cfg = config()
     trt = solve_rt_probe_period(0.05, 1e-12, 10000, cfg)
-    assert trt == cfg.rt_probe_period_max
+    assert trt == RT_PROBE_PERIOD_MAX
 
 
 def test_lower_target_needs_more_probing():
@@ -125,7 +125,7 @@ def test_lower_target_needs_more_probing():
 def test_solver_result_within_bounds(mu, n):
     cfg = config()
     trt = solve_rt_probe_period(0.05, mu, n, cfg)
-    assert cfg.rt_probe_period_min <= trt <= cfg.rt_probe_period_max
+    assert cfg.rt_probe_period_min <= trt <= RT_PROBE_PERIOD_MAX
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_tuner_clamps_to_config_bounds():
     tuner.local_period = 1e-9
     assert tuner.current_period() == cfg.rt_probe_period_min
     tuner.local_period = 1e12
-    assert tuner.current_period() == cfg.rt_probe_period_max
+    assert tuner.current_period() == RT_PROBE_PERIOD_MAX
 
 
 def test_recompute_local_end_to_end():
@@ -246,6 +246,6 @@ def test_recompute_local_end_to_end():
         ls.add(desc((ID_SPACE // 2 + k * spacing) % ID_SPACE))
         ls.add(desc((ID_SPACE // 2 - k * spacing) % ID_SPACE))
     period = tuner.recompute_local(1700.0, ls, unique_nodes=40)
-    assert cfg.rt_probe_period_min <= period <= cfg.rt_probe_period_max
+    assert cfg.rt_probe_period_min <= period <= RT_PROBE_PERIOD_MAX
     assert tuner.mu_estimate > 0
     assert tuner.n_estimate == pytest.approx(5000, rel=0.1)

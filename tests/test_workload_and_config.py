@@ -4,7 +4,7 @@ import pytest
 
 from repro.overlay.utils import build_overlay
 from repro.overlay.workload import LookupWorkload
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import MAX_PROBE_RETRIES, PastryConfig
 from repro.sim.rng import RngStreams
 
 
@@ -100,7 +100,7 @@ def test_config_defaults_match_paper_base():
     assert config.leaf_set_size == 32
     assert config.heartbeat_period == 30.0
     assert config.probe_timeout == 3.0  # the TCP SYN timeout
-    assert config.max_probe_retries == 2
+    assert MAX_PROBE_RETRIES == 2
     assert config.target_raw_loss == 0.05
     assert config.per_hop_acks and config.active_rt_probing
     assert config.self_tuning and config.probe_suppression
