@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,10 +32,50 @@ from repro.network.base import Topology
 #: long runs with many distinct communicating pairs.
 MAX_CACHED_HOP_PAIRS = 1 << 17
 
-#: routers per block-diagonal ``shortest_path`` call when the intra-AS tables
-#: are filled: enough ASes per call to amortise scipy's fixed cost, few enough
-#: that the dense chunk result (routers squared, float64) stays at a few MB.
-_CHUNK_ROUTERS = 1024
+
+def _intra_hop_tables(sizes: List[int], n_links: List[int], ends: array) -> List[bytes]:
+    """The hop-count table of each AS's connected router graph: one byte per
+    entry, row-major (``table[i * size + j]``).
+
+    AS ``a`` owns the next ``n_links[a]`` links; link ``k`` joins routers
+    ``ends[2k]`` and ``ends[2k + 1]``, numbered within their AS.  The ASes
+    of one size are searched together, breadth-first from every router at
+    once: one stacked product with links-plus-identity per level.  Clipping
+    ``reach`` to 0/1 each level keeps every sum a small integer, so float32
+    is exact on any BLAS.
+    """
+    size_of = np.array(sizes)
+    edge_size = np.repeat(size_of, n_links)
+    order = np.argsort(edge_size)  # links grouped by AS size
+    edge_as = np.repeat(np.arange(len(sizes)), n_links)[order]
+    ends = np.frombuffer(ends, np.intc).reshape(-1, 2)[order]
+    group_sizes = np.unique(size_of)
+    bounds = np.searchsorted(edge_size[order], group_sizes, "right")
+    tables: List[bytes] = [b""] * len(sizes)
+    lo = 0
+    for size, hi in zip(group_sizes.tolist(), bounds.tolist()):
+        members = np.flatnonzero(size_of == size)
+        g = np.searchsorted(members, edge_as[lo:hi])  # index among its size
+        i, j = ends[lo:hi, 0], ends[lo:hi, 1]
+        lo = hi
+        eye = np.eye(size, dtype=np.float32)
+        step = np.zeros((len(members), size, size), np.float32)
+        step[g, i, j] = step[g, j, i] = 1
+        step += eye
+        reach = np.repeat(eye[None], len(members), axis=0)
+        seen = np.zeros(step.shape, np.float32)  # levels a pair was reached at
+        level = 0
+        while not reach.all():  # a disconnected graph ends at the byte limit
+            level += 1
+            if level > 255:
+                raise ValueError("intra-AS hop count does not fit one byte")
+            seen += reach
+            reach = np.minimum(reach @ step, 1)
+        # a pair first reached at level h was unreached at levels 0 .. h-1
+        hops = (level - seen).astype(np.uint8)
+        for as_id, table in zip(members.tolist(), hops):
+            tables[as_id] = table.tobytes()
+    return tables
 
 
 class HierarchicalASTopology(Topology):
@@ -102,26 +143,19 @@ class HierarchicalASTopology(Topology):
             self._as_size.append(size)
             self._router_as.extend([as_id] * size)
 
-        # Intra-AS connected random graphs; all-pairs hop counts (small).
-        # Hop counts are integers, so any exact search gives the same table:
-        # one call covers a block-diagonal chunk of ASes.
-        self._intra_hops: List[bytes] = []
-        er, ec, base, first = [], [], 0, 0
-        for as_id, n in enumerate(self._as_size):
-            for idx in range(1, n):
-                other = rng.randrange(idx)
-                er.append(base + idx)
-                ec.append(base + other)
+        # Intra-AS connected random graphs: a random tree plus extra links,
+        # drawn AS by AS; the hop tables are searched afterwards, by size.
+        n_links: List[int] = []
+        ends = array("i")
+        draw = rng.random
+        for n in self._as_size:
+            links = [(idx, rng.randrange(idx)) for idx in range(1, n)]
             extra_edge = 2.0 / n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < extra_edge:
-                        er.append(base + i)
-                        ec.append(base + j)
-            base += n
-            if base >= _CHUNK_ROUTERS or as_id == n_as - 1:
-                self._fill_intra_hops(er, ec, self._as_size[first:as_id + 1])
-                er, ec, base, first = [], [], 0, as_id + 1
+            links += [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if draw() < extra_edge]
+            n_links.append(len(links))
+            ends.extend(chain.from_iterable(links))
+        self._intra_hops = _intra_hop_tables(self._as_size, n_links, ends)
 
         # --- gateways: one router pair per AS adjacency ---------------
         # _gateway[(A, B)] = (local index of A's gateway toward B,
@@ -132,23 +166,6 @@ class HierarchicalASTopology(Topology):
             gb = rng.randrange(self._as_size[b])
             self._gateway[(a, b)] = (ga, gb)
             self._gateway[(b, a)] = (gb, ga)
-
-    def _fill_intra_hops(self, er: List[int], ec: List[int], sizes: List[int]) -> None:
-        """Append the tables of the next ``len(sizes)`` ASes, whose routers
-        the edge lists number from 0: one byte per entry, row-major."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
-
-        n = sum(sizes)
-        g = csr_matrix((np.ones(2 * len(er)), (er + ec, ec + er)), shape=(n, n))
-        dist = shortest_path(g, unweighted=True, directed=False)
-        lo = 0
-        for size in sizes:
-            block = dist[lo:lo + size, lo:lo + size]
-            if not block.max() < 256:
-                raise ValueError("intra-AS hop count does not fit one byte")
-            self._intra_hops.append(block.astype(np.uint8).tobytes())
-            lo += size
 
     # ------------------------------------------------------------------
     @property

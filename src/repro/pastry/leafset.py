@@ -224,16 +224,6 @@ class LeafSet:
         """
         return 0 < len(self._members) < self.size
 
-    @property
-    def complete(self) -> bool:
-        """True when both sides are full or the set wraps the whole ring."""
-        n = len(self._members)
-        if n == 0:
-            return False
-        if n >= self._half:  # both closest-first sides hold a full half
-            return True
-        return self.wrapped()
-
     def covers(self, key: int) -> bool:
         """Whether ``key`` lies on the leftmost→rightmost arc through the owner.
 

@@ -3,7 +3,7 @@
 LS-PROBE / LS-PROBE-REPLY handling, done-probing (activation only after all
 probes agree), mark-faulty with eager announcement, expiry of failure
 memory, and leaf-set repair — refill from the extremes, and generalized
-repair from the routing table when a whole side is gone.
+repair from the routing table when the whole set is gone.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ class LeafSetMaintenance:
         node.probing.resolve(node_id)
         if node.probing.pending:
             return
-        if node.leaf_set.complete:
+        # A non-empty set is whole or wraps the known ring: a side is empty
+        # only when the whole set is.
+        if node.leaf_set:
             node.failures.clear_stale(node.leaf_set.would_admit)
             if not node.active:
                 node._activate()
@@ -99,7 +101,7 @@ class LeafSetMaintenance:
                 node.forwarding.flush_buffered()
             self._refill_if_thin()
         else:
-            self._repair_leaf_set()
+            self._generalized_repair()
 
     def handle_ls_info(self, sender: NodeDescriptor, msg) -> None:
         """Common processing of LS-PROBE and LS-PROBE-REPLY (Figure 2)."""
@@ -148,7 +150,7 @@ class LeafSetMaintenance:
         # joiner's retry budget.
         suppress = (
             CANDIDATE_PROBE_SUPPRESSION
-            if node.config.probe_suppression and node.active and leaf_set.complete
+            if node.config.probe_suppression and node.active and members
             else 0.0
         )
         horizon = now - suppress
@@ -199,17 +201,6 @@ class LeafSetMaintenance:
     # ------------------------------------------------------------------
     # Leaf-set repair (§3.1)
     # ------------------------------------------------------------------
-    def _repair_leaf_set(self) -> None:
-        leaf_set = self._node.leaf_set
-        half = self._node.config.leaf_set_size // 2
-        left, right = leaf_set.left_side, leaf_set.right_side
-        if left and len(left) < half:
-            self._schedule_repair_probe(leaf_set.leftmost)
-        if right and len(right) < half:
-            self._schedule_repair_probe(leaf_set.rightmost)
-        if not left or not right:
-            self._generalized_repair(missing_left=not left, missing_right=not right)
-
     def _refill_if_thin(self) -> None:
         """Re-probe the leaf-set extremes after losses in a large ring.
 
@@ -241,19 +232,18 @@ class LeafSetMaintenance:
         if not self._node.crashed:
             self._node.probe(desc)
 
-    def _generalized_repair(self, missing_left: bool, missing_right: bool) -> None:
-        """Use the routing table to rebuild an empty leaf-set side (§3.1)."""
+    def _generalized_repair(self) -> None:
+        """Rebuild an empty leaf set from the routing table (§3.1): ask the
+        closest known node each way round the ring."""
         node = self._node
         my_id = node.id
         candidates = node.routing_state_members()
         if not candidates:
             return  # isolated: nothing we can do
-        if missing_right:
-            target = min(candidates, key=lambda d: (d.id - my_id) % ID_SPACE)
-            node.send(target, m.LeafSetRequest(key=my_id))
-        if missing_left:
-            target = min(candidates, key=lambda d: (my_id - d.id) % ID_SPACE)
-            node.send(target, m.LeafSetRequest(key=my_id))
+        target = min(candidates, key=lambda d: (d.id - my_id) % ID_SPACE)
+        node.send(target, m.LeafSetRequest(key=my_id))
+        target = min(candidates, key=lambda d: (my_id - d.id) % ID_SPACE)
+        node.send(target, m.LeafSetRequest(key=my_id))
 
     def on_leafset_request(self, src_addr, sender, msg: m.LeafSetRequest) -> None:
         node = self._node

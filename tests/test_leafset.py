@@ -67,12 +67,13 @@ def test_small_set_wraps_members_on_both_sides():
     assert {d.id for d in ls.left_side} == {2000, 3000}
     assert {d.id for d in ls.right_side} == {2000, 3000}
     assert ls.wrapped()
-    assert ls.complete
+    assert len(ls) == 2  # non-empty: done probing activates the node
 
 
 def test_empty_set_incomplete_but_covers_everything():
+    # empty is the one incomplete state: done probing repairs instead
     ls = make()
-    assert not ls.complete
+    assert len(ls) == 0 and not ls
     assert ls.covers(0)
     assert ls.covers(123456)
 
@@ -82,7 +83,7 @@ def test_full_disjoint_sides_complete():
     base = 1 << 127
     for delta in (-2000, -1000, 1000, 2000):
         ls.add(desc(base + delta))
-    assert ls.complete
+    assert len(ls) == 4  # both sides full
     assert not ls.wrapped()
 
 
@@ -95,7 +96,7 @@ def test_losing_a_member_makes_set_wrapped():
     assert not ls.wrapped()
     ls.remove(900)
     assert ls.wrapped()
-    assert ls.complete  # treated as ring-covering until refilled
+    assert ls and ls.covers(5000)  # treated as ring-covering until refilled
 
 
 def test_version_bumps_on_change_only():

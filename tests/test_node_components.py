@@ -18,7 +18,9 @@ from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import NodeDescriptor
-from repro.pastry.state import FailureMemory, ProbeTable, RecencyMap
+from repro.pastry.state import (
+    MAX_FAILED_REMEMBERED, FailureMemory, ProbeTable, RecencyMap,
+)
 
 
 class FakeHandle:
@@ -182,6 +184,43 @@ def test_mark_reports_news_once_and_backs_off():
     assert memory.expire(2 * MEMORY, lambda d: True) == []  # not yet
     memory.forget(victim.id)
     assert not memory.failed and not memory.failed_at and not memory.backoff
+
+
+def _full_memory():
+    """A memory holding ``MAX_FAILED_REMEMBERED`` failures, one a second
+    (none is evicted yet, so none is asked whether it is leaf-relevant),
+    and the descriptor of one failure more."""
+    memory = FailureMemory(MEMORY, 600.0)
+    *held, newcomer = descs(MAX_FAILED_REMEMBERED + 1)
+    for t, desc in enumerate(held):
+        assert memory.mark(desc, float(t), lambda d: True)
+    return memory, held, newcomer
+
+
+def test_full_memory_evicts_the_first_entry_not_leaf_relevant():
+    memory, held, newcomer = _full_memory()
+    leaf = {held[0].id, held[1].id}  # the two oldest belong in the leaf set
+    assert memory.mark(newcomer, 200.0, lambda d: d.id in leaf)
+    evicted = held[2].id
+    assert evicted not in memory.failed and evicted not in memory.failed_at
+    assert evicted not in memory.backoff  # forgotten: a new failure is news
+    assert list(memory.failed) == [d.id for d in held if d.id != evicted] + [newcomer.id]
+    assert set(memory.failed) == set(memory.failed_at) == set(memory.backoff)
+    assert memory.mark(held[2], 201.0, lambda d: True) is True
+    assert memory.backoff[evicted] == MEMORY
+
+
+def test_full_memory_of_leaf_relevant_entries_evicts_the_oldest_keeping_its_backoff():
+    memory, held, newcomer = _full_memory()
+    assert memory.mark(newcomer, 200.0, lambda d: True)
+    oldest = held[0].id
+    assert oldest not in memory.failed and oldest not in memory.failed_at
+    assert memory.backoff[oldest] == MEMORY  # kept: the re-probe cadence holds
+    assert list(memory.failed) == [d.id for d in held[1:]] + [newcomer.id]
+    assert len(memory.failed) == MAX_FAILED_REMEMBERED
+    # failing again is old news, and the kept backoff doubles
+    assert memory.mark(held[0], 201.0, lambda d: True) is False
+    assert memory.backoff[oldest] == 2 * MEMORY
 
 
 # ----------------------------------------------------------------------

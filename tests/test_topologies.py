@@ -4,14 +4,12 @@ import hashlib
 import random
 import tracemalloc
 from array import array
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.network import hierarchical_as
 from repro.network.base import RouterGraphTopology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
@@ -141,12 +139,11 @@ def test_mercator_hops_cache_consistency():
     assert first == second
 
 
-def _assert_same_map_as_eager_build(seed, n_as, routers_per_as, chunk):
-    """The chunked/lazy tables against the eager build they replaced:
-    the same map, and the same hop count for every ordered router pair."""
-    with mock.patch.object(hierarchical_as, "_CHUNK_ROUTERS", chunk):
-        topo = HierarchicalASTopology(random.Random(seed), n_as, routers_per_as)
-    ref = EagerMercatorMap(random.Random(seed), n_as, routers_per_as)
+def _assert_same_map_as_eager_build(rng_class, seed, n_as, routers_per_as):
+    """The size-grouped search against the eager build it replaced: the same
+    map, and the same hop count for every ordered router pair."""
+    topo = HierarchicalASTopology(rng_class(seed), n_as, routers_per_as)
+    ref = EagerMercatorMap(rng_class(seed), n_as, routers_per_as)
     assert topo.n_routers == ref.n_routers
     assert topo._router_as == ref._router_as
     assert topo._gateway == ref._gateway
@@ -164,22 +161,50 @@ def _assert_same_map_as_eager_build(seed, n_as, routers_per_as, chunk):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32), n_as=st.integers(2, 40),
-       routers_per_as=st.integers(2, 12), chunk=st.sampled_from([2, 16, 64, 1024]))
-@example(seed=0, n_as=2, routers_per_as=2, chunk=1024)
-def test_mercator_tables_equal_eager_build(seed, n_as, routers_per_as, chunk):
-    _assert_same_map_as_eager_build(seed, n_as, routers_per_as, chunk)
+       routers_per_as=st.integers(2, 12))
+@example(seed=0, n_as=2, routers_per_as=2)
+def test_mercator_tables_equal_eager_build(seed, n_as, routers_per_as):
+    _assert_same_map_as_eager_build(random.Random, seed, n_as, routers_per_as)
 
 
-def test_mercator_tables_equal_eager_build_at_chunk_edges():
-    # ASes of the minimum size 2, and a last chunk that holds one AS
-    topo = _assert_same_map_as_eager_build(3, n_as=9, routers_per_as=2, chunk=4)
-    assert 2 in topo._as_size
-    chunked, filled = 0, 0
-    for size in topo._as_size[:-1]:
-        filled += size
-        if filled >= 4:
-            chunked, filled = chunked + 1, 0
-    assert chunked > 1 and filled == 0  # the last AS starts its own chunk
+class SameSizeRng(random.Random):
+    """Every AS gets ``routers_per_as`` routers; links stay random."""
+
+    def gauss(self, mu, sigma):
+        return mu
+
+
+def test_mercator_tables_equal_eager_build_at_size_group_edges():
+    # ASes of the minimum size 2, beside sizes that only one AS has
+    topo = _assert_same_map_as_eager_build(random.Random, 3, n_as=12, routers_per_as=4)
+    sizes = topo._as_size
+    assert sizes.count(2) > 1
+    assert any(sizes.count(size) == 1 for size in sizes)
+    # one size group holds every AS
+    topo = _assert_same_map_as_eager_build(SameSizeRng, 5, n_as=20, routers_per_as=9)
+    assert set(topo._as_size) == {9}
+
+
+class SizedChainRng(random.Random):
+    """Every AS a chain of ``routers_per_as`` routers: end to end is one
+    hop fewer."""
+
+    def gauss(self, mu, sigma):
+        return mu
+
+    def randrange(self, n):
+        return n - 1
+
+    def random(self):
+        return 1.0
+
+
+def test_mercator_hop_table_holds_exactly_one_byte():
+    topo = HierarchicalASTopology(SizedChainRng(0), n_as=2, routers_per_as=256)
+    assert [max(table) for table in topo._intra_hops] == [255, 255]
+    assert topo._intra_hops[0][255] == 255  # router 0 to router 255
+    with pytest.raises(ValueError, match="one byte"):
+        HierarchicalASTopology(SizedChainRng(0), n_as=2, routers_per_as=257)
 
 
 def test_mercator_hop_table_refuses_what_a_byte_cannot_hold():
@@ -222,6 +247,10 @@ def test_mercator_paper_scale_map_pinned_and_small():
     # a hop count inside a connected AS is below its size, so nothing wrapped
     for table, size in zip(topo._intra_hops, topo._as_size):
         assert len(table) == size * size and max(table) < min(size, 256)
+    # read on the scipy build of the tables (the parent of the change that
+    # searches them by AS size)
+    assert hashlib.sha256(b"".join(topo._intra_hops)).hexdigest() == (
+        "b363fdcbc4d06c3d5c3c538eaf2bb8d0ae26f887cb6b8a262840a99ef3ca3666")
 
     rng = random.Random(17)
     n = topo.n_routers
