@@ -20,10 +20,8 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-#: default bound on cached per-router delay rows.  A row is one unboxed
-#: float64 per router (``array('d')``), so on the 4924-router GT-ITM map the
-#: perf workloads build the cache is capped at ~512 * 4924 * 8 B ~= 20 MB
-#: regardless of how many routers end up hosting nodes.
+#: default bound on cached per-router delay rows (``_entry``): 8 B per router,
+#: or ~0.7 kB for GATech's, whichever map size.
 MAX_CACHED_DIST_ROWS = 512
 
 
@@ -60,40 +58,27 @@ class RouterGraphTopology(Topology):
     """Topology backed by a weighted router graph.
 
     End nodes attach to routers through a LAN link.  Router-to-router delays
-    are computed one source row at a time on demand (``_row``, which a map
-    may override) and cached per source router (only routers that actually
-    host end nodes pay the cost); the
-    cache is *bounded* — past :data:`MAX_CACHED_DIST_ROWS` the row computed
-    longest ago is evicted (FIFO; a hit does not refresh a row) — so memory
-    stays flat even at the paper's 5050-router scale.
+    are computed one source row at a time on demand (``_row``; a map may
+    override it and ``_entry``, what the cache keeps), only for routers that
+    host end nodes, and the cache is *bounded*: past
+    :data:`MAX_CACHED_DIST_ROWS` the entry computed longest ago is evicted
+    (FIFO; a hit does not refresh it).
     """
 
     def __init__(self, lan_delay: float = 0.001,
                  max_cached_rows: int = MAX_CACHED_DIST_ROWS) -> None:
-        self._lan_delay = lan_delay
         self._lan_round = 2.0 * lan_delay
         self._graph: csr_matrix = None  # set by subclass via _set_graph
         self._n_routers = 0
-        #: router id -> distance row, FIFO-bounded at max_cached_rows.  Rows
-        #: are ``array('d')``: 8 B per router, and indexing one yields a
-        #: python float, whereas ``row[r2]`` on a float64 ndarray allocates
-        #: a numpy scalar per event (``test_delay_is_a_python_float``).
-        self._dist_cache: "OrderedDict[int, array[float]]" = OrderedDict()
+        #: router id -> ``_entry``, FIFO-bounded at max_cached_rows.  Indexing
+        #: an ``array('d')`` row yields a python float; a float64 ndarray would
+        #: allocate a numpy scalar per event (``test_delay_is_a_python_float``).
+        self._dist_cache: OrderedDict = OrderedDict()
         self._max_cached_rows = max_cached_rows
         #: attachment id -> router id
         self._attach_router: List[int] = []
 
     # ------------------------------------------------------------------
-    @property
-    def lan_delay(self) -> float:
-        """One-way delay of the end-node access LAN."""
-        return self._lan_delay
-
-    @lan_delay.setter
-    def lan_delay(self, value: float) -> None:
-        self._lan_delay = value
-        self._lan_round = 2.0 * value
-
     def _set_graph(self, n_routers: int, rows, cols, weights) -> None:
         """Install the (symmetric) router graph from edge lists."""
         from scipy.sparse import csr_matrix
@@ -137,12 +122,15 @@ class RouterGraphTopology(Topology):
         nothing new."""
         return dijkstra(self._graph, indices=router, directed=True)
 
-    def _router_distances(self, router: int) -> array[float]:
+    def _entry(self, router: int):
+        """The row as ``array('d')``: a bytes copy keeps the exact floats."""
+        return array("d", self._row(router).tobytes())
+
+    def _router_distances(self, router: int):
         cache = self._dist_cache
         row = cache.get(router)
         if row is None:
-            # The bytes copy keeps the exact float64 values.
-            row = array("d", self._row(router).tobytes())
+            row = self._entry(router)
             if len(cache) >= self._max_cached_rows:
                 # FIFO eviction: deterministic (insertion-ordered) and
                 # cheap; router access patterns are stable enough that

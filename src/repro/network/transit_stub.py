@@ -20,6 +20,9 @@ equal to scipy's search of the whole map bit for bit.
 from __future__ import annotations
 
 import random
+from array import array
+from functools import reduce
+from operator import add
 from typing import Any, List, NamedTuple
 
 import numpy as np
@@ -52,8 +55,6 @@ class _Fold(NamedTuple):
     core_trees: list  # per transit router, its tree's (child, parent, weight), parents first
     forest: list  # ``_levels`` of every stub's tree from its gateway
     gate: np.ndarray  # router -> its stub's gateway, -1 for a transit router
-    entry: np.ndarray  # router -> index in core_ids of the transit router it leaves by
-    uplink: np.ndarray  # router -> weight of its stub's gateway-transit link
     tails: np.ndarray  # every directed link (tail, head, weight), for the certificate
     heads: np.ndarray
     weights: np.ndarray
@@ -78,6 +79,9 @@ class TransitStubTopology(RouterGraphTopology):
         #: one (members, gateway, transit router) per stub domain
         self._stubs: List[tuple] = []
         self._fold: _Fold | None = None
+        #: per router, by ``_prepare``: its stub's routers (``[r]`` if transit), its
+        #: transit router's index in ``core_ids``, the weights down its forest path
+        self._home = self._core_of = self._paths = None
         #: relax passes the certificate has run (0 on every map seen so far)
         self._relax_passes = 0
         self._build(
@@ -204,18 +208,21 @@ class TransitStubTopology(RouterGraphTopology):
         gateways = np.array([gateway for _, gateway, _ in self._stubs])
         _, pred, _ = base.dijkstra(stub_graph, directed=True, indices=gateways,
                                    min_only=True, return_predecessors=True)
-        gate = np.full(n, -1)
-        transit_of = np.arange(n)
+        gate, transit_of = np.full(n, -1), np.arange(n)
+        self._home = [[r] for r in range(n)]
         for members, gateway, transit_router in self._stubs:
             gate[members] = gateway
             transit_of[members] = transit_router
+            self._home[members[0]:members[-1] + 1] = [members] * len(members)
         pred[gateways] = transit_of[gateways]  # a gateway's parent is its transit router
         stubs = np.flatnonzero(~transit)
-        uplink = np.zeros(n)
-        uplink[stubs] = np.asarray(graph[gate[stubs], transit_of[stubs]]).ravel()
+        forest = _levels(graph, stubs, pred[stubs])
+        self._core_of, self._paths = np.searchsorted(core_ids, transit_of).tolist(), [()] * n
+        for level in forest:
+            for child, parent, weight in zip(*(part.tolist() for part in level)):
+                self._paths[child] = self._paths[parent] + (weight,)
         self._fold = _Fold(
-            stub_graph, core_ids, core_trees, _levels(graph, stubs, pred[stubs]),
-            gate, np.searchsorted(core_ids, transit_of), uplink,
+            stub_graph, core_ids, core_trees, forest, gate,
             np.repeat(np.arange(n), np.diff(graph.indptr)),
             graph.indices.astype(np.intp), graph.data)
         return self._fold
@@ -229,9 +236,9 @@ class TransitStubTopology(RouterGraphTopology):
         only makes the relax loop rare."""
         fold = self._fold or self._prepare()
         inside = base.dijkstra(fold.stub_graph, indices=router, directed=True)
-        gateway, entry = fold.gate[router], fold.entry[router]
+        gateway, entry = fold.gate[router], self._core_of[router]
         core = [np.inf] * len(fold.core_ids)
-        core[entry] = float(inside[gateway] + fold.uplink[router]) if gateway >= 0 else 0.0
+        core[entry] = float(inside[gateway] + self._paths[gateway][0]) if gateway >= 0 else 0.0
         for child, parent, weight in fold.core_trees[entry]:
             core[child] = core[parent] + weight
         row = np.full(self._n_routers, np.inf)
@@ -244,3 +251,35 @@ class TransitStubTopology(RouterGraphTopology):
             np.minimum.at(row, heads, via)
             self._relax_passes += 1
         return row
+
+    def _entry(self, router: int) -> tuple:
+        """The fold's inputs, ~0.7 kB: the source's stub, the core's labels,
+        the stub's own and, if the certificate moved any, each label the
+        replay misses; it is the fold's own additions, so scipy's bit for bit."""
+        passes, row = self._relax_passes, self._row(router)
+        core, span = array("d", row[self._fold.core_ids].tolist()), self._home[router]
+        moved = {} if self._relax_passes == passes else {
+            r: x for r, x in enumerate(row.tolist())
+            if x != reduce(add, self._paths[r], core[self._core_of[r]])}
+        return span, core, array("d", row[span].tolist()), moved
+
+    def router_delay(self, r1: int, r2: int) -> float:
+        span, core, own, moved = self._router_distances(r1)
+        if self._home[r2] is span:
+            return own[r2 - span[0]]  # a stub's routers are numbered in a run
+        return moved[r2] if r2 in moved else reduce(add, self._paths[r2], core[self._core_of[r2]])
+
+    def delay(self, a: int, b: int) -> float:
+        r1, r2 = self._attach_router[a], self._attach_router[b]
+        if r1 == r2:
+            return 0.0 if a == b else self._lan_round
+        # ``router_delay`` inline: a frame per message costs more than its replay
+        span, core, own, moved = self._dist_cache.get(r1) or self._router_distances(r1)
+        if self._home[r2] is span:
+            return own[r2 - span[0]] + self._lan_round
+        if r2 in moved:
+            return moved[r2] + self._lan_round
+        label = core[self._core_of[r2]]
+        for weight in self._paths[r2]:
+            label += weight
+        return label + self._lan_round

@@ -145,12 +145,6 @@ class Network:
         return list(self._handlers)
 
     # ------------------------------------------------------------------
-    def delay(self, a: int, b: int) -> float:
-        return self.topology.delay(a, b)
-
-    def proximity(self, a: int, b: int) -> float:
-        return self.topology.proximity(a, b)
-
     def send(self, src: int, dst: int, msg: Any) -> None:
         """Send ``msg`` from address ``src`` to ``dst`` (fire and forget)."""
         self.messages_sent += 1

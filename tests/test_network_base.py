@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -120,22 +121,24 @@ PERF_GATECH = TransitStubTopology.scaled(RngStreams(2004).stream("topology"), sc
     ],
 )
 def test_router_graph_is_symmetric_so_directed_search_is_exact(topo, step):
-    """A row equals scipy's undirected search of the whole map byte for byte:
-    the base class's ``directed=True`` search, exact only while
-    ``_set_graph`` stores every link in both directions with the same
-    weight, and GATech's fold from its hierarchy, from stub and transit
-    sources alike."""
+    """Every ``router_delay`` from a source equals scipy's undirected search
+    of the whole map bit for bit: the base class's ``directed=True`` search,
+    exact only while ``_set_graph`` stores every link in both directions
+    with the same weight, and GATech's replay of its fold's inputs, from
+    stub and transit sources alike."""
     graph = topo._graph
     assert (graph != graph.T).nnz == 0
     for source in range(0, topo.n_routers, step):
         undirected = dijkstra(graph, indices=source, directed=False)
-        assert topo._router_distances(source).tobytes() == undirected.tobytes()
+        delays = array("d", [topo.router_delay(source, r) for r in range(topo.n_routers)])
+        assert delays.tobytes() == undirected.tobytes()
 
 
 def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys():
     """The certificate is what makes a GATech row exact: give one vertex a
-    real but longer parent in a cached tree level, and the row must still
-    equal scipy's, after at least one relax pass."""
+    real but longer parent in a cached tree level, and its path with it, and
+    the row must still equal scipy's, after at least one relax pass, read
+    through ``router_delay`` too: the cached entry carries the moved labels."""
     for seed in range(20):
         topo = TransitStubTopology.scaled(random.Random(seed), scale=0.3)
         forest, graph = topo._prepare().forest, topo._graph.tolil()
@@ -147,8 +150,16 @@ def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys():
                 for other in graph.rows[child]:
                     if other in labelled and exact[other] + graph[other, child] > exact[child]:
                         parents[i], weights[i] = other, graph[other, child]
+                        for level in forest:  # the replayed paths follow the fold's tree
+                            for node, parent, weight in zip(*(part.tolist() for part in level)):
+                                topo._paths[node] = topo._paths[parent] + (weight,)
                         assert topo._row(source).tobytes() == exact.tobytes()
                         assert topo._relax_passes >= 1
+                        delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
+                        assert array("d", delays).tobytes() == exact.tobytes()
+                        assert child in topo._dist_cache[source][3]
+                        topo._attach_router.extend(range(topo.n_routers))  # i on router i
+                        assert topo.delay(source, child) == exact[child] + topo._lan_round
                         return
     pytest.fail("no small map has a stub link that is a longer parent")
 
@@ -171,6 +182,35 @@ def test_one_search_per_row_computed(monkeypatch):
         topo.router_delay(router, 100)
     assert len(topo._dist_cache) == 2 and misses == 8  # hits, misses, evictions
     assert len(calls) == misses + 2
+
+
+def test_gatech_delay_is_router_delay_across_two_lans():
+    """``delay`` inlines ``router_delay``'s replay: the same float plus two
+    LAN crossings, within a stub, across stubs and on one router."""
+    topo = TransitStubTopology.scaled(random.Random(1), scale=0.3)
+    n = topo.n_routers
+    topo._attach_router.extend([*range(n), n - 1])  # i on router i, and a second on the last
+    assert topo.delay(n, n - 1) == topo._lan_round and topo.delay(n, n) == 0.0
+    for a in range(0, n, 3):
+        for b in range(n):
+            expected = 0.0 if a == b else topo.router_delay(a, b) + topo._lan_round
+            assert topo.delay(a, b) == expected
+
+
+def test_a_cached_gatech_row_is_its_fold_inputs():
+    """A cached GATech entry keeps the core's and the source stub's labels,
+    about 0.7 kB, not the 4,924 float64 labels (39 kB) the fold computes."""
+    topo = PERF_GATECH
+    topo.router_delay(0, 1)  # the fold's trees, built once per map
+    topo._dist_cache.clear()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for source in range(2, 64 * 70, 70):  # 64 row misses
+        topo.router_delay(source, 1)
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    assert len(topo._dist_cache) == 64
+    assert retained / 64 < 1024
 
 
 def built_topologies(cls=Topology):
