@@ -31,7 +31,7 @@ def main() -> None:
           f"msg/s/node (paper: < 0.5)")
 
     print("\ncontrol traffic over time:")
-    for t, value in stats.control_traffic_series():
+    for t, value in stats.traffic_series():
         bar = "#" * int(value * 120)
         print(f"  {t / 60:5.0f} min  {value:5.3f}  {bar}")
 

@@ -20,6 +20,10 @@ from repro.pastry.messages import AppDirect, Lookup
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import key_of
 
+#: LRU capacities (objects) of a proxy's own cache and of its home-node store
+LOCAL_CACHE_SIZE = 100
+HOME_CACHE_SIZE = 1000
+
 
 def chain_callback(existing: Optional[Callable], new: Callable) -> Callable:
     """Compose node callbacks so metrics hooks and the proxy coexist.
@@ -87,16 +91,14 @@ class SquirrelProxy:
         self,
         node: MSPastryNode,
         origin: Optional[WebOrigin] = None,
-        local_cache_size: int = 100,
-        home_cache_size: int = 1000,
     ) -> None:
         if getattr(node, "_squirrel_attached", False):
             raise ValueError("node already has a Squirrel proxy attached")
         node._squirrel_attached = True
         self.node = node
         self.origin = origin or WebOrigin()
-        self.local_cache = _LruCache(local_cache_size)
-        self.home_cache = _LruCache(home_cache_size)
+        self.local_cache = _LruCache(LOCAL_CACHE_SIZE)
+        self.home_cache = _LruCache(HOME_CACHE_SIZE)
         self._next_request = 0
         self._pending: Dict[int, Callable[[str, bool], None]] = {}
         # statistics

@@ -14,6 +14,7 @@ from typing import Dict
 from repro.experiments.reporting import downsample, format_series, format_table, render
 from repro.experiments.resultio import as_pairs
 from repro.experiments.scenarios import Scenario, read
+from repro.pastry.messages import CONTROL_CATEGORIES
 from repro.sim.rng import RngStreams
 from repro.traces.realworld import (
     GNUTELLA,
@@ -56,13 +57,11 @@ def run(
         result["traces"][name] = {
             **read(run_result, [f for _, f in COLUMNS]),
             "rdp_series": as_pairs(stats.rdp_series()),
-            "control_series": as_pairs(stats.control_traffic_series()),
+            "control_series": as_pairs(stats.traffic_series()),
         }
         if name == "gnutella":
-            result["breakdown"] = {
-                category: as_pairs(series)
-                for category, series in stats.control_breakdown_series().items()
-            }
+            result["breakdown"] = {category: as_pairs(stats.traffic_series((category,)))
+                                   for category in CONTROL_CATEGORIES}
     return result
 
 

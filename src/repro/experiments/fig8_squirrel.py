@@ -24,6 +24,7 @@ from repro.experiments.resultio import as_pairs
 from repro.network.corpnet import CorpNetTopology
 from repro.overlay.runner import OverlayRunner
 from repro.pastry.config import PastryConfig
+from repro.pastry.messages import CAT_LOOKUP, CONTROL_CATEGORIES
 from repro.sim.rng import RngStreams
 from repro.traces.squirrel import SquirrelTrace, generate_squirrel_trace
 
@@ -59,7 +60,7 @@ def _simulate(
             sim.schedule(t0 + t, fire, trace_node, url)
 
     result = runner.run(trace.churn, extra_schedule=schedule_requests)
-    series = as_pairs(result.stats.total_traffic_series())
+    series = as_pairs(result.stats.traffic_series(CONTROL_CATEGORIES + (CAT_LOOKUP,)))
     summary = {
         "requests": sum(p.requests for p in proxies.values()),
         "local_hits": sum(p.local_hits for p in proxies.values()),

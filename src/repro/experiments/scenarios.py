@@ -55,7 +55,6 @@ class Scenario:
     topology_scale: float = 0.25
     loss_rate: float = 0.0
     lookup_rate: float = 0.01
-    stats_window: float = 300.0
     config: Optional[PastryConfig] = None
     #: timed adversarial faults (partitions, bursts, gray nodes), measured time
     fault_schedule: Optional[FaultSchedule] = None
@@ -71,7 +70,7 @@ class Scenario:
             streams,
             loss_rate=self.loss_rate,
             lookup_rate=self.lookup_rate,
-            stats_window=self.stats_window,
+            stats_window=300.0,
             fault_schedule=self.fault_schedule,
             invariant_period=self.invariant_period,
         )

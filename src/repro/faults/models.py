@@ -49,34 +49,15 @@ class GEParams:
         return w * self.loss_bad + (1.0 - w) * self.loss_good
 
     @classmethod
-    def with_average(
-        cls,
-        average: float,
-        bad_fraction: float = 0.1,
-        good_mean: float = 90.0,
-        loss_good: float = 0.0,
-    ) -> "GEParams":
+    def with_average(cls, average: float) -> "GEParams":
         """Bursty channel whose long-run loss rate equals ``average``.
 
-        Keeps ``loss_good`` fixed and concentrates the remaining loss mass
-        in bursts covering ``bad_fraction`` of the time, so a sweep can
-        compare bursty against uniform loss at equal average rates.
+        The good state (90 s mean) loses nothing; all the loss mass is in
+        bursts covering 10% of the time, so a sweep can compare bursty
+        against uniform loss at equal average rates.  An average above 0.1
+        would need ``loss_bad`` > 1, which ``__post_init__`` rejects.
         """
-        if not 0.0 < bad_fraction < 1.0:
-            raise ValueError(f"bad_fraction out of (0, 1): {bad_fraction}")
-        loss_bad = (average - (1.0 - bad_fraction) * loss_good) / bad_fraction
-        if not 0.0 <= loss_bad <= 1.0:
-            raise ValueError(
-                f"average {average} not reachable with bad_fraction "
-                f"{bad_fraction} and loss_good {loss_good}"
-            )
-        bad_mean = good_mean * bad_fraction / (1.0 - bad_fraction)
-        return cls(
-            good_mean=good_mean,
-            bad_mean=bad_mean,
-            loss_good=loss_good,
-            loss_bad=loss_bad,
-        )
+        return cls(bad_mean=90.0 * 0.1 / (1.0 - 0.1), loss_bad=average / 0.1)
 
 
 class GilbertElliott:

@@ -50,29 +50,25 @@ class Fault:
 
 @dataclass(frozen=True)
 class Partition(Fault):
-    """Cut the population into ``n_groups`` disjoint groups.
+    """Cut the population into two disjoint groups.
 
-    ``fraction`` is the share of nodes moved away from group 0 (split
-    evenly across the remaining groups); the default is a clean half/half
-    split.  Healing clears the cut; re-merging the ring is the protocol's
-    job, and the invariant checker measures how long it takes.
+    ``fraction`` is the share of nodes moved away from group 0 into group
+    1; the default is a clean half/half split.  Healing clears the cut;
+    re-merging the ring is the protocol's job, and the invariant checker
+    measures how long it takes.
     """
 
     fraction: float = 0.5
-    n_groups: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction out of (0, 1): {self.fraction}")
-        if self.n_groups < 2:
-            raise ValueError("a partition needs at least two groups")
 
     def apply(self, ctx: _Context) -> None:
         addrs = ctx.live_addresses()
         moved = round(self.fraction * len(addrs))
         chosen = ctx.rng.sample(addrs, moved) if moved else []
-        groups = {addr: 1 + i % (self.n_groups - 1) for i, addr in enumerate(chosen)}
-        ctx.state.set_partition(groups)
+        ctx.state.set_partition({addr: 1 for addr in chosen})
 
     def revert(self, ctx: _Context) -> None:
         ctx.state.heal_partition()

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.pastry.messages import CAT_LOOKUP, CONTROL_CATEGORIES, wire_size
+from repro.pastry.messages import CONTROL_CATEGORIES, wire_size
 
 
 def _window_counter() -> Dict[int, int]:
@@ -64,13 +64,9 @@ class ActiveIntegrator:
 
 @dataclass(slots=True)
 class LookupRecord:
-    key: int
-    source_addr: int
     sent_at: float
     delivered_at: Optional[float] = None
-    deliver_addr: Optional[int] = None
     correct: Optional[bool] = None
-    network_delay: Optional[float] = None
     hops: int = 0
     dropped: bool = False
 
@@ -121,25 +117,16 @@ class StatsCollector:
             self.lost_total[msg.category] += 1
 
     def on_lookup_issued(self, msg, now: float) -> None:
-        self.lookups[msg.msg_id] = LookupRecord(
-            key=msg.key, source_addr=msg.source.addr, sent_at=now
-        )
+        self.lookups[msg.msg_id] = LookupRecord(sent_at=now)
 
     def on_lookup_delivered(
-        self,
-        msg,
-        deliver_addr: int,
-        now: float,
-        correct: bool,
-        network_delay: Optional[float],
+        self, msg, now: float, correct: bool, network_delay: Optional[float]
     ) -> None:
         record = self.lookups.get(msg.msg_id)
         if record is None or record.delivered_at is not None:
             return  # duplicate delivery of a rerouted copy: first one counts
         record.delivered_at = now
-        record.deliver_addr = deliver_addr
         record.correct = correct
-        record.network_delay = network_delay
         record.hops = msg.hops
         if network_delay is not None and network_delay > 0:
             rdp = (now - record.sent_at) / network_delay
@@ -256,38 +243,13 @@ class StatsCollector:
             return 0.0
         return sum(self.bytes_total.values()) / node_seconds
 
-    def control_traffic_series(self) -> List[Tuple[float, float]]:
-        indices = sorted(self.active.node_seconds)
+    def traffic_series(
+        self, categories: Sequence[str] = CONTROL_CATEGORIES
+    ) -> List[Tuple[float, float]]:
+        """Messages of ``categories`` per second per active node, one point
+        per window (Figure 4 and, with lookups, Figure 8)."""
         series = []
-        for idx in indices:
-            node_seconds = self.active.node_seconds[idx]
-            if node_seconds <= 0:
-                continue
-            count = sum(self.sent_windowed[c].get(idx, 0) for c in CONTROL_CATEGORIES)
-            series.append(((idx + 0.5) * self.window, count / node_seconds))
-        return series
-
-    def control_breakdown_series(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Per-category control traffic series (Figure 4, right panel)."""
-        result: Dict[str, List[Tuple[float, float]]] = {}
-        indices = sorted(self.active.node_seconds)
-        for category in CONTROL_CATEGORIES:
-            series = []
-            for idx in indices:
-                node_seconds = self.active.node_seconds[idx]
-                if node_seconds <= 0:
-                    continue
-                count = self.sent_windowed[category].get(idx, 0)
-                series.append(((idx + 0.5) * self.window, count / node_seconds))
-            result[category] = series
-        return result
-
-    def total_traffic_series(self) -> List[Tuple[float, float]]:
-        """All messages (control + lookups) per second per node (Figure 8)."""
-        indices = sorted(self.active.node_seconds)
-        categories = list(CONTROL_CATEGORIES) + [CAT_LOOKUP]
-        series = []
-        for idx in indices:
+        for idx in sorted(self.active.node_seconds):
             node_seconds = self.active.node_seconds[idx]
             if node_seconds <= 0:
                 continue

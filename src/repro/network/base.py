@@ -20,9 +20,11 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-#: default bound on cached per-router delay rows (``_entry``): 8 B per router,
+#: bound on cached per-router delay rows (``_entry``): 8 B per router,
 #: or ~0.7 kB for GATech's, whichever map size.
 MAX_CACHED_DIST_ROWS = 512
+#: one-way delay of the LAN link each end node attaches through (paper §5.1)
+LAN_DELAY = 0.001
 
 
 def dijkstra(graph, **kwargs):
@@ -57,24 +59,22 @@ class Topology(ABC):
 class RouterGraphTopology(Topology):
     """Topology backed by a weighted router graph.
 
-    End nodes attach to routers through a LAN link.  Router-to-router delays
-    are computed one source row at a time on demand (``_row``; a map may
-    override it and ``_entry``, what the cache keeps), only for routers that
-    host end nodes, and the cache is *bounded*: past
+    End nodes attach to routers through a :data:`LAN_DELAY` link.
+    Router-to-router delays are computed one source row at a time on demand
+    (``_row``; a map may override it and ``_entry``, what the cache keeps),
+    only for routers that host end nodes, and the cache is *bounded*: past
     :data:`MAX_CACHED_DIST_ROWS` the entry computed longest ago is evicted
     (FIFO; a hit does not refresh it).
     """
 
-    def __init__(self, lan_delay: float = 0.001,
-                 max_cached_rows: int = MAX_CACHED_DIST_ROWS) -> None:
-        self._lan_round = 2.0 * lan_delay
+    def __init__(self) -> None:
+        self._lan_round = 2.0 * LAN_DELAY
         self._graph: csr_matrix = None  # set by subclass via _set_graph
         self._n_routers = 0
-        #: router id -> ``_entry``, FIFO-bounded at max_cached_rows.  Indexing
+        #: router id -> ``_entry``, FIFO-bounded at MAX_CACHED_DIST_ROWS.  Indexing
         #: an ``array('d')`` row yields a python float; a float64 ndarray would
         #: allocate a numpy scalar per event (``test_delay_is_a_python_float``).
         self._dist_cache: OrderedDict = OrderedDict()
-        self._max_cached_rows = max_cached_rows
         #: attachment id -> router id
         self._attach_router: List[int] = []
 
@@ -131,7 +131,7 @@ class RouterGraphTopology(Topology):
         row = cache.get(router)
         if row is None:
             row = self._entry(router)
-            if len(cache) >= self._max_cached_rows:
+            if len(cache) >= MAX_CACHED_DIST_ROWS:
                 # FIFO eviction: deterministic (insertion-ordered) and
                 # cheap; router access patterns are stable enough that
                 # recency tracking buys nothing measurable.

@@ -28,9 +28,8 @@ class CorpNetTopology(RouterGraphTopology):
         rng: random.Random,
         n_sites: int = 6,
         routers_per_site: int = 50,
-        lan_delay: float = 0.001,
     ) -> None:
-        super().__init__(lan_delay=lan_delay)
+        super().__init__()
         self._rng = rng
         self._build(n_sites, routers_per_site)
 

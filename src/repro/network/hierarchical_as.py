@@ -31,6 +31,8 @@ from repro.network.base import Topology
 #: FIFO eviction keeps the hot working set without unbounded growth over
 #: long runs with many distinct communicating pairs.
 MAX_CACHED_HOP_PAIRS = 1 << 17
+#: one-way delay per IP hop, for the transport (proximity is the hop count)
+SECONDS_PER_HOP = 0.005
 
 
 def _intra_hop_tables(sizes: List[int], n_links: List[int], ends: array) -> List[bytes]:
@@ -86,10 +88,8 @@ class HierarchicalASTopology(Topology):
         rng: random.Random,
         n_as: int = 64,
         routers_per_as: int = 8,
-        seconds_per_hop: float = 0.005,
     ) -> None:
         self._rng = rng
-        self.seconds_per_hop = seconds_per_hop
         self._attach_router: List[int] = []
         self._hops_cache: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._build(n_as, routers_per_as)
@@ -236,7 +236,7 @@ class HierarchicalASTopology(Topology):
     def delay(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
-        return self.hops(a, b) * self.seconds_per_hop
+        return self.hops(a, b) * SECONDS_PER_HOP
 
     def proximity(self, a: int, b: int) -> float:
         """The paper uses IP hop count as Mercator's proximity metric."""

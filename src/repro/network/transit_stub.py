@@ -30,6 +30,9 @@ import numpy as np
 from repro.network import base
 from repro.network.base import RouterGraphTopology
 
+#: seconds of link delay per unit of distance in the unit square (GT-ITM)
+DELAY_PER_UNIT = 0.080
+
 
 def _levels(graph, children: np.ndarray, parents: np.ndarray) -> list:
     """The tree links ``parents[i] -> children[i]`` as ``(children, parents,
@@ -70,10 +73,8 @@ class TransitStubTopology(RouterGraphTopology):
         transit_routers_per_domain: int = 5,
         stub_domains_per_transit_router: int = 10,
         routers_per_stub: int = 10,
-        delay_per_unit: float = 0.080,
-        lan_delay: float = 0.001,
     ) -> None:
-        super().__init__(lan_delay=lan_delay)
+        super().__init__()
         self._rng = rng
         self._stub_routers: List[int] = []
         #: one (members, gateway, transit router) per stub domain
@@ -89,11 +90,10 @@ class TransitStubTopology(RouterGraphTopology):
             transit_routers_per_domain,
             stub_domains_per_transit_router,
             routers_per_stub,
-            delay_per_unit,
         )
 
     @classmethod
-    def scaled(cls, rng: random.Random, scale: float = 0.2, **kwargs) -> "TransitStubTopology":
+    def scaled(cls, rng: random.Random, scale: float = 0.2) -> "TransitStubTopology":
         """Smaller instance preserving the hierarchy (for fast experiments)."""
         return cls(
             rng,
@@ -101,7 +101,6 @@ class TransitStubTopology(RouterGraphTopology):
             transit_routers_per_domain=max(2, round(5 * min(1.0, scale * 2))),
             stub_domains_per_transit_router=max(2, round(10 * scale)),
             routers_per_stub=max(2, round(10 * scale)),
-            **kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -111,7 +110,6 @@ class TransitStubTopology(RouterGraphTopology):
         per_transit: int,
         stubs_per_router: int,
         per_stub: int,
-        delay_per_unit: float,
     ) -> None:
         rng = self._rng
         positions: List[tuple] = []
@@ -129,7 +127,7 @@ class TransitStubTopology(RouterGraphTopology):
             rows.append(a)
             cols.append(b)
             # Small floor keeps co-located routers from having zero delay.
-            weights.append(delay_per_unit * dist + 0.0005)
+            weights.append(DELAY_PER_UNIT * dist + 0.0005)
 
         def connect_clique_ish(members: List[int], extra_edge_prob: float) -> None:
             """Random connected graph: spanning chain + random chords."""
@@ -264,6 +262,8 @@ class TransitStubTopology(RouterGraphTopology):
         return span, core, array("d", row[span].tolist()), moved
 
     def router_delay(self, r1: int, r2: int) -> float:
+        if r1 == r2:
+            return 0.0
         span, core, own, moved = self._router_distances(r1)
         if self._home[r2] is span:
             return own[r2 - span[0]]  # a stub's routers are numbered in a run

@@ -71,11 +71,13 @@ class Network:
         self.faults: Optional[Any] = None
         self._stats: Optional[Any] = None
         self._on_loss: Optional[Callable[..., None]] = None
-        self._loss_rate = 0.0
         # Hot-path bindings: sim and topology never change over a run.
         self._schedule_call = sim.schedule_call
         self._delay = topology.delay
-        self.loss_rate = loss_rate  # validated by the property setter
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError(f"loss_rate out of range: {loss_rate}")
+        #: uniform per-message loss probability
+        self.loss_rate = loss_rate
         self.stats = stats
         self.messages_sent = 0
         self.messages_lost = 0
@@ -84,17 +86,6 @@ class Network:
         self.messages_dropped_dead = 0
 
     # ------------------------------------------------------------------
-    @property
-    def loss_rate(self) -> float:
-        """Uniform per-message loss probability; mutable mid-run (sweeps)."""
-        return self._loss_rate
-
-    @loss_rate.setter
-    def loss_rate(self, rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"loss_rate out of range: {rate}")
-        self._loss_rate = rate
-
     @property
     def stats(self) -> Optional[Any]:
         """Stats collector seeing every send/loss (installed mid-run)."""
@@ -151,7 +142,7 @@ class Network:
         stats = self._stats
         if stats is not None:
             stats.on_send(msg, src, dst, self.sim.now)
-        if self._loss_rate > 0.0 and self._rng.random() < self._loss_rate:
+        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self._lose(msg, src, dst)
             return
         delay = self._delay(src, dst)

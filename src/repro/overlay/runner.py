@@ -30,6 +30,8 @@ from repro.traces.events import ARRIVAL, ChurnTrace
 
 #: seconds between the staggered joins that build the initial population
 WARMUP_JOIN_INTERVAL = 0.2
+#: seconds the overlay settles after the last warm-up join, before measuring
+WARMUP_SETTLE = 90.0
 
 
 @dataclass
@@ -78,10 +80,8 @@ class OverlayRunner:
         loss_rate: float = 0.0,
         lookup_rate: float = 0.01,
         stats_window: float = 600.0,
-        warmup_settle: float = 90.0,
         fault_schedule: Optional[FaultSchedule] = None,
         invariant_period: Optional[float] = None,
-        invariant_kwargs: Optional[Dict[str, float]] = None,
     ) -> None:
         self.config = config
         self.streams = streams
@@ -94,7 +94,6 @@ class OverlayRunner:
         self.collector: Optional[StatsCollector] = None
         self.stats_window = stats_window
         self.lookup_rate = lookup_rate
-        self.warmup_settle = warmup_settle
         self._node_rng = streams.stream("nodes")
         self._seed_rng = streams.stream("seeds")
         # Population bookkeeping is a dense slot array indexed by the
@@ -106,7 +105,6 @@ class OverlayRunner:
         self._never_activated = 0
         self.fault_schedule = fault_schedule
         self.invariant_period = invariant_period
-        self.invariant_kwargs = invariant_kwargs or {}
         self.checker: Optional[InvariantChecker] = None
         #: optional hook called as on_spawn(trace_node_id, node) right after
         #: a node is created — applications attach themselves here
@@ -175,9 +173,7 @@ class OverlayRunner:
         correct = self.oracle.is_correct_root(node.id, msg.key)
         delay = self.topology.delay(msg.source.addr, node.addr)
         self.collector.on_lookup_delivered(
-            msg, node.addr, self.sim.now - self._t0, correct,
-            delay if delay > 0 else None,
-        )
+            msg, self.sim.now - self._t0, correct, delay if delay > 0 else None)
 
     def _on_drop(self, node: MSPastryNode, msg) -> None:
         if self.collector is not None and self.sim.now >= self._t0:
@@ -211,7 +207,7 @@ class OverlayRunner:
             if slots > len(self._population):
                 self._population.extend(
                     [None] * (slots - len(self._population)))
-        warmup = len(initial) * WARMUP_JOIN_INTERVAL + self.warmup_settle
+        warmup = len(initial) * WARMUP_JOIN_INTERVAL + WARMUP_SETTLE
         self._t0 = warmup
         self.collector = StatsCollector(window=self.stats_window)
 
@@ -230,7 +226,6 @@ class OverlayRunner:
                     now - warmup, counts
                 ),
                 start_delay=warmup,
-                **self.invariant_kwargs,
             )
 
         # The run skeleton — warm-up joins, the measurement switch, then

@@ -23,7 +23,6 @@ class LookupWorkload:
         rng: random.Random,
         rate: float,
         on_issue: Optional[Callable[[object], None]] = None,
-        key_picker: Optional[Callable[[random.Random], int]] = None,
     ) -> None:
         if rate < 0:
             raise ValueError("rate must be non-negative")
@@ -31,7 +30,6 @@ class LookupWorkload:
         self.rng = rng
         self.rate = rate
         self.on_issue = on_issue
-        self.key_picker = key_picker or (lambda r: r.getrandbits(128) % ID_SPACE)
         self.enabled = True
         self.issued = 0
 
@@ -46,8 +44,7 @@ class LookupWorkload:
         if node.crashed:
             return
         if self.enabled and node.active:
-            key = self.key_picker(self.rng)
-            msg = node.make_lookup(key)
+            msg = node.make_lookup(self.rng.getrandbits(128) % ID_SPACE)
             self.issued += 1
             if self.on_issue is not None:
                 # Register before routing: the node may be the key's root

@@ -23,6 +23,8 @@ import math
 from typing import Dict
 
 _NAN = float("nan")
+#: estimators a node keeps; past it the oldest insertion is evicted
+MAX_RTO_ENTRIES = 512
 
 
 class RttEstimator:
@@ -79,7 +81,6 @@ class RtoTable:
         "initial_rto",
         "rto_min",
         "rto_max",
-        "max_entries",
         "variance_weight",
         "_table",
     )
@@ -89,19 +90,17 @@ class RtoTable:
         initial_rto: float = 0.5,
         rto_min: float = 0.05,
         rto_max: float = 6.0,
-        max_entries: int = 512,
         variance_weight: float = 2.0,
     ) -> None:
         self.initial_rto = initial_rto
         self.rto_min = rto_min
         self.rto_max = rto_max
-        self.max_entries = max_entries
         self.variance_weight = variance_weight
         #: addr -> complex(srtt, rttvar); srtt = nan until the first sample
         self._table: Dict[int, complex] = {}
 
     def _set(self, addr: int, srtt: float, rttvar: float) -> None:
-        if addr not in self._table and len(self._table) >= self.max_entries:
+        if addr not in self._table and len(self._table) >= MAX_RTO_ENTRIES:
             # Evict the oldest insertion (dicts preserve insertion order).
             self._table.pop(next(iter(self._table)))
         self._table[addr] = complex(srtt, rttvar)

@@ -25,7 +25,7 @@ import asyncio
 import dataclasses
 import json
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
@@ -156,14 +156,12 @@ async def _await_predicate(predicate, timeout: float, interval: float,
         await asyncio.sleep(interval)
 
 
-async def run_live_async(spec: LiveSpec,
-                         config: Optional[PastryConfig] = None,
-                         ) -> Dict[str, Any]:
+async def run_live_async(spec: LiveSpec) -> Dict[str, Any]:
     """Boot the overlay, run the workload, return the artifact dict."""
     loop = asyncio.get_event_loop()
     plan = make_plan(spec)
     node_ids: List[int] = plan["node_ids"]
-    cfg = config if config is not None else live_config()
+    cfg = live_config()
 
     from repro.runtime.clock import AsyncioClock
     clock = AsyncioClock(loop)
@@ -245,10 +243,9 @@ async def run_live_async(spec: LiveSpec,
     }
 
 
-def run_live(spec: LiveSpec,
-             config: Optional[PastryConfig] = None) -> Dict[str, Any]:
+def run_live(spec: LiveSpec) -> Dict[str, Any]:
     """Synchronous wrapper: run a live overlay to completion."""
-    return asyncio.run(run_live_async(spec, config))
+    return asyncio.run(run_live_async(spec))
 
 
 def verify_live_schema(artifact: Dict[str, Any]) -> None:

@@ -84,7 +84,6 @@ class NodeService:
         clock: Optional[AsyncioClock] = None,
         metrics_port: Optional[int] = None,
         on_deliver: Optional[Callable[..., None]] = None,
-        on_drop: Optional[Callable[..., None]] = None,
         on_active: Optional[Callable[..., None]] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> "NodeService":
@@ -109,7 +108,7 @@ class NodeService:
             random.Random(rng_seed),
             on_active=on_active,
             on_deliver=self._on_deliver,
-            on_drop=self._on_drop(on_drop),
+            on_drop=self._on_drop,
         )
         # Interpose on the node's registered handler so bootstrap can see
         # the seed's StateReply before the (pre-join) node discards it.
@@ -185,12 +184,8 @@ class NodeService:
         if self._user_on_deliver is not None:
             self._user_on_deliver(node, msg)
 
-    def _on_drop(self, user: Optional[Callable[..., None]]):
-        def on_drop(node: MSPastryNode, msg: m.Lookup) -> None:
-            self.lookups_dropped += 1
-            if user is not None:
-                user(node, msg)
-        return on_drop
+    def _on_drop(self, node: MSPastryNode, msg: m.Lookup) -> None:
+        self.lookups_dropped += 1
 
     # ------------------------------------------------------------------
     @property

@@ -19,6 +19,11 @@ from repro.traces.events import ARRIVAL, FAILURE, ChurnTrace, TraceEvent
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+#: the paper's trace (11–17 Dec 2003) started on a Thursday: days 2–3 are
+#: the weekend
+WEEKEND_DAYS = (2, 3)
+#: share of desktops left on overnight and over the weekend
+ALWAYS_ON_FRACTION = 0.25
 
 
 @dataclass
@@ -47,16 +52,11 @@ def generate_squirrel_trace(
     rng: random.Random,
     n_machines: int = 52,
     n_days: int = 6,
-    first_day_is_weekday: bool = True,
-    weekend_days: Tuple[int, ...] = (2, 3),
     peak_request_rate: float = 0.02,
     n_urls: int = 2000,
-    always_on_fraction: float = 0.25,
 ) -> SquirrelTrace:
     """Generate the 6-day deployment trace.
 
-    The default ``weekend_days`` match the paper's trace (11–17 Dec 2003
-    started on a Thursday, so days 2–3 are the weekend).
     ``peak_request_rate`` is per-machine requests/second at mid-workday.
     """
     duration = n_days * DAY
@@ -65,7 +65,7 @@ def generate_squirrel_trace(
     next_node = 0
 
     for machine in range(n_machines):
-        always_on = rng.random() < always_on_fraction
+        always_on = rng.random() < ALWAYS_ON_FRACTION
         online_since = None  # (trace node id, arrival time)
 
         def go_up(t: float):
@@ -84,7 +84,7 @@ def generate_squirrel_trace(
         if always_on:
             go_up(0.0)
         for day in range(n_days):
-            weekend = (day % 7) in weekend_days if first_day_is_weekday else False
+            weekend = (day % 7) in WEEKEND_DAYS
             if weekend and not always_on:
                 continue
             day_start = day * DAY
@@ -121,7 +121,7 @@ def generate_squirrel_trace(
                 break
             hour_of_day = (t % DAY) / HOUR
             day = int(t // DAY)
-            weekend = (day % 7) in weekend_days if first_day_is_weekday else False
+            weekend = (day % 7) in WEEKEND_DAYS
             if rng.random() < _activity(hour_of_day, weekend):
                 lookups.append((t, node, _zipf_url(rng, n_urls)))
 

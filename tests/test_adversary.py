@@ -288,13 +288,11 @@ def test_routing_consistency_counts_only_correct_deliveries():
     stats = StatsCollector()
     stats.end_time = 1000.0
     records = [
-        LookupRecord(key=1, source_addr=1, sent_at=10.0,
-                     delivered_at=11.0, correct=True),
-        LookupRecord(key=2, source_addr=1, sent_at=10.0,
-                     delivered_at=11.0, correct=False),
-        LookupRecord(key=3, source_addr=1, sent_at=10.0, dropped=True),
+        LookupRecord(sent_at=10.0, delivered_at=11.0, correct=True),
+        LookupRecord(sent_at=10.0, delivered_at=11.0, correct=False),
+        LookupRecord(sent_at=10.0, dropped=True),
         # in-flight: sent within the grace window, excluded from the base
-        LookupRecord(key=4, source_addr=1, sent_at=990.0),
+        LookupRecord(sent_at=990.0),
     ]
     for i, record in enumerate(records):
         stats.lookups[i] = record

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import squirrel as squirrel_app
 from repro.apps.squirrel import SquirrelProxy, WebOrigin
 from repro.overlay.utils import build_overlay
 from repro.pastry.config import PastryConfig
@@ -58,12 +59,13 @@ def test_distinct_urls_have_distinct_homes(squirrel):
     assert holders >= 3  # URLs spread over several home nodes
 
 
-def test_lru_eviction_bounds_cache():
+def test_lru_eviction_bounds_cache(monkeypatch):
+    monkeypatch.setattr(squirrel_app, "LOCAL_CACHE_SIZE", 5)
+    monkeypatch.setattr(squirrel_app, "HOME_CACHE_SIZE", 10)
     sim, net, nodes = build_overlay(
         8, config=PastryConfig(leaf_set_size=8), seed=213
     )
-    proxies = [SquirrelProxy(n, local_cache_size=5, home_cache_size=10)
-               for n in nodes]
+    proxies = [SquirrelProxy(n) for n in nodes]
     for i in range(30):
         proxies[0].request(f"http://example.com/{i}")
         sim.run(until=sim.now + 2)

@@ -74,10 +74,7 @@ def _churn_violation_series(seed):
         topology=UniformDelayTopology(0.05),
         streams=streams,
         lookup_rate=0.0,
-        warmup_settle=60.0,
         invariant_period=60.0,
-        invariant_kwargs={"leaf_grace": 120.0, "rt_grace": 240.0,
-                          "mutual_grace": 120.0},
     )
     result = runner.run(trace)
     series = tuple(
@@ -138,7 +135,6 @@ def _fault_run_signature(seed):
         topology=UniformDelayTopology(0.05),
         streams=streams,
         lookup_rate=0.05,
-        warmup_settle=60.0,
         fault_schedule=schedule,
     )
     result = runner.run(trace)

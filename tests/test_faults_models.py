@@ -38,9 +38,7 @@ def test_with_average_hits_requested_rate(average):
 def test_with_average_rejects_unreachable_rates():
     # 60% average with bursts covering 10% of time needs loss_bad = 6.0.
     with pytest.raises(ValueError):
-        GEParams.with_average(0.6, bad_fraction=0.1)
-    with pytest.raises(ValueError):
-        GEParams.with_average(0.05, bad_fraction=1.5)
+        GEParams.with_average(0.6)
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_loss_rate_counts_undelivered_settled():
         stats.on_lookup_issued(lookup(i), float(i))
     # deliver first 8
     for i in range(8):
-        stats.on_lookup_delivered(lookup(i), 50, float(i) + 1, True, 0.5)
+        stats.on_lookup_delivered(lookup(i), float(i) + 1, True, 0.5)
     stats.finish(1000.0)
     assert stats.loss_rate(grace=60.0) == pytest.approx(0.2)
 
@@ -67,7 +67,7 @@ def test_incorrect_delivery_rate():
     stats = StatsCollector(window=10.0)
     for i in range(4):
         stats.on_lookup_issued(lookup(i), 0.0)
-        stats.on_lookup_delivered(lookup(i), 50, 1.0, i != 0, 0.5)
+        stats.on_lookup_delivered(lookup(i), 1.0, i != 0, 0.5)
     stats.finish(1000.0)
     assert stats.incorrect_delivery_rate() == pytest.approx(0.25)
 
@@ -75,8 +75,8 @@ def test_incorrect_delivery_rate():
 def test_duplicate_delivery_ignored():
     stats = StatsCollector(window=10.0)
     stats.on_lookup_issued(lookup(1), 0.0)
-    stats.on_lookup_delivered(lookup(1), 50, 1.0, True, 0.5)
-    stats.on_lookup_delivered(lookup(1), 51, 2.0, False, 0.5)
+    stats.on_lookup_delivered(lookup(1), 1.0, True, 0.5)
+    stats.on_lookup_delivered(lookup(1), 2.0, False, 0.5)
     stats.finish(100.0)
     assert stats.incorrect_delivery_rate() == 0.0
 
@@ -84,9 +84,9 @@ def test_duplicate_delivery_ignored():
 def test_rdp_mean():
     stats = StatsCollector(window=10.0)
     stats.on_lookup_issued(lookup(1), 0.0)
-    stats.on_lookup_delivered(lookup(1), 50, 2.0, True, 1.0)  # RDP 2
+    stats.on_lookup_delivered(lookup(1), 2.0, True, 1.0)  # RDP 2
     stats.on_lookup_issued(lookup(2), 0.0)
-    stats.on_lookup_delivered(lookup(2), 50, 4.0, True, 1.0)  # RDP 4
+    stats.on_lookup_delivered(lookup(2), 4.0, True, 1.0)  # RDP 4
     stats.finish(100.0)
     assert stats.mean_rdp() == pytest.approx(3.0)
 
@@ -94,7 +94,7 @@ def test_rdp_mean():
 def test_rdp_skips_zero_network_delay():
     stats = StatsCollector(window=10.0)
     stats.on_lookup_issued(lookup(1), 0.0)
-    stats.on_lookup_delivered(lookup(1), 50, 2.0, True, None)
+    stats.on_lookup_delivered(lookup(1), 2.0, True, None)
     stats.finish(100.0)
     assert stats.mean_rdp() == 0.0  # no samples
 
@@ -108,9 +108,9 @@ def test_control_traffic_rate_and_breakdown():
     stats.finish(10.0)
     assert stats.control_messages_total() == 2
     assert stats.control_traffic_rate() == pytest.approx(2 / 20.0)
-    breakdown = stats.control_breakdown_series()
-    assert breakdown[m.CAT_HEARTBEAT][0][1] == pytest.approx(1 / 20.0)
-    assert breakdown[m.CAT_RT_PROBE][0][1] == pytest.approx(1 / 20.0)
+    assert stats.traffic_series()[0][1] == pytest.approx(2 / 20.0)
+    assert stats.traffic_series((m.CAT_HEARTBEAT,))[0][1] == pytest.approx(1 / 20.0)
+    assert stats.traffic_series((m.CAT_RT_PROBE,))[0][1] == pytest.approx(1 / 20.0)
 
 
 def test_total_traffic_includes_lookups():
@@ -119,7 +119,7 @@ def test_total_traffic_includes_lookups():
     stats.on_send(m.Heartbeat(), 1, 2, 1.0)
     stats.on_send(lookup(9), 1, 2, 3.0)
     stats.finish(10.0)
-    series = stats.total_traffic_series()
+    series = stats.traffic_series(m.CONTROL_CATEGORIES + (m.CAT_LOOKUP,))
     assert series[0][1] == pytest.approx(2 / 10.0)
 
 
@@ -135,7 +135,7 @@ def test_mean_hops():
     msg = lookup(1)
     msg.hops = 4
     stats.on_lookup_issued(msg, 0.0)
-    stats.on_lookup_delivered(msg, 50, 1.0, True, 0.5)
+    stats.on_lookup_delivered(msg, 1.0, True, 0.5)
     stats.finish(100.0)
     assert stats.mean_hops() == 4.0
 

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import repro.network
 from repro.network import base as network_base
-from repro.network.base import RouterGraphTopology, Topology
+from repro.network.base import LAN_DELAY, RouterGraphTopology, Topology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.transit_stub import TransitStubTopology
 from repro.sim.rng import RngStreams
@@ -26,8 +26,8 @@ for _module in pkgutil.iter_modules(repro.network.__path__):
 class LineTopology(RouterGraphTopology):
     """Five routers in a line with unit link delays (analytically known)."""
 
-    def __init__(self, lan_delay=0.001, **kwargs):
-        super().__init__(lan_delay=lan_delay, **kwargs)
+    def __init__(self):
+        super().__init__()
         rows = [0, 1, 2, 3]
         cols = [1, 2, 3, 4]
         self._set_graph(5, rows, cols, [1.0, 1.0, 1.0, 1.0])
@@ -50,7 +50,7 @@ def test_router_delay_symmetric():
 
 
 def test_end_node_delay_includes_two_lans():
-    topo = LineTopology(lan_delay=0.5)
+    topo = LineTopology()
     rng = random.Random(1)
     attachments = [topo.attach(rng) for _ in range(20)]
     a = next(x for x in attachments if topo.router_of(x) == topo.router_of(attachments[0]))
@@ -59,7 +59,7 @@ def test_end_node_delay_includes_two_lans():
         None,
     )
     if b is not None:
-        expected = topo.router_delay(topo.router_of(a), topo.router_of(b)) + 1.0
+        expected = topo.router_delay(topo.router_of(a), topo.router_of(b)) + 2 * LAN_DELAY
         assert topo.delay(a, b) == pytest.approx(expected)
 
 
@@ -70,7 +70,7 @@ def test_same_attachment_zero_delay():
 
 
 def test_colocated_end_nodes_still_cross_lan():
-    topo = LineTopology(lan_delay=0.25)
+    topo = LineTopology()
     rng = random.Random(3)
     pairs = [topo.attach(rng) for _ in range(30)]
     a = pairs[0]
@@ -78,7 +78,7 @@ def test_colocated_end_nodes_still_cross_lan():
         (x for x in pairs[1:] if topo.router_of(x) == topo.router_of(a)), None
     )
     if twin is not None:
-        assert topo.delay(a, twin) == pytest.approx(0.5)  # two LAN hops
+        assert topo.delay(a, twin) == pytest.approx(2 * LAN_DELAY)  # two LAN hops
 
 
 def test_proximity_default_is_rtt():
@@ -88,8 +88,9 @@ def test_proximity_default_is_rtt():
     assert topo.proximity(a, b) == pytest.approx(2 * topo.delay(a, b))
 
 
-def test_distance_rows_cached_and_evicted_fifo():
-    topo = LineTopology(max_cached_rows=2)
+def test_distance_rows_cached_and_evicted_fifo(monkeypatch):
+    monkeypatch.setattr(network_base, "MAX_CACHED_DIST_ROWS", 2)
+    topo = LineTopology()
     assert topo.router_delay(0, 4) == pytest.approx(4.0)
     row = topo._dist_cache[0]
     assert type(row) is array and row.typecode == "d"
@@ -166,7 +167,9 @@ def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys():
 
 def test_one_search_per_row_computed(monkeypatch):
     """``perf/tracing.py`` counts ``base.dijkstra`` calls as rows computed:
-    a GATech row is one search, beside two searches once for its trees."""
+    a GATech row is one search, beside two searches once for its trees, and
+    a router's delay to itself, as in the base class, needs no row: no
+    search, and no cache slot that could evict a live row."""
     calls = []
 
     def counting(graph, **kwargs):
@@ -174,14 +177,17 @@ def test_one_search_per_row_computed(monkeypatch):
         return dijkstra(graph, **kwargs)
 
     monkeypatch.setattr(network_base, "dijkstra", counting)
+    monkeypatch.setattr(network_base, "MAX_CACHED_DIST_ROWS", 2)
     topo = TransitStubTopology.scaled(random.Random(7), scale=0.3)
-    topo._max_cached_rows = 2
     misses = 0
     for router in [5, 60, 5, 61, 62, 5, 60, 60, 3, 61]:
         misses += router not in topo._dist_cache
         topo.router_delay(router, 100)
     assert len(topo._dist_cache) == 2 and misses == 8  # hits, misses, evictions
     assert len(calls) == misses + 2
+    for router in (0, topo.n_routers - 1):  # uncached: a transit and a stub router
+        assert topo.router_delay(router, router) == 0.0
+    assert len(calls) == misses + 2 and list(topo._dist_cache) == [3, 61]
 
 
 def test_gatech_delay_is_router_delay_across_two_lans():

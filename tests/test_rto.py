@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pastry import rto
 from repro.pastry.rto import RtoTable, RttEstimator
 
 
@@ -75,8 +76,9 @@ def test_table_seed():
     assert table.rto(5) < table.initial_rto + 1e-9
 
 
-def test_table_eviction_bounds_size():
-    table = RtoTable(max_entries=4)
+def test_table_eviction_bounds_size(monkeypatch):
+    monkeypatch.setattr(rto, "MAX_RTO_ENTRIES", 4)
+    table = RtoTable()
     for addr in range(10):
         table.sample(addr, 0.1)
     assert len(table._table) <= 4

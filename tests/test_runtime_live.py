@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.experiments import live_compare
 from repro.runtime.live import (
     LIVE_SCHEMA,
     LiveError,
@@ -84,6 +85,19 @@ def test_single_node_overlay_self_delivers():
     assert artifact["lookups"]["delivered"] == 5
     assert artifact["lookups"]["routing_consistency"] == 1.0
     assert artifact["lookups"]["hops_mean"] == 1.0
+
+
+def test_live_compare_runs_one_plan_on_both_substrates():
+    """``experiments/live_compare``: the simulated twin delivers every lookup
+    at its root, the live overlay delivers every lookup, and the report
+    has a row for each."""
+    result = live_compare.run(n_nodes=4, n_lookups=10)
+    assert result["sim"]["issued"] == result["sim"]["delivered"] == 10
+    assert result["sim"]["consistency"] == 1.0
+    assert result["live"]["issued"] == result["live"]["delivered"] == 10
+    rows = {line.split()[0]: line for line in
+            live_compare.format_report(result).splitlines() if line.strip()}
+    assert "10/10" in rows["sim"] and "10/10" in rows["live"]
 
 
 def test_service_bootstrap_and_metrics_endpoint():

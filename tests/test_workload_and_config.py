@@ -76,21 +76,6 @@ def test_workload_negative_rate_rejected():
         LookupWorkload(Simulator(), RngStreams(5).stream("w"), rate=-1.0)
 
 
-def test_custom_key_picker():
-    sim, _net, nodes = build_overlay(
-        4, config=PastryConfig(leaf_set_size=8), seed=509
-    )
-    keys = []
-    workload = LookupWorkload(
-        sim, RngStreams(6).stream("w"), rate=1.0,
-        on_issue=lambda msg: keys.append(msg.key),
-        key_picker=lambda rng: 42,
-    )
-    workload.start_node(nodes[0])
-    sim.run(until=sim.now + 5)
-    assert keys and all(k == 42 for k in keys)
-
-
 # ----------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------
