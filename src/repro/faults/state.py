@@ -64,7 +64,7 @@ class FaultState:
     """
 
     __slots__ = ("sim", "_rng", "_groups", "_gray", "_burst", "_links", "_jitter",
-                 "drops", "_adversaries", "adversary_counters")
+                 "engaged", "drops", "_adversaries", "adversary_counters")
 
     def __init__(self, sim: Simulator, rng: random.Random) -> None:
         self.sim = sim
@@ -74,6 +74,10 @@ class FaultState:
         self._burst: Optional[GEParams] = None
         self._links: Dict[Tuple[int, int], GilbertElliott] = {}
         self._jitter: Optional[JitterParams] = None
+        #: whether a partition, gray node, burst loss or jitter is installed.
+        #: While it is False every hook below is a no-op that draws nothing,
+        #: so the transport skips them on this one attribute.
+        self.engaged = False
         #: messages dropped by each fault kind ("gray", "partition", "burst")
         self.drops: Dict[str, int] = defaultdict(int)
         #: addr -> installed behavior overlay (repro.adversary.ActiveAdversary)
@@ -92,9 +96,11 @@ class FaultState:
         partition is up) default to group 0.
         """
         self._groups = dict(groups)
+        self._engage()
 
     def heal_partition(self) -> None:
         self._groups = {}
+        self._engage()
 
     @property
     def partitioned(self) -> bool:
@@ -103,19 +109,24 @@ class FaultState:
     def set_burst_loss(self, params: GEParams) -> None:
         self._burst = params
         self._links = {}
+        self._engage()
 
     def clear_burst_loss(self) -> None:
         self._burst = None
         self._links = {}
+        self._engage()
 
     def set_jitter(self, params: JitterParams) -> None:
         self._jitter = params
+        self._engage()
 
     def clear_jitter(self) -> None:
         self._jitter = None
+        self._engage()
 
     def set_gray(self, addr: int, gray: GrayFailure) -> None:
         self._gray[addr] = gray
+        self._engage()
 
     def clear_gray(self, addr: Optional[int] = None) -> None:
         """Clear one address's gray failure, or all of them."""
@@ -123,6 +134,11 @@ class FaultState:
             self._gray = {}
         else:
             self._gray.pop(addr, None)
+        self._engage()
+
+    def _engage(self) -> None:
+        self.engaged = bool(self._groups or self._gray or self._burst is not None
+                            or self._jitter is not None)
 
     def gray_of(self, addr: int) -> Optional[GrayFailure]:
         return self._gray.get(addr)

@@ -25,7 +25,9 @@ There is one send path.  With no stats collector, zero loss and no fault
 table — the configuration of a warm-up — every optional step is one
 ``is None`` / ``> 0`` test, and what remains is a delay lookup and a
 fire-and-forget schedule (:meth:`Simulator.schedule_call`; deliveries are
-never cancelled).
+never cancelled).  A fault table that holds no fault (before the first
+fault starts, after the last one ends) is skipped on its ``engaged``
+attribute: its hooks would draw nothing and drop nothing.
 
 Message accounting distinguishes three counters:
 
@@ -147,7 +149,7 @@ class Network:
             return
         delay = self._delay(src, dst)
         faults = self.faults
-        if faults is not None:
+        if faults is not None and faults.engaged:
             if faults.filter_send(src, dst) is not None:
                 self.messages_lost_faults += 1
                 self._lose(msg, src, dst)
@@ -164,7 +166,8 @@ class Network:
         # Faults are consulted at delivery time too: a partition installed
         # while the message was in flight must still cut it.
         faults = self.faults
-        if faults is not None and faults.filter_deliver(src, dst) is not None:
+        if faults is not None and faults.engaged and faults.filter_deliver(
+                src, dst) is not None:
             self.messages_lost_faults += 1
             self._lose(msg, src, dst)
             return

@@ -17,7 +17,7 @@ protocol-visible iteration orders (``members()``, pruning) are unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Container, Dict, List, Optional
+from typing import Container, Dict, Iterable, List, Optional, Set
 
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
 
@@ -27,6 +27,7 @@ class LeafSet:
         "owner",
         "size",
         "version",
+        "window",
         "_members",
         "_owner_id",
         "_half",
@@ -58,6 +59,12 @@ class LeafSet:
         # add() skip insert-then-prune-straight-out round trips.
         self._canonical = False
         self._members_list: Optional[List[NodeDescriptor]] = None
+        #: the admission test's bounds, ``(leftmost id, rightmost id)``: an
+        #: id is admitted when it lies strictly between them on the arc
+        #: through the owner, ``lo < i < hi`` if ``lo < hi`` else ``i > lo or
+        #: i < hi`` (the arc crosses id 0).  Below ``l`` members both are the
+        #: owner's id, which admits every other id.
+        self.window = (self._owner_id, self._owner_id)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -73,20 +80,19 @@ class LeafSet:
         previous = self._members.get(desc.id)
         if previous is not None and previous.addr == desc.addr:
             return True  # already a member, nothing changed
-        cw = (desc.id - self._owner_id) % ID_SPACE
-        if previous is None and len(self._ring) >= self.size and self._canonical:
-            # A non-member falling strictly inside both full sides would be
-            # inserted mid-ring and pruned straight back out: the ring ends
-            # up exactly as before and the only side effect is the _members
-            # rebuild.  With _members already in the canonical rebuild order
-            # (which depends only on the surviving membership, not on the
-            # rejected candidate) that rebuild is a no-op, so skip the whole
-            # round trip.  Equality with a stored key is impossible:
-            # clockwise distances are unique and desc is not a member.
-            keys = self._ring_keys
-            half = self._half
-            if keys[half - 1] <= cw <= keys[len(keys) - half]:
+        if previous is None and self._canonical:
+            # A non-member outside the window would be inserted mid-ring and
+            # pruned straight back out: the ring ends up exactly as before
+            # and the only side effect is the _members rebuild.  With
+            # _members already in the canonical rebuild order (which depends
+            # only on the surviving membership, not on the rejected
+            # candidate) that rebuild is a no-op, so skip the whole round
+            # trip.  A canonical ring is a pruned, hence full, one.
+            did = desc.id
+            lo, hi = self.window  # admits(), inlined
+            if not (lo < did < hi if lo < hi else did > lo or did < hi):
                 return False
+        cw = (desc.id - self._owner_id) % ID_SPACE
         self._members[desc.id] = desc
         i = bisect_left(self._ring_keys, cw)
         if previous is None:
@@ -147,6 +153,13 @@ class LeafSet:
         self._left = None
         self._right = None
         self._members_list = None
+        ring = self._ring
+        n = len(ring)
+        if n < self.size:
+            self.window = (self._owner_id, self._owner_id)
+        else:
+            # Leftmost: ring tail's far end; rightmost: ring head's far end.
+            self.window = (ring[n - self._half].id, ring[self._half - 1].id)
 
     # ------------------------------------------------------------------
     # Views
@@ -227,42 +240,45 @@ class LeafSet:
     def covers(self, key: int) -> bool:
         """Whether ``key`` lies on the leftmost→rightmost arc through the owner.
 
-        In clockwise offsets from the owner the rightmost member sits at
-        ``keys[half - 1]`` and the leftmost at ``keys[n - half]``, so the arc
-        is everything at or below the one or at or above the other.
+        The admission window with its ends included.  Below ``l`` members
+        the set wraps, i.e. spans the entire known ring (no member: the
+        owner is root of everything), and the window covers every key.
         """
-        keys = self._ring_keys
-        n = len(keys)
-        if n < self.size:
-            # No member: the owner is root of everything.  Fewer than ``l``:
-            # the set wraps, i.e. spans the entire known ring.
-            return True
-        half = self._half
-        k = (key - self._owner_id) % ID_SPACE
-        return k <= keys[half - 1] or k >= keys[n - half]
+        lo, hi = self.window
+        return lo <= key <= hi if lo < hi else key >= lo or key <= hi
+
+    def admits(self, node_id: int) -> bool:
+        """The admission test: whether ``node_id`` lies inside :attr:`window`,
+        i.e. either side is not full or the id is closer than the current
+        extreme on that side.  Members (the extremes excepted) and the owner
+        lie inside too; :meth:`would_admit` vetoes them.  The hot paths
+        (:meth:`add`, :meth:`admitted`, the leaf-set exchange) inline these
+        two comparisons."""
+        lo, hi = self.window
+        return lo < node_id < hi if lo < hi else node_id > lo or node_id < hi
 
     def would_admit(self, desc: NodeDescriptor) -> bool:
         """Whether ``desc`` would become a member if added (without adding).
 
         Used to avoid probing leaf-set candidates that would be pruned
-        immediately: a candidate is admissible when either side is not full
-        or it is closer than the current extreme on that side.
+        immediately: :meth:`admits`, less the owner, the members and a
+        foreign id at the owner's address.
         """
-        if (
-            desc.id == self._owner_id
-            or desc.id in self._members
-            or desc.addr == self.owner.addr
-        ):
+        did = desc.id
+        if did == self._owner_id or did in self._members or desc.addr == self.owner.addr:
             return False
-        n = len(self._ring)
-        half = self._half
-        if n < half:
-            return True  # neither side is full yet
-        cw = (desc.id - self._owner_id) % ID_SPACE
-        # Closer than the right extreme (ring head holds the smallest
-        # clockwise distances) or the left extreme (ring tail, since
-        # counter-clockwise distance is ID_SPACE - clockwise distance).
-        return cw < self._ring_keys[half - 1] or cw > self._ring_keys[n - half]
+        return self.admits(did)
+
+    def admitted(self, descs: Iterable[NodeDescriptor]) -> Set[int]:
+        """Ids of the ``descs`` :meth:`would_admit` accepts, in one call (the
+        failure memory's relevance scans)."""
+        owner_id, owner_addr, members = self._owner_id, self.owner.addr, self._members
+        lo, hi = self.window
+        return {
+            d.id for d in descs
+            if (lo < d.id < hi if lo < hi else d.id > lo or d.id < hi)
+            and d.id != owner_id and d.id not in members and d.addr != owner_addr
+        }
 
     def closest_to(self, key: int, *unusable: Container[int]) -> NodeDescriptor:
         """Root of ``key`` among the owner and the usable members.

@@ -306,7 +306,7 @@ class MSPastryNode:
             return
         self.active = True
         self.activated_at = self.sim.now
-        self.failures.clear_stale(self.leaf_set.would_admit)
+        self.failures.clear_stale(self.leaf_set.admitted)
         self.joining.stop_retrying()
         # Notify before flushing buffered traffic: the node is the root of
         # its key range from this instant on.
@@ -365,8 +365,9 @@ class MSPastryNode:
             forwarding = self.forwarding
             if forwarding.deferred and sender_id in forwarding.deferred:
                 forwarding.flush_deferred_for(sender_id)
-            if msg.tuning_hint is not None:
-                self.tuner.record_hint(sender_id, msg.tuning_hint)
+            hint = msg.tuning_hint
+            if hint is not None and hint > 0:
+                self.tuner.hints[sender_id] = hint
             # Contact-driven leaf-set recovery: traffic from a node that
             # belongs in our leaf set but is not there triggers a probe.
             # This generalizes the heartbeat recovery rule and is what

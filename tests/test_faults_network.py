@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import repro.faults.schedule as schedule_module
 from repro.faults import (
+    BurstLoss,
     FaultEvent,
     FaultSchedule,
     GEParams,
@@ -273,3 +275,76 @@ def test_loss_rate_is_validated_at_construction():
     for rate in (1.0, -0.01, 2.0):
         with pytest.raises(ValueError):
             Network(sim, topology, random.Random(1), loss_rate=rate)
+
+
+# ----------------------------------------------------------------------
+# An idle fault table costs nothing
+# ----------------------------------------------------------------------
+class CountingFaultState(FaultState):
+    """Counts hook calls the way ``perf/tracing.py``'s subclass times them."""
+
+    def __init__(self, sim, rng):
+        super().__init__(sim, rng)
+        self.hook_calls = 0
+
+    def filter_send(self, src, dst):
+        self.hook_calls += 1
+        return super().filter_send(src, dst)
+
+    def filter_deliver(self, src, dst):
+        self.hook_calls += 1
+        return super().filter_deliver(src, dst)
+
+    def adjust_delay(self, src, dst, delay):
+        self.hook_calls += 1
+        return super().adjust_delay(src, dst, delay)
+
+
+def faulted_chatter(seed=7):
+    """Six nodes sending to each other every 0.1 s while a partition and a
+    burst strike in turn, then 10 quiet seconds -> (network, fault state,
+    fault RNG, what the table and its RNG read when the last fault ended,
+    each node's inbox)."""
+    sim, net, addrs, inboxes = make_net(n=6, seed=seed)
+    rng = random.Random(seed)
+    state = FaultSchedule([
+        FaultEvent(Partition(0.5), start=1.0, duration=2.0),
+        FaultEvent(BurstLoss(GEParams(good_mean=0.2, bad_mean=0.2, loss_bad=0.5)),
+                   start=4.0, duration=2.0),
+    ]).install(sim, net, rng)
+    pairs = random.Random(seed)
+
+    def chatter(i):
+        net.send(*pairs.sample(addrs, 2), i)
+        if i < 159:
+            sim.schedule(0.1, chatter, i + 1)
+
+    sim.schedule(0.0, chatter, 0)
+    at_end = []
+    sim.schedule_at(6.0, lambda: at_end.append(
+        (getattr(state, "hook_calls", None), rng.getstate())))
+    sim.run()
+    return net, state, rng, at_end[0], inboxes
+
+
+def test_idle_fault_table_is_skipped_and_draws_nothing(monkeypatch):
+    monkeypatch.setattr(schedule_module, "FaultState", CountingFaultState)
+    net, state, rng, (hooks_at_end, rng_at_end), _ = faulted_chatter()
+    assert isinstance(state, CountingFaultState) and not state.engaged
+    assert hooks_at_end > 0 and state.drops["partition"] and state.drops["burst"]
+    assert net.messages_sent == 160
+    # 100 messages before, between and after the faults: not one hook call,
+    # not one draw from the fault stream.
+    assert state.hook_calls == hooks_at_end
+    assert rng.getstate() == rng_at_end
+
+
+def test_counting_the_hooks_does_not_change_the_run(monkeypatch):
+    net, _, _, _, inboxes = faulted_chatter()
+    monkeypatch.setattr(schedule_module, "FaultState", CountingFaultState)
+    counted, state, _, _, counted_inboxes = faulted_chatter()
+    assert state.hook_calls > 0
+    assert counted_inboxes == inboxes
+    assert (counted.sim.events_executed, counted.messages_sent, counted.messages_lost,
+            counted.messages_delivered) == (net.sim.events_executed, net.messages_sent,
+                                            net.messages_lost, net.messages_delivered)

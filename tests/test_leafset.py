@@ -312,3 +312,87 @@ def test_would_admit_matches_add(owner_id, others):
         predicted = ls.would_admit(desc(i))
         actual = ls.add(desc(i))
         assert predicted == actual
+
+
+# ----------------------------------------------------------------------
+# The admission test against its ring-offset definition
+# ----------------------------------------------------------------------
+def ring_offsets(ls):
+    """-> (owner, sorted clockwise offsets of the members, half)."""
+    owner = ls.owner.id
+    return owner, sorted((m.id - owner) % ID_SPACE for m in ls.members()), ls.size // 2
+
+
+def offset_admits(ls, node_id):
+    """The window in clockwise offsets from the owner: closer than the right
+    extreme (``keys[half - 1]``) or than the left one (``keys[n - half]``)."""
+    owner, keys, half = ring_offsets(ls)
+    n = len(keys)
+    if n < half:
+        return True
+    cw = (node_id - owner) % ID_SPACE
+    return cw < keys[half - 1] or cw > keys[n - half]
+
+
+def offset_would_admit(ls, d):
+    """``would_admit`` as the offsets state it: the owner, a member and a
+    foreign id at the owner's address are never admitted."""
+    if d.id == ls.owner.id or d.id in ls or d.addr == ls.owner.addr:
+        return False
+    return offset_admits(ls, d.id)
+
+
+def offset_covers(ls, key):
+    owner, keys, half = ring_offsets(ls)
+    n = len(keys)
+    if n < ls.size:
+        return True
+    cw = (key - owner) % ID_SPACE
+    return cw <= keys[half - 1] or cw >= keys[n - half]
+
+
+@st.composite
+def admission_rings(draw):
+    """A leaf set of each population class — fewer than l/2 members, l/2 up
+    to l - 1, exactly l - 1, l or more (pruned back to l) — around an owner
+    drawn anywhere or next to id 0, members spread narrowly enough that the
+    window often crosses id 0; and the ids to try on it: every member (so
+    both extremes), their neighbours, the owner, random ids, and a foreign
+    id at the owner's address."""
+    size = draw(st.sampled_from([2, 4, 8, 16]))
+    half = size // 2
+    n = draw(st.sampled_from([
+        st.integers(0, half - 1), st.integers(half, size - 1),
+        st.just(size - 1), st.integers(size, 2 * size + 3)]).flatmap(lambda s: s))
+    owner_id = draw(st.one_of(ids, st.integers(0, 1 << 8),
+                              st.integers(ID_SPACE - (1 << 8), ID_SPACE - 1)))
+    spread = draw(st.sampled_from([1 << 8, 1 << 64, HALF_SPACE]))
+    offsets = draw(st.lists(st.integers(-spread, spread).filter(bool),
+                            min_size=n, max_size=n, unique=True))
+    ls = LeafSet(desc(owner_id), size)
+    for off in offsets:
+        ls.add(desc((owner_id + off) % ID_SPACE))
+    near = [(m.id + step) % ID_SPACE for m in ls.members() for step in (-1, 0, 1)]
+    tries = [desc(i) for i in near + [owner_id] + draw(st.lists(ids, max_size=4))]
+    tries.append(NodeDescriptor(id=draw(ids), addr=owner_id))
+    return ls, tries
+
+
+@given(admission_rings())
+@example((LeafSet(desc(5), 4), [desc(5)]))
+def test_admission_test_matches_its_ring_offset_definition(case):
+    ls, tries = case
+    full = len(ls) >= ls.size
+    for d in tries:
+        if full:
+            # The extremes sit on the window's ends and are outside it.
+            assert ls.admits(d.id) == offset_admits(ls, d.id), d
+        else:
+            # Below l members the window is every id but the owner's (the
+            # offsets also let in the owner and, at l - 1, refuse the member
+            # at ``keys[half - 1]``: neither can be added, so neither is
+            # asked about).
+            assert ls.admits(d.id) == (d.id != ls.owner.id), d
+        assert ls.would_admit(d) == offset_would_admit(ls, d), d
+        assert ls.covers(d.id) == offset_covers(ls, d.id), d
+    assert ls.admitted(tries) == {d.id for d in tries if offset_would_admit(ls, d)}

@@ -168,7 +168,7 @@ def test_tuning_hints_piggybacked_and_recorded():
     a.tuner.local_period = 123.0
     a.send(b.descriptor, m.Heartbeat())
     sim.run(until=sim.now + 1)
-    assert b.tuner._hints.get(a.id) == 123.0
+    assert b.tuner.hints.get(a.id) == 123.0
 
 
 def test_hints_absent_when_self_tuning_disabled():
@@ -176,7 +176,7 @@ def test_hints_absent_when_self_tuning_disabled():
     a, b = nodes[0], nodes[1]
     a.send(b.descriptor, m.Heartbeat())
     sim.run(until=sim.now + 1)
-    assert a.id not in b.tuner._hints
+    assert a.id not in b.tuner.hints
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.overlay.utils import build_overlay
+from repro.pastry import messages as m
 from repro.pastry.config import RT_PROBE_PERIOD_MAX, PastryConfig
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
@@ -204,23 +206,26 @@ def test_tuner_median_of_hints():
     cfg = config()
     tuner = SelfTuner(cfg)
     tuner.local_period = 100.0
-    tuner.record_hint(1, 50.0)
-    tuner.record_hint(2, 200.0)
+    tuner.hints[1] = 50.0
+    tuner.hints[2] = 200.0
     assert tuner.current_period() == 100.0  # median of {50, 100, 200}
 
 
 def test_tuner_ignores_invalid_hints():
-    tuner = SelfTuner(config())
-    tuner.local_period = 100.0
-    tuner.record_hint(1, None)
-    tuner.record_hint(2, -5.0)
-    assert tuner.current_period() == 100.0
+    """The node records a peer's hint only when it is a positive period."""
+    _sim, _net, (a, b) = build_overlay(2, config(), seed=5)
+    b.tuner.hints.clear()
+    b.tuner.local_period = 100.0
+    for hint in (None, -5.0, 0.0):
+        b._on_message(a.addr, m.Heartbeat(sender=a.descriptor, tuning_hint=hint))
+    assert b.tuner.hints == {}
+    assert b.tuner.current_period() == 100.0
 
 
 def test_tuner_forgets_failed_peers():
     tuner = SelfTuner(config())
     tuner.local_period = 100.0
-    tuner.record_hint(1, 10.0)
+    tuner.hints[1] = 10.0
     tuner.forget_peer(1)
     assert tuner.current_period() == 100.0
 
