@@ -66,18 +66,6 @@ class AdversaryParams:
         if self.spam_fanout < 0:
             raise ValueError(f"spam_fanout must be non-negative: {self.spam_fanout}")
 
-    @property
-    def is_noop(self) -> bool:
-        """True when every knob is at its harmless default."""
-        return not (
-            self.drop > 0.0
-            or self.misroute > 0.0
-            or self.spoof_acks
-            or self.poison_joins
-            or self.eclipse
-            or self.spam_period > 0.0
-        )
-
 
 #: Named behavior presets — the vocabulary of ``AdversaryFault`` mixes.
 #: Keep names stable: the ``attacks`` experiment's rows are keyed by them.

@@ -102,10 +102,6 @@ class FaultState:
         self._groups = {}
         self._engage()
 
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._groups)
-
     def set_burst_loss(self, params: GEParams) -> None:
         self._burst = params
         self._links = {}
@@ -140,9 +136,6 @@ class FaultState:
         self.engaged = bool(self._groups or self._gray or self._burst is not None
                             or self._jitter is not None)
 
-    def gray_of(self, addr: int) -> Optional[GrayFailure]:
-        return self._gray.get(addr)
-
     def set_adversary(self, addr: int, overlay) -> None:
         """Install a Byzantine behavior overlay on the node at ``addr``.
 
@@ -161,17 +154,6 @@ class FaultState:
         for overlay in self._adversaries.values():
             overlay.uninstall()
         self._adversaries = {}
-
-    @property
-    def active_faults(self) -> Dict[str, int]:
-        """How many faults of each kind are currently installed."""
-        return {
-            "partition_groups": len(set(self._groups.values())),
-            "gray_nodes": len(self._gray),
-            "burst_links": 1 if self._burst is not None else 0,
-            "jitter": 1 if self._jitter is not None else 0,
-            "adversary_nodes": len(self._adversaries),
-        }
 
     # ------------------------------------------------------------------
     # Queries (hot path: called by the transport)

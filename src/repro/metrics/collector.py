@@ -228,21 +228,6 @@ class StatsCollector:
             return 0.0
         return self.control_messages_total() / node_seconds
 
-    def control_bandwidth(self) -> float:
-        """Control bytes per second per active node, run-wide."""
-        node_seconds = self.active.total_node_seconds
-        if node_seconds <= 0:
-            return 0.0
-        total = sum(self.bytes_total[c] for c in CONTROL_CATEGORIES)
-        return total / node_seconds
-
-    def total_bandwidth(self) -> float:
-        """All traffic (control + application) in bytes/s per active node."""
-        node_seconds = self.active.total_node_seconds
-        if node_seconds <= 0:
-            return 0.0
-        return sum(self.bytes_total.values()) / node_seconds
-
     def traffic_series(
         self, categories: Sequence[str] = CONTROL_CATEGORIES
     ) -> List[Tuple[float, float]]:

@@ -107,9 +107,6 @@ class RouterGraphTopology(Topology):
         self._attach_router.append(router)
         return attachment
 
-    def router_of(self, attachment: int) -> int:
-        return self._attach_router[attachment]
-
     @property
     def attachment_routers(self) -> np.ndarray:
         """The attachment→router map as a numpy array (a fresh copy)."""

@@ -172,11 +172,6 @@ class HierarchicalASTopology(Topology):
     def n_routers(self) -> int:
         return len(self._router_as)
 
-    def routers_of(self, as_id: int) -> range:
-        """The routers of one AS (a contiguous range)."""
-        start = self._as_start[as_id]
-        return range(start, start + self._as_size[as_id])
-
     def attach(self, rng: random.Random) -> int:
         self._attach_router.append(rng.randrange(self.n_routers))
         return len(self._attach_router) - 1

@@ -50,10 +50,6 @@ class Oracle:
     def active_count(self) -> int:
         return len(self._active_ids)
 
-    @property
-    def alive_count(self) -> int:
-        return len(self._alive)
-
     def active_nodes(self) -> List[object]:
         return list(self._by_id.values())
 

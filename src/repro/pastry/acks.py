@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.interfaces import Clock, TimerHandle
+from repro.pastry.config import MAX_REROUTES
 from repro.pastry.messages import Ack, Lookup
 from repro.pastry.nodeid import NodeDescriptor
 
@@ -45,7 +46,6 @@ class HopAckManager:
     __slots__ = (
         "_sim",
         "_rto",
-        "_max_reroutes",
         "_reroute",
         "_suspect",
         "_on_drop",
@@ -56,14 +56,12 @@ class HopAckManager:
         self,
         sim: Clock,
         rto_table,
-        max_reroutes: int,
         reroute: Callable[[Lookup, Set[int]], None],
         suspect: Callable[[NodeDescriptor], None],
         on_drop: Callable[[Lookup], None],
     ) -> None:
         self._sim = sim
         self._rto = rto_table
-        self._max_reroutes = max_reroutes
         self._reroute = reroute
         self._suspect = suspect
         self._on_drop = on_drop
@@ -103,14 +101,13 @@ class HopAckManager:
             self._rto.sample(from_addr, self._sim.now - entry.sent_at)
 
     def _timeout(self, msg_id: int) -> None:
-        entry = self._pending.pop(msg_id, None)
-        if entry is None:
-            return
+        # every other removal of an entry cancels its timer
+        entry = self._pending.pop(msg_id)
         if entry.excluded is None:
             entry.excluded = set()
         entry.excluded.add(entry.next_hop.id)
         self._suspect(entry.next_hop)
-        if entry.attempts > self._max_reroutes:
+        if entry.attempts > MAX_REROUTES:
             self._on_drop(entry.msg)
             return
         # Re-track happens inside reroute via track() when a new hop exists.

@@ -67,8 +67,8 @@ class PastryConfig:
     ``active_rt_probing``: the §5.3 dependability ablation, which with the
     self-tuning sweep also varies ``per_hop_acks``.  ``self_tuning``: the
     probing-period ablation and ``live_config()``.  ``target_raw_loss``:
-    the self-tuning sweep.  ``pns`` and ``nearest_neighbour_join``:
-    ``live_config()``.
+    the self-tuning sweep.  ``pns`` (which also seeds a join by
+    nearest-neighbour discovery): ``live_config()``.
     """
 
     # --- identifier space / routing structure (§2) ---------------------
@@ -101,9 +101,10 @@ class PastryConfig:
     defer_delivery_on_suspect: bool = True
 
     # --- proximity neighbour selection (§4.2) ---------------------------
-    pns: bool = True  # also gates passive repair of empty routing slots
+    #: also gates passive repair of empty routing slots and the
+    #: nearest-neighbour seed discovery before a join
+    pns: bool = True
     symmetric_distance_probes: bool = True
-    nearest_neighbour_join: bool = True  # seed discovery before joining
 
     def __post_init__(self) -> None:
         if not 1 <= self.b <= 8:

@@ -121,8 +121,7 @@ class Forwarding:
         node.send(next_hop, msg)
 
     def reroute(self, msg: m.Message, excluded: Set[int]) -> bool:
-        if self._node.crashed:
-            return False
+        """``reroute`` of the ack manager, whose timers a crash cancels."""
         if isinstance(msg, m.JoinRequest):
             return self.route(
                 msg, msg.joiner.id, frozenset(excluded) | {msg.joiner.id}
@@ -140,9 +139,7 @@ class Forwarding:
         if cls is m.JoinRequest:
             node.joining.at_root(msg)
             return
-        if cls is not m.Lookup:
-            return
-        if node.active:
+        if node.active:  # a Lookup: nothing else is routed
             if node.suspected and self._defer_for_suspect(msg, key):
                 return
             msg.hops += 1

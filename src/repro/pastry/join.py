@@ -161,7 +161,7 @@ class JoinProtocol:
         node = self._node
         self._seed = seed
         self._seed_provider = seed_provider
-        if node.config.pns and node.config.nearest_neighbour_join:
+        if node.config.pns:  # nearest-neighbour discovery seeds the join
             self.discovery = SeedDiscovery(
                 node.send, node.prox.measure, node.sim,
                 node.config.probe_timeout, node.id, seed, self._discovered,
@@ -263,8 +263,9 @@ class JoinProtocol:
                 node.leaf_set.add(desc)
         node.maintenance.probe_all(node.leaf_set.members())
         if not node.probing.pending:
-            # Joined an overlay consisting solely of the (empty-leaf-set)
-            # root: probe the root itself so it learns about us.
+            # Nothing to probe: both reply builders list the root itself,
+            # so only a reply crafted without it gets here.  Probe the
+            # sender, so the join can still complete.
             if msg.sender is not None:
                 node.probe(msg.sender)
 

@@ -40,8 +40,6 @@ class LeafSet:
     )
 
     def __init__(self, owner: NodeDescriptor, size: int) -> None:
-        if size < 2 or size % 2 != 0:
-            raise ValueError(f"leaf set size must be even and >= 2: {size}")
         self.owner = owner
         self.size = size  # l
         self.version = 0  # bumped on every membership change

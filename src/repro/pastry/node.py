@@ -31,12 +31,8 @@ from repro.pastry import messages as m
 from repro.pastry.acks import HopAckManager
 from repro.pastry.config import (
     CANDIDATE_PROBE_SUPPRESSION,
-    FAILED_BACKOFF_MAX,
-    FAILED_MEMORY,
     MAX_PROBE_RETRIES,
-    MAX_REROUTES,
     RT_MAINTENANCE_PERIOD,
-    RTO_MAX,
     SELF_TUNING_INTERVAL,
     STATE_SWEEP_PERIOD,
     PastryConfig,
@@ -143,7 +139,7 @@ class MSPastryNode:
         self.joined_at: Optional[float] = None
         self.activated_at: Optional[float] = None
 
-        self.failures = FailureMemory(FAILED_MEMORY, FAILED_BACKOFF_MAX)
+        self.failures = FailureMemory()
         self.suspected: Set[int] = set()
         #: one probe cycle: the failure-claim contradiction window
         self.probe_cycle = (MAX_PROBE_RETRIES + 1) * config.probe_timeout
@@ -156,12 +152,8 @@ class MSPastryNode:
         #: completed LS-probe exchanges, for candidate-probe suppression
         self.ls_heard = RecencyMap(CANDIDATE_PROBE_SUPPRESSION)
 
-        self.rto_table = RtoTable(
-            config.rto_initial,
-            config.rto_min,
-            RTO_MAX,
-            variance_weight=config.rto_variance_weight,
-        )
+        self.rto_table = RtoTable(config.rto_initial, config.rto_min,
+                                  config.rto_variance_weight)
         self.tuner = SelfTuner(config)
         self.prox = ProximityManager(self)
         # Routing-table proximity function, resolved once: config.pns and
@@ -173,17 +165,16 @@ class MSPastryNode:
         self.liveness = Liveness(self)
         self.forwarding = Forwarding(self)
         self.probing = ProbeTable(
-            sim, config.probe_timeout, MAX_PROBE_RETRIES,
+            sim, config.probe_timeout,
             self.maintenance.send_ls_probes, self.maintenance.ls_probe_exhausted,
         )
         self.rt_probing = ProbeTable(
-            sim, config.probe_timeout, MAX_PROBE_RETRIES,
+            sim, config.probe_timeout,
             self.liveness.send_rt_probes, self.liveness.rt_probe_exhausted,
         )
         self.acks = HopAckManager(
             sim,
             self.rto_table,
-            MAX_REROUTES,
             reroute=self.forwarding.reroute,
             suspect=self.suspect,
             on_drop=self.forwarding.dropped,

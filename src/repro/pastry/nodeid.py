@@ -102,11 +102,6 @@ def clockwise_distance(a: int, b_id: int) -> int:
     return (b_id - a) % ID_SPACE
 
 
-def counter_clockwise_distance(a: int, b_id: int) -> int:
-    """Distance travelling counter-clockwise from ``a`` to ``b_id``."""
-    return (a - b_id) % ID_SPACE
-
-
 def is_closer_root(candidate: int, incumbent: int, key: int) -> bool:
     """Whether ``candidate`` is a strictly better root for ``key``.
 

@@ -73,10 +73,6 @@ class ProximityManager:
     # ------------------------------------------------------------------
     # Proximity cache
     # ------------------------------------------------------------------
-    def proximity_of(self, desc: NodeDescriptor) -> float:
-        """Cached proximity; unknown nodes rank last for PNS replacement."""
-        return self.proximity.get(desc.id, float("inf"))
-
     def record(self, node_id: int, rtt: float, addr: Optional[int] = None) -> None:
         self.proximity[node_id] = rtt
         if addr is not None:

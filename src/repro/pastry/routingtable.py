@@ -14,7 +14,7 @@ tuple-keyed storage.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.pastry.nodeid import ID_BITS, NodeDescriptor, n_rows
 
@@ -46,18 +46,8 @@ class RoutingTable:
             col = node_id & ((1 << (ID_BITS - row * b)) - 1)
         return row * self.cols + col
 
-    def slot_for(self, node_id: int) -> Optional[Tuple[int, int]]:
-        """The (row, col) where ``node_id`` belongs, or None for the owner."""
-        if node_id == self._owner_id:
-            return None
-        return divmod(self._flat_for(node_id), self.cols)
-
     def get(self, row: int, col: int) -> Optional[NodeDescriptor]:
         return self._slots.get(row * self.cols + col)
-
-    def entry_for(self, node_id: int) -> Optional[NodeDescriptor]:
-        slot = self._slot_of.get(node_id)
-        return self._slots[slot] if slot is not None else None
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._slot_of

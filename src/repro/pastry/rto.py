@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Dict
 
+from repro.pastry.config import RTO_MAX
+
 _NAN = float("nan")
 #: estimators a node keeps; past it the oldest insertion is evicted
 MAX_RTO_ENTRIES = 512
@@ -75,26 +77,14 @@ class RttEstimator:
 
 
 class RtoTable:
-    """Per-destination-address RTT estimators with bounded size."""
+    """Per-destination-address RTT estimators with bounded size, clamped
+    to ``[rto_min, RTO_MAX]``."""
 
-    __slots__ = (
-        "initial_rto",
-        "rto_min",
-        "rto_max",
-        "variance_weight",
-        "_table",
-    )
+    __slots__ = ("initial_rto", "rto_min", "variance_weight", "_table")
 
-    def __init__(
-        self,
-        initial_rto: float = 0.5,
-        rto_min: float = 0.05,
-        rto_max: float = 6.0,
-        variance_weight: float = 2.0,
-    ) -> None:
+    def __init__(self, initial_rto: float, rto_min: float, variance_weight: float) -> None:
         self.initial_rto = initial_rto
         self.rto_min = rto_min
-        self.rto_max = rto_max
         self.variance_weight = variance_weight
         #: addr -> complex(srtt, rttvar); srtt = nan until the first sample
         self._table: Dict[int, complex] = {}
@@ -120,7 +110,7 @@ class RtoTable:
         else:
             base = srtt + self.variance_weight * entry.imag
         floored = base if base > self.rto_min else self.rto_min
-        return floored if floored < self.rto_max else self.rto_max
+        return floored if floored < RTO_MAX else RTO_MAX
 
     def sample(self, addr: int, rtt: float) -> None:
         table = self._table

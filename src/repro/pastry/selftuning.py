@@ -121,9 +121,7 @@ def estimate_overlay_size(leaf_set: LeafSet) -> float:
         # The leaf set wraps the whole ring: we see everyone.
         return float(n + 1)
     leftmost, rightmost = leaf_set.leftmost, leaf_set.rightmost
-    arc = clockwise_distance(leftmost.id, rightmost.id)
-    if arc == 0:
-        return float(n + 1)
+    arc = clockwise_distance(leftmost.id, rightmost.id)  # > 0: n >= l >= 2 distinct ids
     # n+1 nodes (members + owner) span `arc`, i.e. n gaps.
     return max(float(n + 1), n * (ID_SPACE / arc))
 
@@ -138,13 +136,10 @@ class FailureRateEstimator:
     with k < K failures, the current time stands in for the missing one.
     """
 
-    __slots__ = ("history_size", "_times")
+    __slots__ = ("_times",)
 
-    def __init__(self, history_size: int) -> None:
-        if history_size < 1:
-            raise ValueError("history_size must be >= 1")
-        self.history_size = history_size
-        self._times: Deque[float] = deque(maxlen=history_size)
+    def __init__(self) -> None:
+        self._times: Deque[float] = deque(maxlen=FAILURE_HISTORY_SIZE)
 
     def start(self, join_time: float) -> None:
         self._times.clear()
@@ -156,11 +151,10 @@ class FailureRateEstimator:
     def estimate(self, now: float, unique_nodes: int) -> float:
         if unique_nodes <= 0 or not self._times:
             return 0.0
-        if len(self._times) == self.history_size:
-            k = self.history_size
+        k = len(self._times)
+        if k == self._times.maxlen:
             span = self._times[-1] - self._times[0]
         else:
-            k = len(self._times)
             span = now - self._times[0]
         if span <= 0.0:
             return 0.0
@@ -174,7 +168,7 @@ class SelfTuner:
 
     def __init__(self, config: PastryConfig) -> None:
         self.config = config
-        self.failures = FailureRateEstimator(FAILURE_HISTORY_SIZE)
+        self.failures = FailureRateEstimator()
         #: peer node id -> its reported T^l_rt (positive); the node writes
         #: it from each incoming message's hint
         self.hints: Dict[int, float] = {}

@@ -9,9 +9,10 @@ advertised-failures memo valid, the prune that bounds a recency map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, Iterable, List, Sequence
+from typing import Callable, Container, Dict, Iterable, List, Sequence, Tuple
 
 from repro.interfaces import Clock, TimerHandle
+from repro.pastry.config import FAILED_BACKOFF_MAX, FAILED_MEMORY, MAX_PROBE_RETRIES
 from repro.pastry.nodeid import NodeDescriptor
 
 MAX_FAILED_REMEMBERED = 128
@@ -28,27 +29,25 @@ class ProbeTable:
     """Figure 2's probe / probe-timeout machine for one kind of probe.
 
     ``send(descs)`` puts one probe per descriptor on the wire; a probe
-    unanswered after ``timeout`` is re-sent up to ``max_retries`` times and
+    unanswered after ``timeout`` is re-sent up to ``MAX_PROBE_RETRIES`` times and
     then handed to ``exhausted(desc)`` — *still pending*, so the owner
     decides whether it leaves the table before or after the node is marked
     faulty.  Callers veto duplicates: a descriptor already pending must not
     be started again.
     """
 
-    __slots__ = ("pending", "_clock", "_timeout", "_max_retries", "_send", "_exhausted")
+    __slots__ = ("pending", "_clock", "_timeout", "_send", "_exhausted")
 
     def __init__(
         self,
         clock: Clock,
         timeout: float,
-        max_retries: int,
         send: Callable[[Sequence[NodeDescriptor]], None],
         exhausted: Callable[[NodeDescriptor], None],
     ) -> None:
         self.pending: Dict[int, _ProbeState] = {}
         self._clock = clock
         self._timeout = timeout
-        self._max_retries = max_retries
         self._send = send
         self._exhausted = exhausted
 
@@ -74,10 +73,8 @@ class ProbeTable:
             self._send(descs)
 
     def _timed_out(self, node_id: int) -> None:
-        state = self.pending.get(node_id)
-        if state is None:
-            return
-        if state.retries < self._max_retries:
+        state = self.pending[node_id]  # resolve and cancel_all cancel the timer
+        if state.retries < MAX_PROBE_RETRIES:
             state.retries += 1
             state.timer = self._clock.schedule(
                 self._timeout, self._timed_out, node_id
@@ -108,23 +105,22 @@ class FailureMemory:
 
     ``failed`` vetoes probes and routing; its insertion order is protocol-
     visible (eviction and expiry walk it).  ``failed_at`` has the same keys,
-    and ``backoff`` all of them and more.  ``advertised`` is memoized: valid while the maps are
-    unmutated (version check — bumped here, by every mutator, so it is no
-    caller's job) and no advertised entry has aged past the memory horizon
-    (expiry check).
+    and ``backoff`` all of them and more.  A failure is remembered for
+    ``FAILED_MEMORY`` and backs off up to ``FAILED_BACKOFF_MAX``.
+    ``advertised`` is memoized: valid while the maps are unmutated (version
+    check — bumped here, by every mutator, so it is no caller's job) and no
+    advertised entry has aged past the memory horizon (expiry check).
     """
 
-    __slots__ = ("failed", "failed_at", "backoff", "_memory", "_backoff_max",
-                 "_version", "_adv", "_adv_version", "_adv_expiry")
+    __slots__ = ("failed", "failed_at", "backoff", "_version", "_adv", "_adv_version",
+                 "_adv_expiry")
 
-    def __init__(self, memory: float, backoff_max: float) -> None:
+    def __init__(self) -> None:
         self.failed: Dict[int, NodeDescriptor] = {}
         self.failed_at: Dict[int, float] = {}
         self.backoff: Dict[int, float] = {}
-        self._memory = memory
-        self._backoff_max = backoff_max
         self._version = 0
-        self._adv: List[NodeDescriptor] = []
+        self._adv: Tuple[NodeDescriptor, ...] = ()
         self._adv_version = -1
         self._adv_expiry = 0.0
 
@@ -153,7 +149,7 @@ class FailureMemory:
         # straight after an expiry retry waits twice as long next time.
         fresh = desc.id not in self.backoff
         self.backoff[desc.id] = min(
-            2.0 * self.backoff.get(desc.id, self._memory / 2.0), self._backoff_max
+            2.0 * self.backoff.get(desc.id, FAILED_MEMORY / 2.0), FAILED_BACKOFF_MAX
         )
         return fresh
 
@@ -191,11 +187,10 @@ class FailureMemory:
         re-probed once if it still belongs in the leaf set.
         """
         backoff = self.backoff
-        base = self._memory
         expired = [
             node_id
             for node_id, since in self.failed_at.items()
-            if now - since >= backoff.get(node_id, base)
+            if now - since >= backoff.get(node_id, FAILED_MEMORY)
         ]
         if not expired:
             return []
@@ -214,19 +209,19 @@ class FailureMemory:
                 backoff.pop(node_id, None)
         return retry
 
-    def advertised(self, now: float) -> List[NodeDescriptor]:
+    def advertised(self, now: float) -> Tuple[NodeDescriptor, ...]:
         """Failure claims worth announcing: entries younger than the memory.
 
         An old entry is stale news — everyone in range heard the claim when
         it was fresh, and re-broadcasting it for the whole (backed-off)
         retry interval makes every receiver that still lists the node
         re-verify it on each exchange, which under membership flapping
-        amplifies into a probe storm.
+        amplifies into a probe storm.  The snapshot is immutable, so the
+        messages in flight that carry it can share it.
         """
         if self._adv_version == self._version and now < self._adv_expiry:
-            # A fresh copy, so callers (messages in flight) never alias.
-            return list(self._adv)
-        memory = self._memory
+            return self._adv
+        memory = FAILED_MEMORY
         horizon = now - memory
         failed_at = self.failed_at
         advertised = []
@@ -237,10 +232,10 @@ class FailureMemory:
                 advertised.append(desc)
                 if at + memory < next_expiry:
                     next_expiry = at + memory
-        self._adv = advertised
+        self._adv = snapshot = tuple(advertised)
         self._adv_version = self._version
         self._adv_expiry = next_expiry
-        return list(advertised)
+        return snapshot
 
 
 class RecencyMap(dict):

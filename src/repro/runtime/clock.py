@@ -86,11 +86,6 @@ class AsyncioClock:
         """Fire-and-forget :meth:`schedule` (handle discarded)."""
         self.schedule(delay, callback, *args)
 
-    @property
-    def pending_timers(self) -> int:
-        """Queued timers, including lazily-cancelled entries."""
-        return 0 if self._sim is None else self._sim.pending_events
-
     def _arm(self, due: float) -> None:
         """Keep exactly one loop wakeup armed, for ``due``."""
         if self._wakeup is not None:

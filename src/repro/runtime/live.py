@@ -79,7 +79,6 @@ def live_config() -> PastryConfig:
         heartbeat_period=2.0,
         probe_timeout=0.5,
         pns=False,
-        nearest_neighbour_join=False,
         self_tuning=False,
         per_hop_acks=True,
     )

@@ -196,10 +196,6 @@ class UdpTransport:
             self._transport.close()
             self._transport = None
 
-    @property
-    def local_address(self) -> Optional[Address]:
-        return self._local_addr
-
     def counters(self) -> Dict[str, int]:
         return {
             "messages_sent": self.messages_sent,

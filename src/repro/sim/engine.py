@@ -111,10 +111,6 @@ class EventHandle:
     def active(self) -> bool:
         return not self.cancelled
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "active"
-        return f"EventHandle(t={self.time:.6f}, {state})"
-
 
 def _noop(*_args: Any) -> None:
     return None

@@ -69,9 +69,3 @@ def failure_rate_series(
         for i in range(n_windows)
     ]
     return centres, rates
-
-
-def mean_failure_rate(trace: ChurnTrace) -> float:
-    """Trace-wide failures per node per second."""
-    _, rates = failure_rate_series(trace, trace.duration)
-    return rates[0]

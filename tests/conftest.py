@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
-from repro.pastry.nodeid import ID_SPACE, intern_descriptor, is_closer_root
+from repro.pastry.nodeid import (ID_SPACE, digit, intern_descriptor, is_closer_root,
+                                 shared_prefix_length)
 
 #: the overlay fuzzer's CI budget (``tests/test_overlay_fuzz.py`` runs a
 #: fixed derandomized search otherwise): ``--hypothesis-profile=ci``.  Not
@@ -66,6 +67,12 @@ def small_overlay():
     config = PastryConfig(leaf_set_size=8)
     sim, net, nodes = build_overlay(24, config=config, seed=101)
     return sim, net, nodes
+
+
+def slot_of(node, node_id, b=4):
+    """The (row, col) of ``node``'s routing table where ``node_id`` belongs."""
+    row = shared_prefix_length(node_id, node.id, b)
+    return row, digit(node_id, row, b)
 
 
 def fresh_overlay(n, **kwargs):

@@ -3,6 +3,7 @@
 import random
 
 from repro.overlay.utils import build_overlay
+from repro.pastry import acks
 from repro.pastry import messages as m
 from repro.pastry.acks import HopAckManager
 from repro.pastry.config import PastryConfig
@@ -24,8 +25,7 @@ def make_manager(sim, **overrides):
 
     manager = HopAckManager(
         sim,
-        RtoTable(initial_rto=0.5, rto_min=0.05, rto_max=6.0),
-        max_reroutes=overrides.get("max_reroutes", 3),
+        RtoTable(initial_rto=0.5, rto_min=0.05, variance_weight=2.0),
         reroute=reroute,
         suspect=lambda d: calls["suspect"].append(d),
         on_drop=lambda msg: calls["drop"].append(msg),
@@ -85,9 +85,10 @@ def test_exclusions_accumulate_across_reroutes():
     assert calls["reroute"][-1][1] == {5, 6}
 
 
-def test_drop_after_max_reroutes():
+def test_drop_after_max_reroutes(monkeypatch):
+    monkeypatch.setattr(acks, "MAX_REROUTES", 2)
     sim = Simulator()
-    manager, calls = make_manager(sim, max_reroutes=2, reroute_result=True)
+    manager, calls = make_manager(sim, reroute_result=True)
     msg = lookup()
     manager.track(msg, desc(1))
     sim.run(until=1.0)

@@ -60,9 +60,8 @@ def test_params_validation_rejects_bad_values(kwargs):
 
 
 def test_params_noop_detection():
-    assert AdversaryParams().is_noop
     for name, params in BEHAVIORS.items():
-        assert not params.is_noop, f"preset {name} does nothing"
+        assert params != AdversaryParams(), f"preset {name} does nothing"
 
 
 @pytest.mark.parametrize(
@@ -218,14 +217,12 @@ def test_adversary_fault_applies_and_reverts():
     schedule.install(sim, net, random.Random(99), offset=sim.now)
     start = sim.now
     sim.run(until=start + 20.0)
-    assert net.faults.active_faults["adversary_nodes"] == 3
     compromised = [n for n in nodes if n.adversary is not None]
     assert len(compromised) == 3
     # all chosen nodes of one event collude (self excluded from own list)
     for node in compromised:
         assert len(node.adversary.colluders) == 2
     sim.run(until=start + 60.0)
-    assert net.faults.active_faults["adversary_nodes"] == 0
     assert all(n.adversary is None for n in nodes)
 
 

@@ -150,10 +150,11 @@ def test_clear_gray_single_and_all():
     state.set_gray(a, GrayFailure.stuck())
     state.set_gray(b, GrayFailure.stuck())
     state.clear_gray(a)
-    assert state.gray_of(a) is None
-    assert state.gray_of(b) is not None
+    assert state.filter_send(a, b) is None
+    assert state.filter_send(b, a) == "gray"
     state.clear_gray()
-    assert state.gray_of(b) is None
+    assert state.filter_send(b, a) is None
+    assert not state.engaged
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_schedule_applies_and_reverts_at_the_right_times():
     assert "before" in delivered and "after" in delivered
     # The 50% split of a two-address population cuts a from b.
     assert "during" not in delivered
-    assert not state.partitioned
+    assert not state.engaged
 
 
 def test_schedule_validation_and_introspection():

@@ -97,7 +97,7 @@ def test_joiner_does_not_deliver_before_active():
 
 def test_join_retry_with_fresh_seed_after_seed_crash():
     sim, net, rng = make_env()
-    config = PastryConfig(leaf_set_size=8, nearest_neighbour_join=False)
+    config = PastryConfig(leaf_set_size=8, pns=False)
     a = spawn(sim, net, rng, config)
     a.join(None)
     b = spawn(sim, net, rng, config)
@@ -114,7 +114,7 @@ def test_join_retry_with_fresh_seed_after_seed_crash():
 
 def test_join_gives_up_after_max_attempts():
     sim, net, rng = make_env()
-    config = PastryConfig(leaf_set_size=8, nearest_neighbour_join=False)
+    config = PastryConfig(leaf_set_size=8, pns=False)
     a = spawn(sim, net, rng, config)
     a.join(None)
     a.crash()

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.pastry.config import PastryConfig
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import (
     HALF_SPACE,
     ID_SPACE,
     NodeDescriptor,
     clockwise_distance,
-    counter_clockwise_distance,
     ring_distance,
 )
 from tests.conftest import linear_covers, linear_root
@@ -28,9 +28,9 @@ def make(owner_id=1000, size=8):
 
 def test_rejects_odd_or_tiny_size():
     with pytest.raises(ValueError):
-        LeafSet(desc(1), 3)
+        PastryConfig(leaf_set_size=3)
     with pytest.raises(ValueError):
-        LeafSet(desc(1), 0)
+        PastryConfig(leaf_set_size=0)
 
 
 def test_owner_never_added():
@@ -195,7 +195,7 @@ def test_members_are_per_side_closest(owner_id, others, size):
         ls.add(desc(i))
     half = size // 2
     cw_sorted = sorted(unique, key=lambda i: clockwise_distance(owner_id, i))
-    ccw_sorted = sorted(unique, key=lambda i: counter_clockwise_distance(owner_id, i))
+    ccw_sorted = sorted(unique, key=lambda i: clockwise_distance(i, owner_id))
     assert [d.id for d in ls.right_side] == cw_sorted[:half]
     assert [d.id for d in ls.left_side] == ccw_sorted[:half]
 

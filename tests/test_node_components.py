@@ -15,7 +15,7 @@ from repro.overlay.invariants import KINDS, InvariantChecker
 from repro.overlay.oracle import Oracle
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
-from repro.pastry.config import PastryConfig
+from repro.pastry.config import FAILED_MEMORY, PastryConfig
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import NodeDescriptor
 from repro.pastry.state import (
@@ -79,10 +79,10 @@ def descs(n):
 # ----------------------------------------------------------------------
 # ProbeTable
 # ----------------------------------------------------------------------
-def probe_table(clock, max_retries):
+def probe_table(clock):
     exhausted = []
     table = ProbeTable(
-        clock, 3.0, max_retries,
+        clock, 3.0,
         send=lambda targets: clock.log.append(("send", tuple(d.id for d in targets))),
         exhausted=exhausted.append,
     )
@@ -91,7 +91,7 @@ def probe_table(clock, max_retries):
 
 def test_start_all_arms_every_timer_before_the_first_send():
     clock = FakeClock()
-    table, _ = probe_table(clock, max_retries=2)
+    table, _ = probe_table(clock)
     targets = descs(4)
     table.start_all(targets)
     ids = tuple(d.id for d in targets)
@@ -103,7 +103,7 @@ def test_start_all_arms_every_timer_before_the_first_send():
 
 def test_exhausted_after_exactly_max_retries_resends_still_pending():
     clock = FakeClock()
-    table, exhausted = probe_table(clock, max_retries=2)
+    table, exhausted = probe_table(clock)
     (target,) = descs(1)
     table.start(target)
 
@@ -123,7 +123,7 @@ def test_exhausted_after_exactly_max_retries_resends_still_pending():
 
 def test_resolve_and_cancel_all_stop_the_retries():
     clock = FakeClock()
-    table, exhausted = probe_table(clock, max_retries=2)
+    table, exhausted = probe_table(clock)
     a, b, c = descs(3)
     table.start_all([a, b, c])
     table.resolve(a.id)
@@ -137,7 +137,7 @@ def test_resolve_and_cancel_all_stop_the_retries():
 # ----------------------------------------------------------------------
 # FailureMemory
 # ----------------------------------------------------------------------
-MEMORY = 120.0
+MEMORY = FAILED_MEMORY
 POOL = descs(6)
 
 
@@ -159,7 +159,7 @@ _op = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 200.0), _op), max_size=40))
 def test_advertised_equals_recomputation_from_scratch(steps):
-    memory = FailureMemory(MEMORY, 600.0)
+    memory = FailureMemory()
     now = 0.0
     for dt, (op, arg) in steps:
         now += dt
@@ -173,16 +173,16 @@ def test_advertised_equals_recomputation_from_scratch(steps):
             for desc in memory.expire(now, lambda descs, keep=arg: {1000 + i for i in keep}):
                 assert desc.id not in memory.failed
         got = memory.advertised(now)
-        assert got == [
+        assert list(got) == [
             desc for node_id, desc in memory.failed.items()
             if memory.failed_at[node_id] >= now - MEMORY
         ]
-        got.clear()  # callers own their copy: the memo must not alias it
+        assert isinstance(got, tuple)  # one immutable snapshot, shared by its callers
         assert set(memory.failed) == set(memory.failed_at) <= set(memory.backoff)
 
 
 def test_mark_reports_news_once_and_backs_off():
-    memory = FailureMemory(MEMORY, 600.0)
+    memory = FailureMemory()
     (victim,) = descs(1)
     assert memory.mark(victim, 0.0, all_relevant) is True
     assert memory.expire(MEMORY, all_relevant) == [victim]
@@ -197,7 +197,7 @@ def _full_memory():
     """A memory holding ``MAX_FAILED_REMEMBERED`` failures, one a second
     (none is evicted yet, so none is asked whether it is leaf-relevant),
     and the descriptor of one failure more."""
-    memory = FailureMemory(MEMORY, 600.0)
+    memory = FailureMemory()
     *held, newcomer = descs(MAX_FAILED_REMEMBERED + 1)
     for t, desc in enumerate(held):
         assert memory.mark(desc, float(t), all_relevant)

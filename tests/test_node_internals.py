@@ -9,6 +9,7 @@ from repro.pastry.config import PastryConfig
 from repro.pastry.forwarding import MAX_BUFFERED
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import digit, random_nodeid, shared_prefix_length
+from tests.conftest import slot_of
 
 
 def overlay(seed=1001, n=16, **cfg):
@@ -25,7 +26,7 @@ def test_slot_request_finds_matching_entry():
     # Ask b for an entry for one of a's occupied slots: b should reply with
     # a node matching a's prefix constraints if it knows one.
     target = next(iter(nodes[2:])).descriptor
-    slot = a.routing_table.slot_for(target.id)
+    slot = slot_of(a, target.id)
     entry = b.forwarding.find_slot_entry(a.id, slot[0], slot[1])
     if entry is not None:
         assert shared_prefix_length(entry.id, a.id, 4) >= slot[0]
@@ -38,7 +39,7 @@ def test_slot_reply_probes_before_insert():
     candidate = next(
         n for n in nodes if n.id != a.id and n.id not in a.routing_table
     )
-    slot = a.routing_table.slot_for(candidate.id)
+    slot = slot_of(a, candidate.id)
     a.forwarding.on_slot_reply(
         candidate.addr, candidate.descriptor,
         m.SlotReply(row=slot[0], col=slot[1], entry=candidate.descriptor))
@@ -48,11 +49,24 @@ def test_slot_reply_probes_before_insert():
     assert candidate.id in a.routing_table or candidate.id in a.prox.proximity
 
 
+def test_slot_reply_without_pns_probes_the_entry():
+    """Without PNS there is no distance measurement: the repair rule's
+    direct message is a liveness probe."""
+    sim, _net, nodes = overlay(seed=1003, pns=False)
+    a = nodes[0]
+    candidate = next(n for n in nodes if n.id != a.id and n.id not in a.routing_table)
+    slot = slot_of(a, candidate.id)
+    a.forwarding.on_slot_reply(
+        candidate.addr, candidate.descriptor,
+        m.SlotReply(row=slot[0], col=slot[1], entry=candidate.descriptor))
+    assert candidate.id in a.probing.pending
+
+
 def test_slot_reply_ignores_self_and_failed():
     sim, net, nodes = overlay(seed=1005)
     a, b = nodes[0], nodes[1]
     a.failures.failed[b.id] = b.descriptor
-    slot = a.routing_table.slot_for(b.id)
+    slot = slot_of(a, b.id)
     a.routing_table.remove(b.id)
     before = net.messages_sent
     a.forwarding.on_slot_reply(
@@ -81,7 +95,7 @@ def test_buffer_capped():
 def test_buffered_join_request_served_after_activation():
     sim, net, nodes = overlay(seed=1009, n=8)
     rng = random.Random(2)
-    config = PastryConfig(leaf_set_size=8, nearest_neighbour_join=False)
+    config = PastryConfig(leaf_set_size=8, pns=False)
     # Two joiners: the second's join request lands (as root) on the first
     # while the first is still joining -> buffered, then served.
     first = MSPastryNode(sim, net, config, random_nodeid(rng), rng)

@@ -9,7 +9,6 @@ from repro.pastry.nodeid import (
     ID_BITS,
     ID_SPACE,
     clockwise_distance,
-    counter_clockwise_distance,
     digit,
     is_closer_root,
     key_of,
@@ -79,7 +78,7 @@ def test_ring_distance_wraps():
 
 def test_clockwise_vs_counter_clockwise():
     assert clockwise_distance(10, 15) == 5
-    assert counter_clockwise_distance(15, 10) == 5
+    assert clockwise_distance(15, 10) == ID_SPACE - 5  # the long way round
     assert clockwise_distance(ID_SPACE - 1, 1) == 2
 
 
@@ -118,7 +117,7 @@ def test_ring_distance_bounded_by_half_space(a, b):
 @given(ids, ids)
 def test_cw_ccw_complementary(a, b):
     if a != b:
-        assert clockwise_distance(a, b) + counter_clockwise_distance(a, b) == ID_SPACE
+        assert clockwise_distance(a, b) + clockwise_distance(b, a) == ID_SPACE
     else:
         assert clockwise_distance(a, b) == 0
 
@@ -126,7 +125,7 @@ def test_cw_ccw_complementary(a, b):
 @given(ids, ids)
 def test_ring_distance_is_min_of_directed(a, b):
     assert ring_distance(a, b) == min(
-        clockwise_distance(a, b), counter_clockwise_distance(a, b)
+        clockwise_distance(a, b), clockwise_distance(b, a)
     )
 
 

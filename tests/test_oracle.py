@@ -58,12 +58,12 @@ def test_alive_vs_active_distinct():
     oracle = Oracle()
     node = FakeNode(5)
     oracle.node_alive(node)
-    assert oracle.alive_count == 1
+    assert oracle.alive_ids() == [5]
     assert oracle.active_count == 0
     oracle.node_activated(node)
     assert oracle.active_count == 1
     oracle.node_crashed(node)
-    assert oracle.alive_count == 0
+    assert oracle.alive_ids() == []
     assert oracle.active_count == 0
 
 

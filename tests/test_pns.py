@@ -5,6 +5,7 @@ from repro.network.simple import EuclideanTopology
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
+from tests.conftest import slot_of
 
 
 def euclid_overlay(n=20, seed=51, **cfg):
@@ -43,12 +44,8 @@ def test_routing_tables_prefer_nearby_entries():
     by_id = {n.id: n for n in nodes}
     for node in nodes:
         for entry in node.routing_table.entries():
-            slot = node.routing_table.slot_for(entry.id)
-            candidates = [
-                p
-                for p in nodes
-                if p.id != node.id and node.routing_table.slot_for(p.id) == slot
-            ]
+            slot = slot_of(node, entry.id)
+            candidates = [p for p in nodes if p.id != node.id and slot_of(node, p.id) == slot]
             if len(candidates) < 2:
                 continue
             total += 1
@@ -141,7 +138,7 @@ def test_row_announce_triggers_consideration():
     )
     if unknown is None:
         return  # everyone known in this tiny overlay; nothing to assert
-    row = a.routing_table.slot_for(unknown.id)[0]
+    row = slot_of(a, unknown.id)[0]
     a.prox.on_row_announce(
         nodes[1].addr, nodes[1].descriptor, m.RowAnnounce(row=row, entries=[unknown.descriptor])
     )

@@ -1,5 +1,6 @@
 """Unit and property tests for the routing table."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,7 +32,23 @@ def test_dimensions():
 
 def test_slot_for_owner_is_none():
     table = make(owner_id=42)
-    assert table.slot_for(42) is None
+    assert table.next_hop(42) is None  # the owner matches every digit of itself
+    assert not table.add(NodeDescriptor(id=42, addr=7))
+    assert 42 not in table
+
+
+@pytest.mark.parametrize("b", [3, 5])
+def test_partial_final_digit_slot(b):
+    """When b does not divide 128 the last row's digit is short: an id that
+    differs from the owner only in those bits lands there, one column per
+    value of the short digit."""
+    table = make(owner_id=0, b=b)
+    last = table.rows - 1
+    for low in range(1, 1 << (128 - last * b)):
+        assert table.add(desc(low))
+        assert table.get(last, digit(low, last, b)).id == low
+        assert table.next_hop(low).id == low
+    assert table.occupied_rows() == [last]
 
 
 def test_add_fills_slot_by_prefix():
@@ -120,8 +137,8 @@ def test_entry_for():
     table = make()
     a = 0x9 << 124
     table.add(desc(a))
-    assert table.entry_for(a).id == a
-    assert table.entry_for(123) is None
+    assert a in table and table.get(0, 9).id == a
+    assert 123 not in table
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for TCP-style RTT estimation and per-destination RTO tables."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +64,7 @@ def test_seed_only_applies_when_unset():
 
 
 def test_table_default_and_sampled():
-    table = RtoTable(initial_rto=0.5, rto_min=0.05, rto_max=6.0)
+    table = RtoTable(initial_rto=0.5, rto_min=0.05, variance_weight=2.0)
     assert table.rto(1) == 0.5  # unknown destination
     table.sample(1, 0.1)
     assert table.rto(1) < 0.5
@@ -71,14 +72,14 @@ def test_table_default_and_sampled():
 
 
 def test_table_seed():
-    table = RtoTable()
+    table = RtoTable(0.5, 0.05, 2.0)
     table.seed(5, 0.2)
     assert table.rto(5) < table.initial_rto + 1e-9
 
 
 def test_table_eviction_bounds_size(monkeypatch):
     monkeypatch.setattr(rto, "MAX_RTO_ENTRIES", 4)
-    table = RtoTable()
+    table = RtoTable(0.5, 0.05, 2.0)
     for addr in range(10):
         table.sample(addr, 0.1)
     assert len(table._table) <= 4
@@ -112,12 +113,17 @@ def test_table_is_bit_identical_to_the_estimator(bounds, from_no_sample, ops):
     sample, through both clamps."""
     initial, rto_min, rto_max, weight = bounds
     est = RttEstimator(initial, rto_min, rto_max, variance_weight=weight)
-    table = RtoTable(initial, rto_min, rto_max, variance_weight=weight)
+    with pytest.MonkeyPatch.context() as patch:  # one ceiling per example
+        patch.setattr(rto, "RTO_MAX", rto_max)
+        _replay(est, RtoTable(initial, rto_min, weight), from_no_sample, ops)
+
+
+def _replay(est, table, from_no_sample, ops):
     if from_no_sample:
         table._table[7] = complex(float("nan"), est.rttvar)
         assert table.rto(7).hex() == est.rto.hex()
     else:
-        assert table.rto(7) == initial  # unknown destination: unclamped
+        assert table.rto(7) == table.initial_rto  # unknown destination: unclamped
         ops = [(False, 0.25)] + ops
     for is_seed, rtt in ops:
         if is_seed:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
+from repro.pastry import selftuning
 from repro.pastry.config import RT_PROBE_PERIOD_MAX, PastryConfig
 from repro.pastry.leafset import LeafSet
 from repro.pastry.nodeid import ID_SPACE, NodeDescriptor
@@ -163,20 +164,21 @@ def test_estimate_empty_leafset():
 # mu estimation
 # ----------------------------------------------------------------------
 def test_mu_zero_without_history():
-    est = FailureRateEstimator(8)
+    est = FailureRateEstimator()
     assert est.estimate(100.0, 50) == 0.0
 
 
 def test_mu_partial_history_uses_now():
-    est = FailureRateEstimator(8)
+    est = FailureRateEstimator()
     est.start(0.0)
     est.record_failure(10.0)
     # 2 entries (join marker + failure), span = now - first = 100
     assert est.estimate(100.0, 50) == pytest.approx(2 / (50 * 100.0))
 
 
-def test_mu_full_history_uses_span():
-    est = FailureRateEstimator(4)
+def test_mu_full_history_uses_span(monkeypatch):
+    monkeypatch.setattr(selftuning, "FAILURE_HISTORY_SIZE", 4)
+    est = FailureRateEstimator()
     est.start(0.0)
     for t in (10.0, 20.0, 30.0):
         est.record_failure(t)
@@ -190,7 +192,7 @@ def test_mu_matches_true_rate_poisson():
 
     rng = random.Random(3)
     m_nodes, mu = 40, 1e-3
-    est = FailureRateEstimator(16)
+    est = FailureRateEstimator()  # K = FAILURE_HISTORY_SIZE = 16
     est.start(0.0)
     t = 0.0
     for _ in range(200):

@@ -19,6 +19,11 @@ from repro.sim.rng import RngStreams
 from tests.conftest import EagerMercatorMap
 
 
+def as_members(topo, as_id):
+    """The routers of one Mercator AS, in order."""
+    return [r for r, a in enumerate(topo._router_as) if a == as_id]
+
+
 def attach_n(topology, n, seed=1):
     rng = random.Random(seed)
     return [topology.attach(rng) for _ in range(n)]
@@ -78,8 +83,8 @@ def test_transit_stub_end_nodes_attach_to_stub_routers():
     rng = random.Random(2)
     topo = TransitStubTopology.scaled(rng, scale=0.2)
     stub_set = set(topo._stub_routers)
-    for attachment in attach_n(topo, 20):
-        assert topo.router_of(attachment) in stub_set
+    attach_n(topo, 20)
+    assert set(topo.attachment_routers.tolist()) <= stub_set
 
 
 def test_transit_stub_local_cluster_is_closer():
@@ -89,7 +94,7 @@ def test_transit_stub_local_cluster_is_closer():
     topo = TransitStubTopology.scaled(rng, scale=0.3)
     a = topo.attach(rng)
     b = topo.attach(rng)
-    while topo.router_of(b) != topo.router_of(a):
+    while topo.attachment_routers[b] != topo.attachment_routers[a]:
         b = topo.attach(rng)
     rng2 = random.Random(4)
     others = [topo.attach(rng2) for _ in range(30)]
@@ -125,8 +130,8 @@ def test_mercator_same_as_shorter_than_cross_as():
     rng = random.Random(8)
     topo = HierarchicalASTopology(rng, n_as=24, routers_per_as=8)
     # two routers in the same AS and two in different ASes
-    same = topo.routers_of(0)[:2]
-    cross = (topo.routers_of(0)[0], topo.routers_of(12)[0])
+    same = as_members(topo, 0)[:2]
+    cross = (as_members(topo, 0)[0], as_members(topo, 12)[0])
     assert topo.router_hops(same[0], same[1]) <= topo.router_hops(*cross)
 
 
@@ -160,7 +165,7 @@ def _assert_same_map_as_eager_build(rng_class, seed, n_as, routers_per_as):
     assert topo.n_routers == ref.n_routers
     assert topo._router_as == ref._router_as
     assert topo._gateway == ref._gateway
-    assert [list(topo.routers_of(a)) for a in range(n_as)] == ref._as_members
+    assert [as_members(topo, a) for a in range(n_as)] == ref._as_members
     routers = range(topo.n_routers)
     # router_hops caches per unordered pair: ask each direction on a cold cache
     for forward in (True, False):

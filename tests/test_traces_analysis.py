@@ -5,7 +5,6 @@ import pytest
 from repro.traces.analysis import (
     active_count_series,
     failure_rate_series,
-    mean_failure_rate,
 )
 from repro.traces.events import ARRIVAL, FAILURE, ChurnTrace, TraceEvent
 
@@ -63,7 +62,7 @@ def test_mean_failure_rate_matches_expectation():
     from repro.traces.synthetic import generate_poisson_trace
 
     trace = generate_poisson_trace(random.Random(1), 300, 600.0, 3600.0)
-    mu = mean_failure_rate(trace)
+    _, (mu,) = failure_rate_series(trace, trace.duration)  # one trace-wide window
     assert mu == pytest.approx(1 / 600.0, rel=0.15)
 
 
