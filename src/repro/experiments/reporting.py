@@ -60,24 +60,25 @@ def reconvergence(row) -> str:
     return "never" if value is None else f"{value:.0f}s"
 
 
-def format_series(
-    name: str, series: List[Tuple[float, float]], time_unit: float = 3600.0,
-    unit_label: str = "h",
-) -> str:
-    """One-line-per-point rendering of a time series."""
+#: points a time series keeps for terminal display
+SERIES_POINTS = 24
+
+
+def format_series(name: str, series: List[Tuple[float, float]]) -> str:
+    """One-line-per-point rendering of a time series, time in hours."""
     lines = [name]
     for t, value in series:
-        lines.append(f"  t={t / time_unit:7.2f}{unit_label}  {_fmt(value)}")
+        lines.append(f"  t={t / 3600.0:7.2f}h  {_fmt(value)}")
     return "\n".join(lines)
 
 
-def downsample(series: List[Tuple[float, float]], max_points: int = 24):
-    """Thin a series for terminal display.
+def downsample(series: List[Tuple[float, float]]):
+    """Thin a series to ``SERIES_POINTS`` for terminal display.
 
     Keeps both endpoints — the final sample carries the end state of the
     run, which the old stride-based thinning could silently drop.
     """
-    if len(series) <= max_points or max_points < 2:
+    if len(series) <= SERIES_POINTS:
         return series
-    step = (len(series) - 1) / (max_points - 1)
-    return [series[round(i * step)] for i in range(max_points)]
+    step = (len(series) - 1) / (SERIES_POINTS - 1)
+    return [series[round(i * step)] for i in range(SERIES_POINTS)]

@@ -147,9 +147,6 @@ class FaultSchedule:
         )
         self.validate()
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def validate(self) -> None:
         """Reject same-kind events whose windows overlap with different ends.
 
@@ -177,14 +174,6 @@ class FaultSchedule:
                     latest[kind] = (event.end, event)
             else:
                 latest[kind] = (event.end, event)
-
-    def windows(self) -> List[Tuple[float, float]]:
-        """``(start, end)`` of every event, in schedule-relative time."""
-        return [(e.start, e.end) for e in self.events]
-
-    @property
-    def last_end(self) -> float:
-        return max((e.end for e in self.events), default=0.0)
 
     def install(
         self,

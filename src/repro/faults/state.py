@@ -47,8 +47,8 @@ class GrayFailure:
         return cls(out_drop=1.0)
 
     @classmethod
-    def slow(cls, factor: float = 5.0, add: float = 0.0) -> "GrayFailure":
-        return cls(delay_factor=factor, delay_add=add)
+    def slow(cls, factor: float = 5.0) -> "GrayFailure":
+        return cls(delay_factor=factor)
 
     @classmethod
     def lossy(cls, out_drop: float = 0.5) -> "GrayFailure":

@@ -7,14 +7,21 @@ code: they observe time through ``clock.now``, arm timers through
 sockets, topologies, asyncio loops — lives behind the two Protocols in
 this module:
 
-* :class:`Clock` — ``now`` plus the three scheduling flavours of
-  :class:`repro.sim.engine.Simulator`.  The simulation implementation is
-  the discrete-event engine itself; the real-socket implementation is
-  :class:`repro.runtime.clock.AsyncioClock`, which drives a ``Simulator``
-  queue from the asyncio loop, so timers are one implementation.
-* :class:`Transport` — the address/handler/send surface of
-  :class:`repro.network.transport.Network`.  The real-socket
-  implementation is :class:`repro.runtime.transport.UdpTransport`.
+* :class:`Clock` — ``now`` and ``schedule``.  The simulation
+  implementation is the discrete-event engine itself; the real-socket
+  implementation is :class:`repro.runtime.clock.AsyncioClock`, which drives
+  a ``Simulator`` queue from the asyncio loop, so timers are one
+  implementation.
+* :class:`Transport` — ``attach``, ``register``, ``deregister`` and
+  ``send``.  The simulation implementation is
+  :class:`repro.network.transport.Network`; the real-socket implementation
+  is :class:`repro.runtime.transport.UdpTransport`.
+
+The seam declares what ``MSPastryNode`` calls and nothing more, so a new
+substrate writes six members.  ``Simulator.schedule_at`` /
+``schedule_call`` and ``Network.owner_of`` / ``addresses`` are the
+simulator's own API: the runner, the transport and the fault layer call
+them on the concrete classes.
 
 Both implementations are structurally checked against these Protocols by
 ``tests/test_interfaces.py`` and by mypy (``repro/interfaces.py`` and the
@@ -30,14 +37,7 @@ address structure — it only stores, compares and passes them back.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Any, Callable, Protocol, runtime_checkable
 
 #: opaque network address (substrate-defined packing)
 Address = int
@@ -89,18 +89,6 @@ class Clock(Protocol):
         """Run ``callback(*args)`` after ``delay`` seconds; cancellable."""
         ...
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> TimerHandle:
-        """Run ``callback(*args)`` at absolute ``time``; cancellable."""
-        ...
-
-    def schedule_call(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, never cancelled."""
-        ...
-
 
 @runtime_checkable
 class Transport(Protocol):
@@ -118,17 +106,6 @@ class Transport(Protocol):
 
     def deregister(self, address: Address) -> None:
         """Crash/leave: future deliveries to ``address`` are dropped."""
-        ...
-
-    def is_registered(self, address: Address) -> bool:
-        ...
-
-    def owner_of(self, address: Address) -> Optional[Any]:
-        """The node object registered at ``address`` (None if anonymous)."""
-        ...
-
-    def addresses(self) -> List[Address]:
-        """All currently registered addresses, in registration order."""
         ...
 
     def send(self, src: Address, dst: Address, msg: Any) -> None:

@@ -23,6 +23,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.pastry.messages import CONTROL_CATEGORIES, wire_size
 
+#: a lookup issued at least this many seconds before the run ended is
+#: settled: undelivered, it counts as lost rather than in flight
+SETTLE_GRACE = 60.0
+
 
 def _window_counter() -> Dict[int, int]:
     """Inner factory for per-category windowed counts (module level so the
@@ -154,30 +158,30 @@ class StatsCollector:
     # ------------------------------------------------------------------
     # Aggregate metrics (paper §5.2)
     # ------------------------------------------------------------------
-    def _settled_lookups(self, grace: float = 60.0) -> List[LookupRecord]:
+    def _settled_lookups(self) -> List[LookupRecord]:
         """Lookups old enough that non-delivery means loss, not in-flight."""
-        horizon = (self.end_time or 0.0) - grace
+        horizon = (self.end_time or 0.0) - SETTLE_GRACE
         return [r for r in self.lookups.values() if r.sent_at <= horizon]
 
     @property
     def n_lookups(self) -> int:
         return len(self.lookups)
 
-    def loss_rate(self, grace: float = 60.0) -> float:
-        settled = self._settled_lookups(grace)
+    def loss_rate(self) -> float:
+        settled = self._settled_lookups()
         if not settled:
             return 0.0
         lost = sum(1 for r in settled if r.delivered_at is None)
         return lost / len(settled)
 
-    def incorrect_delivery_rate(self, grace: float = 60.0) -> float:
-        settled = self._settled_lookups(grace)
+    def incorrect_delivery_rate(self) -> float:
+        settled = self._settled_lookups()
         if not settled:
             return 0.0
         incorrect = sum(1 for r in settled if r.correct is False)
         return incorrect / len(settled)
 
-    def routing_consistency(self, grace: float = 60.0) -> float:
+    def routing_consistency(self) -> float:
         """Fraction of settled lookups delivered to the true oracle owner.
 
         The adversarial-dependability probe: unlike ``loss_rate`` (which
@@ -186,7 +190,7 @@ class StatsCollector:
         misdelivered lookup all score zero, so an attack cannot trade one
         failure mode for another to look good.  1.0 when nothing settled.
         """
-        settled = self._settled_lookups(grace)
+        settled = self._settled_lookups()
         if not settled:
             return 1.0
         correct = sum(1 for r in settled if r.correct is True)

@@ -123,9 +123,6 @@ class Network:
         """The node object registered at ``address`` (None if anonymous)."""
         return self._owners.get(address)
 
-    def is_registered(self, address: Address) -> bool:
-        return address in self._handlers
-
     def addresses(self) -> List[Address]:
         """All currently registered addresses (fault targeting, audits).
 

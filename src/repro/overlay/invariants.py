@@ -20,11 +20,11 @@ Checked invariants (per sweep, counts per kind):
     next time A contacts it (a heartbeat, a routed lookup, or A's
     periodic routing-state probe — worst case one state-sweep period
     away), so a pair counts as a violation only once it has stayed
-    inconsistent for ``mutual_grace`` seconds.
+    inconsistent for ``MUTUAL_GRACE`` seconds.
 ``dead_leaf`` / ``dead_rt``
     No leaf-set (routing-table) entry still points at a node that has been
-    dead longer than the detection machinery needs (``leaf_grace`` /
-    ``rt_grace`` seconds).  An entry that binds a live id to an address that
+    dead longer than the detection machinery needs (``LEAF_GRACE`` /
+    ``RT_GRACE`` seconds).  An entry that binds a live id to an address that
     is not that node's own reaches no one who answers for the id either, so
     it counts the same way once it has been held for the same grace.  Fresh
     corpses are not violations: immediate
@@ -32,9 +32,9 @@ Checked invariants (per sweep, counts per kind):
     usually ripple outward fast, but the only *guaranteed* cleanup of a
     dead member far along a leaf-set side — or of a routing-table entry —
     is the periodic state sweep (``pastry.config.STATE_SWEEP_PERIOD``,
-    900 s).  The default graces sit just past one (leaf sets) and two
-    (routing tables) sweep periods so only state that outlived its cleanup
-    guarantee counts as a violation.
+    900 s).  The graces sit just past one (leaf sets) and two (routing
+    tables) sweep periods so only state that outlived its cleanup guarantee
+    counts as a violation.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ from repro.sim.periodic import PeriodicTask
 
 #: violation kinds, in reporting order
 KINDS = ("ring", "leafset_mutual", "dead_leaf", "dead_rt")
+#: seconds a dead or misbound leaf-set entry may stand: one state sweep
+LEAF_GRACE = 960.0
+#: ... and a routing-table entry: two state sweeps
+RT_GRACE = 1860.0
+#: seconds a one-sided leaf-set pair may stand: one state sweep
+MUTUAL_GRACE = 960.0
 
 
 class InvariantChecker:
@@ -64,17 +70,11 @@ class InvariantChecker:
         oracle: Oracle,
         period: float = 30.0,
         on_report: Optional[Callable[[float, Dict[str, int]], None]] = None,
-        leaf_grace: float = 960.0,
-        rt_grace: float = 1860.0,
-        mutual_grace: float = 960.0,
         start_delay: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.oracle = oracle
         self.on_report = on_report
-        self.leaf_grace = leaf_grace
-        self.rt_grace = rt_grace
-        self.mutual_grace = mutual_grace
         self.sweeps = 0
         self._death_time: Dict[int, float] = {}
         self._mutual_since: Dict[Tuple[int, int], float] = {}
@@ -147,7 +147,7 @@ class InvariantChecker:
             node = get_active(node_id)
             for desc in node.leaf_set.members():
                 addr = address(desc.id)
-                if addr != desc.addr and stale(desc, addr, self.leaf_grace, misbound):
+                if addr != desc.addr and stale(desc, addr, LEAF_GRACE, misbound):
                     counts["dead_leaf"] += 1
                 peer = get_active(desc.id)
                 if peer is None:
@@ -159,11 +159,11 @@ class InvariantChecker:
                     pair = (node_id, desc.id)
                     mutual_now.add(pair)
                     since = self._mutual_since.setdefault(pair, now)
-                    if now - since >= self.mutual_grace:
+                    if now - since >= MUTUAL_GRACE:
                         counts["leafset_mutual"] += 1
             for desc in node.routing_table.entries():
                 addr = address(desc.id)
-                if addr != desc.addr and stale(desc, addr, self.rt_grace, misbound):
+                if addr != desc.addr and stale(desc, addr, RT_GRACE, misbound):
                     counts["dead_rt"] += 1
 
         # pairs that repaired themselves stop aging

@@ -91,8 +91,7 @@ class OverlayRunner:
             self.sim, topology, streams.stream("network"), loss_rate
         )
         self.oracle = Oracle()
-        self.collector: Optional[StatsCollector] = None
-        self.stats_window = stats_window
+        self.collector = StatsCollector(window=stats_window)
         self.lookup_rate = lookup_rate
         self._node_rng = streams.stream("nodes")
         self._seed_rng = streams.stream("seeds")
@@ -157,18 +156,18 @@ class OverlayRunner:
             self._never_activated += 1
         node.crash()
         self.oracle.node_crashed(node)
-        if was_active and self.collector is not None and self.sim.now >= self._t0:
+        if was_active and self.sim.now >= self._t0:
             self.collector.on_active_change(self.sim.now - self._t0, -1)
 
     def _on_active(self, node: MSPastryNode) -> None:
         self.oracle.node_activated(node)
-        if self.collector is not None and self.sim.now >= self._t0:
+        if self.sim.now >= self._t0:
             self.collector.on_active_change(self.sim.now - self._t0, +1)
             self.collector.on_join(self.sim.now - node.joined_at)
             self.workload.start_node(node)
 
     def _on_deliver(self, node: MSPastryNode, msg) -> None:
-        if self.collector is None or self.sim.now < self._t0:
+        if self.sim.now < self._t0:
             return
         correct = self.oracle.is_correct_root(node.id, msg.key)
         delay = self.topology.delay(msg.source.addr, node.addr)
@@ -176,11 +175,11 @@ class OverlayRunner:
             msg, self.sim.now - self._t0, correct, delay if delay > 0 else None)
 
     def _on_drop(self, node: MSPastryNode, msg) -> None:
-        if self.collector is not None and self.sim.now >= self._t0:
+        if self.sim.now >= self._t0:
             self.collector.on_lookup_dropped(msg, self.sim.now - self._t0)
 
     def _on_lookup_issued(self, msg) -> None:
-        if self.collector is not None and self.sim.now >= self._t0:
+        if self.sim.now >= self._t0:
             self.collector.on_lookup_issued(msg, self.sim.now - self._t0)
 
     # ------------------------------------------------------------------
@@ -209,7 +208,6 @@ class OverlayRunner:
                     [None] * (slots - len(self._population)))
         warmup = len(initial) * WARMUP_JOIN_INTERVAL + WARMUP_SETTLE
         self._t0 = warmup
-        self.collector = StatsCollector(window=self.stats_window)
 
         if self.fault_schedule is not None:
             self.fault_schedule.install(

@@ -30,7 +30,6 @@ class LookupWorkload:
         self.rng = rng
         self.rate = rate
         self.on_issue = on_issue
-        self.enabled = True
         self.issued = 0
 
     def start_node(self, node) -> None:
@@ -43,7 +42,7 @@ class LookupWorkload:
     def _fire(self, node) -> None:
         if node.crashed:
             return
-        if self.enabled and node.active:
+        if node.active:
             msg = node.make_lookup(self.rng.getrandbits(128) % ID_SPACE)
             self.issued += 1
             if self.on_issue is not None:

@@ -1,4 +1,5 @@
-"""Wall-clock implementation of the :class:`repro.interfaces.Clock` seam.
+"""Wall-clock implementation of the :class:`repro.interfaces.Clock` seam:
+``now`` and ``schedule``, nothing more.
 
 The timers live in a :class:`repro.sim.engine.Simulator`, so both
 substrates share one queue, one handle class, lazy cancellation and
@@ -60,7 +61,6 @@ class AsyncioClock:
             raise RuntimeError("clock is closed")
         # The simulator raises on a negative delay; on a real clock it is
         # routine skew (the deadline passed while we computed it): clamp.
-        # Straight into the queue, not via schedule_at: a frame less.
         time = self._time() - self._origin
         if delay > 0.0:
             time += delay
@@ -68,23 +68,6 @@ class AsyncioClock:
         if time < self._wakeup_time:
             self._arm(time)
         return handle
-
-    def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> EventHandle:
-        sim = self._sim
-        if sim is None:
-            raise RuntimeError("clock is closed")
-        if time < sim.now:
-            time = sim.now  # overdue: first in line
-        handle = sim.schedule_at(time, callback, *args)
-        if time < self._wakeup_time:
-            self._arm(time)
-        return handle
-
-    def schedule_call(self, delay: float, callback: Callable[..., None],
-                      *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule` (handle discarded)."""
-        self.schedule(delay, callback, *args)
 
     def _arm(self, due: float) -> None:
         """Keep exactly one loop wakeup armed, for ``due``."""

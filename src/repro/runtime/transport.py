@@ -34,7 +34,7 @@ import functools
 import logging
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.interfaces import Address, Handler
 from repro.runtime.wire import WireError, decode_frame, encode_frame
@@ -91,8 +91,8 @@ class UdpTransport:
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._local_addr: Optional[Address] = None
         self._attached = False
-        self._handlers: Dict[Address, Handler] = {}
-        self._owners: Dict[Address, Any] = {}
+        #: the one node's handler; None until registered and after deregister
+        self._handler: Optional[Handler] = None
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped_dead = 0
@@ -131,26 +131,16 @@ class UdpTransport:
 
     def register(self, address: Address, handler: Handler,
                  owner: Any = None) -> None:
+        """Bind the node's handler; ``owner`` is the seam's, and unused."""
         if address != self._local_addr:
             raise ValueError(
                 f"cannot register foreign address {address} on a socket "
                 f"bound to {self._local_addr}")
-        self._handlers[address] = handler
-        if owner is not None:
-            self._owners[address] = owner
+        self._handler = handler
 
     def deregister(self, address: Address) -> None:
-        self._handlers.pop(address, None)
-        self._owners.pop(address, None)
-
-    def is_registered(self, address: Address) -> bool:
-        return address in self._handlers
-
-    def owner_of(self, address: Address) -> Optional[Any]:
-        return self._owners.get(address)
-
-    def addresses(self) -> List[Address]:
-        return list(self._handlers)
+        if address == self._local_addr:
+            self._handler = None
 
     def send(self, src: Address, dst: Address, msg: Any) -> None:
         if self._transport is None or self._transport.is_closing():
@@ -176,9 +166,7 @@ class UdpTransport:
         except ValueError:  # a WireError, or pack_addr refusing source port 0
             self.messages_malformed += 1
             return
-        if self._local_addr is None:
-            return
-        handler = self._handlers.get(self._local_addr)
+        handler = self._handler
         if handler is None:
             self.messages_dropped_dead += 1
             return

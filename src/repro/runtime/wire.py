@@ -214,11 +214,6 @@ _TYPE_TO_ID: Dict[type, int] = {cls: tid for tid, cls, _ in _REGISTRY}
 _TYPE_TO_FIELDS = {cls: fields for _, cls, fields in _REGISTRY}
 
 
-def wire_types() -> List[type]:
-    """Every message class with a wire codec (registry order)."""
-    return [cls for _, cls, _ in _REGISTRY]
-
-
 # ----------------------------------------------------------------------
 # Plan compiler: one registry entry -> (frame encoder, body decoder)
 # ----------------------------------------------------------------------

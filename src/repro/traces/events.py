@@ -56,11 +56,3 @@ class ChurnTrace:
                 if start is not None:
                     sessions.append(event.time - start)
         return sessions
-
-    def truncated(self, duration: float) -> "ChurnTrace":
-        """A copy of the trace cut off at ``duration`` seconds."""
-        return ChurnTrace(
-            name=self.name,
-            events=[e for e in self.events if e.time <= duration],
-            duration=min(duration, self.duration),
-        )

@@ -214,7 +214,7 @@ def test_format_table_alignment():
 
 def test_format_series_and_downsample():
     series = [(float(i) * 3600, float(i)) for i in range(100)]
-    thin = downsample(series, max_points=10)
-    assert len(thin) == 10
+    thin = downsample(series)
+    assert len(thin) == 24
     rendered = format_series("x", thin)
     assert rendered.startswith("x")

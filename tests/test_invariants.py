@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics.collector import StatsCollector
+from repro.overlay import invariants
 from repro.overlay.invariants import KINDS, InvariantChecker
 from repro.overlay.oracle import Oracle
 from repro.pastry.nodeid import intern_descriptor
@@ -34,23 +35,34 @@ def settled(n=16, seed=404):
     return sim, net, nodes, oracle
 
 
-def make_checker(oracle, sim=None, **kwargs):
-    checker = InvariantChecker(sim or FakeSim(), oracle, **kwargs)
+def make_checker(oracle, sim=None):
+    checker = InvariantChecker(sim or FakeSim(), oracle)
     checker.stop()
     return checker
 
 
+@pytest.fixture
+def grace(monkeypatch):
+    """Set the checker's grace constants (seconds) for one test; the
+    checker reads them at every sweep."""
+    def set_graces(leaf=None, rt=None, mutual=None):
+        for name, value in (("LEAF_GRACE", leaf), ("RT_GRACE", rt),
+                            ("MUTUAL_GRACE", mutual)):
+            if value is not None:
+                monkeypatch.setattr(invariants, name, value)
+    return set_graces
+
+
 # ----------------------------------------------------------------------
-def test_healthy_overlay_has_zero_violations_even_with_zero_grace():
+def test_healthy_overlay_has_zero_violations_even_with_zero_grace(grace):
     _, _, _, oracle = settled()
-    checker = make_checker(
-        oracle, leaf_grace=0.0, rt_grace=0.0, mutual_grace=0.0
-    )
+    grace(leaf=0.0, rt=0.0, mutual=0.0)
+    checker = make_checker(oracle)
     counts = checker.check_now()
     assert counts == {kind: 0 for kind in KINDS}
 
 
-def test_checker_detects_injected_ring_break():
+def test_checker_detects_injected_ring_break(grace):
     # Deliberately unrepaired: we corrupt state and never run the sim, so
     # the protocol gets no chance to fix it — the checker must still see it.
     _, _, nodes, oracle = settled()
@@ -59,7 +71,8 @@ def test_checker_detects_injected_ring_break():
     successor = ids[1]
     victim.leaf_set.remove(successor)
 
-    checker = make_checker(oracle, mutual_grace=0.0)
+    grace(mutual=0.0)
+    checker = make_checker(oracle)
     counts = checker.check_now()
     assert counts["ring"] >= 1
     # The severed successor still lists the victim, and the victim would
@@ -67,7 +80,7 @@ def test_checker_detects_injected_ring_break():
     assert counts["leafset_mutual"] >= 1
 
 
-def test_mutual_violations_age_through_the_grace_window():
+def test_mutual_violations_age_through_the_grace_window(grace):
     sim_clock = FakeSim(now=1000.0)
     _, _, nodes, oracle = settled()
     ids = oracle.active_ids()
@@ -75,7 +88,8 @@ def test_mutual_violations_age_through_the_grace_window():
     removed = victim.leaf_set.get(ids[1])
     victim.leaf_set.remove(ids[1])
 
-    checker = make_checker(oracle, sim=sim_clock, mutual_grace=100.0)
+    grace(mutual=100.0)
+    checker = make_checker(oracle, sim=sim_clock)
     assert checker.check_now()["leafset_mutual"] == 0  # fresh: not yet
 
     sim_clock.now += 99.0
@@ -91,29 +105,25 @@ def test_mutual_violations_age_through_the_grace_window():
     assert checker.check_now()["leafset_mutual"] == 0  # aging restarted
 
 
-def test_dead_references_counted_after_grace_only():
+def test_dead_references_counted_after_grace_only(grace):
     sim_clock = FakeSim(now=0.0)
     _, _, nodes, oracle = settled()
     corpse = nodes[3]
     corpse.crash()
     oracle.node_crashed(corpse)
 
-    strict = make_checker(
-        oracle, sim=sim_clock, leaf_grace=0.0, rt_grace=0.0, mutual_grace=0.0
-    )
-    counts = strict.check_now()
+    grace(leaf=0.0, rt=0.0, mutual=0.0)
+    counts = make_checker(oracle, sim=sim_clock).check_now()
     assert counts["dead_leaf"] >= 1
     assert counts["dead_rt"] >= 1
 
-    lenient = make_checker(
-        oracle, sim=sim_clock, leaf_grace=1e9, rt_grace=1e9, mutual_grace=0.0
-    )
-    counts = lenient.check_now()
+    grace(leaf=1e9, rt=1e9)
+    counts = make_checker(oracle, sim=sim_clock).check_now()
     assert counts["dead_leaf"] == 0
     assert counts["dead_rt"] == 0
 
 
-def test_a_live_id_at_a_foreign_address_counts_as_dead_after_grace():
+def test_a_live_id_at_a_foreign_address_counts_as_dead_after_grace(grace):
     """An entry that binds a live id to another address reaches no one who
     answers for the id; looked up by id alone it used to read as healthy."""
     sim_clock = FakeSim(now=0.0)
@@ -125,8 +135,8 @@ def test_a_live_id_at_a_foreign_address_counts_as_dead_after_grace():
         spoofed = intern_descriptor(desc.id, 0xDEAD0000 + desc.addr)
         node.leaf_set.add(spoofed)  # a member's address is overwritten
         node.routing_table.add(spoofed)  # and so is a slot holder's
-    checker = make_checker(oracle, sim=sim_clock, leaf_grace=100.0,
-                           rt_grace=100.0, mutual_grace=1e9)
+    grace(leaf=100.0, rt=100.0, mutual=1e9)
+    checker = make_checker(oracle, sim=sim_clock)
     assert checker.check_now() == {kind: 0 for kind in KINDS}  # fresh
     sim_clock.now += 100.0
     counts = checker.check_now()

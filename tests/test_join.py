@@ -1,9 +1,11 @@
 """Protocol tests: joining and the consistency machinery (paper §3.1)."""
 
+import random
 
 from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.overlay.utils import build_overlay
+from repro.pastry.messages import JoinReply
 from repro.pastry.config import PastryConfig
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import random_nodeid
@@ -160,3 +162,22 @@ def test_routing_state_members_unique():
     sim.run(until=30)
     members = b.routing_state_members()
     assert len({m.id for m in members}) == len(members)
+
+
+def test_a_discovery_ending_after_activation_sends_no_join():
+    """A join reply the joiner did not ask for activates it mid-discovery;
+    when the nearest-neighbour walk then ends, no join request follows."""
+    sim, net, nodes = build_overlay(6, config=PastryConfig(leaf_set_size=8))
+    rng = random.Random(3)
+    joiner = spawn(sim, net, rng)
+    joiner.join(nodes[0].descriptor)
+    assert joiner.joining.discovery is not None
+    joiner._on_message(nodes[0].addr, JoinReply(
+        rows={}, leaf_set=[node.descriptor for node in nodes],
+        sender=nodes[0].descriptor))
+    sim.run(until=sim.now + 1.0)
+    assert joiner.active and not joiner.joining.discovery._finished
+    sim.run(until=sim.now + 30.0)
+    discovery = joiner.joining.discovery
+    assert discovery is not None and discovery._finished  # ended; no join
+    assert joiner.joining._attempts == 0

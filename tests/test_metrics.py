@@ -53,14 +53,14 @@ def test_loss_rate_counts_undelivered_settled():
     for i in range(8):
         stats.on_lookup_delivered(lookup(i), float(i) + 1, True, 0.5)
     stats.finish(1000.0)
-    assert stats.loss_rate(grace=60.0) == pytest.approx(0.2)
+    assert stats.loss_rate() == pytest.approx(0.2)
 
 
 def test_grace_period_excludes_recent():
     stats = StatsCollector(window=10.0)
     stats.on_lookup_issued(lookup(1), 995.0)  # within grace of end
     stats.finish(1000.0)
-    assert stats.loss_rate(grace=60.0) == 0.0
+    assert stats.loss_rate() == 0.0
 
 
 def test_incorrect_delivery_rate():

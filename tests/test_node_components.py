@@ -11,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.overlay import invariants
 from repro.overlay.invariants import KINDS, InvariantChecker
 from repro.overlay.oracle import Oracle
 from repro.overlay.utils import build_overlay
@@ -285,7 +286,7 @@ def test_unregistered_message_class_is_dropped_without_side_effects():
 # ----------------------------------------------------------------------
 # Admission: a foreign id at our own address
 # ----------------------------------------------------------------------
-def test_foreign_id_at_own_address_is_never_routing_state():
+def test_foreign_id_at_own_address_is_never_routing_state(monkeypatch):
     """A wire-valid sender pairing a foreign id with the *receiver's* address
     used to be admitted; a join request for a neighbouring id was then
     forwarded to ourselves, acked and forwarded again at one timestamp,
@@ -322,6 +323,8 @@ def test_foreign_id_at_own_address_is_never_routing_state():
     for member in nodes:
         oracle.node_alive(member)
         oracle.node_activated(member)
-    checker = InvariantChecker(sim, oracle, leaf_grace=0.0, rt_grace=0.0)
+    monkeypatch.setattr(invariants, "LEAF_GRACE", 0.0)
+    monkeypatch.setattr(invariants, "RT_GRACE", 0.0)
+    checker = InvariantChecker(sim, oracle)
     checker.stop()
     assert checker.check_now() == {kind: 0 for kind in KINDS}

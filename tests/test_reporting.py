@@ -3,6 +3,7 @@ percent labels and the sectioned report renderer."""
 
 import pytest
 
+from repro.experiments import reporting
 from repro.experiments.reporting import (
     _fmt,
     downsample,
@@ -98,34 +99,29 @@ def series_of(n):
 
 
 def test_downsample_short_series_untouched():
-    series = series_of(10)
-    assert downsample(series, max_points=24) is series
-    assert downsample(series, max_points=10) is series
+    for n in (10, 24):
+        series = series_of(n)
+        assert downsample(series) is series
 
 
-def test_downsample_keeps_first_and_last():
+def test_downsample_keeps_first_and_last(monkeypatch):
     # Regression: the stride-based thinning dropped the final sample, so
     # time-series reports never showed the end state of a run.
-    for n in (25, 100, 241, 1000):
-        for max_points in (2, 10, 24):
-            thin = downsample(series_of(n), max_points=max_points)
-            assert len(thin) == max_points, (n, max_points)
-            assert thin[0] == (0.0, 0.0), (n, max_points)
-            assert thin[-1] == (float(n - 1), (n - 1) * 10.0), (n, max_points)
+    for points in (2, 10, 24):
+        monkeypatch.setattr(reporting, "SERIES_POINTS", points)
+        for n in (25, 100, 241, 1000):
+            thin = downsample(series_of(n))
+            assert len(thin) == points, (n, points)
+            assert thin[0] == (0.0, 0.0), (n, points)
+            assert thin[-1] == (float(n - 1), (n - 1) * 10.0), (n, points)
 
 
 def test_downsample_is_a_strictly_increasing_subsequence():
     series = series_of(100)
-    thin = downsample(series, max_points=24)
+    thin = downsample(series)
     times = [t for t, _v in thin]
     assert times == sorted(set(times))
     assert all(point in series for point in thin)
-
-
-def test_downsample_degenerate_max_points():
-    series = series_of(50)
-    assert downsample(series, max_points=1) is series
-    assert downsample(series, max_points=0) is series
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +133,3 @@ def test_format_series_units_and_values():
     assert lines[0] == "traffic"
     assert "t=   1.00h" in lines[1] and "0.250" in lines[1]
     assert "t=   2.00h" in lines[2]
-    # Custom unit scaling.
-    rendered = format_series("x", [(60.0, 1.0)], time_unit=60.0,
-                             unit_label="m")
-    assert "t=   1.00m" in rendered

@@ -11,7 +11,7 @@ from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import NodeDescriptor
 from repro.runtime.service import LATENCY_WINDOW, NodeService
 from repro.runtime.transport import pack_addr
-from repro.runtime.wire import decode_frame, wire_types
+from repro.runtime.wire import decode_frame
 from tests.test_golden_traces import GOLDEN_DIR
 
 
@@ -85,7 +85,8 @@ def _dispatch_to_idle_node(msg):
     return asyncio.run(main())
 
 
-@pytest.mark.parametrize("cls", wire_types(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [cls for _, cls, _ in m.SCHEMA],
+                         ids=lambda cls: cls.__name__)
 def test_senderless_frame_is_dropped_and_counted(cls):
     """Flags bit 0 is optional on the wire and the handlers dereference the
     sender: the pinned ``*/bare`` frame of every type stops at the door."""

@@ -24,7 +24,6 @@ from repro.runtime.wire import (
     decode_frame,
     encode,
     encode_frame,
-    wire_types,
 )
 from tests.conftest import MAX_U64, MAX_U128, wire_messages
 
@@ -157,7 +156,7 @@ def test_registry_is_complete():
         if isinstance(obj, type) and issubclass(obj, m.Message)
         and obj is not m.Message
     }
-    assert concrete == set(wire_types())
+    assert concrete == {cls for _, cls, _ in m.SCHEMA}
 
 
 def test_registry_ids_are_unique_and_stable():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.utils import build_overlay
@@ -129,6 +129,39 @@ def test_solver_result_within_bounds(mu, n):
     cfg = config()
     trt = solve_rt_probe_period(0.05, mu, n, cfg)
     assert cfg.rt_probe_period_min <= trt <= RT_PROBE_PERIOD_MAX
+
+
+def bisect_over_raw_loss_rate(target, mu, n, cfg):
+    """The solver as its docstring states it: 64 bisection steps over
+    ``raw_loss_rate``, clamped to the probing-period bounds."""
+    lo, hi = cfg.rt_probe_period_min, RT_PROBE_PERIOD_MAX
+    if raw_loss_rate(lo, mu, n, cfg) >= target:
+        return lo
+    if raw_loss_rate(hi, mu, n, cfg) <= target:
+        return hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if raw_loss_rate(mid, mu, n, cfg) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=500)
+@given(b=st.integers(1, 8), probe_timeout=st.floats(0.01, 60.0),
+       heartbeat_period=st.floats(0.1, 3600.0),
+       mu=st.floats(0.0, 0.1) | st.floats(1e-15, 1e-6),
+       n=st.floats(1.0, 1e7),
+       target=st.floats(1e-6, 0.999) | st.floats(1e-15, 1e-6))
+def test_solver_is_bit_identical_to_bisecting_raw_loss_rate(
+        b, probe_timeout, heartbeat_period, mu, n, target):
+    """The solver hoists the Trt-independent terms and inlines
+    ``prob_faulty``; the period it returns must not move by one ulp."""
+    cfg = PastryConfig(b=b, probe_timeout=probe_timeout,
+                       heartbeat_period=heartbeat_period)
+    assert (solve_rt_probe_period(target, mu, n, cfg)
+            == bisect_over_raw_loss_rate(target, mu, n, cfg))
 
 
 # ----------------------------------------------------------------------

@@ -82,11 +82,3 @@ def test_deterministic_for_same_seed():
     assert [(e.time, e.node, e.kind) for e in a] == [
         (e.time, e.node, e.kind) for e in b
     ]
-
-
-def test_truncated_cuts_events():
-    trace = make(duration=3600.0)
-    cut = trace.truncated(600.0)
-    assert cut.duration == 600.0
-    assert all(e.time <= 600.0 for e in cut.events)
-    assert len(cut) < len(trace)

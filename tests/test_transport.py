@@ -126,10 +126,18 @@ def test_invalid_loss_rate_rejected():
 
 
 def test_is_registered():
-    _sim, net = make_network()
+    """Registered, an address is delivered to; before and after, a message
+    for it is dropped as dead."""
+    sim, net = make_network()
     a = net.attach()
-    assert not net.is_registered(a)
-    net.register(a, lambda src, msg: None)
-    assert net.is_registered(a)
+    got = []
+    net.send(a, a, "before")
+    sim.run()
+    net.register(a, lambda src, msg: got.append(msg))
+    net.send(a, a, "during")
+    sim.run()
     net.deregister(a)
-    assert not net.is_registered(a)
+    net.send(a, a, "after")
+    sim.run()
+    assert got == ["during"]
+    assert net.messages_delivered == 1 and net.messages_dropped_dead == 2
