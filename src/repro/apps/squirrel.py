@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.pastry.messages import AppDirect, Lookup
 from repro.pastry.node import MSPastryNode
@@ -52,15 +52,12 @@ class WebOrigin:
 @dataclass
 class _Request:
     url: str = ""
-    request_id: int = 0
     reply_to: object = None  # NodeDescriptor
 
 
 @dataclass
 class _Response:
     url: str = ""
-    request_id: int = 0
-    from_cache: bool = False
 
 
 class _LruCache:
@@ -99,8 +96,6 @@ class SquirrelProxy:
         self.origin = origin or WebOrigin()
         self.local_cache = _LruCache(LOCAL_CACHE_SIZE)
         self.home_cache = _LruCache(HOME_CACHE_SIZE)
-        self._next_request = 0
-        self._pending: Dict[int, Callable[[str, bool], None]] = {}
         # statistics
         self.local_hits = 0
         self.remote_hits = 0
@@ -112,20 +107,13 @@ class SquirrelProxy:
     # ------------------------------------------------------------------
     # Browser-facing API
     # ------------------------------------------------------------------
-    def request(self, url: str,
-                callback: Optional[Callable[[str, bool], None]] = None) -> None:
-        """Issue a web request; callback(url, was_cached_in_overlay)."""
+    def request(self, url: str) -> None:
+        """Issue a web request: a local hit, or a lookup for the URL's home."""
         self.requests += 1
         if self.local_cache.get(url) is not None:
             self.local_hits += 1
-            if callback is not None:
-                callback(url, True)
             return
-        self._next_request += 1
-        if callback is not None:
-            self._pending[self._next_request] = callback
-        request = _Request(url=url, request_id=self._next_request,
-                           reply_to=self.node.descriptor)
+        request = _Request(url=url, reply_to=self.node.descriptor)
         self.node.lookup(key_of(url.encode()), payload=request)
 
     # ------------------------------------------------------------------
@@ -137,7 +125,7 @@ class SquirrelProxy:
             return
         if self.home_cache.get(request.url) is not None:
             self.remote_hits += 1
-            self._respond(request, from_cache=True)
+            self._respond(request)
         else:
             # Fetch from the origin server, then cache and respond.
             self.origin_fetches += 1
@@ -147,11 +135,10 @@ class SquirrelProxy:
         if self.node.crashed:
             return
         self.home_cache.put(request.url, True)
-        self._respond(request, from_cache=False)
+        self._respond(request)
 
-    def _respond(self, request: _Request, from_cache: bool) -> None:
-        response = _Response(url=request.url, request_id=request.request_id,
-                             from_cache=from_cache)
+    def _respond(self, request: _Request) -> None:
+        response = _Response(url=request.url)
         if request.reply_to.id == self.node.id:
             self._direct(self.node, AppDirect(payload=response))
         else:
@@ -165,6 +152,3 @@ class SquirrelProxy:
         if not isinstance(response, _Response):
             return
         self.local_cache.put(response.url, True)
-        callback = self._pending.pop(response.request_id, None)
-        if callback is not None:
-            callback(response.url, response.from_cache)

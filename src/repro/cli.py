@@ -177,15 +177,18 @@ def cmd_serve(args) -> int:
         except (OSError, ValueError):
             return _fail(f"--seed wants IPV4:PORT, got {args.seed!r}", status=2)
 
-    async def serve() -> None:
+    async def serve() -> int:
         loop = asyncio.get_event_loop()
         stop = asyncio.Event()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
-        service = await NodeService.start(
-            node_id=node_id, rng_seed=args.rng_seed, host=args.host,
-            port=args.port, seed_addr=seed_addr,
-            metrics_port=args.metrics_port, loop=loop)
+        try:
+            service = await NodeService.start(
+                node_id=node_id, rng_seed=args.rng_seed, host=args.host,
+                port=args.port, seed_addr=seed_addr,
+                metrics_port=args.metrics_port, loop=loop)
+        except OSError as exc:  # a port already in use
+            return _fail(str(exc))
         print(f"node {node_id:032x}", file=sys.stderr)
         print(f"listening on {service.endpoint}", file=sys.stderr)
         if service.metrics is not None:
@@ -196,9 +199,9 @@ def cmd_serve(args) -> int:
         finally:
             print("shutting down", file=sys.stderr)
             await service.stop()
+        return 0
 
-    asyncio.run(serve())
-    return 0
+    return asyncio.run(serve())
 
 
 def cmd_live(args) -> int:

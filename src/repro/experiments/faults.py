@@ -28,6 +28,8 @@ from repro.experiments.scenarios import (INVARIANT_PERIOD, Scenario, measure, re
 from repro.faults import Fault, FaultEvent, FaultSchedule, GrayFailure, GrayFailures, Partition
 
 BURST_RATES = (0.01, 0.03, 0.05)
+#: the fault window, [START, START + LENGTH) seconds into the run
+START, LENGTH = 600.0, 300.0
 GRAY_MIX = (
     GrayFailures(fraction=0.10, profile=GrayFailure.slow(factor=5.0)),
     GrayFailures(fraction=0.05, profile=GrayFailure.lossy(0.5)),
@@ -60,8 +62,8 @@ def run_partition_heal(
     seed: int = 42,
     trace_scale: float = 0.04,
     duration: float = 2400.0,
-    start: float = 600.0,
-    length: float = 300.0,
+    start: float = START,
+    length: float = LENGTH,
     fraction: float = 0.5,
 ) -> Dict:
     return _window([Partition(fraction=fraction)], start, length, seed,
@@ -91,11 +93,9 @@ def run_gray_mix(
     seed: int = 42,
     trace_scale: float = 0.04,
     duration: float = 2400.0,
-    start: float = 600.0,
-    length: float = 300.0,
 ) -> Dict:
     """Slow + out-lossy + stuck nodes strike together, then recover."""
-    return _window(GRAY_MIX, start, length, seed, trace_scale, duration)
+    return _window(GRAY_MIX, START, LENGTH, seed, trace_scale, duration)
 
 
 def run(

@@ -30,6 +30,7 @@ from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.pastry import messages as m
 from repro.pastry.node import MSPastryNode
+from repro.runtime import live
 from repro.runtime.live import (
     LiveSpec,
     live_config,
@@ -66,9 +67,9 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
                             on_deliver=on_deliver)
         nodes.append(node)
         seed_desc = nodes[0].descriptor if i else None
-        sim.schedule(i * spec.join_stagger, node.join, seed_desc)
+        sim.schedule(i * live.JOIN_STAGGER, node.join, seed_desc)
     # Heartbeats run forever, so the heap never drains: run to a horizon.
-    join_horizon = len(node_ids) * spec.join_stagger + 30.0
+    join_horizon = len(node_ids) * live.JOIN_STAGGER + 30.0
     sim.run(until=join_horizon)
     if not all(node.active for node in nodes):
         raise RuntimeError("sim twin: joins did not complete by the horizon")
@@ -80,9 +81,9 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
 
     start = sim.now
     for j, item in enumerate(plan["lookups"]):
-        sim.schedule_at(start + j * spec.lookup_interval, issue,
+        sim.schedule_at(start + j * live.LOOKUP_INTERVAL, issue,
                         item["origin"], item["key"])
-    workload_horizon = (start + len(plan["lookups"]) * spec.lookup_interval
+    workload_horizon = (start + len(plan["lookups"]) * live.LOOKUP_INTERVAL
                         + spec.lookup_timeout)
     sim.run(until=workload_horizon)
     return _row(score_lookups(pending, node_ids),

@@ -14,50 +14,49 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+#: the good state: its mean sojourn (seconds) and per-message loss.  Every
+#: channel shares it; the bursts carry all the loss
+GOOD_MEAN = 90.0
+LOSS_GOOD = 0.0
+
 
 @dataclass(frozen=True, slots=True)
 class GEParams:
-    """Gilbert–Elliott channel parameters.
-
-    ``good_mean``/``bad_mean`` are the mean sojourn times (seconds) in each
-    state; ``loss_good``/``loss_bad`` the per-message loss probabilities
-    while in that state.
+    """Gilbert–Elliott channel parameters: ``bad_mean`` is the mean sojourn
+    time (seconds) in the bad state, ``loss_bad`` its per-message loss
+    probability (the good state is ``GOOD_MEAN`` / ``LOSS_GOOD``).
     """
 
-    good_mean: float = 90.0
     bad_mean: float = 10.0
-    loss_good: float = 0.0
     loss_bad: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.good_mean <= 0 or self.bad_mean <= 0:
-            raise ValueError("sojourn means must be positive")
-        for name in ("loss_good", "loss_bad"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {p}")
+        if self.bad_mean <= 0:
+            raise ValueError("sojourn mean must be positive")
+        if not 0.0 <= self.loss_bad <= 1.0:
+            raise ValueError(f"loss_bad out of [0, 1]: {self.loss_bad}")
 
     @property
     def bad_fraction(self) -> float:
         """Long-run fraction of time the link spends in the bad state."""
-        return self.bad_mean / (self.good_mean + self.bad_mean)
+        return self.bad_mean / (GOOD_MEAN + self.bad_mean)
 
     @property
     def average_loss(self) -> float:
         """Long-run per-message loss rate (for equal-average comparisons)."""
         w = self.bad_fraction
-        return w * self.loss_bad + (1.0 - w) * self.loss_good
+        return w * self.loss_bad + (1.0 - w) * LOSS_GOOD
 
     @classmethod
     def with_average(cls, average: float) -> "GEParams":
         """Bursty channel whose long-run loss rate equals ``average``.
 
-        The good state (90 s mean) loses nothing; all the loss mass is in
-        bursts covering 10% of the time, so a sweep can compare bursty
-        against uniform loss at equal average rates.  An average above 0.1
-        would need ``loss_bad`` > 1, which ``__post_init__`` rejects.
+        The good state loses nothing; all the loss mass is in bursts
+        covering 10% of the time, so a sweep can compare bursty against
+        uniform loss at equal average rates.  An average above 0.1 would
+        need ``loss_bad`` > 1, which ``__post_init__`` rejects.
         """
-        return cls(bad_mean=90.0 * 0.1 / (1.0 - 0.1), loss_bad=average / 0.1)
+        return cls(bad_mean=GOOD_MEAN * 0.1 / (1.0 - 0.1), loss_bad=average / 0.1)
 
 
 class GilbertElliott:
@@ -71,20 +70,20 @@ class GilbertElliott:
         # Start in the stationary distribution so short runs are unbiased.
         self.bad = rng.random() < params.bad_fraction
         self._until = now + rng.expovariate(
-            1.0 / (params.bad_mean if self.bad else params.good_mean)
+            1.0 / (params.bad_mean if self.bad else GOOD_MEAN)
         )
 
     def advance(self, now: float) -> None:
         """Play the state machine forward to simulated time ``now``."""
         while now >= self._until:
             self.bad = not self.bad
-            mean = self.params.bad_mean if self.bad else self.params.good_mean
+            mean = self.params.bad_mean if self.bad else GOOD_MEAN
             self._until += self._rng.expovariate(1.0 / mean)
 
     def loses(self, now: float) -> bool:
         """Whether a message sent at ``now`` is lost on this link."""
         self.advance(now)
-        p = self.params.loss_bad if self.bad else self.params.loss_good
+        p = self.params.loss_bad if self.bad else LOSS_GOOD
         return p > 0.0 and self._rng.random() < p
 
 

@@ -124,12 +124,9 @@ class FaultState:
         self._gray[addr] = gray
         self._engage()
 
-    def clear_gray(self, addr: Optional[int] = None) -> None:
-        """Clear one address's gray failure, or all of them."""
-        if addr is None:
-            self._gray = {}
-        else:
-            self._gray.pop(addr, None)
+    def clear_gray(self) -> None:
+        """Clear every gray failure."""
+        self._gray = {}
         self._engage()
 
     def _engage(self) -> None:

@@ -11,29 +11,23 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Optional, TextIO
 
 
 class SweepProgress:
     """Counts job outcomes and renders ``[done/total]`` lines."""
 
-    def __init__(self, total: int, workers: int = 1,
-                 stream: Optional[TextIO] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 enabled: bool = True) -> None:
+    def __init__(self, total: int, workers: int = 1, enabled: bool = True) -> None:
         self.total = total
         self.workers = max(1, workers)
-        self.stream = stream if stream is not None else sys.stderr
-        self.clock = clock
         self.enabled = enabled
         self.done = 0
         self.failed = 0
         self.cpu_seconds = 0.0
-        self.started = clock()
+        self.started = time.monotonic()
 
     def _emit(self, line: str) -> None:
         if self.enabled:
-            print(line, file=self.stream, flush=True)
+            print(line, file=sys.stderr, flush=True)
 
     def skipped(self, count: int) -> None:
         if count:
@@ -57,7 +51,7 @@ class SweepProgress:
         return f" — eta {remaining * mean / self.workers:.0f}s"
 
     def summary(self, skipped: int = 0) -> str:
-        wall = self.clock() - self.started
+        wall = time.monotonic() - self.started
         parts = [f"{self.done - self.failed}/{self.total} ok"]
         if self.failed:
             parts.append(f"{self.failed} failed")

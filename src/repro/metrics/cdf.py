@@ -17,16 +17,3 @@ def cdf_points(values: Sequence[float]) -> List[List[float]]:
         return []
     return [[v, (i + 1) / n] for i, v in enumerate(ordered)]
 
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """q-th percentile (0..1) with linear interpolation."""
-    if not values:
-        raise ValueError("empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q out of range: {q}")
-    ordered = sorted(values)
-    idx = q * (len(ordered) - 1)
-    lo = int(idx)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = idx - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac

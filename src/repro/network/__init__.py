@@ -10,13 +10,12 @@ paper's results depend on (see DESIGN.md §1).
 from repro.network.base import Topology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
-from repro.network.simple import EuclideanTopology, UniformDelayTopology
+from repro.network.simple import UniformDelayTopology
 from repro.network.transit_stub import TransitStubTopology
 from repro.network.transport import Network
 
 __all__ = [
     "CorpNetTopology",
-    "EuclideanTopology",
     "HierarchicalASTopology",
     "Network",
     "Topology",

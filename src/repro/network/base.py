@@ -1,10 +1,12 @@
 """Topology interface shared by all network models.
 
-A topology exposes *attachment points* for end nodes.  The transport asks the
-topology for the one-way delay between two attachment points, and the overlay
-(for proximity neighbour selection) asks for the *proximity metric* between
-them — round-trip delay for the RTT-based topologies, IP hop count for the
-Mercator-like topology, exactly as in the paper.
+A topology exposes *attachment points* for end nodes, and the transport asks
+it for the one-way delay between two of them.  The overlay never asks it for
+anything: proximity neighbour selection measures by probe round trips over
+the transport (``pastry/pns.py``).  ``proximity`` is the ground truth those
+measurements estimate, which the PNS tests compare against: round-trip delay,
+which on the Mercator-like map is proportional to the IP hop count, as in the
+paper.
 """
 
 from __future__ import annotations

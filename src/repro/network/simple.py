@@ -1,13 +1,13 @@
-"""Small analytic topologies used by tests and micro-benchmarks.
+"""The one analytic topology: every pair of end nodes the same delay apart.
 
-These are not part of the paper's evaluation; they exist so protocol tests
-can run against a trivially-predictable network.
+Not part of the paper's evaluation: ``build_overlay`` and the live
+comparison run protocols over it, where delay must be trivially
+predictable.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
 
 from repro.network.base import Topology
 
@@ -28,26 +28,3 @@ class UniformDelayTopology(Topology):
     def delay(self, a: int, b: int) -> float:
         return 0.0 if a == b else self._delay
 
-
-class EuclideanTopology(Topology):
-    """End nodes placed uniformly on a 2-D plane; delay = scaled distance.
-
-    Useful for PNS tests: proximity structure is smooth and fully known.
-    """
-
-    name = "euclidean"
-
-    def __init__(self, side: float = 1.0, delay_per_unit: float = 0.1) -> None:
-        self.side = side
-        self.delay_per_unit = delay_per_unit
-        self._points: List[Tuple[float, float]] = []
-
-    def attach(self, rng: random.Random) -> int:
-        self._points.append((rng.uniform(0, self.side), rng.uniform(0, self.side)))
-        return len(self._points) - 1
-
-    def delay(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        (x1, y1), (x2, y2) = self._points[a], self._points[b]
-        return self.delay_per_unit * ((x1 - x2) ** 2 + (y1 - y2) ** 2) ** 0.5

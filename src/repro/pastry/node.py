@@ -107,7 +107,6 @@ class MSPastryNode:
         on_active: Optional[Callable[["MSPastryNode"], None]] = None,
         on_deliver: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
         on_drop: Optional[Callable[["MSPastryNode", m.Lookup], None]] = None,
-        on_app_direct: Optional[Callable[["MSPastryNode", m.AppDirect], None]] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -125,7 +124,7 @@ class MSPastryNode:
         self.on_active = on_active
         self.on_deliver = on_deliver
         self.on_drop = on_drop
-        self.on_app_direct = on_app_direct
+        self.on_app_direct: Optional[Callable[["MSPastryNode", m.AppDirect], None]] = None
 
         self.leaf_set = LeafSet(self.descriptor, config.leaf_set_size)
         self.routing_table = RoutingTable(self.descriptor, config.b)
@@ -237,8 +236,7 @@ class MSPastryNode:
         else:
             self.joining.start(seed, seed_provider)
 
-    def make_lookup(self, key: int, payload: object = None,
-                    wants_acks: Optional[bool] = None) -> m.Lookup:
+    def make_lookup(self, key: int, payload: object = None) -> m.Lookup:
         """Create (but do not route) a lookup message originating here."""
         return m.Lookup(
             msg_id=self.next_msg_id(),
@@ -246,15 +244,14 @@ class MSPastryNode:
             source=self.descriptor,
             sent_at=self.sim.now,
             payload=payload,
-            wants_acks=self.config.per_hop_acks if wants_acks is None else wants_acks,
+            wants_acks=self.config.per_hop_acks,
         )
 
     def route_lookup(self, msg: m.Lookup) -> None:
         """Route a lookup created with :meth:`make_lookup`."""
         self.forwarding.route(msg, msg.key)
 
-    def lookup(self, key: int, payload: object = None,
-               wants_acks: Optional[bool] = None) -> m.Lookup:
+    def lookup(self, key: int, payload: object = None) -> m.Lookup:
         """Originate a lookup; returns the message (its id tracks delivery).
 
         Note: when the local node is itself the key's root the delivery
@@ -262,7 +259,7 @@ class MSPastryNode:
         observe the delivery must use :meth:`make_lookup`, register their
         bookkeeping, then :meth:`route_lookup`.
         """
-        msg = self.make_lookup(key, payload, wants_acks)
+        msg = self.make_lookup(key, payload)
         self.route_lookup(msg)
         return msg
 

@@ -115,10 +115,3 @@ class RoutingTable:
             return False
         del self._slots[slot]
         return True
-
-    # ------------------------------------------------------------------
-    def next_hop(self, key: int) -> Optional[NodeDescriptor]:
-        """Primary routing step: the entry matching one more digit of ``key``."""
-        if key == self._owner_id:
-            return None  # shares every digit with the owner: no further hop
-        return self._slots.get(self._flat_for(key))

@@ -35,6 +35,12 @@ from repro.runtime.service import NodeService
 
 #: Schema tag for live-run artifacts.  Bump on breaking layout changes.
 LIVE_SCHEMA = "repro-live/1"
+#: delay between successive joins; live joins need real round-trips
+JOIN_STAGGER = 0.05
+#: delay between successive lookups
+LOOKUP_INTERVAL = 0.01
+#: quiet period after joins before the workload starts
+SETTLE = 0.5
 
 
 class LiveError(RuntimeError):
@@ -49,12 +55,6 @@ class LiveSpec:
     n_lookups: int = 50
     seed: int = 42
     host: str = "127.0.0.1"
-    #: delay between successive joins; live joins need real round-trips
-    join_stagger: float = 0.05
-    #: delay between successive lookups
-    lookup_interval: float = 0.01
-    #: quiet period after joins before the workload starts
-    settle: float = 0.5
     join_timeout: float = 30.0
     lookup_timeout: float = 10.0
 
@@ -182,7 +182,7 @@ async def run_live_async(spec: LiveSpec) -> Dict[str, Any]:
         services.append(seed)
         join_started = clock.now
         for i in range(1, spec.n_nodes):
-            await asyncio.sleep(spec.join_stagger)
+            await asyncio.sleep(JOIN_STAGGER)
             services.append(await NodeService.start(
                 node_id=node_ids[i], rng_seed=spec.seed + i, config=cfg,
                 host=spec.host, seed_addr=seed.node.addr, clock=clock,
@@ -195,7 +195,7 @@ async def run_live_async(spec: LiveSpec) -> Dict[str, Any]:
         join_wall = clock.now - join_started
         if any(s.bootstrap_failed for s in services):
             raise LiveError("seed bootstrap failed on at least one node")
-        await asyncio.sleep(spec.settle)
+        await asyncio.sleep(SETTLE)
 
         # Workload: lookups from planned origins to planned keys.
         for item in plan["lookups"]:
@@ -205,7 +205,7 @@ async def run_live_async(spec: LiveSpec) -> Dict[str, Any]:
                 pending[msg.msg_id] = {"key": key, "deliveries": []}
             services[item["origin"]].issue_lookup(
                 item["key"], register=register)
-            await asyncio.sleep(spec.lookup_interval)
+            await asyncio.sleep(LOOKUP_INTERVAL)
         await _await_predicate(
             lambda: all(p["deliveries"] for p in pending.values()),
             spec.lookup_timeout, 0.02,

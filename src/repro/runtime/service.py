@@ -117,7 +117,11 @@ class NodeService:
         self._started_at = self.clock.now
         if metrics_port is not None:
             self.metrics = MetricsServer(self.snapshot)
-            await self.metrics.start(host, metrics_port)
+            try:
+                await self.metrics.start(host, metrics_port)
+            except OSError:  # a busy port: free the socket and an owned clock
+                await self.stop()
+                raise
         self._seed_addr = seed_addr
         if seed_addr is None:
             self.node.join(None)
@@ -161,7 +165,7 @@ class NodeService:
     # ------------------------------------------------------------------
     # Lookup bookkeeping
     # ------------------------------------------------------------------
-    def issue_lookup(self, key: int, payload: Any = None,
+    def issue_lookup(self, key: int,
                      register: Optional[Callable[[m.Lookup], None]] = None,
                      ) -> m.Lookup:
         """Create and route a lookup from this node; returns the message.
@@ -171,7 +175,7 @@ class NodeService:
         creation and routing so callers can record bookkeeping that the
         delivery callback will look up.
         """
-        msg = self.node.make_lookup(key, payload)
+        msg = self.node.make_lookup(key)
         self.lookups_issued += 1
         if register is not None:
             register(msg)

@@ -210,7 +210,6 @@ def _read_payload(buf: bytes, pos: int) -> Tuple[Any, int]:
 #: (type id, message class, per-type fields beyond the shared header) as
 #: ``messages.py`` reads it off its dataclasses; the plans compile from this
 _REGISTRY = m.SCHEMA
-_TYPE_TO_ID: Dict[type, int] = {cls: tid for tid, cls, _ in _REGISTRY}
 _TYPE_TO_FIELDS = {cls: fields for _, cls, fields in _REGISTRY}
 
 

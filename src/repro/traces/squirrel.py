@@ -24,6 +24,8 @@ DAY = 24 * HOUR
 WEEKEND_DAYS = (2, 3)
 #: share of desktops left on overnight and over the weekend
 ALWAYS_ON_FRACTION = 0.25
+#: Zipf exponent of URL popularity
+ZIPF_EXPONENT = 0.8
 
 
 @dataclass
@@ -39,11 +41,11 @@ class SquirrelTrace:
         return self.churn.duration
 
 
-def _zipf_url(rng: random.Random, n_urls: int, exponent: float = 0.8) -> int:
+def _zipf_url(rng: random.Random, n_urls: int) -> int:
     """Sample a URL id with Zipf popularity via inverse-CDF rejection."""
     while True:
         u = rng.random()
-        candidate = int(n_urls * u ** (1.0 / (1.0 - exponent)))
+        candidate = int(n_urls * u ** (1.0 / (1.0 - ZIPF_EXPONENT)))
         if candidate < n_urls:
             return candidate
 

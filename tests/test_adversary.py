@@ -143,6 +143,21 @@ def test_misroute_hop_cap_breaks_colluder_loops(small_overlay):
         adv.uninstall()
 
 
+def test_poison_passes_on_the_lookups_it_does_not_drop(small_overlay):
+    """``poison`` drops half the lookups it sees; the rest go on to honest
+    forwarding (``intercept`` is False) and are counted nowhere."""
+    sim, net, nodes = small_overlay
+    adv = make_adversary(nodes[1], "poison", colluders=[nodes[2].descriptor])
+    try:
+        consumed = [adv.intercept(nodes[0].addr, make_routed_lookup(nodes[0], nodes[3].id))
+                    for _ in range(40)]
+        assert 0 < sum(consumed) < len(consumed)
+        assert adv.counters["lookups_dropped"] == sum(consumed)
+        assert adv.counters["lookups_misrouted"] == 0
+    finally:
+        adv.uninstall()
+
+
 def test_eclipse_captures_foreign_join(small_overlay):
     sim, net, nodes = small_overlay
     adv = make_adversary(nodes[1], "eclipse", colluders=[nodes[2].descriptor])
@@ -191,6 +206,15 @@ def test_spam_sends_periodic_probes():
     sent_at_uninstall = adv.counters["spam_sent"]
     sim.run(until=sim.now + 30.0)
     assert adv.counters["spam_sent"] == sent_at_uninstall
+
+
+def test_spam_from_a_node_with_no_routing_state_sends_nothing():
+    """A lone node has nobody to spam: its ticks run and send nothing."""
+    sim, net, nodes = fresh_overlay(1, seed=33)
+    adv = make_adversary(nodes[0], "spam")
+    sim.run(until=sim.now + 10.0)
+    assert adv.installed and adv.counters["spam_sent"] == 0
+    adv.uninstall()
 
 
 def test_uninstall_is_idempotent_and_crash_uninstalls():

@@ -20,21 +20,20 @@ def squirrel():
 
 def test_first_request_fetches_from_origin(squirrel):
     sim, nodes, proxies = squirrel
-    done = []
-    proxies[0].request("http://example.com/a", lambda url, cached: done.append(cached))
+    proxies[0].request("http://example.com/a")
     sim.run(until=sim.now + 10)
-    assert done == [False]  # origin fetch
+    assert proxies[0].local_cache.get("http://example.com/a")  # the response came back
     assert sum(p.origin_fetches for p in proxies) == 1
+    assert sum(p.remote_hits for p in proxies) == 0
 
 
 def test_second_request_hits_overlay_cache(squirrel):
     sim, nodes, proxies = squirrel
     proxies[0].request("http://example.com/b")
     sim.run(until=sim.now + 10)
-    done = []
-    proxies[1].request("http://example.com/b", lambda url, cached: done.append(cached))
+    proxies[1].request("http://example.com/b")
     sim.run(until=sim.now + 10)
-    assert done == [True]  # served by the home node's cache
+    assert proxies[1].local_cache.get("http://example.com/b")
     assert sum(p.origin_fetches for p in proxies) == 1
     assert sum(p.remote_hits for p in proxies) == 1
 
@@ -44,10 +43,10 @@ def test_repeat_request_served_locally(squirrel):
     proxies[3].request("http://example.com/c")
     sim.run(until=sim.now + 10)
     before = proxies[3].local_hits
-    done = []
-    proxies[3].request("http://example.com/c", lambda url, cached: done.append(cached))
-    assert done == [True]  # synchronous local hit
-    assert proxies[3].local_hits == before + 1
+    proxies[3].request("http://example.com/c")
+    assert proxies[3].local_hits == before + 1  # a synchronous local hit
+    sim.run(until=sim.now + 10)
+    assert sum(p.remote_hits for p in proxies) == 0  # and no lookup went out
 
 
 def test_distinct_urls_have_distinct_homes(squirrel):
@@ -99,12 +98,12 @@ def test_proxy_chains_after_hooks_already_on_the_node():
         node.on_deliver = lambda n, msg: fetches_seen_by_hook.append(
             sum(p.origin_fetches for p in proxies))
     proxies.extend(SquirrelProxy(n, WebOrigin(fetch_delay=0.2)) for n in nodes)
-    done = []
-    proxies[0].request("http://example.com/chained",
-                       lambda url, cached: done.append(cached))
+    proxies[0].request("http://example.com/chained")
     sim.run(until=sim.now + 10)
     assert fetches_seen_by_hook == [0]  # called before the proxy counted it
-    assert done == [False]  # and the proxy still served the request
+    # ... and the proxy still served the request
+    assert proxies[0].local_cache.get("http://example.com/chained")
+    assert sum(p.origin_fetches for p in proxies) == 1
 
 
 def test_request_whose_home_is_the_requester(squirrel):
@@ -113,8 +112,7 @@ def test_request_whose_home_is_the_requester(squirrel):
     ring = sorted(n.id for n in nodes)
     url = next(u for u in (f"http://example.com/{i}" for i in range(1000))
                if root_among(ring, key_of(u.encode())) == nodes[0].id)
-    done = []
-    proxies[0].request(url, lambda url, cached: done.append(cached))
+    proxies[0].request(url)
     sim.run(until=sim.now + 5)
-    assert done == [False]
+    assert proxies[0].local_cache.get(url)
     assert proxies[0].origin_fetches == 1

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import _kwargs_for, main
 from repro.experiments import ALL_EXPERIMENTS
+from tests.test_runtime_service import assert_udp_port_free, busy_tcp_port, free_udp_port
 
 
 def cli_args(seed=None, scale=None, duration=None):
@@ -131,6 +132,15 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypat
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_serve_on_a_busy_metrics_port_exits_1_with_one_error_line(capsys):
+    port = free_udp_port()
+    with busy_tcp_port() as busy:
+        assert main(["serve", "--port", str(port), "--metrics-port", str(busy)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
+    assert_udp_port_free(port)
 
 
 # ----------------------------------------------------------------------

@@ -102,15 +102,11 @@ def test_heartbeat_resurrects_falsely_failed_node():
 def test_heartbeat_from_unknown_close_node_triggers_probe():
     sim, _net, nodes = overlay(seed=311)
     a = nodes[1]
-    # Take a node a doesn't track that would be admissible.
-    stranger = next(
-        (n for n in nodes
-         if n.id != a.id and n.id not in a.leaf_set
-         and a.leaf_set.would_admit(n.descriptor)),
-        None,
-    )
-    if stranger is None:
-        return  # every admissible node already tracked at this size
+    # A node a does not track that would be admissible: a member dropped
+    # without being marked failed (a leaf set one short admits every id).
+    stranger = next(n for n in nodes if n.id == a.leaf_set.right_side[0].id)
+    a.leaf_set.remove(stranger.id)
+    assert a.leaf_set.would_admit(stranger.descriptor)
     a.liveness.on_heartbeat(stranger.addr, stranger.descriptor, m.Heartbeat())
     assert stranger.id in a.probing.pending
     sim.run(until=sim.now + 10)

@@ -2,12 +2,12 @@
 
 import random
 
-from repro.network.simple import EuclideanTopology
 from repro.overlay.utils import build_overlay
 from repro.pastry.config import PastryConfig
 from repro.pastry.join import SeedDiscovery
 from repro.pastry.node import MSPastryNode
 from repro.pastry.nodeid import random_nodeid
+from tests.euclidean import EuclideanTopology
 
 
 def euclid_overlay(n=24, seed=401):

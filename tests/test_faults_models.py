@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.faults import models
 from repro.faults.models import GEParams, GilbertElliott, JitterParams
 
 
@@ -12,17 +13,17 @@ from repro.faults.models import GEParams, GilbertElliott, JitterParams
 # ----------------------------------------------------------------------
 def test_ge_params_validation():
     with pytest.raises(ValueError):
-        GEParams(good_mean=0.0)
+        GEParams(bad_mean=0.0)
     with pytest.raises(ValueError):
         GEParams(bad_mean=-1.0)
     with pytest.raises(ValueError):
         GEParams(loss_bad=1.5)
     with pytest.raises(ValueError):
-        GEParams(loss_good=-0.1)
+        GEParams(loss_bad=-0.1)
 
 
 def test_ge_average_loss_closed_form():
-    params = GEParams(good_mean=90.0, bad_mean=10.0, loss_good=0.0, loss_bad=0.3)
+    params = GEParams(bad_mean=10.0, loss_bad=0.3)  # 90 s good, lossless
     assert params.bad_fraction == pytest.approx(0.1)
     assert params.average_loss == pytest.approx(0.03)
 
@@ -52,9 +53,10 @@ def test_ge_channel_deterministic_for_equal_seeds():
     assert [a.loses(t) for t in times] == [b.loses(t) for t in times]
 
 
-def test_ge_channel_losses_only_in_bad_state():
-    # loss_good = 0: every loss must coincide with the bad state.
-    params = GEParams(good_mean=5.0, bad_mean=5.0, loss_good=0.0, loss_bad=0.8)
+def test_ge_channel_losses_only_in_bad_state(monkeypatch):
+    # LOSS_GOOD = 0: every loss must coincide with the bad state.
+    monkeypatch.setattr(models, "GOOD_MEAN", 5.0)
+    params = GEParams(bad_mean=5.0, loss_bad=0.8)
     chan = GilbertElliott(params, random.Random(3), now=0.0)
     for i in range(5000):
         t = i * 0.1
@@ -70,10 +72,11 @@ def test_ge_channel_long_run_rate_matches_average():
     assert losses / n == pytest.approx(0.05, rel=0.15)
 
 
-def test_ge_channel_advances_through_idle_gaps():
+def test_ge_channel_advances_through_idle_gaps(monkeypatch):
     # A link silent during a burst still sees the burst on its next send:
     # the state machine runs in simulated time, not per message.
-    params = GEParams(good_mean=1.0, bad_mean=1.0, loss_good=0.0, loss_bad=1.0)
+    monkeypatch.setattr(models, "GOOD_MEAN", 1.0)
+    params = GEParams(bad_mean=1.0, loss_bad=1.0)
     chan = GilbertElliott(params, random.Random(5), now=0.0)
     chan.advance(10_000.0)
     assert chan._until > 10_000.0

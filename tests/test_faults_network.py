@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.faults.models as models
 import repro.faults.schedule as schedule_module
 from repro.faults import (
     BurstLoss,
@@ -144,15 +145,14 @@ def test_slow_gray_inflates_delay_of_delivered_messages():
     assert sim.now == pytest.approx(0.7)  # nothing outlives the slow delivery
 
 
-def test_clear_gray_single_and_all():
+def test_clear_gray_clears_all():
     sim, net, (a, b), _ = make_net()
     state = with_faults(net)
     state.set_gray(a, GrayFailure.stuck())
     state.set_gray(b, GrayFailure.stuck())
-    state.clear_gray(a)
-    assert state.filter_send(a, b) is None
-    assert state.filter_send(b, a) == "gray"
+    assert state.filter_send(a, b) == state.filter_send(b, a) == "gray"
     state.clear_gray()
+    assert state.filter_send(a, b) is None
     assert state.filter_send(b, a) is None
     assert not state.engaged
 
@@ -160,10 +160,11 @@ def test_clear_gray_single_and_all():
 # ----------------------------------------------------------------------
 # Burst loss and jitter at the transport
 # ----------------------------------------------------------------------
-def test_burst_loss_is_per_directed_link():
+def test_burst_loss_is_per_directed_link(monkeypatch):
+    monkeypatch.setattr(models, "GOOD_MEAN", 1.0)
     sim, net, (a, b), _ = make_net()
     state = with_faults(net)
-    state.set_burst_loss(GEParams(good_mean=1.0, bad_mean=1.0, loss_bad=1.0))
+    state.set_burst_loss(GEParams(bad_mean=1.0, loss_bad=1.0))
     net.send(a, b, "x")
     net.send(b, a, "y")
     sim.run()
@@ -230,6 +231,23 @@ def test_schedule_validation_and_introspection():
         (0.0, 2.0), (5.0, 6.0)]  # sorted by start
     assert "Partition" in schedule.describe()
     assert "LinkJitter" in schedule.describe()
+
+
+def test_link_jitter_delays_only_inside_its_window():
+    sim, net, (a, b), _ = make_net(delay=0.05)
+    arrivals = []
+    net.register(b, lambda src, msg: arrivals.append((msg, sim.now)))
+    state = FaultSchedule([FaultEvent(LinkJitter(JitterParams(jitter=0.05)),
+                                      start=1.0, duration=1.0)]).install(
+        sim, net, random.Random(3))
+    for t in (0.5, 1.2, 1.4, 1.6, 1.8, 2.5):
+        sim.schedule_at(t, net.send, a, b, t)
+    sim.run()
+    late = {t: round(at - t - 0.05, 9) for t, at in arrivals}
+    assert late[0.5] == late[2.5] == 0.0  # no jitter outside the window
+    assert all(0.0 <= late[t] <= 0.05 for t in (1.2, 1.4, 1.6, 1.8))
+    assert any(late[t] > 0.0 for t in (1.2, 1.4, 1.6, 1.8))
+    assert not state.engaged
 
 
 def test_gray_fraction_targets_registered_addresses_deterministically():
@@ -300,16 +318,17 @@ class CountingFaultState(FaultState):
         return super().adjust_delay(src, dst, delay)
 
 
-def faulted_chatter(seed=7):
+def faulted_chatter(monkeypatch, seed=7):
     """Six nodes sending to each other every 0.1 s while a partition and a
     burst strike in turn, then 10 quiet seconds -> (network, fault state,
     fault RNG, what the table and its RNG read when the last fault ended,
     each node's inbox)."""
+    monkeypatch.setattr(models, "GOOD_MEAN", 0.2)
     sim, net, addrs, inboxes = make_net(n=6, seed=seed)
     rng = random.Random(seed)
     state = FaultSchedule([
         FaultEvent(Partition(0.5), start=1.0, duration=2.0),
-        FaultEvent(BurstLoss(GEParams(good_mean=0.2, bad_mean=0.2, loss_bad=0.5)),
+        FaultEvent(BurstLoss(GEParams(bad_mean=0.2, loss_bad=0.5)),
                    start=4.0, duration=2.0),
     ]).install(sim, net, rng)
     pairs = random.Random(seed)
@@ -329,7 +348,7 @@ def faulted_chatter(seed=7):
 
 def test_idle_fault_table_is_skipped_and_draws_nothing(monkeypatch):
     monkeypatch.setattr(schedule_module, "FaultState", CountingFaultState)
-    net, state, rng, (hooks_at_end, rng_at_end), _ = faulted_chatter()
+    net, state, rng, (hooks_at_end, rng_at_end), _ = faulted_chatter(monkeypatch)
     assert isinstance(state, CountingFaultState) and not state.engaged
     assert hooks_at_end > 0 and state.drops["partition"] and state.drops["burst"]
     assert net.messages_sent == 160
@@ -340,9 +359,9 @@ def test_idle_fault_table_is_skipped_and_draws_nothing(monkeypatch):
 
 
 def test_counting_the_hooks_does_not_change_the_run(monkeypatch):
-    net, _, _, _, inboxes = faulted_chatter()
+    net, _, _, _, inboxes = faulted_chatter(monkeypatch)
     monkeypatch.setattr(schedule_module, "FaultState", CountingFaultState)
-    counted, state, _, _, counted_inboxes = faulted_chatter()
+    counted, state, _, _, counted_inboxes = faulted_chatter(monkeypatch)
     assert state.hook_calls > 0
     assert counted_inboxes == inboxes
     assert (counted.sim.events_executed, counted.messages_sent, counted.messages_lost,

@@ -298,10 +298,7 @@ def test_timeout_kills_hung_job(tmp_path):
 # Progress reporting
 # ----------------------------------------------------------------------
 def test_progress_lines_and_eta(capsys):
-    clock = iter([0.0, 100.0]).__next__
-    progress = SweepProgress(4, workers=2, stream=None,
-                             clock=lambda: 0.0)
-    progress.clock = clock  # summary reads the second tick
+    progress = SweepProgress(4, workers=2)
     progress.skipped(1)
     progress.finished("a--s1", "ok", 2.0)
     progress.finished("b--s1", "error (timeout)", 4.0)

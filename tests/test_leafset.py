@@ -287,6 +287,32 @@ def test_a_side_is_empty_only_when_the_set_is(owner_id, ops, size):
         assert bool(ls.left_side) == bool(ls.right_side) == (len(ls) > 0)
 
 
+@given(
+    ids,
+    st.lists(st.tuples(st.booleans(), st.integers(-40, 40) | ids, st.integers(0, 2)),
+             max_size=80),
+    st.sampled_from([2, 4, 8]),
+)
+def test_canonical_skip_matches_the_round_trip_it_replaces(owner_id, ops, size):
+    """While ``_canonical`` holds, ``add`` turns away a non-member outside
+    the window without inserting it.  A second set whose flag is cleared
+    before every ``add`` inserts and prunes it straight back out instead:
+    after every step both sets agree on the answer, ``members()`` order,
+    sides, ``window`` and ``version``."""
+    fast, slow = LeafSet(desc(owner_id), size), LeafSet(desc(owner_id), size)
+    for is_add, off, moved in ops:
+        node_id = (owner_id + off) % ID_SPACE
+        if is_add:
+            d = NodeDescriptor(id=node_id, addr=node_id + moved)  # moved: a new address
+            slow._canonical = False
+            assert fast.add(d) == slow.add(d)
+        else:
+            assert fast.remove(node_id) == slow.remove(node_id)
+        assert fast.members() == slow.members()
+        assert (fast.left_side, fast.right_side, fast.window, fast.version) == (
+            slow.left_side, slow.right_side, slow.window, slow.version)
+
+
 def test_closest_to_breaks_ties_towards_smaller_id():
     ls = make(owner_id=1000, size=4)
     for i in (900, 1100, ID_SPACE - 10):

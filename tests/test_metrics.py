@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.cdf import cdf_points, percentile
+from repro.metrics.cdf import cdf_points
 from repro.metrics.collector import ActiveIntegrator, StatsCollector
 from repro.pastry import messages as m
 from repro.pastry.nodeid import NodeDescriptor
@@ -148,13 +148,3 @@ def test_cdf_points():
     assert points == [[1.0, 1 / 3], [2.0, 2 / 3], [3.0, 1.0]]
     assert cdf_points([]) == []
 
-
-def test_percentile():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0.0) == 1.0
-    assert percentile(values, 1.0) == 4.0
-    assert percentile(values, 0.5) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        percentile([], 0.5)
-    with pytest.raises(ValueError):
-        percentile(values, 1.5)

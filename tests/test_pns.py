@@ -1,11 +1,11 @@
 """Protocol tests: proximity neighbour selection (paper §4.2)."""
 
 
-from repro.network.simple import EuclideanTopology
 from repro.overlay.utils import build_overlay
 from repro.pastry import messages as m
 from repro.pastry.config import PastryConfig
 from tests.conftest import slot_of
+from tests.euclidean import EuclideanTopology
 
 
 def euclid_overlay(n=20, seed=51, **cfg):

@@ -175,7 +175,9 @@ def test_lookup_without_acks_flag(small_overlay):
         node.on_deliver = lambda n, msg: delivered.append(msg)
     rng = random.Random(6)
     src = nodes[3]
-    msg = src.lookup(random_nodeid(rng), wants_acks=False)
+    msg = src.make_lookup(random_nodeid(rng))
+    msg.wants_acks = False  # a lookup that asks for no per-hop acks
+    src.route_lookup(msg)
     sim.run(until=sim.now + 10)
     assert any(d.msg_id == msg.msg_id for d in delivered)
     assert src.acks.in_flight == 0  # nothing tracked

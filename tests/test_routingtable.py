@@ -23,6 +23,13 @@ def make(owner_id=0, b=4):
     return RoutingTable(desc(owner_id), b)
 
 
+def primary(table, owner_id, key):
+    """The table's routing step toward ``key`` as ``Forwarding.next_hop``
+    takes it: the entry matching one more digit of ``key`` than the owner."""
+    row = shared_prefix_length(key, owner_id, table.b)
+    return table.get(row, digit(key, row, table.b))
+
+
 def test_dimensions():
     table = make(b=4)
     assert table.rows == 32
@@ -32,7 +39,6 @@ def test_dimensions():
 
 def test_slot_for_owner_is_none():
     table = make(owner_id=42)
-    assert table.next_hop(42) is None  # the owner matches every digit of itself
     assert not table.add(NodeDescriptor(id=42, addr=7))
     assert 42 not in table
 
@@ -47,7 +53,7 @@ def test_partial_final_digit_slot(b):
     for low in range(1, 1 << (128 - last * b)):
         assert table.add(desc(low))
         assert table.get(last, digit(low, last, b)).id == low
-        assert table.next_hop(low).id == low
+        assert primary(table, 0, low).id == low
     assert table.occupied_rows() == [last]
 
 
@@ -114,13 +120,8 @@ def test_next_hop_matches_longer_prefix():
     key = 0xAB << 120
     candidate = 0xA0 << 120  # shares 1 digit with key... row 0 col 0xA for owner 0
     table.add(desc(candidate))
-    hop = table.next_hop(key)
+    hop = primary(table, owner, key)
     assert hop.id == candidate
-
-
-def test_next_hop_none_for_own_id():
-    table = make(owner_id=77)
-    assert table.next_hop(77) is None
 
 
 def test_row_entries_and_occupied_rows():
@@ -162,8 +163,10 @@ def test_next_hop_improves_prefix_match(owner_id, others, key):
     for i in others:
         if i != owner_id:
             table.add(desc(i))
-    hop = table.next_hop(key)
-    if hop is not None and key != owner_id:
+    if key == owner_id:
+        return  # the leaf set covers a node's own id: routing never asks
+    hop = primary(table, owner_id, key)
+    if hop is not None:
         own_match = shared_prefix_length(key, owner_id, 4)
         assert shared_prefix_length(key, hop.id, 4) > own_match
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.experiments import live_compare
+from repro.runtime import live
 from repro.runtime.live import (
     LIVE_SCHEMA,
     LiveError,
@@ -159,11 +160,11 @@ def test_bootstrap_against_dead_seed_fails_cleanly():
     asyncio.run(main())
 
 
-def test_join_timeout_raises_liveerror():
+def test_join_timeout_raises_liveerror(monkeypatch):
     # A zero join budget must fail fast with a diagnostic, not hang:
     # joiners need real round trips, so they cannot be active by the
     # time the (already expired) deadline is first checked.
-    spec = LiveSpec(n_nodes=3, n_lookups=1, seed=1,
-                    join_stagger=0.0, join_timeout=0.0)
+    monkeypatch.setattr(live, "JOIN_STAGGER", 0.0)
+    spec = LiveSpec(n_nodes=3, n_lookups=1, seed=1, join_timeout=0.0)
     with pytest.raises(LiveError, match="timed out"):
         run_live(spec)

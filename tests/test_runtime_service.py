@@ -1,8 +1,11 @@
-"""NodeService: bookkeeping that must stay bounded over a long life, and the
-datagram entry against wire-valid frames no honest node sends."""
+"""NodeService: bookkeeping that must stay bounded over a long life, the
+datagram entry against wire-valid frames no honest node sends, and a start
+that fails part way."""
 
 import asyncio
+import contextlib
 import json
+import socket
 
 import pytest
 
@@ -13,6 +16,40 @@ from repro.runtime.service import LATENCY_WINDOW, NodeService
 from repro.runtime.transport import pack_addr
 from repro.runtime.wire import decode_frame
 from tests.test_golden_traces import GOLDEN_DIR
+
+
+def free_udp_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@contextlib.contextmanager
+def busy_tcp_port():
+    """A TCP port another socket listens on while the block runs."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        yield sock.getsockname()[1]
+
+
+def assert_udp_port_free(port: int) -> None:
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", port))  # EADDRINUSE while a socket holds it
+
+
+def test_failed_start_closes_what_it_opened():
+    """A busy metrics port fails ``start`` after the node's UDP socket is
+    bound: the error propagates, and the socket is closed."""
+    port = free_udp_port()
+
+    async def main():
+        with busy_tcp_port() as busy:
+            with pytest.raises(OSError):
+                await NodeService.start(node_id=7, rng_seed=7, port=port,
+                                        metrics_port=busy)
+    asyncio.run(main())
+    assert_udp_port_free(port)
 
 
 def test_snapshot_latency_is_a_bounded_window():

@@ -163,9 +163,10 @@ def test_registry_ids_are_unique_and_stable():
     ids_seen = [tid for tid, _, _ in wire._REGISTRY]
     assert len(ids_seen) == len(set(ids_seen))
     # the first assignments are a wire contract — never renumber
-    assert wire._TYPE_TO_ID[m.JoinRequest] == 1
-    assert wire._TYPE_TO_ID[m.Lookup] == 18
-    assert wire._TYPE_TO_ID[m.Ack] == 19
+    type_to_id = {cls: tid for tid, cls, _ in wire._REGISTRY}
+    assert type_to_id[m.JoinRequest] == 1
+    assert type_to_id[m.Lookup] == 18
+    assert type_to_id[m.Ack] == 19
 
 
 def test_committed_wire_baseline_matches_registry():

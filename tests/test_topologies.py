@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from repro.network.base import RouterGraphTopology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
-from repro.network.simple import EuclideanTopology, UniformDelayTopology
+from repro.network.simple import UniformDelayTopology
 from repro.network.transit_stub import TransitStubTopology
 from repro.sim.rng import RngStreams
+from tests.euclidean import EuclideanTopology
 from tests.conftest import EagerMercatorMap
 
 
