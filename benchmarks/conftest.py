@@ -11,8 +11,13 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def save_report(name: str, report: str) -> None:
+def run_figure(benchmark, name, run, report, **kwargs):
+    """``run(**kwargs)`` once under pytest-benchmark; ``report(result)`` is
+    written to ``results/<name>.txt`` and printed.  Returns the result."""
+    result = benchmark.pedantic(run, kwargs=kwargs, rounds=1, iterations=1)
+    text = report(result)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(report + "\n")
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
-    print(report)
+    print(text)
+    return result

@@ -2,18 +2,13 @@
 
 import pytest
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import ablation
 
 
 def test_probing_and_acks_ablation(benchmark):
-    result = benchmark.pedantic(
-        ablation.run,
-        kwargs=dict(seed=42, trace_scale=0.05, duration=2400.0),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("ablation", ablation.format_report(result))
+    result = run_figure(benchmark, "ablation", ablation.run, ablation.format_report,
+                        seed=42, trace_scale=0.05, duration=2400.0)
 
     rows = result["rows"]
     # Paper: 32% of lookups lost without probes+acks; with acks the loss

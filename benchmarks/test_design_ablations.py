@@ -1,17 +1,13 @@
 """Bench: ablations of individual design choices (DESIGN.md §5)."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import design_ablations
 
 
 def test_design_choice_ablations(benchmark):
-    result = benchmark.pedantic(
-        design_ablations.run,
-        kwargs=dict(seed=42, trace_scale=0.035, duration=1500.0),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("design_ablations", design_ablations.format_report(result))
+    result = run_figure(benchmark, "design_ablations", design_ablations.run,
+                        design_ablations.format_report,
+                        seed=42, trace_scale=0.035, duration=1500.0)
 
     # 1. Single left-neighbour heartbeat is far cheaper than all-members
     #    (with l=32 the paper's optimization saves ~l/2x heartbeat traffic).

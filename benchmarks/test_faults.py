@@ -6,18 +6,13 @@ they last, equal-average bursty loss is strictly worse than uniform, and
 the overlay always reconverges with zero standing violations.
 """
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import faults
 
 
 def test_faults_scenarios(benchmark):
-    result = benchmark.pedantic(
-        faults.run,
-        kwargs=dict(seed=42, trace_scale=0.04, duration=2400.0),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("faults", faults.format_report(result))
+    result = run_figure(benchmark, "faults", faults.run, faults.format_report,
+                        seed=42, trace_scale=0.04, duration=2400.0)
 
     # Partition/heal: consistency is violated while the ring is split (two
     # roots per key), the damage is visible to the checker, and the ring

@@ -1,17 +1,12 @@
 """Bench: Figure 3 — failure-rate series of the three churn traces."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig3_failure_rates as fig3
 
 
 def test_fig3_failure_rates(benchmark):
-    result = benchmark.pedantic(
-        fig3.run,
-        kwargs=dict(seed=42, scale=0.08, microsoft_scale=0.008),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig3_failure_rates", fig3.format_report(result))
+    result = run_figure(benchmark, "fig3_failure_rates", fig3.run, fig3.format_report,
+                        seed=42, scale=0.08, microsoft_scale=0.008)
 
     summary = result["summary"]
     # Paper: Gnutella/OverNet fluctuate around 1e-4..3.5e-4 failures/node/s.

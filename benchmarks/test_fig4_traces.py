@@ -1,20 +1,13 @@
 """Bench: Figure 4 — RDP and control traffic over time per trace."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig4_traces as fig4
 from repro.pastry.messages import CAT_DISTANCE, CAT_HEARTBEAT, CAT_LEAFSET
 
 
 def test_fig4_traces(benchmark):
-    result = benchmark.pedantic(
-        fig4.run,
-        kwargs=dict(
-            seed=42, scale=0.05, microsoft_scale=0.006, duration=3 * 3600.0
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig4_traces", fig4.format_report(result))
+    result = run_figure(benchmark, "fig4_traces", fig4.run, fig4.format_report,
+                        seed=42, scale=0.05, microsoft_scale=0.006, duration=3 * 3600.0)
 
     traces = result["traces"]
     # Dependability on every trace.

@@ -1,22 +1,13 @@
 """Bench: Figure 5 — session-time sweep and join-latency CDF."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig5_sessions as fig5
 
 
 def test_fig5_sessions(benchmark):
-    result = benchmark.pedantic(
-        fig5.run,
-        kwargs=dict(
-            seed=42,
-            n_nodes=100,
-            duration=1500.0,
-            session_minutes=(5, 15, 30, 60, 120),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig5_sessions", fig5.format_report(result))
+    result = run_figure(benchmark, "fig5_sessions", fig5.run, fig5.format_report,
+                        seed=42, n_nodes=100, duration=1500.0,
+                        session_minutes=(5, 15, 30, 60, 120))
 
     rows = result["rows"]
     # Control traffic falls steeply with session time (paper: 22x from

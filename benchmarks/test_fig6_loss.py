@@ -1,22 +1,13 @@
 """Bench: Figure 6 — network loss-rate sweep."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig6_loss as fig6
 
 
 def test_fig6_loss_sweep(benchmark):
-    result = benchmark.pedantic(
-        fig6.run,
-        kwargs=dict(
-            seed=42,
-            trace_scale=0.05,
-            duration=2400.0,
-            loss_rates=(0.0, 0.01, 0.02, 0.05),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig6_loss", fig6.format_report(result))
+    result = run_figure(benchmark, "fig6_loss", fig6.run, fig6.format_report,
+                        seed=42, trace_scale=0.05, duration=2400.0,
+                        loss_rates=(0.0, 0.01, 0.02, 0.05))
 
     rows = result["rows"]
     # Per-hop acks keep lookup losses tiny at every network loss rate

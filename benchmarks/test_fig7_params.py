@@ -2,24 +2,14 @@
 
 import pytest
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig7_params as fig7
 
 
 def test_fig7_parameter_sweeps(benchmark):
-    result = benchmark.pedantic(
-        fig7.run,
-        kwargs=dict(
-            seed=42,
-            trace_scale=0.05,
-            duration=1800.0,
-            leaf_sizes=(8, 16, 32, 64),
-            b_values=(1, 2, 3, 4),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig7_params", fig7.format_report(result))
+    result = run_figure(benchmark, "fig7_params", fig7.run, fig7.format_report,
+                        seed=42, trace_scale=0.05, duration=1800.0,
+                        leaf_sizes=(8, 16, 32, 64), b_values=(1, 2, 3, 4))
 
     l_rows, b_rows = result["l"], result["b"]
     # Larger leaf sets shorten routes and cut RDP (paper Fig 7 centre).

@@ -1,17 +1,12 @@
 """Bench: Figure 8 — Squirrel web-cache traffic validation."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import fig8_squirrel as fig8
 
 
 def test_fig8_squirrel_validation(benchmark):
-    result = benchmark.pedantic(
-        fig8.run,
-        kwargs=dict(seed=42, n_machines=52, n_days=6, peak_request_rate=0.012),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("fig8_squirrel", fig8.format_report(result))
+    result = run_figure(benchmark, "fig8_squirrel", fig8.run, fig8.format_report,
+                        seed=42, n_machines=52, n_days=6, peak_request_rate=0.012)
 
     # The two independent runs of the same workload produce closely matching
     # traffic series (the paper's simulator-vs-deployment agreement).

@@ -14,7 +14,7 @@ import json
 import os
 import time
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments.reporting import format_table
 from repro.harness import SweepSpec, run_sweep
 
@@ -38,40 +38,42 @@ def _canonical_runs(out_dir):
     return runs
 
 
-def _timed_sweep(spec, out_dir, jobs):
-    started = time.perf_counter()
-    outcome = run_sweep(spec, out_dir, jobs=jobs)
-    elapsed = time.perf_counter() - started
-    assert outcome.all_ok, outcome.failed
-    return elapsed
+def _timed_sweeps(spec, out_dir):
+    """-> {jobs: wall-clock seconds} of the sweep serially, then on 4
+    workers, each into ``out_dir / "jobs<n>"``."""
+    timings = {}
+    for jobs in (1, 4):
+        started = time.perf_counter()
+        outcome = run_sweep(spec, out_dir / f"jobs{jobs}", jobs=jobs)
+        timings[jobs] = time.perf_counter() - started
+        assert outcome.all_ok, outcome.failed
+    return timings
 
 
-def test_harness_parallel_speedup(benchmark, tmp_path):
-    spec = SweepSpec.from_json(SPEC)
-    assert len(spec.expand()) == 8
-
-    serial = benchmark.pedantic(
-        _timed_sweep, args=(spec, tmp_path / "serial", 1),
-        rounds=1, iterations=1,
-    )
-    parallel = _timed_sweep(spec, tmp_path / "parallel", 4)
-    speedup = serial / parallel
-    cores = os.cpu_count() or 1
-
-    report = "\n".join([
+def format_report(timings):
+    serial, parallel = timings[1], timings[4]
+    return "\n".join([
         "Sweep harness — 8-job fig3 sweep, serial vs 4 workers",
         format_table(
             ["mode", "wall-clock (s)", "jobs/s"],
             [("serial (--jobs 1)", serial, 8 / serial),
              ("4 workers (--jobs 4)", parallel, 8 / parallel)],
         ),
-        f"\nspeedup: {speedup:.2f}x on {cores} core(s)",
+        f"\nspeedup: {serial / parallel:.2f}x on {os.cpu_count() or 1} core(s)",
     ])
-    save_report("harness_sweep", report)
+
+
+def test_harness_parallel_speedup(benchmark, tmp_path):
+    spec = SweepSpec.from_json(SPEC)
+    assert len(spec.expand()) == 8
+
+    timings = run_figure(benchmark, "harness_sweep", _timed_sweeps, format_report,
+                         spec=spec, out_dir=tmp_path)
+    speedup = timings[1] / timings[4]
+    cores = os.cpu_count() or 1
 
     # Determinism at benchmark scale: identical artifacts modulo timing.
-    assert _canonical_runs(tmp_path / "serial") == \
-        _canonical_runs(tmp_path / "parallel")
+    assert _canonical_runs(tmp_path / "jobs1") == _canonical_runs(tmp_path / "jobs4")
 
     # On multi-core hardware the pool must actually win; on a single core
     # we only require that process orchestration doesn't blow up the cost.

@@ -8,7 +8,7 @@ both, and doubles as a wall-clock scalability benchmark of the simulator.
 
 import math
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments.reporting import format_table
 from repro.network.transit_stub import TransitStubTopology
 from repro.overlay.runner import OverlayRunner
@@ -60,8 +60,7 @@ def format_report(result):
 
 
 def test_scalability_sweep(benchmark):
-    result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    save_report("scalability", format_report(result))
+    result = run_figure(benchmark, "scalability", run_sweep, format_report)
 
     rows = result["rows"]
     sizes = sorted(rows)

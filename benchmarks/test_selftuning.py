@@ -1,17 +1,13 @@
 """Bench: §5.3 self-tuning — achieved raw loss vs target and its cost."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import selftuning
 
 
 def test_selftuning_targets(benchmark):
-    result = benchmark.pedantic(
-        selftuning.run,
-        kwargs=dict(seed=42, trace_scale=0.05, duration=3000.0),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("selftuning", selftuning.format_report(result))
+    result = run_figure(benchmark, "selftuning", selftuning.run,
+                        selftuning.format_report,
+                        seed=42, trace_scale=0.05, duration=3000.0)
 
     rows = result["rows"]
     hi, lo = rows["0.05"], rows["0.01"]

@@ -1,17 +1,13 @@
 """Bench: §5.3 network-topology table (CorpNet / GATech / Mercator)."""
 
-from benchmarks.conftest import save_report
+from benchmarks.conftest import run_figure
 from repro.experiments import topologies
 
 
 def test_topology_table(benchmark):
-    result = benchmark.pedantic(
-        topologies.run,
-        kwargs=dict(seed=44, trace_scale=0.08, duration=2400.0),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("topologies", topologies.format_report(result))
+    result = run_figure(benchmark, "topologies", topologies.run,
+                        topologies.format_report,
+                        seed=44, trace_scale=0.08, duration=2400.0)
 
     rows = result["rows"]
     # Dependability: no losses, no inconsistent deliveries on any topology.

@@ -25,7 +25,6 @@ import random
 from typing import Any, Dict, List
 
 from repro.experiments.reporting import format_table
-from repro.metrics.collector import StatsCollector
 from repro.network.simple import UniformDelayTopology
 from repro.network.transport import Network
 from repro.pastry import messages as m
@@ -38,19 +37,30 @@ from repro.runtime.live import (
     run_live,
     score_lookups,
 )
+from repro.runtime.wire import encode_frame
 from repro.sim.engine import Simulator
 
 #: modelled one-way delay for the sim twin; localhost UDP is ~100µs
 SIM_DELAY = 0.0002
 
 
+class _FrameBytes:
+    """The twin's ``Network.stats``: adds up the codec frame of every send,
+    the bytes ``UdpTransport.bytes_sent`` counts on the live row."""
+
+    total = 0
+
+    def on_send(self, msg: m.Message, src: int, dst: int, now: float) -> None:
+        self.total += len(encode_frame(msg))
+
+
 def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
     """The same plan under the simulator: ids, origins, keys, stagger."""
     cfg = live_config()
     sim = Simulator()
-    stats = StatsCollector()  # whole run, joins included, like the live counters
+    frames = _FrameBytes()  # whole run, joins included, like the live counters
     network = Network(sim, UniformDelayTopology(SIM_DELAY),
-                      random.Random(spec.seed), stats=stats)
+                      random.Random(spec.seed), stats=frames)
     node_ids: List[int] = plan["node_ids"]
     pending: Dict[int, Dict[str, Any]] = {}
 
@@ -87,7 +97,7 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
                         + spec.lookup_timeout)
     sim.run(until=workload_horizon)
     return _row(score_lookups(pending, node_ids),
-                sum(stats.bytes_total.values()) / sum(stats.sent_total.values()))
+                frames.total / network.messages_sent)
 
 
 def _row(lookups: Dict[str, Any], bytes_per_msg: float) -> Dict[str, Any]:

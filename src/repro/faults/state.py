@@ -25,20 +25,19 @@ class GrayFailure:
     """A node that stays registered but misbehaves.
 
     ``out_drop`` is the fraction of *outgoing* messages silently dropped
-    (1.0 = receive-only, "stuck"); ``delay_factor``/``delay_add`` inflate
-    the delay of the messages that do get out (a slow node responds late).
+    (1.0 = receive-only, "stuck"); ``delay_factor`` inflates the delay of
+    the messages that do get out (a slow node responds late).
     Incoming traffic is untouched — that is what makes the failure gray:
     peers keep reaching the node, it just stops pulling its weight.
     """
 
     out_drop: float = 0.0
     delay_factor: float = 1.0
-    delay_add: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.out_drop <= 1.0:
             raise ValueError(f"out_drop out of [0, 1]: {self.out_drop}")
-        if self.delay_factor < 1.0 or self.delay_add < 0.0:
+        if self.delay_factor < 1.0:
             raise ValueError("delay inflation cannot speed a node up")
 
     @classmethod
@@ -193,7 +192,7 @@ class FaultState:
         """Inflate the one-way delay for gray slowness and link jitter."""
         gray = self._gray.get(src)
         if gray is not None:
-            delay = delay * gray.delay_factor + gray.delay_add
+            delay = delay * gray.delay_factor
         if self._jitter is not None:
             delay += self._jitter.draw(self._rng)
         return delay

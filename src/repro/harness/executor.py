@@ -78,7 +78,6 @@ class SweepOutcome:
     ok: List[str] = field(default_factory=list)
     failed: List[str] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def all_ok(self) -> bool:
@@ -219,7 +218,6 @@ def run_sweep(
 
     ``jobs=None`` resolves to :func:`default_jobs` for the expanded sweep.
     """
-    started = time.monotonic()
     all_jobs = spec.expand()
     if jobs is None:
         jobs = default_jobs(len(all_jobs))
@@ -250,8 +248,7 @@ def run_sweep(
         # next invocation resumes exactly the missing runs.
         store.refresh_manifest()
     statuses = store.run_statuses()
-    outcome = SweepOutcome(total=len(all_jobs), skipped=skipped,
-                           elapsed=time.monotonic() - started)
+    outcome = SweepOutcome(total=len(all_jobs), skipped=skipped)
     for job in all_jobs:
         if job.run_id in skipped:
             continue

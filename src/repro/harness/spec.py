@@ -57,15 +57,6 @@ class RunSpec:
     seed: int           # the master seed this job belongs to
     derived_seed: int   # the seed actually passed to the experiment's run()
 
-    def to_json(self) -> Dict:
-        return {
-            "run_id": self.run_id,
-            "experiment": self.experiment,
-            "params": self.params,
-            "seed": self.seed,
-            "derived_seed": self.derived_seed,
-        }
-
 
 def derive_run_seed(master_seed: int, experiment: str, params: Dict) -> int:
     """Per-job RNG seed: independent across parameter combinations.

@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.pastry.messages import CONTROL_CATEGORIES, wire_size
+from repro.pastry.messages import CONTROL_CATEGORIES
 
 #: a lookup issued at least this many seconds before the run ended is
 #: settled: undelivered, it counts as lost rather than in flight
@@ -88,7 +88,6 @@ class StatsCollector:
     def __post_init__(self) -> None:
         self.sent_total: Dict[str, int] = defaultdict(int)
         self.lost_total: Dict[str, int] = defaultdict(int)
-        self.bytes_total: Dict[str, int] = defaultdict(int)
         self.sent_windowed: Dict[str, Dict[int, int]] = defaultdict(
             _window_counter
         )
@@ -112,7 +111,6 @@ class StatsCollector:
             return  # warm-up traffic is not measured
         category = msg.category
         self.sent_total[category] += 1
-        self.bytes_total[category] += wire_size(msg)
         self.sent_windowed[category][int(now // self.window)] += 1
 
     def on_loss(self, msg, src: int, dst: int, now: float) -> None:

@@ -14,19 +14,16 @@ beside ``category`` and one line per field naming its wire kind
 (``seq: int = wire("u32", 0)``); ``sender`` / ``tuning_hint`` are the header
 every message shares.  Wire order is field order.  Ids are append-only, never
 renumbered, and pinned by ``tests/golden/wire_ids.json``.  ``SCHEMA`` is read
-off the classes at the bottom of the module; ``repro.runtime.wire`` compiles
-its codec from it and ``wire_size`` sizes from it.  One thing is described
-twice, the size of the four variable-size kinds — arithmetic here, pack/read
-in ``wire.py`` — because ``metrics/collector.py`` cannot import
-``repro.runtime`` (its ``__init__`` pulls asyncio into every simulator
-process); the property test in ``tests/test_wire_size.py`` ties the two.
+off the classes at the bottom of the module, and ``repro.runtime.wire``
+compiles its codec from it.  The codec is the only description of the bytes:
+a message's size is ``len(encode_frame(msg))``, and the simulator, whose
+figures count messages, never sizes one.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.pastry.nodeid import NodeDescriptor
 
@@ -44,7 +41,7 @@ CONTROL_CATEGORIES: Tuple[str, ...] = (
     CAT_RT_MAINT)
 
 #: fixed-size wire kinds -> struct format (a u128 travels as two 64-bit
-#: halves); the other four kinds are the keys of ``_VARIABLE_SIZE`` below
+#: halves); the other four kinds are ``_VARIABLE_KINDS`` below
 FIXED_KINDS = {"u16": "H", "u32": "I", "u128": "QQ", "f64": "d", "bool": "?"}
 
 
@@ -231,33 +228,17 @@ class AppDirect(Message):
     payload: object = wire("payload")
 
 
-# --- the schema, read off the classes above, and the exact wire size ---
+# --- the schema, read off the classes above ---
 
-def _payload_size(payload: object) -> int:
-    """Bytes of a payload that is not ``None`` (an absent one is 1 byte, in
-    the compiled expression: most lookups carry none)."""
-    if isinstance(payload, (str, bytes, bytearray)):
-        return 5 + len(payload.encode() if isinstance(payload, str) else payload)
-    return 9 if isinstance(payload, int) and not isinstance(payload, bool) else 1
-
-
-#: variable-size wire kind -> source of the encoded bytes of ``msg.{0}``: a
-#: descriptor is 24 bytes behind a presence byte, a count or a row index a u16
-_VARIABLE_SIZE = {
-    "desc": "(1 if msg.{0} is None else 25)",
-    "desc_list": "2 + 25 * len(msg.{0})",
-    "rows": "2 + 4 * len(msg.{0}) + 25 * sum(map(len, msg.{0}.values()))",
-    "payload": "(1 if msg.{0} is None else _payload_size(msg.{0}))",
-}
-#: the optional header parts: a bare descriptor, an f64
-_HEADER_SIZE = ("(0 if msg.sender is None else 24)",
-                "(0 if msg.tuning_hint is None else 8)")
+#: the variable-size wire kinds, each packed and read by its own pair of
+#: functions in ``repro.runtime.wire``
+_VARIABLE_KINDS = ("desc", "desc_list", "rows", "payload")
 
 
 def _declared(cls: type) -> Tuple[int, type, Tuple[Tuple[str, str], ...]]:
     """The ``SCHEMA`` entry of ``cls``, read off its own declaration."""
     kinds = tuple((f.name, f.metadata.get("wire")) for f in fields(cls)[2:])
-    bare = [n for n, k in kinds if k not in FIXED_KINDS and k not in _VARIABLE_SIZE]
+    bare = [n for n, k in kinds if k not in FIXED_KINDS and k not in _VARIABLE_KINDS]
     if bare or type(vars(cls).get("wire_id")) is not int:
         raise TypeError(f"{cls.__name__}: no wire_id, or no wire kind on {bare}")
     return cls.wire_id, cls, kinds
@@ -270,26 +251,3 @@ SCHEMA = tuple(
     if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message)
 if len({wire_id for wire_id, _, _ in SCHEMA}) < len(SCHEMA):
     raise TypeError("two message classes declare one wire_id")
-
-
-def _sizer(kinds: Tuple[Tuple[str, str], ...]) -> Callable[[Message], int]:
-    """msg -> bytes of its frame, compiled for one class: 4 length prefix + 3
-    header + its fixed-size fields, then what varies with the value."""
-    fixed = struct.calcsize(">" + "".join(FIXED_KINDS.get(k, "") for _, k in kinds))
-    varies = [_VARIABLE_SIZE[k].format(n) for n, k in kinds if k in _VARIABLE_SIZE]
-    return eval("lambda msg: " + " + ".join((str(7 + fixed), *_HEADER_SIZE, *varies)))
-
-
-_SIZERS = {cls: _sizer(kinds) for _, cls, kinds in SCHEMA}
-
-
-def wire_size(msg: Message) -> int:
-    """Bytes of ``msg`` on the wire: exactly ``len(encode_frame(msg))``, what
-    ``UdpTransport.bytes_sent`` counts, so a byte is the same thing on both
-    substrates.  A payload the codec could not carry (the simulator's apps
-    pass Python objects in process) is sized as an absent one, 1 byte; a
-    class outside ``SCHEMA`` raises ``TypeError``."""
-    cls = msg.__class__
-    if cls not in _SIZERS:
-        raise TypeError(f"{cls.__name__} declares no wire schema")
-    return _SIZERS[cls](msg)

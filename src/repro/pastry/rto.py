@@ -24,7 +24,6 @@ from typing import Dict
 
 from repro.pastry.config import RTO_MAX
 
-_NAN = float("nan")
 #: estimators a node keeps; past it the oldest insertion is evicted
 MAX_RTO_ENTRIES = 512
 

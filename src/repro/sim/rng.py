@@ -53,7 +53,3 @@ class RngStreams:
     def derive_seed(self, name: str) -> int:
         """Derive a stable 64-bit seed for ``name`` from the master seed."""
         return derive_stream_seed(self.master_seed, name)
-
-    def spawn(self, name: str) -> "RngStreams":
-        """Create an independent child factory (e.g. one per node)."""
-        return RngStreams(self.derive_seed(name))
