@@ -89,11 +89,10 @@ def _run_sim_twin(spec: LiveSpec, plan: Dict[str, Any]) -> Dict[str, Any]:
         pending[msg.msg_id] = {"key": key, "deliveries": []}
         nodes[origin].route_lookup(msg)
 
-    start = sim.now
     for j, item in enumerate(plan["lookups"]):
-        sim.schedule_at(start + j * live.LOOKUP_INTERVAL, issue,
-                        item["origin"], item["key"])
-    workload_horizon = (start + len(plan["lookups"]) * live.LOOKUP_INTERVAL
+        sim.schedule(j * live.LOOKUP_INTERVAL, issue,
+                     item["origin"], item["key"])
+    workload_horizon = (sim.now + len(plan["lookups"]) * live.LOOKUP_INTERVAL
                         + spec.lookup_timeout)
     sim.run(until=workload_horizon)
     return _row(score_lookups(pending, node_ids),

@@ -101,7 +101,7 @@ def category_rate(*categories: str) -> Reader:
     """Reader: messages of ``categories`` sent per active node-second."""
     def rate(result: RunResult) -> float:
         node_seconds = result.stats.active.total_node_seconds or 1.0
-        return sum(result.stats.sent_total.get(category, 0) / node_seconds
+        return sum(result.stats.sent_count(category) / node_seconds
                    for category in categories)
     return rate
 

@@ -184,8 +184,9 @@ class FaultSchedule:
     ) -> FaultState:
         """Attach a fault table to ``network`` and arm all events.
 
-        Event times are shifted by ``offset`` (experiments pass the warm-up
-        length so schedules are written in measured time).  Returns the
+        Event times are shifted by ``offset`` seconds from the install
+        instant ``sim.now`` (the runner installs at 0 and passes the warm-up
+        length, so schedules are written in measured time).  Returns the
         :class:`FaultState` for counter inspection.
         """
         state = network.faults
@@ -194,8 +195,8 @@ class FaultSchedule:
             network.faults = state
         ctx = _Context(state=state, network=network, rng=rng)
         for event in self.events:
-            sim.schedule_at(offset + event.start, event.fault.apply, ctx)
-            sim.schedule_at(offset + event.end, event.fault.revert, ctx)
+            sim.schedule(offset + event.start, event.fault.apply, ctx)
+            sim.schedule(offset + event.end, event.fault.revert, ctx)
         return state
 
     def describe(self) -> str:

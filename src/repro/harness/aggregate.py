@@ -4,7 +4,7 @@ Loads the per-run JSON artifacts of a sweep directory, groups runs that
 share an (experiment, params) point — i.e. the same grid cell across master
 seeds — flattens each result dict into dotted scalar metrics
 (``rows.0.05.rdp`` and the like; series and other lists are skipped), and
-reports mean and a normal-approximation 95% confidence interval per metric
+reports mean and a Student-t 95% confidence interval per metric
 via :func:`repro.experiments.reporting.format_table`.
 """
 
@@ -36,11 +36,14 @@ def flatten_scalars(result: Any, prefix: str = "") -> Dict[str, float]:
 
 
 def mean_ci95(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and half-width of the normal-approx 95% CI."""
+    """Sample mean and half-width of its 95% CI (Student's t, n - 1 dof)."""
     mean = statistics.fmean(values)
-    if len(values) < 2:
+    n = len(values)
+    if n < 2:
         return mean, 0.0
-    return mean, 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+    from scipy.stats import t  # on use: importing the CLI loads no scipy
+    return mean, (float(t.ppf(0.975, n - 1)) * statistics.stdev(values)
+                  / math.sqrt(n))
 
 
 def group_runs(artifacts: List[Dict]) -> List[Dict]:

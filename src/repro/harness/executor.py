@@ -155,6 +155,9 @@ def _run_pool(pending: List[RunSpec], store: ResultStore, jobs: int,
         while queue or running:
             while queue and len(running) < jobs:
                 job = queue.popleft()
+                # A forced or retried run may find an earlier invocation's
+                # artifact: drop it, so a missing one means none was written.
+                store.artifact_path(job.run_id).unlink(missing_ok=True)
                 proc = ctx.Process(target=_worker_main,
                                    args=(job, str(store.root), registry))
                 proc.start()

@@ -18,10 +18,10 @@ this module:
   is :class:`repro.runtime.transport.UdpTransport`.
 
 The seam declares what ``MSPastryNode`` calls and nothing more, so a new
-substrate writes six members.  ``Simulator.schedule_at`` /
-``schedule_call`` and ``Network.owner_of`` / ``addresses`` are the
-simulator's own API: the runner, the transport and the fault layer call
-them on the concrete classes.
+substrate writes six members.  ``Simulator.schedule_call`` and
+``Network.owner_of`` / ``addresses`` are the simulator's own API: the
+runner, the transport and the fault layer call them on the concrete
+classes.
 
 Both implementations are structurally checked against these Protocols by
 ``tests/test_interfaces.py`` and by mypy (``repro/interfaces.py`` and the

@@ -7,12 +7,13 @@ active-population changes, and invariant-checker reports — and produces the
 paper's four metrics plus the per-message-type control-traffic breakdown of
 Figure 4.
 
-Traffic accounting: ``sent_total`` counts *attempted* sends and ``lost_total``
-the subset dropped by the channel or fault injection.  Figure 4's
-control-traffic numbers (and all ``control_*``/bandwidth metrics here) use
-the **sent** counts — the paper measures the bandwidth a node *spends* on
-maintenance, and a message lost in the network still cost its sender the
-transmission.
+Traffic accounting: ``sent_windowed`` counts *attempted* sends per category
+and window (:meth:`StatsCollector.sent_count` sums a category's windows)
+and ``lost_total`` the subset dropped by the channel or fault injection.
+Figure 4's control-traffic numbers (and all ``control_*``/bandwidth metrics
+here) use the **sent** counts — the paper measures the bandwidth a node
+*spends* on maintenance, and a message lost in the network still cost its
+sender the transmission.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class StatsCollector:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        self.sent_total: Dict[str, int] = defaultdict(int)
         self.lost_total: Dict[str, int] = defaultdict(int)
         self.sent_windowed: Dict[str, Dict[int, int]] = defaultdict(
             _window_counter
@@ -109,9 +109,7 @@ class StatsCollector:
         now -= self.t0
         if now < 0.0:
             return  # warm-up traffic is not measured
-        category = msg.category
-        self.sent_total[category] += 1
-        self.sent_windowed[category][int(now // self.window)] += 1
+        self.sent_windowed[msg.category][int(now // self.window)] += 1
 
     def on_loss(self, msg, src: int, dst: int, now: float) -> None:
         """An attempted send that the channel (or a fault) dropped."""
@@ -220,8 +218,14 @@ class StatsCollector:
                 series.append(((idx + 0.5) * self.window, sum(bucket) / len(bucket)))
         return series
 
+    def sent_count(self, *categories: str) -> int:
+        """Measured sends of ``categories``, summed over every window."""
+        windowed = self.sent_windowed
+        return sum(sum(windowed[c].values()) for c in categories
+                   if c in windowed)
+
     def control_messages_total(self) -> int:
-        return sum(self.sent_total[c] for c in CONTROL_CATEGORIES)
+        return self.sent_count(*CONTROL_CATEGORIES)
 
     def control_traffic_rate(self) -> float:
         """Control messages per second per active node, run-wide."""

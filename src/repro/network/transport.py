@@ -14,12 +14,10 @@ Determinism contract
 Fault consultation happens in a fixed order on the hot path — on ``send``:
 uniform channel loss (one RNG draw) → topology delay → ``filter_send`` →
 ``adjust_delay``; on delivery: ``filter_deliver`` (so partitions cut
-traffic already in flight) → handler lookup.  :meth:`Network.addresses`
-returns addresses in registration order (dict insertion order), which
-fault targeting and audits rely on: iterating it into RNG-driven choices
-is reproducible because the order is a pure function of the run's own
-event history.  Reordering any of these consultations changes RNG streams
-and therefore breaks same-seed byte-identical results.
+traffic already in flight) → handler lookup.  Reordering any of these
+consultations changes RNG streams and therefore breaks same-seed
+byte-identical results.  Fault targeting sorts :meth:`Network.addresses`
+before it samples, so its choices do not depend on registration order.
 
 There is one send path.  With no stats collector, zero loss and no fault
 table — the configuration of a warm-up — every optional step is one
@@ -33,7 +31,7 @@ Message accounting distinguishes three counters:
 
 * ``messages_sent`` — *attempted* sends (what a sender pays for),
 * ``messages_lost`` — dropped by the channel (uniform loss) or by fault
-  injection (``messages_lost_faults`` sub-counts the latter),
+  injection (``faults.drops`` counts the latter, per fault kind),
 * ``messages_delivered`` — handler actually invoked;
   ``messages_dropped_dead`` counts arrivals at deregistered addresses.
 
@@ -83,7 +81,6 @@ class Network:
         self.stats = stats
         self.messages_sent = 0
         self.messages_lost = 0
-        self.messages_lost_faults = 0
         self.messages_delivered = 0
         self.messages_dropped_dead = 0
 
@@ -124,13 +121,11 @@ class Network:
         return self._owners.get(address)
 
     def addresses(self) -> List[Address]:
-        """All currently registered addresses (fault targeting, audits).
+        """All currently registered addresses, in registration order.
 
-        Determinism contract: the order is *registration order* (dict
-        insertion order) — stable across same-seed runs because it is a
-        pure function of the run's own event history.  Callers may feed it
-        into RNG-driven sampling (fault targeting does) without breaking
-        reproducibility.
+        Fault targeting sorts this list before feeding it into RNG-driven
+        sampling, so its choices depend on which addresses are live, not
+        on the order they registered in.
         """
         return list(self._handlers)
 
@@ -148,7 +143,6 @@ class Network:
         faults = self.faults
         if faults is not None and faults.engaged:
             if faults.filter_send(src, dst) is not None:
-                self.messages_lost_faults += 1
                 self._lose(msg, src, dst)
                 return
             delay = faults.adjust_delay(src, dst, delay)
@@ -165,7 +159,6 @@ class Network:
         faults = self.faults
         if faults is not None and faults.engaged and faults.filter_deliver(
                 src, dst) is not None:
-            self.messages_lost_faults += 1
             self._lose(msg, src, dst)
             return
         handlers = self._handlers

@@ -257,15 +257,7 @@ class OverlayRunner:
             if gc_was_enabled:
                 gc.enable()
         self.collector.finish(trace.duration)
-        extras: Dict[str, object] = {
-            "messages": {
-                "sent": self.network.messages_sent,
-                "lost": self.network.messages_lost,
-                "lost_faults": self.network.messages_lost_faults,
-                "delivered": self.network.messages_delivered,
-                "dropped_dead": self.network.messages_dropped_dead,
-            },
-        }
+        extras: Dict[str, object] = {}
         if self.network.faults is not None:
             extras["fault_drops"] = dict(self.network.faults.drops)
             if self.network.faults.adversary_counters:

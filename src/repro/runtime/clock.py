@@ -59,12 +59,12 @@ class AsyncioClock:
         sim = self._sim
         if sim is None:
             raise RuntimeError("clock is closed")
-        # The simulator raises on a negative delay; on a real clock it is
-        # routine skew (the deadline passed while we computed it): clamp.
+        # Clamp a negative delay (routine skew on a real clock).  The queue's
+        # now, its last run(until=) horizon, never passes this clock's.
         time = self._time() - self._origin
         if delay > 0.0:
             time += delay
-        handle = sim.schedule_at(time, callback, *args)
+        handle = sim.schedule(time - sim.now, callback, *args)
         if time < self._wakeup_time:
             self._arm(time)
         return handle

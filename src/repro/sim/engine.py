@@ -31,13 +31,15 @@ Design notes
   or below the index being drained — both directions preserve the
   global ``(time, seq)`` total order, byte-for-byte.
 
-* Three entry points share one seq counter and one insert rule — draw
+* Two entry points share one seq counter and one insert rule — draw
   the next seq, route by bucket index — and therefore a single
   deterministic total order.  Each carries the rule's lines itself: a
-  shared helper was a frame per timer armed and per message sent.
+  shared helper was a frame per timer armed and per message sent.  Both
+  take a delay from ``now``; a caller holding an absolute time passes
+  ``time - now``.
 
-  - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-    :class:`EventHandle` that can be cancelled — timers, retransmissions.
+  - :meth:`Simulator.schedule` returns an :class:`EventHandle` that can
+    be cancelled — timers, retransmissions.
   - :meth:`Simulator.schedule_call` is the handle-free form for
     fire-and-forget events (message deliveries never cancel), skipping
     the handle allocation and consume-time bookkeeping.
@@ -172,28 +174,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         time = self.now + delay
-        handle = EventHandle(time, callback, args, self)
-        self._seq += 1
-        self._count += 1
-        entry = (time, self._seq, handle, None, None)
-        idx = int(time * _INV_WIDTH)
-        if idx <= self._cur_idx:
-            heapq.heappush(self._near, entry)
-        elif idx in self._buckets:
-            self._buckets[idx].append(entry)
-        else:
-            self._buckets[idx] = [entry]
-            heapq.heappush(self._bucket_heap, idx)
-        return handle
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self.now}"
-            )
         handle = EventHandle(time, callback, args, self)
         self._seq += 1
         self._count += 1

@@ -238,7 +238,7 @@ def test_adversary_fault_applies_and_reverts():
     schedule = FaultSchedule(
         [FaultEvent(AdversaryFault(fraction=0.25, mix="drop"), 10.0, 30.0)]
     )
-    schedule.install(sim, net, random.Random(99), offset=sim.now)
+    schedule.install(sim, net, random.Random(99))
     start = sim.now
     sim.run(until=start + 20.0)
     compromised = [n for n in nodes if n.adversary is not None]
@@ -257,7 +257,7 @@ def test_adversary_fault_skips_crashed_nodes():
     schedule = FaultSchedule(
         [FaultEvent(AdversaryFault(fraction=1.0, mix="drop"), 5.0, 30.0)]
     )
-    schedule.install(sim, net, random.Random(7), offset=sim.now)
+    schedule.install(sim, net, random.Random(7))
     sim.run(until=sim.now + 10.0)
     assert all(n.adversary is None for n in nodes[4:])
     assert all(n.adversary is not None for n in nodes[:4])

@@ -189,7 +189,7 @@ def count_control_calls(seed):
     rng = random.Random(seed)
     schedule = FaultSchedule([FaultEvent(Partition(0.25), start=0.0,
                                          duration=PARTITION_S)])
-    state = schedule.install(sim, network, rng, offset=t0)
+    state = schedule.install(sim, network, rng)
     # Built before the window: a descriptor is interned process-wide, so
     # only the first run in a process would pay for building it.
     config = PastryConfig()
@@ -211,9 +211,9 @@ def count_control_calls(seed):
 
     gap = CHURN_S / CHURN_EVENTS
     for i in range(CHURN_EVENTS):
-        at = t0 + PARTITION_S + i * gap
-        sim.schedule_at(at, join, None)
-        sim.schedule_at(at + 0.5 * gap, crash, None)
+        at = PARTITION_S + i * gap
+        sim.schedule(at, join, None)
+        sim.schedule(at + 0.5 * gap, crash, None)
 
     def run():
         sim.run(until=t0 + PARTITION_S + CHURN_S)
@@ -344,8 +344,8 @@ def mid_run_instances():
                       fault_schedule=faults).build_runner()
     found = Counter()
 
-    def stop_at(sim, t0):
-        sim.schedule_at(t0 + 10.3, lambda: found.update(reachable_instances(runner)))
+    def stop_at(sim, t0):  # called at now = 0
+        sim.schedule(t0 + 10.3, lambda: found.update(reachable_instances(runner)))
 
     runner.run(trace, extra_schedule=stop_at)
     return found

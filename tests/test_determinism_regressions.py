@@ -138,8 +138,10 @@ def _fault_run_signature(seed):
         fault_schedule=schedule,
     )
     result = runner.run(trace)
+    network = runner.network
     return (
-        result.extras["messages"],
+        (network.messages_sent, network.messages_lost,
+         network.messages_delivered, network.messages_dropped_dead),
         dict(result.extras.get("fault_drops", {})),
         result.final_active,
         round(result.stats.loss_rate(), 12),

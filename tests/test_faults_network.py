@@ -57,7 +57,7 @@ def test_partition_blocks_cross_group_but_not_same_group():
     assert inboxes[b] == []
     assert inboxes[c] == [(b, "same")]
     assert state.drops["partition"] == 1
-    assert net.messages_lost_faults == 1
+    assert sum(state.drops.values()) == 1
 
 
 def test_partition_heal_restores_connectivity():
@@ -209,6 +209,24 @@ def test_schedule_applies_and_reverts_at_the_right_times():
     assert not state.engaged
 
 
+def test_install_offset_counts_from_the_install_instant():
+    sim, net, _, _ = make_net()
+    sim.run(until=5.0)
+    seen = []
+
+    class Marker(schedule_module.Fault):
+        def apply(self, ctx):
+            seen.append(("apply", sim.now))
+
+        def revert(self, ctx):
+            seen.append(("revert", sim.now))
+
+    FaultSchedule([FaultEvent(Marker(), start=3.0, duration=1.0)]).install(
+        sim, net, random.Random(1), offset=2.0)
+    sim.run()
+    assert seen == [("apply", 5.0 + 2.0 + 3.0), ("revert", 5.0 + 2.0 + 4.0)]
+
+
 def test_schedule_validation_and_introspection():
     with pytest.raises(ValueError):
         FaultEvent(Partition(), start=-1.0, duration=5.0)
@@ -239,7 +257,7 @@ def test_link_jitter_delays_only_inside_its_window():
                                       start=1.0, duration=1.0)]).install(
         sim, net, random.Random(3))
     for t in (0.5, 1.2, 1.4, 1.6, 1.8, 2.5):
-        sim.schedule_at(t, net.send, a, b, t)
+        sim.schedule(t, net.send, a, b, t)
     sim.run()
     late = {t: round(at - t - 0.05, 9) for t, at in arrivals}
     assert late[0.5] == late[2.5] == 0.0  # no jitter outside the window
@@ -277,7 +295,7 @@ def test_counters_split_sent_lost_delivered():
 
     assert net.messages_sent == 3
     assert net.messages_delivered == 1
-    assert net.messages_lost == net.messages_lost_faults == state.drops["gray"]
+    assert net.messages_lost == sum(state.drops.values()) == state.drops["gray"]
     assert (
         net.messages_lost + net.messages_delivered + net.messages_dropped_dead
         == net.messages_sent
@@ -338,7 +356,7 @@ def faulted_chatter(monkeypatch, seed=7):
 
     sim.schedule(0.0, chatter, 0)
     at_end = []
-    sim.schedule_at(6.0, lambda: at_end.append(
+    sim.schedule(6.0, lambda: at_end.append(
         (getattr(state, "hook_calls", None), rng.getstate())))
     sim.run()
     return net, state, rng, at_end[0], inboxes

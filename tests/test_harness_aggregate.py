@@ -39,7 +39,7 @@ def test_mean_ci95():
     assert (mean, ci) == (2.0, 0.0)
     mean, ci = mean_ci95([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)
-    assert ci == pytest.approx(1.96 * 1.0 / math.sqrt(3))
+    assert ci == pytest.approx(4.302653 * 1.0 / math.sqrt(3))  # t(0.975, 2)
 
 
 def test_group_runs_across_seeds():

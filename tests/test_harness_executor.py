@@ -294,6 +294,30 @@ def test_timeout_kills_hung_job(tmp_path):
     assert error["kind"] == "timeout"
 
 
+@needs_fork
+@pytest.mark.parametrize("kind", ["crash", "timeout"])
+def test_forced_rerun_that_writes_nothing_is_not_ok(tmp_path, kind):
+    """A worker that dies or times out under --force leaves the previous
+    invocation's ``ok`` artifact behind no longer."""
+    spec = SweepSpec.from_json(dict(name="t", experiment="fake", seeds=[1]))
+    first = run_sweep(spec, tmp_path, jobs=1,
+                      registry={"fake": fake_module(lambda seed=0: {})})
+    assert first.ok == ["fake--s1"]
+
+    def run(seed=0):
+        if kind == "crash":
+            import os
+            os._exit(3)
+        time.sleep(30)
+
+    outcome = run_sweep(spec, tmp_path, jobs=2, force=True,
+                        timeout=0.5 if kind == "timeout" else None,
+                        registry={"fake": fake_module(run)})
+    assert (outcome.ok, outcome.failed) == ([], ["fake--s1"])
+    error = ResultStore(tmp_path).read_artifact("fake--s1")["error"]
+    assert error["kind"] == kind
+
+
 # ----------------------------------------------------------------------
 # Progress reporting
 # ----------------------------------------------------------------------

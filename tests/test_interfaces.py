@@ -24,8 +24,7 @@ from repro.runtime.transport import UdpTransport
 from repro.sim.engine import Simulator
 
 #: what the simulator offers beyond the seam: no live substrate writes it
-SIMULATOR_ONLY = {"schedule_at", "schedule_call", "is_registered", "owner_of",
-                  "addresses"}
+SIMULATOR_ONLY = {"schedule_call", "is_registered", "owner_of", "addresses"}
 
 
 def _as_clock(clock: Clock) -> Clock:

@@ -22,11 +22,11 @@ from repro.sim.engine import Simulator
 _DELAYS = st.sampled_from(
     [0.0, 1 / 64, 1 / 32, 0.25, 1.0, 7.5, 100.0, 1000.0])
 
-_API_SCHEDULE, _API_SCHEDULE_AT, _API_SCHEDULE_CALL = range(3)
+_API_SCHEDULE, _API_SCHEDULE_CALL = range(2)
 
 # Scheduled before the run: (delay, api, cancel it straight away?)
 _OPS = st.lists(
-    st.tuples(_DELAYS, st.integers(0, 2), st.booleans()),
+    st.tuples(_DELAYS, st.integers(0, 1), st.booleans()),
     max_size=60,
 )
 # Scheduled from inside callbacks: (near delay, far delay, cancel the
@@ -49,17 +49,17 @@ class _SortedReference:
         self._seq = 0
         self._queue = []
 
-    def schedule_at(self, time, callback, *args):
+    def _insert(self, time, callback, *args):
         self._seq += 1
         entry = [time, self._seq, callback, args]
         bisect.insort(self._queue, entry)  # seq is unique: ties stop there
         return self._Handle(entry)
 
     def schedule(self, delay, callback, *args):
-        return self.schedule_at(self.now + delay, callback, *args)
+        return self._insert(self.now + delay, callback, *args)
 
     def schedule_call(self, delay, callback, *args):
-        self.schedule_at(self.now + delay, callback, *args)
+        self._insert(self.now + delay, callback, *args)
 
     def run(self):
         while self._queue:
@@ -72,7 +72,7 @@ class _SortedReference:
 def _drive(sim, ops, program):
     """Run ``ops`` then ``program`` on ``sim``; return the execution log.
 
-    ``ops`` are scheduled up front through all three entry points, some
+    ``ops`` are scheduled up front through both entry points, some
     cancelled at once.  ``program`` is consumed from inside callbacks:
     each executed event takes one entry, schedules a near child plus a far
     timer, and ``do_cancel`` lazily cancels the previous far timer, leaving
@@ -97,8 +97,6 @@ def _drive(sim, ops, program):
     for i, (delay, api, do_cancel) in enumerate(ops):
         if api == _API_SCHEDULE:
             handle = sim.schedule(delay, order.append, ("op", i))
-        elif api == _API_SCHEDULE_AT:
-            handle = sim.schedule_at(delay, order.append, ("op", i))
         else:
             sim.schedule_call(delay, order.append, ("op", i))
             handle = None

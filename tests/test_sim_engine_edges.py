@@ -1,7 +1,5 @@
 """Simulator edge cases beyond the basic contract in test_sim_engine."""
 
-import pytest
-
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -49,25 +47,6 @@ def test_events_beyond_horizon_stay_queued():
     assert sim.now == 4.0  # horizon, not the event time
     sim.run(until=6.0)
     assert fired == ["late"]
-
-
-def test_schedule_at_exactly_now_is_allowed():
-    sim = Simulator()
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    fired = []
-    sim.schedule_at(sim.now, fired.append, "now")
-    sim.run()
-    assert fired == ["now"]
-    assert sim.now == 2.0
-
-
-def test_schedule_at_in_the_past_raises_after_time_advances():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(4.999, lambda: None)
 
 
 def test_double_cancel_is_safe_and_idempotent():

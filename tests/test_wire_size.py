@@ -142,18 +142,17 @@ def churn_run(stats, seed=22):
         nodes.append(joiner)
         joiner.join(nodes[0].descriptor)
 
-    start = sim.now
     for i in range(600):
-        sim.schedule_at(start + 4.0 * i, lookup)
+        sim.schedule(4.0 * i, lookup)
     for i in range(8):
-        sim.schedule_at(start + 10.0 + 250.0 * i, churn)
-    sim.run(until=start + 2400.0)
+        sim.schedule(10.0 + 250.0 * i, churn)
+    sim.run(until=sim.now + 2400.0)
     return stats
 
 
 def test_simulator_traffic_encodes_sizes_and_decodes_exactly():
     stats = churn_run(_WireChecker())
-    assert sum(stats.sent_total.values()) > 5000
+    assert stats.sent_count(*stats.sent_windowed) > 5000
     # joins, repair, probing, maintenance and lookups all crossed the codec:
     # everything but app messages, generalized repair and a live RT probe
     unseen = {cls for _, cls, _ in m.SCHEMA} - stats.types_seen
@@ -165,5 +164,5 @@ def test_bandwidth_zero_without_activity():
     stats = StatsCollector()
     stats.finish(10.0)
     assert stats.active.total_node_seconds == 0.0
-    assert sum(stats.sent_total.values()) == 0
+    assert stats.sent_count(*stats.sent_windowed) == 0
     assert stats.control_traffic_rate() == 0.0
