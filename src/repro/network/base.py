@@ -15,6 +15,8 @@ import random
 from abc import ABC, abstractmethod
 from array import array
 from collections import OrderedDict
+from heapq import heappop, heappush
+from math import inf
 from typing import TYPE_CHECKING, List
 
 import numpy as np
@@ -27,16 +29,48 @@ if TYPE_CHECKING:
 MAX_CACHED_DIST_ROWS = 512
 #: one-way delay of the LAN link each end node attaches through (paper §5.1)
 LAN_DELAY = 0.001
+#: a graph of at most this many routers is searched in Python (``dijkstra``):
+#: above GATech's largest stub with its uplink, 17 routers
+SMALL_SEARCH_ROUTERS = 32
 
 
 def dijkstra(graph, **kwargs):
-    """scipy's ``csgraph.dijkstra``, imported on the first call, so that
-    importing a topology module does not load scipy.  ``_router_distances``
-    calls it by this global name, and subclasses as ``base.dijkstra``, so a
-    profiler can rebind it."""
+    """scipy's ``csgraph.dijkstra``, but a single-source, directed,
+    distance-only search of a csr graph of at most
+    :data:`SMALL_SEARCH_ROUTERS` routers runs as a heap search in Python,
+    without scipy's per-call validation: with weights > 0 each final label
+    is the minimum over in-links of ``fl(lab[u] + w)`` whatever the pop
+    order, so the labels are scipy's bit for bit.  scipy is imported only
+    when it searches, so that importing a topology module does not load
+    it.  ``_router_distances`` calls this by its global name, and every
+    other search as ``base.dijkstra``, so a profiler can rebind it."""
+    source = kwargs.get("indices")
+    if (type(source) is int and kwargs.keys() <= {"indices", "directed"}
+            and kwargs.get("directed", True) is True
+            and getattr(graph, "format", None) == "csr"
+            and 0 <= source < graph.shape[0] <= SMALL_SEARCH_ROUTERS):
+        return _heap_search(graph.indptr.tolist(), graph.indices.tolist(),
+                            graph.data.tolist(), source)
     from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
     return scipy_dijkstra(graph, **kwargs)
+
+
+def _heap_search(starts: list, heads: list, weights: list, source: int) -> np.ndarray:
+    """Labels from ``source`` over the csr lists, ``inf`` where unreachable."""
+    labels = [inf] * (len(starts) - 1)
+    labels[source] = 0.0
+    queue = [(0.0, source)]
+    while queue:
+        label, tail = heappop(queue)
+        if label > labels[tail]:
+            continue  # a stale entry: the router was reached for less since
+        for link in range(starts[tail], starts[tail + 1]):
+            via, head = label + weights[link], heads[link]
+            if via < labels[head]:
+                labels[head] = via
+                heappush(queue, (via, head))
+    return np.array(labels)
 
 
 class Topology(ABC):

@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.network import base
 from repro.network.base import Topology
 
 #: bound on cached router-pair hop counts (ints; a few MB at the cap).
@@ -179,9 +180,7 @@ class HierarchicalASTopology(Topology):
     def _as_path(self, src_as: int, dst_as: int) -> List[int]:
         row = self._as_pred.get(src_as)
         if row is None:
-            from scipy.sparse.csgraph import dijkstra
-
-            _, pred = dijkstra(
+            _, pred = base.dijkstra(
                 self._as_graph, indices=src_as, unweighted=True,
                 return_predecessors=True, directed=False,
             )

@@ -12,9 +12,11 @@ enforced structurally.
 End nodes attach to randomly selected *stub* routers through a 1 ms LAN link,
 as in the paper.
 
-A delay row comes from that hierarchy (``_row``, DESIGN §10): a search of the
-source's stub, a fold along cached trees, and a certificate that makes it
-equal to scipy's search of the whole map bit for bit.
+A row miss is priced by that hierarchy, not by the whole map (``_entry``,
+DESIGN §10): one search of the source's stub and its uplink, a fold of the
+transit core (≈ 50 routers) along a cached tree, and a certificate checked only
+on the links that can fail it, which makes every delay equal to scipy's
+search of the whole map bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from array import array
 from functools import reduce
 from operator import add
-from typing import Any, List, NamedTuple
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,11 @@ from repro.network.base import RouterGraphTopology
 
 #: seconds of link delay per unit of distance in the unit square (GT-ITM)
 DELAY_PER_UNIT = 0.080
+#: a link whose slack from a transit router exceeds this holds from every
+#: source under it: outside its stub a source's labels are the router's own
+#: sums started from an offset, and rounding moves a slack by < 1e-13 s
+#: (labels below 0.25 s, sums of at most ~56 weights, on the maps built)
+TIGHT = 1e-9
 
 
 def _levels(graph, children: np.ndarray, parents: np.ndarray) -> list:
@@ -50,17 +57,42 @@ def _levels(graph, children: np.ndarray, parents: np.ndarray) -> list:
             for at in (depth == d for d in range(depth.max(initial=-1) + 1))]
 
 
-class _Fold(NamedTuple):
-    """What ``TransitStubTopology._row`` folds along, built at its first call."""
+def _fold_core(trees: list, entry: int, start: float) -> list:
+    """The transit routers' labels: ``start`` at ``entry``, then down its tree."""
+    core = [np.inf] * len(trees)
+    core[entry] = start
+    for child, parent, weight in trees[entry]:
+        core[child] = core[parent] + weight
+    return core
 
-    stub_graph: Any  # the intra-stub links: one search per row
+
+def _stub_graph(graph, members: list):
+    """A stub's links and its uplink as a csr graph: its routers numbered in
+    their run, then its transit router, read off the installed ``graph``,
+    where a stub router links only inside its stub and to that router.  The
+    downlink is left out: it can lower no label of the stub."""
+    from scipy.sparse import csr_matrix
+
+    first, size = members[0], len(members)
+    lo, hi = graph.indptr[first], graph.indptr[first + size]
+    heads = graph.indices[lo:hi] - first
+    heads[(heads < 0) | (heads >= size)] = size
+    return csr_matrix((graph.data[lo:hi], heads,
+                       np.append(graph.indptr[first:first + size + 1] - lo, hi - lo)),
+                      shape=(size + 1, size + 1))
+
+
+class _Fold(NamedTuple):
+    """What ``TransitStubTopology._entry`` folds along, built at its first call."""
+
     core_ids: np.ndarray  # the transit routers
     core_trees: list  # per transit router, its tree's (child, parent, weight), parents first
-    forest: list  # ``_levels`` of every stub's tree from its gateway
-    gate: np.ndarray  # router -> its stub's gateway, -1 for a transit router
-    tails: np.ndarray  # every directed link (tail, head, weight), for the certificate
-    heads: np.ndarray
-    weights: np.ndarray
+    #: per stub, by its first router, ``_stub_graph``; a transit router's is
+    #: the router alone
+    stubs: dict
+    #: per transit router, the links off its trees that some source's labels
+    #: could fail: (tail, head, weight) with slack <= TIGHT from the router itself
+    tight: list
 
 
 class TransitStubTopology(RouterGraphTopology):
@@ -83,8 +115,6 @@ class TransitStubTopology(RouterGraphTopology):
         #: per router, by ``_prepare``: its stub's routers (``[r]`` if transit), its
         #: transit router's index in ``core_ids``, the weights down its forest path
         self._home = self._core_of = self._paths = None
-        #: relax passes the certificate has run (0 on every map seen so far)
-        self._relax_passes = 0
         self._build(
             n_transit_domains,
             transit_routers_per_domain,
@@ -185,7 +215,9 @@ class TransitStubTopology(RouterGraphTopology):
     def _prepare(self) -> _Fold:
         """Two searches, once: each transit router's shortest-path tree over
         the transit core, and each stub's tree from its gateway.  Every weight
-        is read off the installed graph, where a doubled link is one entry."""
+        is read off the installed graph, where a doubled link is one entry.
+        Then, per transit router, the links off its trees that a fold from it
+        leaves within :data:`TIGHT` of lowering a label."""
         from scipy.sparse import csr_matrix
 
         graph, n = self._graph, self._n_routers
@@ -206,68 +238,74 @@ class TransitStubTopology(RouterGraphTopology):
         gateways = np.array([gateway for _, gateway, _ in self._stubs])
         _, pred, _ = base.dijkstra(stub_graph, directed=True, indices=gateways,
                                    min_only=True, return_predecessors=True)
-        gate, transit_of = np.full(n, -1), np.arange(n)
+        transit_of = np.arange(n)
         self._home = [[r] for r in range(n)]
-        for members, gateway, transit_router in self._stubs:
-            gate[members] = gateway
+        stubs = {r: csr_matrix((1, 1)) for r in core_ids.tolist()}
+        for members, _, transit_router in self._stubs:
             transit_of[members] = transit_router
             self._home[members[0]:members[-1] + 1] = [members] * len(members)
+            stubs[members[0]] = _stub_graph(graph, members)
         pred[gateways] = transit_of[gateways]  # a gateway's parent is its transit router
-        stubs = np.flatnonzero(~transit)
-        forest = _levels(graph, stubs, pred[stubs])
+        stub_ids = np.flatnonzero(~transit)
+        forest = _levels(graph, stub_ids, pred[stub_ids])
         self._core_of, self._paths = np.searchsorted(core_ids, transit_of).tolist(), [()] * n
         for level in forest:
             for child, parent, weight in zip(*(part.tolist() for part in level)):
                 self._paths[child] = self._paths[parent] + (weight,)
-        self._fold = _Fold(
-            stub_graph, core_ids, core_trees, forest, gate,
-            np.repeat(np.arange(n), np.diff(graph.indptr)),
-            graph.indices.astype(np.intp), graph.data)
+        tails, heads, weights = (np.repeat(np.arange(n), np.diff(graph.indptr)),
+                                 graph.indices, graph.data)
+        core_links = np.flatnonzero(transit[tails] & transit[heads])
+        at = dict(zip(zip(tails[core_links].tolist(), heads[core_links].tolist()),
+                      core_links.tolist()))
+        off_forest = ~np.isin(tails * n + heads,
+                              np.concatenate([p * n + c for c, p, _ in forest]))
+        tight, ids = [], core_ids.tolist()
+        for entry, tree in enumerate(core_trees):
+            labels = np.full(n, np.inf)
+            labels[core_ids] = _fold_core(core_trees, entry, 0.0)
+            for children, parents, level_weights in forest:
+                labels[children] = labels[parents] + level_weights
+            off_trees = off_forest.copy()
+            off_trees[[at[ids[parent], ids[child]] for child, parent, _ in tree]] = False
+            slack = labels[tails] + weights - labels[heads]
+            links = np.flatnonzero(off_trees & (slack <= TIGHT))
+            tight.append(list(zip(tails[links].tolist(), heads[links].tolist(),
+                                  weights[links].tolist())))
+        self._fold = _Fold(core_ids, core_trees, stubs, tight)
         return self._fold
-
-    def _row(self, router: int) -> np.ndarray:
-        """Labels inside the source's stub from one search of the stub-only
-        graph; its transit router's from the gateway's; every other router's
-        folded along the cached trees.  Each label is the left-to-right
-        float64 sum of some walk from the source, so once no link lowers any
-        label they are scipy's labels exactly, on any graph; the hierarchy
-        only makes the relax loop rare."""
-        fold = self._fold or self._prepare()
-        inside = base.dijkstra(fold.stub_graph, indices=router, directed=True)
-        gateway, entry = fold.gate[router], self._core_of[router]
-        core = [np.inf] * len(fold.core_ids)
-        core[entry] = float(inside[gateway] + self._paths[gateway][0]) if gateway >= 0 else 0.0
-        for child, parent, weight in fold.core_trees[entry]:
-            core[child] = core[parent] + weight
-        row = np.full(self._n_routers, np.inf)
-        row[fold.core_ids] = core
-        for children, parents, weights in fold.forest:
-            row[children] = row[parents] + weights
-        np.minimum(row, inside, out=row)
-        tails, heads, weights = fold.tails, fold.heads, fold.weights
-        while ((via := row[tails] + weights) < row[heads]).any():
-            np.minimum.at(row, heads, via)
-            self._relax_passes += 1
-        return row
 
     def _entry(self, router: int) -> tuple:
         """The fold's inputs, ~0.7 kB: the source's stub, the core's labels,
-        the stub's own and, if the certificate moved any, each label the
-        replay misses; it is the fold's own additions, so scipy's bit for bit."""
-        passes, row = self._relax_passes, self._row(router)
-        core, span = array("d", row[self._fold.core_ids].tolist()), self._home[router]
-        moved = {} if self._relax_passes == passes else {
-            r: x for r, x in enumerate(row.tolist())
-            if x != reduce(add, self._paths[r], core[self._core_of[r]])}
+        the stub's own and, if the certificate fails, each label the replay
+        misses.  One search of the source's stub and its uplink labels them
+        and its transit router, from which the core is folded.  No link that
+        touches the stub can then lower a label, so the certificate is
+        checked only on the transit router's tight links (DESIGN §10);
+        if one fails, the entry is read off scipy's search of the whole map."""
+        fold = self._fold or self._prepare()
+        span, entry = self._home[router], self._core_of[router]
+        inside = base.dijkstra(fold.stubs[span[0]], indices=router - span[0],
+                               directed=True).tolist()  # a transit source's is its 0.0
+        core = array("d", _fold_core(fold.core_trees, entry, inside[-1]))
+        candidate = span, core, array("d", inside[:len(span)]), {}
+        if not any(self._label(candidate, tail) + weight < self._label(candidate, head)
+                   for tail, head, weight in fold.tight[entry]):
+            return candidate
+        row, paths = self._row(router), self._paths
+        core = array("d", row[fold.core_ids].tolist())
+        moved = {r: x for r, x in enumerate(row.tolist())
+                 if x != reduce(add, paths[r], core[self._core_of[r]])}
         return span, core, array("d", row[span].tolist()), moved
 
-    def router_delay(self, r1: int, r2: int) -> float:
-        if r1 == r2:
-            return 0.0
-        span, core, own, moved = self._router_distances(r1)
+    def _label(self, entry: tuple, r2: int) -> float:
+        """The delay to router ``r2`` from the source of ``entry``."""
+        span, core, own, moved = entry
         if self._home[r2] is span:
             return own[r2 - span[0]]  # a stub's routers are numbered in a run
         return moved[r2] if r2 in moved else reduce(add, self._paths[r2], core[self._core_of[r2]])
+
+    def router_delay(self, r1: int, r2: int) -> float:
+        return 0.0 if r1 == r2 else self._label(self._router_distances(r1), r2)
 
     def delay(self, a: int, b: int) -> float:
         r1, r2 = self._attach_router[a], self._attach_router[b]

@@ -9,6 +9,9 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import repro.network
@@ -103,6 +106,59 @@ def test_distance_rows_cached_and_evicted_fifo(monkeypatch):
     assert list(topo._dist_cache) == [2, 0]
 
 
+@st.composite
+def small_graphs(draw):
+    """A directed csr graph of at most ``SMALL_SEARCH_ROUTERS`` routers with
+    positive weights (a doubled link sums), often with unreachable routers,
+    and a source."""
+    n = draw(st.integers(1, network_base.SMALL_SEARCH_ROUTERS))
+    routers = st.integers(0, n - 1)
+    links = draw(st.lists(st.tuples(routers, routers, st.floats(
+        min_value=0.0, max_value=1e6, exclude_min=True)), max_size=3 * n))
+    tails, heads, weights = zip(*links) if links else ((), (), ())
+    graph = csr_matrix((np.array(weights, dtype=np.float64), (tails, heads)), shape=(n, n))
+    return graph, draw(routers)
+
+
+@given(small_graphs())
+def test_a_small_search_is_scipys_bit_for_bit(graph_and_source):
+    """``base.dijkstra`` searches a small graph in Python, and its labels
+    are scipy's to the bit, ``inf`` where a router is unreachable."""
+    graph, source = graph_and_source
+    ours = network_base.dijkstra(graph, indices=source, directed=True)
+    assert ours.dtype == np.float64
+    assert ours.tobytes() == dijkstra(graph, indices=source, directed=True).tobytes()
+
+
+def test_only_a_small_single_source_distance_search_runs_in_python(monkeypatch):
+    """Predecessors, hop counts, an undirected search, several sources or a
+    graph above ``SMALL_SEARCH_ROUTERS`` stay scipy's calls."""
+    searched, heap_search = [], network_base._heap_search
+
+    def recording(*args):
+        searched.append(args[-1])  # the source
+        return heap_search(*args)
+
+    monkeypatch.setattr(network_base, "_heap_search", recording)
+    small = LineTopology()._graph
+    network_base.dijkstra(small, indices=2, directed=True)
+    network_base.dijkstra(small, indices=3)
+    assert searched == [2, 3]
+    big = CorpNetTopology(random.Random(7))._graph
+    for graph, kwargs in [
+        (small, dict(indices=1, directed=True, return_predecessors=True)),
+        (small, dict(indices=1, directed=True, unweighted=True)),
+        (small, dict(indices=1, directed=False)),
+        (small, dict(indices=[0, 1], directed=True)),
+        (small, dict(indices=[0, 1], directed=True, min_only=True)),
+        (big, dict(indices=1, directed=True)),
+    ]:
+        ours = network_base.dijkstra(graph, **kwargs)
+        theirs = dijkstra(graph, **kwargs)
+        assert np.array_equal(np.asarray(ours), np.asarray(theirs))
+    assert searched == [2, 3]
+
+
 #: the full GATech map the perf workloads build (their ``MAP_SEED``)
 PERF_GATECH = TransitStubTopology.scaled(RngStreams(2004).stream("topology"), scale=1.0)
 
@@ -132,34 +188,98 @@ def test_router_graph_is_symmetric_so_directed_search_is_exact(topo, step):
         assert delays.tobytes() == undirected.tobytes()
 
 
-def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys():
-    """The certificate is what makes a GATech row exact: give one vertex a
-    real but longer parent in a cached tree level, and its path with it, and
-    the row must still equal scipy's, after at least one relax pass, read
-    through ``router_delay`` too: the cached entry carries the moved labels."""
+def no_whole_map_search(router):
+    raise AssertionError(f"a whole-map search from router {router}")
+
+
+def misfolded_map(monkeypatch) -> tuple:
+    """A small GATech map whose stub forest gives one router a real but
+    longer parent, as a wrong gateway search would, and that router: its
+    label is what the fold gets wrong, from any source outside its stub."""
     for seed in range(20):
-        topo = TransitStubTopology.scaled(random.Random(seed), scale=0.3)
-        forest, graph = topo._prepare().forest, topo._graph.tolil()
-        source = 0  # a transit router: every stub label comes from the fold
-        exact = dijkstra(topo._graph, indices=source, directed=True)
-        for depth, (children, parents, weights) in enumerate(forest[1:], start=1):
-            labelled = set(np.concatenate([level[0] for level in forest[:depth]]).tolist())
-            for i, child in enumerate(children.tolist()):
-                for other in graph.rows[child]:
-                    if other in labelled and exact[other] + graph[other, child] > exact[child]:
-                        parents[i], weights[i] = other, graph[other, child]
-                        for level in forest:  # the replayed paths follow the fold's tree
-                            for node, parent, weight in zip(*(part.tolist() for part in level)):
-                                topo._paths[node] = topo._paths[parent] + (weight,)
-                        assert topo._row(source).tobytes() == exact.tobytes()
-                        assert topo._relax_passes >= 1
-                        delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
-                        assert array("d", delays).tobytes() == exact.tobytes()
-                        assert child in topo._dist_cache[source][3]
-                        topo._attach_router.extend(range(topo.n_routers))  # i on router i
-                        assert topo.delay(source, child) == exact[child] + topo._lan_round
-                        return
+        topo, wrong = TransitStubTopology.scaled(random.Random(seed), scale=0.3), []
+
+        def misleading(graph, **kwargs):
+            dist, pred, gateways = dijkstra(graph, **kwargs)  # the stub forest's search
+            depth = np.zeros(len(pred), dtype=np.int64)
+            for router in range(len(pred)):
+                up = router
+                while pred[up] >= 0:
+                    up, depth[router] = pred[up], depth[router] + 1
+            for child in np.flatnonzero(pred >= 0).tolist():
+                for link in range(graph.indptr[child], graph.indptr[child + 1]):
+                    other = graph.indices[link]
+                    if depth[other] < depth[child] and dist[other] + graph.data[link] > dist[child]:
+                        pred[child] = other
+                        wrong.append(child)
+                        return dist, pred, gateways
+            return dist, pred, gateways
+
+        with monkeypatch.context() as patch:  # only ``_prepare`` sees the wrong tree
+            patch.setattr(network_base, "dijkstra", lambda graph, **kw: (
+                misleading if kw.get("min_only") else dijkstra)(graph, **kw))
+            topo._prepare()
+        if wrong:
+            return topo, wrong[0]
     pytest.fail("no small map has a stub link that is a longer parent")
+
+
+def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys(monkeypatch):
+    """The certificate is what makes a GATech entry exact: when the stub
+    forest gives a router a real but longer parent, the link from its true
+    parent can lower its label, so it is tight from every transit router.
+    A miss from outside that stub, at a transit router or at another stub's,
+    finds it and reads the entry off scipy's search of the whole map, and
+    the entry carries each label the replay misses, read through
+    ``router_delay`` and ``delay`` alike."""
+    topo, child = misfolded_map(monkeypatch)
+    n = topo.n_routers
+    topo._attach_router.extend(range(n))  # i on router i
+    stub = next(members for members, _, _ in topo._stubs if child not in members)
+    for source in (0, stub[0]):  # a transit router and another stub's router
+        exact = dijkstra(topo._graph, indices=source, directed=True)
+        delays = [topo.router_delay(source, r) for r in range(n)]
+        assert array("d", delays).tobytes() == exact.tobytes()
+        assert child in topo._dist_cache[source][3]
+        assert topo.delay(source, child) == exact[child] + topo._lan_round
+
+
+def test_a_link_the_fold_gets_wrong_inside_the_source_stub_is_searched(monkeypatch):
+    """From inside the misfolded stub the stub search labels it exactly,
+    so the same tight link holds and no whole-map search is made."""
+    topo, child = misfolded_map(monkeypatch)
+    monkeypatch.setattr(topo, "_row", no_whole_map_search)
+    source = topo._home[child][0]
+    exact = dijkstra(topo._graph, indices=source, directed=True)
+    delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
+    assert array("d", delays).tobytes() == exact.tobytes()
+    assert topo._dist_cache[source][3] == {}
+
+
+def test_a_gatech_miss_searches_only_the_source_stub(monkeypatch):
+    """On the perf map a miss is one search of a stub-sized graph, and no
+    whole-map search: the entries it keeps are the whole-map row's."""
+    sizes = []
+
+    def counting(graph, **kwargs):
+        sizes.append(graph.shape[0])
+        return dijkstra(graph, **kwargs)
+
+    topo = PERF_GATECH
+    topo.router_delay(0, 1)  # the fold's trees, built once per map
+    topo._dist_cache.clear()
+    monkeypatch.setattr(network_base, "dijkstra", counting)
+    monkeypatch.setattr(topo, "_row", no_whole_map_search)
+    sources = range(3, topo.n_routers, 97)
+    for source in sources:
+        span, core, own, moved = topo._router_distances(source)
+        exact = dijkstra(topo._graph, indices=source, directed=True)
+        assert core.tobytes() == exact[topo._fold.core_ids].tobytes()
+        assert own.tobytes() == exact[span].tobytes() and moved == {}
+        delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
+        assert array("d", delays).tobytes() == exact.tobytes()
+    largest = max(len(members) for members, _, _ in topo._stubs)
+    assert len(sizes) == len(sources) and max(sizes) <= largest + 1  # a stub and its uplink
 
 
 def test_one_search_per_row_computed(monkeypatch):
