@@ -15,52 +15,76 @@ import random
 from abc import ABC, abstractmethod
 from array import array
 from collections import OrderedDict
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
-from typing import TYPE_CHECKING, List
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 #: bound on cached per-router delay rows (``_entry``): 8 B per router,
 #: or ~0.7 kB for GATech's, whichever map size.
 MAX_CACHED_DIST_ROWS = 512
 #: one-way delay of the LAN link each end node attaches through (paper §5.1)
 LAN_DELAY = 0.001
-#: a graph of at most this many routers is searched in Python (``dijkstra``):
-#: above GATech's largest stub with its uplink, 17 routers
-SMALL_SEARCH_ROUTERS = 32
 
 
-def dijkstra(graph, **kwargs):
-    """scipy's ``csgraph.dijkstra``, but a single-source, directed,
-    distance-only search of a csr graph of at most
-    :data:`SMALL_SEARCH_ROUTERS` routers runs as a heap search in Python,
-    without scipy's per-call validation: with weights > 0 each final label
-    is the minimum over in-links of ``fl(lab[u] + w)`` whatever the pop
-    order, so the labels are scipy's bit for bit.  scipy is imported only
-    when it searches, so that importing a topology module does not load
-    it.  ``_router_distances`` calls this by its global name, and every
-    other search as ``base.dijkstra``, so a profiler can rebind it."""
-    source = kwargs.get("indices")
-    if (type(source) is int and kwargs.keys() <= {"indices", "directed"}
-            and kwargs.get("directed", True) is True
-            and getattr(graph, "format", None) == "csr"
-            and 0 <= source < graph.shape[0] <= SMALL_SEARCH_ROUTERS):
-        return _heap_search(graph.indptr.tolist(), graph.indices.tolist(),
-                            graph.data.tolist(), source)
+class Csr(NamedTuple):
+    """A router graph in compressed sparse rows: router ``r``'s links go to
+    ``indices[indptr[r]:indptr[r + 1]]``, with delays ``data`` at the same
+    places.  numpy arrays laid out as scipy's ``csr_matrix`` lays them out,
+    or python lists for a graph searched at every row miss (a GATech stub)."""
+
+    indptr: Sequence
+    indices: Sequence
+    data: Sequence
+    shape: tuple
+
+
+def dijkstra(graph, indices=None, return_predecessors=False, min_only=False, **kwargs):
+    """scipy's ``csgraph.dijkstra`` call and results, but for the sources
+    scipy adds to a ``min_only`` search's.  A :class:`Csr` graph is searched
+    in Python (``_search``), so a CorpNet or GATech run loads no scipy.
+    Only a scipy matrix, Mercator's AS graph, goes to scipy, whose heap
+    order breaks the ties between equal-length AS paths (DESIGN §10).
+    ``_row`` calls this by its global name, and every other search as
+    ``base.dijkstra``, so a profiler can rebind it."""
+    if isinstance(graph, Csr):
+        return _search(graph, indices, return_predecessors, min_only, **kwargs)
     from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
-    return scipy_dijkstra(graph, **kwargs)
+    return scipy_dijkstra(graph, indices=indices, return_predecessors=return_predecessors,
+                          min_only=min_only, **kwargs)
 
 
-def _heap_search(starts: list, heads: list, weights: list, source: int) -> np.ndarray:
-    """Labels from ``source`` over the csr lists, ``inf`` where unreachable."""
-    labels = [inf] * (len(starts) - 1)
-    labels[source] = 0.0
-    queue = [(0.0, source)]
+def _search(graph: Csr, indices, return_predecessors: bool, min_only: bool):
+    """scipy's directed search of a csr graph, for the three calls the maps
+    make: one source's labels (``indices`` a router); with ``min_only``, one
+    search from all of ``indices`` at once; with neither, every router's
+    row.  With weights > 0 each final label is the minimum over in-links of
+    ``fl(lab[u] + w)`` whatever the pop order, so the labels are scipy's bit
+    for bit.  So are the predecessors, unless two routers tie on a label
+    and give a third the same sum: then scipy's heap order picks one, and
+    this search the lower id.  -9999 marks no predecessor, as in scipy."""
+    lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in graph[:3]]
+    if not return_predecessors:
+        return np.array(_heap_search(*lists, [indices])[0])
+    if min_only:
+        labels, pred = _heap_search(*lists, np.asarray(indices).tolist())
+        return np.array(labels), np.array(pred, dtype=np.int32)
+    rows = [_heap_search(*lists, [source]) for source in range(graph.shape[0])]
+    return (np.array([labels for labels, _ in rows]),
+            np.array([pred for _, pred in rows], dtype=np.int32))
+
+
+def _heap_search(starts: list, heads: list, weights: list, sources: list) -> tuple:
+    """Labels from ``sources`` over the csr lists, ``inf`` where unreachable,
+    and each router's predecessor: the router whose pop last lowered its
+    label, -9999 at a source or where unreachable."""
+    labels, pred = [inf] * (len(starts) - 1), [-9999] * (len(starts) - 1)
+    queue = [(0.0, source) for source in sources]
+    heapify(queue)
+    for source in sources:
+        labels[source] = 0.0
     while queue:
         label, tail = heappop(queue)
         if label > labels[tail]:
@@ -68,9 +92,9 @@ def _heap_search(starts: list, heads: list, weights: list, source: int) -> np.nd
         for link in range(starts[tail], starts[tail + 1]):
             via, head = label + weights[link], heads[link]
             if via < labels[head]:
-                labels[head] = via
+                labels[head], pred[head] = via, tail
                 heappush(queue, (via, head))
-    return np.array(labels)
+    return labels, pred
 
 
 class Topology(ABC):
@@ -105,7 +129,7 @@ class RouterGraphTopology(Topology):
 
     def __init__(self) -> None:
         self._lan_round = 2.0 * LAN_DELAY
-        self._graph: csr_matrix = None  # set by subclass via _set_graph
+        self._graph: Csr = None  # set by subclass via _set_graph
         self._n_routers = 0
         #: router id -> ``_entry``, FIFO-bounded at MAX_CACHED_DIST_ROWS.  Indexing
         #: an ``array('d')`` row yields a python float; a float64 ndarray would
@@ -116,16 +140,22 @@ class RouterGraphTopology(Topology):
 
     # ------------------------------------------------------------------
     def _set_graph(self, n_routers: int, rows, cols, weights) -> None:
-        """Install the (symmetric) router graph from edge lists."""
-        from scipy.sparse import csr_matrix
-
+        """Install the (symmetric) router graph from edge lists, stored as
+        scipy's ``csr_matrix`` stores it: both directions of every link, a
+        row's heads ascending, and a link added twice one entry with the sum
+        of both delays (ROADMAP 20), summed in the order the links came."""
         data = np.asarray(weights, dtype=np.float64)
-        graph = csr_matrix(
-            (np.concatenate([data, data]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(n_routers, n_routers),
-        )
-        self._graph = graph
+        tails = np.concatenate([rows, cols]).astype(np.int32)
+        heads = np.concatenate([cols, rows]).astype(np.int32)
+        order = np.lexsort((heads, tails))  # stable: copies keep their order
+        tails, heads, data = tails[order], heads[order], np.concatenate([data, data])[order]
+        first = np.flatnonzero(np.diff(tails.astype(np.int64) * n_routers + heads, prepend=-1))
+        summed, copies = data[first], np.diff(first, append=len(data))
+        for nth in range(1, copies.max(initial=1)):
+            more = copies > nth
+            summed[more] += data[first[more] + nth]
+        indptr = np.searchsorted(tails[first], np.arange(n_routers + 1)).astype(np.int32)
+        self._graph = Csr(indptr, heads[first], summed, (n_routers, n_routers))
         self._n_routers = n_routers
 
     @property
@@ -149,11 +179,10 @@ class RouterGraphTopology(Topology):
         return np.array(self._attach_router, dtype=np.int64)
 
     def _row(self, router: int) -> np.ndarray:
-        """The float64 delay row from ``router``: one search of the whole map.
-        directed=True: _set_graph stores both directions of every link, so
-        the transpose scipy builds per call for an undirected search finds
-        nothing new."""
-        return dijkstra(self._graph, indices=router, directed=True)
+        """The float64 delay row from ``router``: one directed search of the
+        whole map, exact because ``_set_graph`` stores both directions of
+        every link."""
+        return dijkstra(self._graph, indices=router)
 
     def _entry(self, router: int):
         """The row as ``array('d')``: a bytes copy keeps the exact floats."""

@@ -15,8 +15,8 @@ as in the paper.
 A row miss is priced by that hierarchy, not by the whole map (``_entry``,
 DESIGN §10): one search of the source's stub and its uplink, a fold of the
 transit core (≈ 50 routers) along a cached tree, and a certificate checked only
-on the links that can fail it, which makes every delay equal to scipy's
-search of the whole map bit for bit.
+on the links that can fail it, which makes every delay equal to a search
+of the whole map bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from repro.network import base
-from repro.network.base import RouterGraphTopology
+from repro.network.base import Csr, RouterGraphTopology
 
 #: seconds of link delay per unit of distance in the unit square (GT-ITM)
 DELAY_PER_UNIT = 0.080
@@ -41,18 +41,28 @@ DELAY_PER_UNIT = 0.080
 TIGHT = 1e-9
 
 
-def _levels(graph, children: np.ndarray, parents: np.ndarray) -> list:
+def _links(keep: np.ndarray, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray,
+           n: int) -> Csr:
+    """The links ``keep`` as a graph of ``n`` routers (``tails`` ascending)."""
+    counts = np.bincount(tails[keep], minlength=n)
+    return Csr(np.append(0, np.cumsum(counts)), heads[keep], weights[keep], (n, n))
+
+
+def _levels(graph: Csr, children: np.ndarray, parents: np.ndarray) -> list:
     """The tree links ``parents[i] -> children[i]`` as ``(children, parents,
-    weights)`` per depth, weights read off ``graph``: folding the levels in
-    order labels each child from a labelled parent (depth 0: a root's)."""
-    position = np.full(graph.shape[0], -1)
+    weights)`` per depth, weights read off ``graph``, whose rows list their
+    heads ascending: folding the levels in order labels each child from a
+    labelled parent (depth 0: a root's)."""
+    n = graph.shape[0]
+    position = np.full(n, -1)
     position[children] = np.arange(len(children))
     depth = np.zeros(len(children), dtype=np.int64)
     up = position[parents]
     while (inner := up >= 0).any():
         depth[inner] += 1
         up[inner] = position[parents[up[inner]]]
-    weights = np.asarray(graph[parents, children]).ravel()
+    keys = np.repeat(np.arange(n), np.diff(graph.indptr)) * n + graph.indices
+    weights = graph.data[np.searchsorted(keys, parents.astype(np.int64) * n + children)]
     return [(children[at], parents[at], weights[at])
             for at in (depth == d for d in range(depth.max(initial=-1) + 1))]
 
@@ -66,20 +76,18 @@ def _fold_core(trees: list, entry: int, start: float) -> list:
     return core
 
 
-def _stub_graph(graph, members: list):
-    """A stub's links and its uplink as a csr graph: its routers numbered in
-    their run, then its transit router, read off the installed ``graph``,
-    where a stub router links only inside its stub and to that router.  The
-    downlink is left out: it can lower no label of the stub."""
-    from scipy.sparse import csr_matrix
-
+def _stub_graph(graph: Csr, members: list) -> Csr:
+    """A stub's links and its uplink as a graph of python lists, searched at
+    each row miss from the stub: its routers numbered in their run, then its
+    transit router, read off the installed ``graph``, where a stub router
+    links only inside its stub and to that router.  The downlink is left
+    out: it can lower no label of the stub."""
     first, size = members[0], len(members)
     lo, hi = graph.indptr[first], graph.indptr[first + size]
     heads = graph.indices[lo:hi] - first
     heads[(heads < 0) | (heads >= size)] = size
-    return csr_matrix((graph.data[lo:hi], heads,
-                       np.append(graph.indptr[first:first + size + 1] - lo, hi - lo)),
-                      shape=(size + 1, size + 1))
+    starts = np.append(graph.indptr[first:first + size + 1] - lo, hi - lo)
+    return Csr(starts.tolist(), heads.tolist(), graph.data[lo:hi].tolist(), (size + 1, size + 1))
 
 
 class _Fold(NamedTuple):
@@ -218,29 +226,28 @@ class TransitStubTopology(RouterGraphTopology):
         is read off the installed graph, where a doubled link is one entry.
         Then, per transit router, the links off its trees that a fold from it
         leaves within :data:`TIGHT` of lowering a label."""
-        from scipy.sparse import csr_matrix
-
         graph, n = self._graph, self._n_routers
-        coo = graph.tocoo()
+        tails, heads, weights = (np.repeat(np.arange(n), np.diff(graph.indptr)),
+                                 graph.indices, graph.data)
         transit = np.ones(n, dtype=bool)
         transit[self._stub_routers] = False
-        inner = ~transit[coo.row] & ~transit[coo.col]
-        stub_graph = csr_matrix(
-            (coo.data[inner], (coo.row[inner], coo.col[inner])), shape=(n, n))
         core_ids = np.flatnonzero(transit)
-        core = graph[core_ids][:, core_ids]
-        _, core_pred = base.dijkstra(core, directed=True, return_predecessors=True)
+        number = np.cumsum(transit) - 1  # a transit router's index in core_ids
+        in_core = transit[tails] & transit[heads]
+        core = _links(in_core, number[tails], number[heads], weights, len(core_ids))
+        stub_graph = _links(~transit[tails] & ~transit[heads], tails, heads, weights, n)
+        _, core_pred = base.dijkstra(core, return_predecessors=True)
         core_trees = []
         for pred in core_pred:
             tree = np.flatnonzero(pred >= 0)
             core_trees.append([link for level in _levels(core, tree, pred[tree])
                                for link in zip(*(part.tolist() for part in level))])
         gateways = np.array([gateway for _, gateway, _ in self._stubs])
-        _, pred, _ = base.dijkstra(stub_graph, directed=True, indices=gateways,
-                                   min_only=True, return_predecessors=True)
+        _, pred = base.dijkstra(stub_graph, indices=gateways, min_only=True,
+                                return_predecessors=True)
         transit_of = np.arange(n)
         self._home = [[r] for r in range(n)]
-        stubs = {r: csr_matrix((1, 1)) for r in core_ids.tolist()}
+        stubs = {r: Csr([0, 0], [], [], (1, 1)) for r in core_ids.tolist()}
         for members, _, transit_router in self._stubs:
             transit_of[members] = transit_router
             self._home[members[0]:members[-1] + 1] = [members] * len(members)
@@ -252,9 +259,7 @@ class TransitStubTopology(RouterGraphTopology):
         for level in forest:
             for child, parent, weight in zip(*(part.tolist() for part in level)):
                 self._paths[child] = self._paths[parent] + (weight,)
-        tails, heads, weights = (np.repeat(np.arange(n), np.diff(graph.indptr)),
-                                 graph.indices, graph.data)
-        core_links = np.flatnonzero(transit[tails] & transit[heads])
+        core_links = np.flatnonzero(in_core)
         at = dict(zip(zip(tails[core_links].tolist(), heads[core_links].tolist()),
                       core_links.tolist()))
         off_forest = ~np.isin(tails * n + heads,
@@ -281,11 +286,11 @@ class TransitStubTopology(RouterGraphTopology):
         and its transit router, from which the core is folded.  No link that
         touches the stub can then lower a label, so the certificate is
         checked only on the transit router's tight links (DESIGN §10);
-        if one fails, the entry is read off scipy's search of the whole map."""
+        if one fails, the entry is read off a search of the whole map."""
         fold = self._fold or self._prepare()
         span, entry = self._home[router], self._core_of[router]
-        inside = base.dijkstra(fold.stubs[span[0]], indices=router - span[0],
-                               directed=True).tolist()  # a transit source's is its 0.0
+        # a transit source's stub is itself alone, labelled 0.0
+        inside = base.dijkstra(fold.stubs[span[0]], indices=router - span[0]).tolist()
         core = array("d", _fold_core(fold.core_trees, entry, inside[-1]))
         candidate = span, core, array("d", inside[:len(span)]), {}
         if not any(self._label(candidate, tail) + weight < self._label(candidate, head)

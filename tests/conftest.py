@@ -105,6 +105,14 @@ def linear_covers(leaf_set, key):
     return (key - leftmost.id) % ID_SPACE <= span
 
 
+def as_scipy(graph):
+    """A map's installed ``Csr`` graph as scipy's ``csr_matrix``: the tests'
+    reference for the repo's own csr arrays and searches."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((graph.data, graph.indices, graph.indptr), shape=graph.shape)
+
+
 class EagerMercatorMap:
     """Reference for ``HierarchicalASTopology``'s tables: the eager build it
     replaced — one ``shortest_path`` call per AS, one all-pairs AS

@@ -205,7 +205,7 @@ def poison_ambient():
 def print_pinned_digests_poisoned():
     """The child: import everything a pinned run loads lazily, poison, then
     print each pinned run's digest as JSON."""
-    import scipy.sparse.csgraph  # noqa: F401  (map builds import it on first use)
+    import scipy.sparse.csgraph  # noqa: F401  (a Mercator map imports it on first use)
 
     poison_ambient()
     print(json.dumps({module.__name__: digest(module, module.run(**kwargs))

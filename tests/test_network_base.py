@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import scipy.sparse.csgraph
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import repro.network
 from repro.network import base as network_base
-from repro.network.base import LAN_DELAY, RouterGraphTopology, Topology
+from repro.network.base import LAN_DELAY, Csr, RouterGraphTopology, Topology
 from repro.network.corpnet import CorpNetTopology
+from repro.network.hierarchical_as import HierarchicalASTopology
 from repro.network.transit_stub import TransitStubTopology
 from repro.sim.rng import RngStreams
+from tests.conftest import as_scipy
 
 # every topology module, so that ``Topology.__subclasses__`` sees them all
 for _module in pkgutil.iter_modules(repro.network.__path__):
@@ -107,11 +110,10 @@ def test_distance_rows_cached_and_evicted_fifo(monkeypatch):
 
 
 @st.composite
-def small_graphs(draw):
-    """A directed csr graph of at most ``SMALL_SEARCH_ROUTERS`` routers with
-    positive weights (a doubled link sums), often with unreachable routers,
-    and a source."""
-    n = draw(st.integers(1, network_base.SMALL_SEARCH_ROUTERS))
+def csr_graphs(draw):
+    """A directed csr graph of up to 64 routers with positive weights (a
+    doubled link sums), often with unreachable routers, and a source."""
+    n = draw(st.integers(1, 64))
     routers = st.integers(0, n - 1)
     links = draw(st.lists(st.tuples(routers, routers, st.floats(
         min_value=0.0, max_value=1e6, exclude_min=True)), max_size=3 * n))
@@ -120,43 +122,84 @@ def small_graphs(draw):
     return graph, draw(routers)
 
 
-@given(small_graphs())
+@given(csr_graphs())
 def test_a_small_search_is_scipys_bit_for_bit(graph_and_source):
-    """``base.dijkstra`` searches a small graph in Python, and its labels
-    are scipy's to the bit, ``inf`` where a router is unreachable."""
+    """``base.dijkstra`` searches a ``Csr`` graph in Python, whatever its
+    size, and its labels are scipy's to the bit, ``inf`` where a router is
+    unreachable."""
     graph, source = graph_and_source
-    ours = network_base.dijkstra(graph, indices=source, directed=True)
+    ours = network_base.dijkstra(Csr(graph.indptr, graph.indices, graph.data, graph.shape),
+                                 indices=source)
     assert ours.dtype == np.float64
-    assert ours.tobytes() == dijkstra(graph, indices=source, directed=True).tobytes()
+    assert ours.tobytes() == dijkstra(graph, indices=source).tobytes()
 
 
-def test_only_a_small_single_source_distance_search_runs_in_python(monkeypatch):
-    """Predecessors, hop counts, an undirected search, several sources or a
-    graph above ``SMALL_SEARCH_ROUTERS`` stay scipy's calls."""
-    searched, heap_search = [], network_base._heap_search
+@st.composite
+def edge_lists(draw):
+    """Links among up to 40 routers, each added one to three times, in
+    either direction and with a delay drawn per copy, in a drawn order."""
+    n = draw(st.integers(1, 40))
+    routers, delays = st.integers(0, n - 1), st.floats(min_value=1e-4, max_value=1.0)
+    links = draw(st.lists(st.tuples(routers, routers), max_size=3 * n))
+    copies = [(a, b)[::draw(st.sampled_from([1, -1]))] + (draw(delays),)
+              for a, b in links for _ in range(draw(st.integers(1, 3)))]
+    return n, draw(st.permutations(copies))
 
-    def recording(*args):
-        searched.append(args[-1])  # the source
-        return heap_search(*args)
 
-    monkeypatch.setattr(network_base, "_heap_search", recording)
-    small = LineTopology()._graph
-    network_base.dijkstra(small, indices=2, directed=True)
-    network_base.dijkstra(small, indices=3)
-    assert searched == [2, 3]
-    big = CorpNetTopology(random.Random(7))._graph
-    for graph, kwargs in [
-        (small, dict(indices=1, directed=True, return_predecessors=True)),
-        (small, dict(indices=1, directed=True, unweighted=True)),
-        (small, dict(indices=1, directed=False)),
-        (small, dict(indices=[0, 1], directed=True)),
-        (small, dict(indices=[0, 1], directed=True, min_only=True)),
-        (big, dict(indices=1, directed=True)),
-    ]:
+@given(edge_lists())
+def test_the_installed_graph_is_csr_matrix_byte_for_byte(n_and_links):
+    """``_set_graph`` stores scipy's ``csr_matrix`` of both directions of
+    every link byte for byte, each copy of a link summed in the order the
+    copies came.  scipy sorts a row with C++'s ``std::sort``, an insertion
+    sort, so stable, up to 16 entries: a link added three times on a longer
+    row may be summed in another order, one rounding away.  The maps add a
+    link at most twice (ROADMAP 20), and two copies sum alike either way."""
+    n, links = n_and_links
+    rows, cols, weights = (list(part) for part in zip(*links)) if links else ([], [], [])
+    topo = RouterGraphTopology()
+    topo._set_graph(n, rows, cols, weights)
+    ours = topo._graph
+    data = np.array(weights + weights, dtype=np.float64)
+    theirs = csr_matrix((data, (rows + cols, cols + rows)), shape=(n, n))
+    assert ours.shape == (n, n)
+    assert ours.indptr.tobytes() == theirs.indptr.tobytes()
+    assert ours.indices.tobytes() == theirs.indices.tobytes()
+    tails = np.repeat(np.arange(n), np.diff(ours.indptr))
+    added = list(zip(rows + cols, cols + rows))
+    copies = np.array([added.count(link) for link in zip(tails.tolist(), ours.indices.tolist())])
+    exact = (copies <= 2) | (np.bincount(rows + cols, minlength=n)[tails] <= 16)
+    assert ours.data[exact].tobytes() == theirs.data[exact].tobytes()
+    assert np.allclose(ours.data, theirs.data, rtol=1e-15, atol=0.0)
+
+
+def test_only_a_scipy_matrix_reaches_scipy(monkeypatch):
+    """Every search of a ``Csr`` graph runs in Python: a whole-map row,
+    GATech's two tree searches, its stub searches and its ``_row`` fallback.
+    Each equals scipy's on the same graph, predecessors included.  Only
+    Mercator's AS graph, a scipy matrix, goes to scipy."""
+    reached = []
+    scipy_dijkstra = scipy.sparse.csgraph.dijkstra
+
+    def recording(graph, **kwargs):
+        reached.append(type(graph))
+        return scipy_dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", recording)
+    corpnet = CorpNetTopology(random.Random(7))
+    gatech = TransitStubTopology.scaled(random.Random(7), scale=0.3)
+    for topo in (LineTopology(), corpnet, gatech):
+        topo.router_delay(1, 0)
+        topo._row(2)
+    graph = corpnet._graph
+    for kwargs in [dict(return_predecessors=True),
+                   dict(indices=np.array([0, 40, 90]), min_only=True, return_predecessors=True)]:
         ours = network_base.dijkstra(graph, **kwargs)
-        theirs = dijkstra(graph, **kwargs)
-        assert np.array_equal(np.asarray(ours), np.asarray(theirs))
-    assert searched == [2, 3]
+        theirs = dijkstra(as_scipy(graph), **kwargs)
+        assert [a.tobytes() for a in ours] == [b.tobytes() for _, b in zip(ours, theirs)]
+    assert reached == []
+    mercator = HierarchicalASTopology(random.Random(7), n_as=8, routers_per_as=4)
+    mercator.router_hops(0, mercator.n_routers - 1)  # AS 0 to the last AS
+    assert reached == [csr_matrix]
 
 
 #: the full GATech map the perf workloads build (their ``MAP_SEED``)
@@ -168,24 +211,58 @@ PERF_GATECH = TransitStubTopology.scaled(RngStreams(2004).stream("topology"), sc
     [
         pytest.param(LineTopology(), 1, id="LineTopology"),
         pytest.param(CorpNetTopology(random.Random(7)), 1, id="CorpNetTopology"),
+        pytest.param(CorpNetTopology(RngStreams(2004).stream("topology")), 1,
+                     id="CorpNetTopology-perf"),
         pytest.param(PERF_GATECH, 5, id="TransitStubTopology"),
         *(pytest.param(TransitStubTopology.scaled(random.Random(seed), scale=scale), 1,
                        id=f"TransitStubTopology-{scale}-{seed}")
           for scale in (0.2, 0.3) for seed in (1, 2, 3)),
+        *(pytest.param(TransitStubTopology.scaled(RngStreams(2004).stream("topology"),
+                                                  scale=scale), 1,
+                       id=f"TransitStubTopology-{scale}-perf") for scale in (0.15, 0.5)),
     ],
 )
 def test_router_graph_is_symmetric_so_directed_search_is_exact(topo, step):
     """Every ``router_delay`` from a source equals scipy's undirected search
-    of the whole map bit for bit: the base class's ``directed=True`` search,
-    exact only while ``_set_graph`` stores every link in both directions
-    with the same weight, and GATech's replay of its fold's inputs, from
-    stub and transit sources alike."""
-    graph = topo._graph
+    of the whole map bit for bit: the base class's directed search, exact
+    only while ``_set_graph`` stores every link in both directions with the
+    same weight, and GATech's replay of its fold's inputs, from stub and
+    transit sources alike."""
+    graph = as_scipy(topo._graph)
     assert (graph != graph.T).nnz == 0
     for source in range(0, topo.n_routers, step):
         undirected = dijkstra(graph, indices=source, directed=False)
         delays = array("d", [topo.router_delay(source, r) for r in range(topo.n_routers)])
         assert delays.tobytes() == undirected.tobytes()
+
+
+def replayed_rows(topo):
+    """Each router's delays to every router, read off its GATech entry as
+    ``_label`` reads one: the source stub's own labels, a label the entry
+    moved, else the core label plus the weights down the router's path,
+    added left to right for all routers at once (0.0 pads a short path and
+    adds nothing)."""
+    topo._fold or topo._prepare()
+    depth = max(map(len, topo._paths))
+    steps = np.array([path + (0.0,) * (depth - len(path)) for path in topo._paths]).T
+    core_of = np.array(topo._core_of)
+    for source in range(topo.n_routers):
+        span, core, own, moved = topo._entry(source)
+        row = np.asarray(core)[core_of]
+        for step in steps:
+            row += step
+        row[span] = own
+        row[list(moved)] = list(moved.values())
+        yield row
+
+
+def test_every_perf_gatech_row_is_scipys():
+    """From every router of the perf GATech map, not only every fifth as
+    above, each delay equals scipy's search of the whole map bit for bit."""
+    n, graph, rows = PERF_GATECH.n_routers, as_scipy(PERF_GATECH._graph), replayed_rows(PERF_GATECH)
+    for first in range(0, n, 512):
+        for exact in dijkstra(graph, indices=np.arange(first, min(first + 512, n))):
+            assert next(rows).tobytes() == exact.tobytes()
 
 
 def no_whole_map_search(router):
@@ -196,11 +273,12 @@ def misfolded_map(monkeypatch) -> tuple:
     """A small GATech map whose stub forest gives one router a real but
     longer parent, as a wrong gateway search would, and that router: its
     label is what the fold gets wrong, from any source outside its stub."""
+    search = network_base.dijkstra
     for seed in range(20):
         topo, wrong = TransitStubTopology.scaled(random.Random(seed), scale=0.3), []
 
         def misleading(graph, **kwargs):
-            dist, pred, gateways = dijkstra(graph, **kwargs)  # the stub forest's search
+            dist, pred = search(graph, **kwargs)  # the stub forest's search
             depth = np.zeros(len(pred), dtype=np.int64)
             for router in range(len(pred)):
                 up = router
@@ -212,12 +290,12 @@ def misfolded_map(monkeypatch) -> tuple:
                     if depth[other] < depth[child] and dist[other] + graph.data[link] > dist[child]:
                         pred[child] = other
                         wrong.append(child)
-                        return dist, pred, gateways
-            return dist, pred, gateways
+                        return dist, pred
+            return dist, pred
 
         with monkeypatch.context() as patch:  # only ``_prepare`` sees the wrong tree
             patch.setattr(network_base, "dijkstra", lambda graph, **kw: (
-                misleading if kw.get("min_only") else dijkstra)(graph, **kw))
+                misleading if kw.get("min_only") else search)(graph, **kw))
             topo._prepare()
         if wrong:
             return topo, wrong[0]
@@ -229,19 +307,22 @@ def test_a_row_the_fold_gets_wrong_is_relaxed_to_scipys(monkeypatch):
     forest gives a router a real but longer parent, the link from its true
     parent can lower its label, so it is tight from every transit router.
     A miss from outside that stub, at a transit router or at another stub's,
-    finds it and reads the entry off scipy's search of the whole map, and
-    the entry carries each label the replay misses, read through
-    ``router_delay`` and ``delay`` alike."""
+    finds it and reads the entry off ``_row``, the Python search of the
+    whole map, and the entry carries each label the replay misses, read
+    through ``router_delay`` and ``delay`` alike: scipy's labels."""
     topo, child = misfolded_map(monkeypatch)
     n = topo.n_routers
     topo._attach_router.extend(range(n))  # i on router i
     stub = next(members for members, _, _ in topo._stubs if child not in members)
+    rows, row = [], topo._row
+    monkeypatch.setattr(topo, "_row", lambda router: rows.append(router) or row(router))
     for source in (0, stub[0]):  # a transit router and another stub's router
-        exact = dijkstra(topo._graph, indices=source, directed=True)
+        exact = dijkstra(as_scipy(topo._graph), indices=source)
         delays = [topo.router_delay(source, r) for r in range(n)]
         assert array("d", delays).tobytes() == exact.tobytes()
         assert child in topo._dist_cache[source][3]
         assert topo.delay(source, child) == exact[child] + topo._lan_round
+    assert rows == [0, stub[0]]
 
 
 def test_a_link_the_fold_gets_wrong_inside_the_source_stub_is_searched(monkeypatch):
@@ -250,7 +331,7 @@ def test_a_link_the_fold_gets_wrong_inside_the_source_stub_is_searched(monkeypat
     topo, child = misfolded_map(monkeypatch)
     monkeypatch.setattr(topo, "_row", no_whole_map_search)
     source = topo._home[child][0]
-    exact = dijkstra(topo._graph, indices=source, directed=True)
+    exact = dijkstra(as_scipy(topo._graph), indices=source)
     delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
     assert array("d", delays).tobytes() == exact.tobytes()
     assert topo._dist_cache[source][3] == {}
@@ -259,11 +340,11 @@ def test_a_link_the_fold_gets_wrong_inside_the_source_stub_is_searched(monkeypat
 def test_a_gatech_miss_searches_only_the_source_stub(monkeypatch):
     """On the perf map a miss is one search of a stub-sized graph, and no
     whole-map search: the entries it keeps are the whole-map row's."""
-    sizes = []
+    sizes, search = [], network_base.dijkstra
 
     def counting(graph, **kwargs):
         sizes.append(graph.shape[0])
-        return dijkstra(graph, **kwargs)
+        return search(graph, **kwargs)
 
     topo = PERF_GATECH
     topo.router_delay(0, 1)  # the fold's trees, built once per map
@@ -273,7 +354,7 @@ def test_a_gatech_miss_searches_only_the_source_stub(monkeypatch):
     sources = range(3, topo.n_routers, 97)
     for source in sources:
         span, core, own, moved = topo._router_distances(source)
-        exact = dijkstra(topo._graph, indices=source, directed=True)
+        exact = dijkstra(as_scipy(topo._graph), indices=source)
         assert core.tobytes() == exact[topo._fold.core_ids].tobytes()
         assert own.tobytes() == exact[span].tobytes() and moved == {}
         delays = [topo.router_delay(source, r) for r in range(topo.n_routers)]
@@ -287,11 +368,11 @@ def test_one_search_per_row_computed(monkeypatch):
     a GATech row is one search, beside two searches once for its trees, and
     a router's delay to itself, as in the base class, needs no row: no
     search, and no cache slot that could evict a live row."""
-    calls = []
+    calls, search = [], network_base.dijkstra
 
     def counting(graph, **kwargs):
         calls.append(kwargs.get("indices"))
-        return dijkstra(graph, **kwargs)
+        return search(graph, **kwargs)
 
     monkeypatch.setattr(network_base, "dijkstra", counting)
     monkeypatch.setattr(network_base, "MAX_CACHED_DIST_ROWS", 2)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+from repro.network import base as network_base
 from repro.network.base import RouterGraphTopology
 from repro.network.corpnet import CorpNetTopology
 from repro.network.hierarchical_as import HierarchicalASTopology
@@ -17,7 +19,7 @@ from repro.network.simple import UniformDelayTopology
 from repro.network.transit_stub import TransitStubTopology
 from repro.sim.rng import RngStreams
 from tests.euclidean import EuclideanTopology
-from tests.conftest import EagerMercatorMap
+from tests.conftest import EagerMercatorMap, as_scipy
 
 
 def as_members(topo, as_id):
@@ -310,8 +312,8 @@ def test_corpnet_router_count_close_to_paper():
                    "of both delays; the fix moves every GATech fingerprint (item 17)")
 def test_a_link_added_twice_keeps_one_delay(monkeypatch):
     """GATech's ``connect_clique_ish`` and CorpNet's intra-site chords can add
-    a link the spanning chain already added, and ``_set_graph``'s
-    ``csr_matrix`` sums the two weights.  On the perf workloads' maps 948 of
+    a link the spanning chain already added, and ``_set_graph`` sums the two
+    weights, as scipy's ``csr_matrix`` does.  On the perf workloads' maps 948 of
     8,743 GATech links carry twice their delay, and 22 of 824 CorpNet links
     the sum of two draws."""
     installed = []
@@ -328,7 +330,23 @@ def test_a_link_added_twice_keeps_one_delay(monkeypatch):
     }
     doubled = {}
     for (name, topo), (rows, cols, weights) in zip(maps.items(), installed):
-        wrong = np.asarray(topo._graph[rows, cols]).ravel() != np.asarray(weights)
+        wrong = np.asarray(as_scipy(topo._graph)[rows, cols]).ravel() != np.asarray(weights)
         doubled[name] = len({frozenset(link) for link in zip(
             np.asarray(rows)[wrong].tolist(), np.asarray(cols)[wrong].tolist())})
     assert doubled == {"GATech": 0, "CorpNet": 0}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.15])
+def test_gatech_trees_are_scipys(scale, monkeypatch):
+    """``_prepare``'s two searches give scipy's labels and predecessors:
+    no two labels tie on these maps, which is what could order them
+    otherwise (the perf map and scales 0.5 and 0.15)."""
+    topo = TransitStubTopology.scaled(RngStreams(2004).stream("topology"), scale=scale)
+    searches, search = [], network_base.dijkstra
+    monkeypatch.setattr(network_base, "dijkstra",
+                        lambda graph, **kw: searches.append((graph, kw)) or search(graph, **kw))
+    topo._prepare()
+    assert len(searches) == 2
+    for graph, kwargs in searches:
+        ours, theirs = search(graph, **kwargs), dijkstra(as_scipy(graph), **kwargs)
+        assert [a.tobytes() for a in ours] == [b.tobytes() for _, b in zip(ours, theirs)]
