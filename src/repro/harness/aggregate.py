@@ -41,9 +41,31 @@ def mean_ci95(values: Sequence[float]) -> Tuple[float, float]:
     n = len(values)
     if n < 2:
         return mean, 0.0
-    from scipy.stats import t  # on use: importing the CLI loads no scipy
-    return mean, (float(t.ppf(0.975, n - 1)) * statistics.stdev(values)
-                  / math.sqrt(n))
+    return mean, t_quantile_975(n - 1) * statistics.stdev(values) / math.sqrt(n)
+
+
+def t_quantile_975(dof: int) -> float:
+    """Student's t 0.975 quantile at ``dof`` ≥ 1 degrees of freedom: the t
+    at which ``P(|T| <= t)`` reaches 0.95, found by bisection.  That
+    probability is ``1 - I_x(dof / 2, 1 / 2)`` at ``x = dof / (dof + t²)``,
+    the regularized incomplete beta, which for a whole ``dof`` is a finite
+    sum of positive terms in ``θ = atan(t / √dof)`` (Abramowitz & Stegun
+    26.7.3-4), which loses nothing to cancellation."""
+    odd = dof % 2
+
+    def coverage(t: float) -> float:
+        theta = math.atan(t / math.sqrt(dof))
+        cos2, term, total = math.cos(theta) ** 2, math.cos(theta) if odd else 1.0, 0.0
+        for k in range(1, dof // 2 + 1):
+            total += term
+            term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+        total *= math.sin(theta)
+        return (theta + total) * 2.0 / math.pi if odd else total
+
+    lo, hi = 0.0, 16.0  # 12.71 at one degree of freedom, less at more
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if coverage(mid) < 0.95 else (lo, mid)
+    return mid
 
 
 def group_runs(artifacts: List[Dict]) -> List[Dict]:

@@ -40,31 +40,25 @@ class Csr(NamedTuple):
     shape: tuple
 
 
-def dijkstra(graph, indices=None, return_predecessors=False, min_only=False, **kwargs):
+def dijkstra(graph, indices=None, return_predecessors=False, min_only=False,
+             unweighted=False):
     """scipy's ``csgraph.dijkstra`` call and results, but for the sources
-    scipy adds to a ``min_only`` search's.  A :class:`Csr` graph is searched
-    in Python (``_search``), so a CorpNet or GATech run loads no scipy.
-    Only a scipy matrix, Mercator's AS graph, goes to scipy, whose heap
-    order breaks the ties between equal-length AS paths (DESIGN §10).
-    ``_row`` calls this by its global name, and every other search as
-    ``base.dijkstra``, so a profiler can rebind it."""
-    if isinstance(graph, Csr):
-        return _search(graph, indices, return_predecessors, min_only, **kwargs)
-    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
-
-    return scipy_dijkstra(graph, indices=indices, return_predecessors=return_predecessors,
-                          min_only=min_only, **kwargs)
-
-
-def _search(graph: Csr, indices, return_predecessors: bool, min_only: bool):
-    """scipy's directed search of a csr graph, for the three calls the maps
-    make: one source's labels (``indices`` a router); with ``min_only``, one
-    search from all of ``indices`` at once; with neither, every router's
-    row.  With weights > 0 each final label is the minimum over in-links of
-    ``fl(lab[u] + w)`` whatever the pop order, so the labels are scipy's bit
-    for bit.  So are the predecessors, unless two routers tie on a label
-    and give a third the same sum: then scipy's heap order picks one, and
-    this search the lower id.  -9999 marks no predecessor, as in scipy."""
+    scipy adds to a ``min_only`` search's, for the four searches the maps
+    make, in Python, so no simulated run loads scipy.  On a
+    :class:`Csr` graph: one source's labels (``indices`` a router); with
+    ``min_only``, one search from all of ``indices`` at once; with neither,
+    every router's row.  With weights > 0 each final label is the minimum
+    over in-links of ``fl(lab[u] + w)`` whatever the pop order, so the
+    labels are scipy's bit for bit.  So are the predecessors, unless two
+    routers tie on a label and give a third the same sum: then scipy's heap
+    order picks one, and this search the lower id.  With ``unweighted``, on
+    per-node neighbour lists (Mercator's AS graph): one source's hop levels
+    and predecessors, both scipy's (``_level_search``).  -9999 marks no
+    predecessor, as in scipy.  ``_row`` calls this by its global name, and
+    every other search as ``base.dijkstra``, so a profiler can rebind it."""
+    if unweighted:
+        labels, pred = _level_search(graph, indices)
+        return np.array(labels), np.array(pred, dtype=np.int32)
     lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in graph[:3]]
     if not return_predecessors:
         return np.array(_heap_search(*lists, [indices])[0])
@@ -74,6 +68,26 @@ def _search(graph: Csr, indices, return_predecessors: bool, min_only: bool):
     rows = [_heap_search(*lists, [source]) for source in range(graph.shape[0])]
     return (np.array([labels for labels, _ in rows]),
             np.array([pred for _, pred in rows], dtype=np.int32))
+
+
+def _level_search(neighbours: list, source: int) -> tuple:
+    """Hop levels from ``source``, ``inf`` where unreachable, and each
+    node's predecessor: its highest-id neighbour one level closer, the one
+    scipy's unweighted search keeps (DESIGN §10).  Each level's frontier is
+    scanned in descending id order and a node keeps the first tail that
+    reaches it; -9999 at the source or where unreachable."""
+    labels, pred = [inf] * len(neighbours), [-9999] * len(neighbours)
+    labels[source], frontier, level = 0.0, [source], 0.0
+    while frontier:
+        frontier.sort(reverse=True)
+        level, reached = level + 1.0, []
+        for tail in frontier:
+            for head in neighbours[tail]:
+                if labels[head] == inf:
+                    labels[head], pred[head] = level, tail
+                    reached.append(head)
+        frontier = reached
+    return labels, pred
 
 
 def _heap_search(starts: list, heads: list, weights: list, sources: list) -> tuple:

@@ -97,9 +97,6 @@ class HierarchicalASTopology(Topology):
 
     # ------------------------------------------------------------------
     def _build(self, n_as: int, routers_per_as: int) -> None:
-        # scipy is imported when a map is built, not with this module
-        from scipy.sparse import csr_matrix
-
         rng = self._rng
         if n_as < 2:
             raise ValueError("need at least two ASes")
@@ -126,12 +123,13 @@ class HierarchicalASTopology(Topology):
                 endpoints.extend([new_as, target])
 
         # AS-level predecessor rows, one per source AS, filled on first use
-        # (`_as_path`): a run asks for a fraction of the sources.  Ties
-        # between equal-length AS paths are broken by scipy's Dijkstra, so
-        # every row comes from that one routine.
-        r = [e[0] for e in as_edges] + [e[1] for e in as_edges]
-        c = [e[1] for e in as_edges] + [e[0] for e in as_edges]
-        self._as_graph = csr_matrix((np.ones(len(r)), (r, c)), shape=(n_as, n_as))
+        # (`_as_path`) by one breadth-first search: a run asks for a
+        # fraction of the sources.  Ties between equal-length AS paths go to
+        # the highest-id AS one level closer, as scipy's search broke them.
+        self._as_graph: List[List[int]] = [[] for _ in range(n_as)]  # neighbour lists
+        for a, b in as_edges:
+            self._as_graph[a].append(b)
+            self._as_graph[b].append(a)
         self._as_pred: Dict[int, array] = {}
 
         # --- routers inside each AS: contiguous ranges ----------------
@@ -180,11 +178,8 @@ class HierarchicalASTopology(Topology):
     def _as_path(self, src_as: int, dst_as: int) -> List[int]:
         row = self._as_pred.get(src_as)
         if row is None:
-            _, pred = base.dijkstra(
-                self._as_graph, indices=src_as, unweighted=True,
-                return_predecessors=True, directed=False,
-            )
-            row = self._as_pred[src_as] = array("i", pred.tolist())
+            _, pred = base.dijkstra(self._as_graph, indices=src_as, unweighted=True)
+            row = self._as_pred[src_as] = array("i", pred.tobytes())
         path = [dst_as]
         while path[-1] != src_as:
             prev = row[path[-1]]

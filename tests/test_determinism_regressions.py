@@ -203,10 +203,9 @@ def poison_ambient():
 
 
 def print_pinned_digests_poisoned():
-    """The child: import everything a pinned run loads lazily, poison, then
-    print each pinned run's digest as JSON."""
-    import scipy.sparse.csgraph  # noqa: F401  (a Mercator map imports it on first use)
-
+    """The child: poison, then print each pinned run's digest as JSON.
+    Nothing is imported first, so a module a pinned run imports lazily
+    must import under the poison too."""
     poison_ambient()
     print(json.dumps({module.__name__: digest(module, module.run(**kwargs))
                       for module, (kwargs, _) in PINNED.items()}))

@@ -9,6 +9,7 @@ from repro.harness.aggregate import (
     format_sweep_report,
     group_runs,
     mean_ci95,
+    t_quantile_975,
 )
 from repro.harness.spec import RunSpec, SweepSpec
 from repro.harness.store import ResultStore, StoreError, make_artifact
@@ -40,6 +41,14 @@ def test_mean_ci95():
     mean, ci = mean_ci95([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)
     assert ci == pytest.approx(4.302653 * 1.0 / math.sqrt(3))  # t(0.975, 2)
+
+
+def test_t_quantile_is_scipys():
+    """The stdlib quantile against scipy's, the reference it replaced."""
+    from scipy.stats import t
+
+    for dof in range(1, 201):
+        assert abs(t_quantile_975(dof) - t.ppf(0.975, dof)) <= 1e-9, dof
 
 
 def test_group_runs_across_seeds():

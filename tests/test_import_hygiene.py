@@ -2,8 +2,8 @@
 code may import at all.
 
 A live node and the CLI carry none of the simulator's numeric stack, and
-a simulated run on CorpNet or GATech loads no scipy: only a Mercator map
-does (DESIGN.md §13).
+no simulated run on any map, and no ``repro report``, loads scipy
+(DESIGN.md §13).
 Simulated code reaches the outside world only through the ``Clock`` /
 ``Transport`` seam, so it imports no event loop, socket, thread or process
 machinery (DESIGN.md §9).
@@ -15,6 +15,8 @@ import subprocess
 import sys
 
 import repro
+from repro.harness.spec import RunSpec, SweepSpec
+from repro.harness.store import STATUS_OK, ResultStore, make_artifact
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
@@ -61,15 +63,38 @@ assert len(delivered) == 16, len(delivered)
 """
 
 
+def scipy_modules(loaded):
+    return {name for name in loaded if name.split(".")[0] == "scipy"}
+
+
 def test_a_corpnet_or_gatech_run_loads_no_scipy():
     loaded = loaded_by(ROUTER_MAP_RUN)
     assert {"numpy", "repro.network.transit_stub", "repro.overlay"} <= loaded
-    assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+    assert not scipy_modules(loaded)
     mercator = loaded_by("import random\n"
                          "from repro.network.hierarchical_as import HierarchicalASTopology\n"
                          "topo = HierarchicalASTopology(random.Random(5), n_as=8)\n"
                          "topo.router_hops(0, topo.n_routers - 1)")
-    assert "scipy.sparse.csgraph" in mercator  # its AS rows are scipy's search
+    assert not scipy_modules(mercator)  # its AS rows are a breadth-first search
+
+
+def test_a_report_loads_no_scipy(tmp_path):
+    """``repro report`` gives each metric a Student-t interval
+    (``mean_ci95``) without scipy."""
+    spec = SweepSpec.from_json(dict(name="t", experiment="e", base={}, grid={}, seeds=[1, 2, 3]))
+    jobs = [RunSpec(run_id=f"e--s{seed}", experiment="e", params={}, seed=seed,
+                    derived_seed=seed) for seed in spec.seeds]
+    store = ResultStore(tmp_path)
+    store.init_sweep(spec, [job.run_id for job in jobs])
+    for job in jobs:
+        store.write_artifact(make_artifact(job, STATUS_OK, result={"m": float(job.seed)}))
+    loaded = loaded_by("import contextlib, io\n"
+                       "from repro.cli import main\n"
+                       "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                       f"    assert main(['report', {str(tmp_path)!r}]) == 0\n"
+                       "assert '2.484' in out.getvalue(), out.getvalue()  # t(0.975, 2) / sqrt(3)")
+    assert "repro.harness.aggregate" in loaded
+    assert not scipy_modules(loaded)
 
 
 SIMULATED = ("sim", "pastry", "overlay", "network", "faults", "traces",

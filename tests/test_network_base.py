@@ -172,11 +172,11 @@ def test_the_installed_graph_is_csr_matrix_byte_for_byte(n_and_links):
     assert np.allclose(ours.data, theirs.data, rtol=1e-15, atol=0.0)
 
 
-def test_only_a_scipy_matrix_reaches_scipy(monkeypatch):
-    """Every search of a ``Csr`` graph runs in Python: a whole-map row,
-    GATech's two tree searches, its stub searches and its ``_row`` fallback.
-    Each equals scipy's on the same graph, predecessors included.  Only
-    Mercator's AS graph, a scipy matrix, goes to scipy."""
+def test_nothing_reaches_scipy(monkeypatch):
+    """Every search runs in Python: a whole-map row, GATech's two tree
+    searches, its stub searches and its ``_row`` fallback, and Mercator's AS
+    rows.  Each equals scipy's on the same graph, predecessors included
+    (Mercator's in ``test_every_perf_mercator_as_row_is_scipys``)."""
     reached = []
     scipy_dijkstra = scipy.sparse.csgraph.dijkstra
 
@@ -190,16 +190,35 @@ def test_only_a_scipy_matrix_reaches_scipy(monkeypatch):
     for topo in (LineTopology(), corpnet, gatech):
         topo.router_delay(1, 0)
         topo._row(2)
+    mercator = HierarchicalASTopology(random.Random(7), n_as=8, routers_per_as=4)
+    mercator.router_hops(0, mercator.n_routers - 1)  # AS 0 to the last AS
+    assert reached == []
     graph = corpnet._graph
     for kwargs in [dict(return_predecessors=True),
                    dict(indices=np.array([0, 40, 90]), min_only=True, return_predecessors=True)]:
         ours = network_base.dijkstra(graph, **kwargs)
         theirs = dijkstra(as_scipy(graph), **kwargs)
         assert [a.tobytes() for a in ours] == [b.tobytes() for _, b in zip(ours, theirs)]
-    assert reached == []
-    mercator = HierarchicalASTopology(random.Random(7), n_as=8, routers_per_as=4)
-    mercator.router_hops(0, mercator.n_routers - 1)  # AS 0 to the last AS
-    assert reached == [csr_matrix]
+
+
+def test_every_perf_mercator_as_row_is_scipys():
+    """Every source AS's breadth-first row on the perf map, levels and
+    predecessors, equals scipy's unweighted search byte for byte: the
+    highest-id neighbour one level closer is the one scipy keeps, so the
+    routes and ``mercator_map``'s fingerprint are scipy's.  The map is the
+    perf workloads' (their ``MAP_SEED``)."""
+    topo = HierarchicalASTopology(RngStreams(2004).stream("topology"), n_as=2662,
+                                  routers_per_as=39)
+    n_as = len(topo._as_graph)
+    tails, heads = zip(*topo._gateway)  # one gateway pair per AS adjacency and direction
+    as_graph = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n_as, n_as))
+    for first in range(0, n_as, 512):
+        sources = np.arange(first, min(n_as, first + 512))
+        levels, preds = dijkstra(as_graph, indices=sources, unweighted=True,
+                                 return_predecessors=True, directed=False)
+        for source, level, pred in zip(sources.tolist(), levels, preds):
+            ours = network_base.dijkstra(topo._as_graph, indices=source, unweighted=True)
+            assert [part.tobytes() for part in ours] == [level.tobytes(), pred.tobytes()], source
 
 
 #: the full GATech map the perf workloads build (their ``MAP_SEED``)
